@@ -112,8 +112,13 @@ class AttackSpec:
     def mode(self) -> str:
         return "omniscient" if self.omniscient else "blind"
 
+    @property
+    def key(self) -> tuple[JurisdictionId, ReportKind]:
+        """The (sender, report kind) of the reports this attack hits."""
+        return (self.edge_child, self.report_kind)
+
     def matches(self, report: Report) -> bool:
-        return report.sender == self.edge_child and report.kind is self.report_kind
+        return (report.sender, report.kind) == self.key
 
     def describe(self) -> str:
         if self.kind is AttackKind.TAMPER:
@@ -260,7 +265,8 @@ def detection_report(trace: EventTrace) -> DetectionSummary:
     """
     final_pub = trace.final_publish()
     root_children = trace.tree.children(trace.tree.root)
-    truth = {child: trace.true_subtree_counts(child) for child in root_children}
+    truths = trace.subtree_truths()
+    truth = {child: truths[child] for child in root_children}
 
     divergences: list[CountDivergence] = []
     gaps: list[CoverageGap] = []
@@ -286,7 +292,7 @@ def detection_report(trace: EventTrace) -> DetectionSummary:
         coverage_gaps=tuple(gaps),
         detects=trace.detects(),
         final_matches_ground_truth=(
-            final_pub.counts == trace.true_subtree_counts(trace.tree.root)
+            final_pub.counts == truths[trace.tree.root]
         ),
         integrity_gap_ticks=gap_ticks,
     )

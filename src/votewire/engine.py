@@ -14,6 +14,13 @@ forwards its final only once every child's final has arrived. Preliminary
 counts can be corrupted in flight by configured attacks; final counts ride
 the integrity-protected postal channel, so the final publication always
 equals the sum of the leaf ground truths.
+
+Every event costs the same whatever the fanout. Each node keeps its
+children's latest accepted preliminaries and a running total of them: an
+accept subtracts the superseded report and adds the new one, instead of
+re-summing every child. Each node also counts the child finals it still
+awaits, and forwards its own final when that count reaches zero. Attacks
+are looked up by (edge, report kind), in configuration order.
 """
 
 from __future__ import annotations
@@ -126,14 +133,39 @@ class NoiseModel:
 
 
 class _NodeState:
-    __slots__ = ("next_seq", "last_seen", "received_prelim", "received_final", "final_emitted")
+    __slots__ = (
+        "next_seq", "last_seen", "received_prelim", "received_final",
+        "prelim_total", "finals_pending",
+    )
 
-    def __init__(self) -> None:
+    def __init__(self, fanout: int) -> None:
         self.next_seq = 1
         self.last_seen: dict[JurisdictionId, int] = {}
         self.received_prelim: dict[JurisdictionId, Report] = {}
         self.received_final: dict[JurisdictionId, Report] = {}
-        self.final_emitted = False
+        # [yes, no, blank, invalid] summed over received_prelim.
+        self.prelim_total = [0, 0, 0, 0]
+        self.finals_pending = fanout
+
+    def accept_prelim(self, report: Report) -> VoteCount:
+        """Record an accepted child preliminary; return the new subtree total."""
+        self.last_seen[report.sender] = report.sequence_no
+        old = self.received_prelim.get(report.sender)
+        self.received_prelim[report.sender] = report
+        total = self.prelim_total
+        if old is not None:
+            prev = old.counts
+            total[0] -= prev.yes
+            total[1] -= prev.no
+            total[2] -= prev.blank
+            total[3] -= prev.invalid
+        new = report.counts
+        total[0] += new.yes
+        total[1] += new.no
+        total[2] += new.blank
+        total[3] += new.invalid
+        # VoteCount raises ArithmeticOverflow past the 64-bit count range.
+        return VoteCount(*total)
 
 
 @dataclass(frozen=True)
@@ -188,32 +220,36 @@ class Simulation:
         records: list[TraceRecord] = []
         counter = itertools.count()
         heap: list[tuple[int, int, tuple]] = []
-        states: dict[JurisdictionId, _NodeState] = {n: _NodeState() for n in self.tree.nodes()}
+        tree = self.tree
+        states = {n: _NodeState(len(tree.children(n))) for n in tree.nodes()}
         fires_left: list[int | None] = [a.first_n for a in self.attacks]
+        attacks_on: dict[tuple[JurisdictionId, ReportKind], list[int]] = {}
+        for idx, attack in enumerate(self.attacks):
+            attacks_on.setdefault(attack.key, []).append(idx)
 
         # Noise draws come first and in leaf order, so the perturbed counts
         # do not depend on event interleaving.
+        leaves = tree.leaves()
         prelim_counts: dict[JurisdictionId, VoteCount] = {}
-        for leaf in self.tree.leaves():
+        for leaf in leaves:
             counts = self.ground_truth[leaf]
             prelim_counts[leaf] = self.noise.perturb(counts, rng) if self.noise else counts
 
-        for leaf in self.tree.leaves():
+        for leaf in leaves:
             at = self.prelim_emit.get(leaf, 0)
             heapq.heappush(heap, (at, next(counter), ("leaf_prelim", leaf)))
-        for leaf in self.tree.leaves():
+        for leaf in leaves:
             at = self.final_emit.get(leaf, self.final_emit_default)
             heapq.heappush(heap, (at, next(counter), ("leaf_final", leaf)))
 
         def send(time: int, report: Report, channel: ChannelSpec) -> None:
-            receiver = self.tree.parent(report.sender)
+            receiver = tree.parent(report.sender)
             assert receiver is not None
             delivery = time + channel.base_latency
             if self.jitter_max:
                 delivery += rng.randint(0, self.jitter_max)
-            for idx, attack in enumerate(self.attacks):
-                if not attack.matches(report):
-                    continue
+            for idx in attacks_on.get((report.sender, report.kind), ()):
+                attack = self.attacks[idx]
                 left = fires_left[idx]
                 if left == 0:
                     continue
@@ -246,28 +282,9 @@ class Simulation:
             records.append(EmitRecord(time, node, kind, report.sequence_no, counts))
             return report
 
-        def prelim_totals(node: JurisdictionId) -> VoteCount:
-            state = states[node]
-            return accumulate(
-                state.received_prelim[c].counts
-                for c in self.tree.children(node)
-                if c in state.received_prelim
-            )
-
-        def publish(time: int, node: JurisdictionId, kind: ReportKind) -> None:
-            state = states[node]
-            reports = state.received_prelim if kind is ReportKind.PRELIMINARY else state.received_final
-            children = tuple(
-                (c, reports[c].sequence_no, reports[c].counts)
-                for c in self.tree.children(node)
-                if c in reports
-            )
-            totals = accumulate(counts for _, _, counts in children)
-            records.append(PublishRecord(time, node, kind, totals, children))
-
         def on_prelim(time: int, report: Report, receiver: JurisdictionId, channel: ChannelSpec) -> None:
             state = states[receiver]
-            reason = feasibility_check(report, receiver, self.tree, state.last_seen)
+            reason = feasibility_check(report, receiver, tree, state.last_seen)
             records.append(
                 DeliverRecord(
                     time, report.sender, receiver, channel.name, report.kind,
@@ -279,12 +296,19 @@ class Simulation:
                     DetectRecord(time, receiver, reason, report.sender, report.sequence_no)
                 )
                 return
-            state.last_seen[report.sender] = report.sequence_no
-            state.received_prelim[report.sender] = report
-            if receiver == self.tree.root:
-                publish(time, receiver, ReportKind.PRELIMINARY)
+            totals = state.accept_prelim(report)
+            if receiver == tree.root:
+                prelims = state.received_prelim
+                covered = tuple(
+                    (c, prelims[c].sequence_no, prelims[c].counts)
+                    for c in tree.children(receiver)
+                    if c in prelims
+                )
+                records.append(
+                    PublishRecord(time, receiver, ReportKind.PRELIMINARY, totals, covered)
+                )
             else:
-                fresh = emit(time, receiver, ReportKind.PRELIMINARY, prelim_totals(receiver))
+                fresh = emit(time, receiver, ReportKind.PRELIMINARY, totals)
                 send(time, fresh, self.channels[receiver])
 
         def on_final(time: int, report: Report, receiver: JurisdictionId, channel: ChannelSpec) -> None:
@@ -305,12 +329,18 @@ class Simulation:
                     report.sequence_no, report.counts, True, None,
                 )
             )
-            if state.final_emitted or set(state.received_final) != set(self.tree.children(receiver)):
+            # Finals only ever come from children, each stored once, so the
+            # count reaches zero exactly once: at the last child's final.
+            state.finals_pending -= 1
+            if state.finals_pending:
                 return
-            state.final_emitted = True
             totals = accumulate(r.counts for r in state.received_final.values())
-            if receiver == self.tree.root:
-                publish(time, receiver, ReportKind.FINAL)
+            if receiver == tree.root:
+                finals = state.received_final
+                covered = tuple(
+                    (c, finals[c].sequence_no, finals[c].counts) for c in tree.children(receiver)
+                )
+                records.append(PublishRecord(time, receiver, ReportKind.FINAL, totals, covered))
             else:
                 fresh = emit(time, receiver, ReportKind.FINAL, totals)
                 send(time, fresh, self.postal)

@@ -263,10 +263,12 @@ def _ground_truth(value: Any, tree: JurisdictionTree) -> dict[JurisdictionId, Vo
     for key, raw in obj.items():
         node = _node(key, tree, f"ground_truth.{key}")
         truth[node] = _counts(raw, f"ground_truth.{key}")
-    missing = sorted(str(leaf) for leaf in tree.leaves() if leaf not in truth)
+    leaves = tree.leaves()
+    missing = sorted(str(leaf) for leaf in leaves if leaf not in truth)
     if missing:
         raise ConfigError(f"field 'ground_truth': missing leaves {missing}")
-    extra = sorted(str(node) for node in truth if node not in tree.leaves())
+    leaf_set = set(leaves)
+    extra = sorted(str(node) for node in truth if node not in leaf_set)
     if extra:
         raise ConfigError(f"field 'ground_truth': non-leaf entries {extra}")
     return truth

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counts import VoteCount, accumulate
+from .counts import ZERO, VoteCount, accumulate
 from .reports import ReportKind
 from .tree import JurisdictionId, JurisdictionTree
 
@@ -154,12 +154,29 @@ class EventTrace:
         return finals[-1]
 
     def true_subtree_counts(self, node: JurisdictionId) -> VoteCount:
-        """Ground-truth totals for a subtree, from the leaves it contains."""
-        return accumulate(
-            self.ground_truth[leaf]
-            for leaf in self.ground_truth
-            if leaf == node or node.is_ancestor_of(leaf)
-        )
+        """Ground-truth totals for one subtree.
+
+        This sums the whole tree; to audit many subtrees, call
+        ``subtree_truths`` once instead.
+        """
+        return self.subtree_truths()[node]
+
+    def subtree_truths(self) -> dict[JurisdictionId, VoteCount]:
+        """Ground-truth totals for every node's subtree, in one pass.
+
+        Nodes are visited children first, so each total is the sum of its
+        children's totals, or a leaf's own ground truth.
+        """
+        order = [self.tree.root]
+        for node in order:
+            order.extend(self.tree.children(node))
+        truths: dict[JurisdictionId, VoteCount] = {}
+        for node in reversed(order):
+            kids = self.tree.children(node)
+            truths[node] = (
+                accumulate(truths[k] for k in kids) if kids else self.ground_truth.get(node, ZERO)
+            )
+        return truths
 
 
 def publish_timeline(trace: EventTrace) -> list[tuple[int, ReportKind, VoteCount, Fraction]]:

@@ -20,6 +20,10 @@ class JurisdictionId:
     """Path of name segments from the root down, e.g. ``("CH", "ZH", "Uster")``."""
 
     path: tuple[str, ...]
+    # Every engine and audit dict is keyed by these ids, so the hash is
+    # computed once here instead of per lookup. It equals the hash the
+    # dataclass would generate, so set and dict orders are unchanged.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.path:
@@ -30,6 +34,14 @@ class JurisdictionId:
             for ch in _FORBIDDEN_IN_SEGMENT:
                 if ch in segment:
                     raise ValueError(f"segment {segment!r} contains forbidden character {ch!r}")
+        object.__setattr__(self, "_hash", hash((self.path,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes: rebuild, never copy, the cache.
+        return (JurisdictionId, (self.path,))
 
     @classmethod
     def of(cls, *segments: str) -> "JurisdictionId":

@@ -14,7 +14,7 @@ from votewire.adversary import (
     detection_report,
 )
 from votewire.channels import preset, wrapped
-from votewire.counts import VoteCount, accumulate
+from votewire.counts import MAX_COUNT, VoteCount, accumulate
 from votewire.engine import (
     REASON_OVER_ELIGIBLE,
     REASON_STALE_SEQUENCE,
@@ -24,7 +24,7 @@ from votewire.engine import (
     feasibility_check,
     final_disposition,
 )
-from votewire.errors import CapabilityError, DuplicateFinal
+from votewire.errors import ArithmeticOverflow, CapabilityError, DuplicateFinal
 from votewire.reports import Report, ReportKind
 from votewire.traces import DeliverRecord, EmitRecord, PublishRecord, publish_timeline
 from votewire.tree import JurisdictionId, tree_from_paths
@@ -419,3 +419,117 @@ class TestDeterminism:
             seed=seed, jitter_max=6, noise=NoiseModel(probability=0.7, max_shift=25)
         )
         assert sim.run().final_publish().counts == VoteCount(40, 60)
+
+
+@st.composite
+def random_simulations(draw) -> Simulation:
+    """A small run on an uneven tree of 2 to 4 levels, with attacks and noise."""
+    max_depth = draw(st.integers(1, 3))
+    paths: list[tuple[str, ...]] = []
+
+    def grow(path: tuple[str, ...]) -> None:
+        depth = len(path) - 1
+        if depth == max_depth or (depth > 0 and draw(st.booleans())):
+            paths.append(path)
+            return
+        for i in range(draw(st.integers(1, 3))):
+            grow((*path, f"N{i}"))
+
+    grow(("CH",))
+    leaves = [JurisdictionId(p) for p in paths]
+    edges = sorted({JurisdictionId(p[:i]) for p in paths for i in range(2, len(p) + 1)}, key=str)
+    small_counts = st.builds(
+        VoteCount, st.integers(0, 40), st.integers(0, 40), st.integers(0, 3), st.integers(0, 2)
+    )
+    truth = {leaf: draw(small_counts) for leaf in leaves}
+    eligible = {leaf: truth[leaf].total() + draw(st.integers(0, 20)) for leaf in leaves}
+    presets = [preset(name) for name in ("telephone", "fax", "email", "dedicated")]
+    channels = {edge: draw(st.sampled_from(presets)) for edge in edges}
+    emit_times = st.dictionaries(st.sampled_from(leaves), st.integers(0, 30))
+    attacks = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(AttackKind))
+        common = dict(
+            edge_child=draw(st.sampled_from(edges)), first_n=draw(st.sampled_from([None, 1, 2]))
+        )
+        if kind is AttackKind.TAMPER:
+            mutation = draw(
+                st.sampled_from([Mutation(MutationKind.SWAP_YES_NO)])
+                | small_counts.map(lambda c: Mutation(MutationKind.SET_COUNTS, counts=c))
+            )
+            attacks.append(AttackSpec(kind, mutation=mutation, **common))
+        elif kind is AttackKind.DELAY:
+            report_kind = draw(st.sampled_from(ReportKind))
+            hold = draw(st.integers(1, 60))
+            attacks.append(AttackSpec(kind, report_kind=report_kind, hold_ticks=hold, **common))
+        else:
+            forged_seq = draw(st.none() | st.integers(1, 3))
+            attacks.append(
+                AttackSpec(kind, forged_counts=draw(small_counts), forged_seq=forged_seq, **common)
+            )
+    noise = draw(st.none() | st.builds(NoiseModel, st.floats(0.0, 1.0), st.integers(1, 5)))
+    return Simulation(
+        election_id="prop",
+        tree=tree_from_paths(paths, eligible_voters=eligible),
+        channels=channels,
+        ground_truth=truth,
+        seed=draw(st.integers(0, 2**16)),
+        prelim_emit=draw(emit_times),
+        final_emit=draw(emit_times.map(lambda d: {k: v + 40 for k, v in d.items()})),
+        jitter_max=draw(st.integers(0, 5)),
+        noise=noise,
+        attacks=tuple(attacks),
+    )
+
+
+class TestTraceInvariants:
+    """Properties read back from the trace alone, on arbitrary tree shapes."""
+
+    @settings(max_examples=150)
+    @given(sim=random_simulations())
+    def test_aggregation_invariants(self, sim):
+        trace = sim.run()
+        tree = sim.tree
+        latest_prelim: dict[JurisdictionId, dict[JurisdictionId, VoteCount]] = {}
+        child_finals: dict[JurisdictionId, list[DeliverRecord]] = {}
+        final_outputs: dict[JurisdictionId, list] = {}
+        for rec in trace.records:
+            if isinstance(rec, DeliverRecord) and rec.accepted and rec.reason is None:
+                if rec.kind is ReportKind.PRELIMINARY:
+                    latest_prelim.setdefault(rec.receiver, {})[rec.sender] = rec.counts
+                else:
+                    child_finals.setdefault(rec.receiver, []).append(rec)
+            elif isinstance(rec, EmitRecord) and tree.children(rec.node):
+                if rec.kind is ReportKind.PRELIMINARY:
+                    assert rec.counts == accumulate(latest_prelim[rec.node].values())
+                else:
+                    final_outputs.setdefault(rec.node, []).append(rec)
+            elif isinstance(rec, PublishRecord):
+                assert rec.counts == accumulate(c for _, _, c in rec.children)
+                if rec.kind is ReportKind.FINAL:
+                    final_outputs.setdefault(rec.node, []).append(rec)
+                else:
+                    latest = latest_prelim[rec.node]
+                    assert [(child, c) for child, _, c in rec.children] == [
+                        (child, latest[child]) for child in tree.children(rec.node) if child in latest
+                    ]
+
+        internal = [n for n in tree.nodes() if tree.children(n)]
+        assert sorted(final_outputs, key=str) == sorted(internal, key=str)
+        for node in internal:
+            (out,) = final_outputs[node]
+            delivered = child_finals[node]
+            assert sorted(str(d.sender) for d in delivered) == sorted(
+                str(c) for c in tree.children(node)
+            )
+            assert out.time == delivered[-1].time
+            assert out.counts == accumulate(d.counts for d in delivered)
+
+    def test_overflowing_sibling_totals_raise_from_run(self):
+        sim = two_leaf_sim(
+            tree=tree_from_paths([("CH", "A"), ("CH", "B")]),
+            channels={A: preset("email"), B: preset("email")},
+            ground_truth={A: VoteCount(yes=MAX_COUNT), B: VoteCount(yes=MAX_COUNT)},
+        )
+        with pytest.raises(ArithmeticOverflow):
+            sim.run()

@@ -174,6 +174,12 @@ class TestDiagnostics:
         with pytest.raises(ConfigError, match=r"missing leaves.*CH/B"):
             parse(doc)
 
+    def test_ground_truth_rejects_non_leaf_entries(self):
+        doc = custom_doc()
+        doc["ground_truth"]["CH"] = {"yes": 40, "no": 60}
+        with pytest.raises(ConfigError, match=r"non-leaf entries \['CH'\]"):
+            parse(doc)
+
     def test_ground_truth_rejects_unknown_nodes(self):
         doc = custom_doc()
         doc["ground_truth"]["CH/Z"] = {"yes": 1}

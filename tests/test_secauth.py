@@ -454,6 +454,14 @@ class TestSequenceState:
         assert len(accepted) == 1
         assert all(v.reason is RejectReason.REPLAY for v in verdicts if not v.accepted)
 
+    def test_batch_records_all_numbers_or_none(self):
+        state = fresh_state()
+        assert state.accept_if_fresh(WIL, 4)
+        assert not state.accept_all_if_fresh([(USTER, 1), (WIL, 4)])
+        assert (state.last(USTER), state.last(WIL)) == (0, 4)
+        assert state.accept_all_if_fresh([(USTER, 3), (WIL, 5)])
+        assert (state.last(USTER), state.last(WIL)) == (3, 5)
+
     def test_redelivery_in_any_order_accepts_each_seq_once(self, deep):
         reports = [signed(deep, USTER, seq=s) for s in (1, 2, 3)]
         rng = random.Random(5)
@@ -581,6 +589,40 @@ class TestBundles:
         doctored = type(good)(mode=good.mode, aggregate=good.aggregate, attachments=(broken, wil))
         verdict = verify_bundle(doctored, deep.root_certificate, EMPTY_CRL, fresh_state())
         assert verdict.reason is RejectReason.BAD_SIGNATURE
+
+    def test_rejected_bundle_leaves_every_sequence_number_unused(self, deep):
+        uster, wil = self.make_children(deep)
+        honest = bundle_report(
+            ForwardingMode.RELAY_AND_COUNTERSIGN,
+            deep.keys[ZH], deep.chain(ZH), self.aggregate_report(), (uster, wil),
+        )
+        forged_wil = SignedReport(wil.report, bytes(len(wil.signature)), wil.chain)
+        forged_aggregate = SignedReport(
+            honest.aggregate.report, bytes(len(honest.aggregate.signature)), honest.aggregate.chain
+        )
+        state = fresh_state()
+        for attachments, aggregate in (
+            ((uster, forged_wil), honest.aggregate),
+            ((uster, wil), forged_aggregate),
+        ):
+            doctored = type(honest)(mode=honest.mode, aggregate=aggregate, attachments=attachments)
+            verdict = verify_bundle(doctored, deep.root_certificate, EMPTY_CRL, state)
+            assert verdict.reason is RejectReason.BAD_SIGNATURE
+            assert (state.last(USTER), state.last(WIL), state.last(ZH)) == (0, 0, 0)
+        assert verify_bundle(honest, deep.root_certificate, EMPTY_CRL, state) == ACCEPT
+        assert (state.last(USTER), state.last(WIL), state.last(ZH)) == (1, 1, 1)
+
+    def test_bundle_with_one_stale_report_commits_nothing(self, deep):
+        uster, wil = self.make_children(deep, seq=2)
+        bundle = bundle_report(
+            ForwardingMode.RELAY_AND_COUNTERSIGN,
+            deep.keys[ZH], deep.chain(ZH), self.aggregate_report(seq=2), (uster, wil),
+        )
+        state = fresh_state()
+        assert state.accept_if_fresh(WIL, 2)
+        verdict = verify_bundle(bundle, deep.root_certificate, EMPTY_CRL, state)
+        assert verdict.reason is RejectReason.REPLAY
+        assert (state.last(USTER), state.last(WIL), state.last(ZH)) == (0, 2, 0)
 
 
 class TestWireFormat:

@@ -1,5 +1,6 @@
 """Jurisdiction identifiers and tree validation."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,21 @@ class TestJurisdictionId:
     def test_rejects_empty_path(self):
         with pytest.raises(ValueError):
             JurisdictionId(())
+
+    def test_cached_hash_keeps_value_semantics(self):
+        jid = JurisdictionId.of("CH", "ZH")
+        twin = JurisdictionId(("CH", "ZH"))
+        assert jid == twin and hash(jid) == hash(twin) == hash((("CH", "ZH"),))
+        assert jid != JurisdictionId.of("CH", "BE")
+        assert repr(jid) == "JurisdictionId(path=('CH', 'ZH'))"
+        assert {jid: 1}[twin] == 1
+
+    def test_pickle_rebuilds_the_hash_in_the_loading_process(self):
+        jid = JurisdictionId.of("CH", "ZH")
+        # What pickle stores is the path alone, so a process with another
+        # string-hash seed recomputes the hash instead of loading a stale one.
+        assert jid.__reduce__() == (JurisdictionId, (("CH", "ZH"),))
+        assert pickle.loads(pickle.dumps(jid)) == jid
 
     def test_slash_ban_keeps_text_form_injective(self):
         # No two distinct ids may render to the same string.
