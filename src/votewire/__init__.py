@@ -32,7 +32,6 @@ from .errors import (
     Infeasible,
     MissingCanton,
     ParseError,
-    ProvisioningError,
     SubjectMismatch,
     VotewireError,
 )
@@ -43,6 +42,7 @@ from .flips import (
     flips_to_majority,
     min_flips_cantonal,
     min_flips_double,
+    min_flips_outcome,
     min_flips_popular,
 )
 from .reports import Report, ReportKind
@@ -82,7 +82,6 @@ __all__ = [
     "POSTAL_FINAL",
     "PRESETS",
     "ParseError",
-    "ProvisioningError",
     "ReferendumSpec",
     "Report",
     "ReportKind",
@@ -97,6 +96,7 @@ __all__ = [
     "flips_to_majority",
     "min_flips_cantonal",
     "min_flips_double",
+    "min_flips_outcome",
     "min_flips_popular",
     "popular_outcome",
     "preset",

@@ -117,9 +117,6 @@ class AttackSpec:
         """The (sender, report kind) of the reports this attack hits."""
         return (self.edge_child, self.report_kind)
 
-    def matches(self, report: Report) -> bool:
-        return (report.sender, report.kind) == self.key
-
     def describe(self) -> str:
         if self.kind is AttackKind.TAMPER:
             assert self.mutation is not None

@@ -25,10 +25,6 @@ class CapabilityError(VotewireError):
     """An attack was declared on a channel whose capabilities forbid it."""
 
 
-class ProvisioningError(VotewireError):
-    """A channel endpoint lacks the certificate needed to wrap the channel."""
-
-
 class HierarchyError(VotewireError):
     """A certificate was requested for a subject outside the issuer's direct children."""
 

@@ -254,6 +254,31 @@ def min_flips_double(
     return plan
 
 
+def min_flips_outcome(
+    per_canton: Mapping[JurisdictionId, VoteCount],
+    tree: JurisdictionTree,
+    spec: ReferendumSpec,
+    target: Decision,
+) -> FlipPlan:
+    """Minimal flips after which the double-majority outcome reads ``target``.
+
+    Acceptance needs both majorities, so it costs min_flips_double's plan.
+    Rejection needs only one of them to fail, so it costs the cheaper of
+    the popular plan (national pool) and the cantonal plan, the popular
+    one on a tie. Either dimension, if flipped, ends with a strict target
+    majority, as in the solvers above.
+    """
+    if spec.majority_rule is not MajorityRule.DOUBLE_MAJORITY:
+        raise ValueError("outcome solver called for a popular-only referendum")
+    if target is Decision.ACCEPTED:
+        return min_flips_double(per_canton, tree, spec, target)
+    # Neither raises Infeasible: a majority that accepts has yes ballots
+    # (or yes-majority cantons) enough to drain.
+    popular = min_flips_popular(accumulate(per_canton.values()), target)
+    cantonal = min_flips_cantonal(per_canton, tree, target)
+    return cantonal if cantonal.total_flips < popular.total_flips else popular
+
+
 def _assert_double_plan(
     per_canton: Mapping[JurisdictionId, VoteCount],
     tree: JurisdictionTree,

@@ -1,7 +1,7 @@
 """Signing layer: certificate chains over the jurisdiction tree.
 
 Reports become verifiable by signing their canonical byte encoding with a
-per-jurisdiction key whose certificate is issued by the parent
+per-jurisdiction Ed25519 key whose certificate is issued by the parent
 jurisdiction, up to a self-signed root pinned out of band. Verification
 checks the chain, revocation, the report signature, the election binding,
 and sequence freshness; each failure maps to one distinct reason.
@@ -17,14 +17,9 @@ from .pki import (
     make_key,
     provision_tree,
     self_signed_root,
-    wrap_channel,
 )
-from .schemes import DEFAULT_SCHEME, SCHEMES, Ed25519Scheme, SchnorrScheme, SignatureScheme, scheme
 from .signing import (
-    ForwardingMode,
-    ReportBundle,
     SignedReport,
-    bundle_report,
     sign_report,
     signed_report_from_text,
     signed_report_to_text,
@@ -36,41 +31,29 @@ from .verify import (
     RevocationList,
     SequenceState,
     Verdict,
-    verify_bundle,
     verify_report,
 )
 
 __all__ = [
     "ACCEPT",
     "Certificate",
-    "DEFAULT_SCHEME",
     "EMPTY_CRL",
-    "Ed25519Scheme",
-    "ForwardingMode",
     "KeyHandle",
     "Provisioned",
     "RejectReason",
-    "ReportBundle",
     "RevocationList",
-    "SCHEMES",
-    "SchnorrScheme",
     "SequenceState",
-    "SignatureScheme",
     "SignedReport",
     "TrustStore",
     "Verdict",
-    "bundle_report",
     "canonical_encode",
     "certificate_payload",
     "issue_certificate",
     "make_key",
     "provision_tree",
-    "scheme",
     "self_signed_root",
     "sign_report",
     "signed_report_from_text",
     "signed_report_to_text",
-    "verify_bundle",
     "verify_report",
-    "wrap_channel",
 ]

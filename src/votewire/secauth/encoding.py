@@ -15,6 +15,9 @@ from ..tree import JurisdictionId
 
 KIND_LABELS = {ReportKind.PRELIMINARY: "Preliminary", ReportKind.FINAL: "Final"}
 LABEL_KINDS = {label: kind for kind, label in KIND_LABELS.items()}
+# Wire field order of a report: the signed lines, and the first lines of a
+# signed report's text form.
+REPORT_FIELDS = ("election", "sender", "seq", "kind", "yes", "no", "blank", "invalid")
 
 
 def _check_id(text: str, what: str) -> None:
@@ -35,17 +38,11 @@ def canonical_encode(report: Report) -> bytes:
     for segment in report.sender.path:
         _check_id(segment, f"sender segment {segment!r}")
     c = report.counts
-    lines = (
-        f"election={report.election_id}",
-        f"sender={report.sender}",
-        f"seq={report.sequence_no}",
-        f"kind={KIND_LABELS[report.kind]}",
-        f"yes={c.yes}",
-        f"no={c.no}",
-        f"blank={c.blank}",
-        f"invalid={c.invalid}",
+    values = (
+        report.election_id, report.sender, report.sequence_no, KIND_LABELS[report.kind],
+        c.yes, c.no, c.blank, c.invalid,
     )
-    return "".join(line + "\n" for line in lines).encode("utf-8")
+    return "".join(f"{f}={v}\n" for f, v in zip(REPORT_FIELDS, values)).encode("utf-8")
 
 
 def certificate_payload(

@@ -12,13 +12,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
-from ..channels import ChannelSpec, wrapped
-from ..errors import HierarchyError, ParseError, ProvisioningError, SubjectMismatch
+from ..errors import HierarchyError, ParseError, SubjectMismatch
 from ..tree import JurisdictionId, JurisdictionTree
+from . import schemes
 from .encoding import certificate_payload
-from .schemes import DEFAULT_SCHEME, SignatureScheme, scheme
 
 _HEX_RE = re.compile(r"\A(?:[0-9a-f]{2})+\Z")
 _SERIAL_RE = re.compile(r"\A[1-9][0-9]*\Z")
@@ -32,31 +31,28 @@ class KeyHandle:
     repr included, exposes key material.
     """
 
-    __slots__ = ("subject", "scheme", "_signer")
+    __slots__ = ("subject", "_signer")
 
-    def __init__(
-        self, subject: JurisdictionId, scheme_name: str, signer: Callable[[bytes], bytes]
-    ) -> None:
+    def __init__(self, subject: JurisdictionId, signer: Callable[[bytes], bytes]) -> None:
         self.subject = subject
-        self.scheme = scheme_name
         self._signer = signer
 
     def sign(self, message: bytes) -> bytes:
         return self._signer(message)
 
     def __repr__(self) -> str:
-        return f"KeyHandle(subject={self.subject}, scheme={self.scheme})"
+        return f"KeyHandle(subject={self.subject})"
 
 
-def make_key(
-    subject: JurisdictionId,
-    signature_scheme: SignatureScheme,
-    seed: bytes | None = None,
-) -> tuple[KeyHandle, bytes]:
+def make_key(subject: JurisdictionId, seed: bytes | None = None) -> tuple[KeyHandle, bytes]:
     """A fresh key pair: the handle for the subject, public bytes for certs."""
-    private, public = signature_scheme.keypair(seed)
-    handle = KeyHandle(subject, signature_scheme.name, lambda m: signature_scheme.sign(private, m))
-    return handle, public
+    private, public = schemes.keypair(seed)
+    return KeyHandle(subject, lambda m: schemes.sign(private, m)), public
+
+
+# Wire field order of a certificate, shared by its own text form and the
+# chain blocks of a signed report.
+CERT_FIELDS = ("subject", "issuer", "serial", "scheme", "public_key", "issuer_signature")
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,33 +69,28 @@ class Certificate:
             self.subject, self.issuer, self.serial, self.scheme, self.public_key
         )
 
-    def to_text(self) -> str:
-        lines = (
-            f"subject={self.subject}",
-            f"issuer={self.issuer}",
-            f"serial={self.serial}",
-            f"scheme={self.scheme}",
-            f"public_key={self.public_key.hex()}",
-            f"issuer_signature={self.issuer_signature.hex()}",
-        )
-        return "".join(line + "\n" for line in lines)
-
-
-_CERT_FIELDS = ("subject", "issuer", "serial", "scheme", "public_key", "issuer_signature")
+    def to_text(self, prefix: str = "") -> str:
+        """``field=value`` lines in CERT_FIELDS order, each name after ``prefix``."""
+        out = []
+        for field in CERT_FIELDS:
+            value = getattr(self, field)
+            out.append(f"{prefix}{field}={value.hex() if isinstance(value, bytes) else value}\n")
+        return "".join(out)
 
 
 def certificate_from_text(text: str) -> Certificate:
-    values = parse_fields(text.splitlines(keepends=True), _CERT_FIELDS, offset=0)
+    values = parse_fields(text.splitlines(keepends=True), CERT_FIELDS, offset=0)
     return build_certificate(values, where="certificate")
 
 
 def parse_fields(
-    lines: list[str], expected: tuple[str, ...], offset: int
+    lines: list[str], expected: tuple[str, ...], offset: int, prefix: str = ""
 ) -> dict[str, str]:
-    """Strict field=value lines in exactly the expected order.
+    """Strict ``prefix + field=value`` lines in exactly the expected order.
 
     ``offset`` is the number of lines consumed before these, used only to
-    report accurate line numbers.
+    report accurate line numbers. The result is keyed by field, without
+    the prefix.
     """
     if len(lines) != len(expected):
         raise ParseError(
@@ -110,10 +101,10 @@ def parse_fields(
         if not line.endswith("\n") or line.count("\n") != 1:
             raise ParseError(f"line {i}: every line must end with a single line feed")
         body = line[:-1]
-        prefix = f"{field}="
-        if not body.startswith(prefix):
-            raise ParseError(f"line {i}: expected '{prefix}...', found {body[:40]!r}")
-        values[field] = body[len(prefix):]
+        head = f"{prefix}{field}="
+        if not body.startswith(head):
+            raise ParseError(f"line {i}: expected '{head}...', found {body[:40]!r}")
+        values[field] = body[len(head):]
     return values
 
 
@@ -149,20 +140,21 @@ def build_certificate(values: Mapping[str, str], where: str) -> Certificate:
     )
 
 
+def _certify(
+    signer: KeyHandle,
+    subject: JurisdictionId,
+    issuer: JurisdictionId,
+    serial: int,
+    public_key: bytes,
+) -> Certificate:
+    payload = certificate_payload(subject, issuer, serial, schemes.NAME, public_key)
+    return Certificate(subject, issuer, serial, schemes.NAME, public_key, signer.sign(payload))
+
+
 def self_signed_root(
     root_key: KeyHandle, root_public: bytes, serial: int = 1
 ) -> Certificate:
-    payload = certificate_payload(
-        root_key.subject, root_key.subject, serial, root_key.scheme, root_public
-    )
-    return Certificate(
-        subject=root_key.subject,
-        issuer=root_key.subject,
-        serial=serial,
-        scheme=root_key.scheme,
-        public_key=root_public,
-        issuer_signature=root_key.sign(payload),
-    )
+    return _certify(root_key, root_key.subject, root_key.subject, serial, root_public)
 
 
 def issue_certificate(
@@ -171,7 +163,6 @@ def issue_certificate(
     subject: JurisdictionId,
     subject_public_key: bytes,
     serial: int,
-    subject_scheme: str | None = None,
 ) -> Certificate:
     if issuer_key.subject != issuer_cert.subject:
         raise SubjectMismatch(
@@ -181,18 +172,7 @@ def issue_certificate(
         raise HierarchyError(
             f"{issuer_cert.subject} may only certify its direct children, not {subject}"
         )
-    scheme_name = subject_scheme or issuer_key.scheme
-    payload = certificate_payload(
-        subject, issuer_cert.subject, serial, scheme_name, subject_public_key
-    )
-    return Certificate(
-        subject=subject,
-        issuer=issuer_cert.subject,
-        serial=serial,
-        scheme=scheme_name,
-        public_key=subject_public_key,
-        issuer_signature=issuer_key.sign(payload),
-    )
+    return _certify(issuer_key, subject, issuer_cert.subject, serial, subject_public_key)
 
 
 @dataclass(frozen=True)
@@ -217,17 +197,12 @@ class Provisioned:
         return tuple(out)
 
 
-def provision_tree(
-    tree: JurisdictionTree,
-    signature_scheme: SignatureScheme | None = None,
-    seed: bytes | None = None,
-) -> Provisioned:
+def provision_tree(tree: JurisdictionTree, seed: bytes | None = None) -> Provisioned:
     """Keys and certificates for the whole tree, root first.
 
     Serials start at 1 for the root and follow a breadth-first walk, so
     provisioning is deterministic for a given tree and seed.
     """
-    chosen = signature_scheme or scheme(DEFAULT_SCHEME)
     keys: dict[JurisdictionId, KeyHandle] = {}
     certs: dict[JurisdictionId, Certificate] = {}
 
@@ -237,7 +212,7 @@ def provision_tree(
         return b"%s|%s" % (seed, str(node).encode("utf-8"))
 
     root = tree.root
-    root_key, root_public = make_key(root, chosen, node_seed(root))
+    root_key, root_public = make_key(root, node_seed(root))
     keys[root] = root_key
     certs[root] = self_signed_root(root_key, root_public, serial=1)
 
@@ -246,7 +221,7 @@ def provision_tree(
     while queue:
         parent = queue.pop(0)
         for child in tree.children(parent):
-            child_key, child_public = make_key(child, chosen, node_seed(child))
+            child_key, child_public = make_key(child, node_seed(child))
             keys[child] = child_key
             certs[child] = issue_certificate(
                 keys[parent], certs[parent], child, child_public, serial
@@ -312,22 +287,3 @@ class TrustStore:
             root_certificate=provisioned.root_certificate,
             certificates=dict(provisioned.certificates),
         )
-
-
-def wrap_channel(
-    channel: ChannelSpec,
-    sender: JurisdictionId,
-    receiver: JurisdictionId,
-    certificates: Mapping[JurisdictionId, Certificate],
-) -> ChannelSpec:
-    """Signed transport over an arbitrary channel.
-
-    Both endpoints must be provisioned: the sender signs, the receiver
-    needs the sender's chain to verify. Signing supplies integrity and
-    authenticity; it cannot prevent anyone from delaying the message, so
-    delayable stays as it was.
-    """
-    for endpoint in (sender, receiver):
-        if endpoint not in certificates:
-            raise ProvisioningError(f"{endpoint} has no certificate; provision it first")
-    return wrapped(channel)

@@ -1,19 +1,15 @@
-"""Pluggable signature schemes.
+"""Ed25519 signatures over opaque byte strings.
 
-The verifier only needs sign/verify over opaque byte strings, so schemes
-are a small provider interface. Two implementations ship: Ed25519 (the
-default, via the cryptography package) and a self-contained Schnorr
-scheme over a fixed prime-order group. Both derive key pairs
+Ed25519 (RFC 8032, via the cryptography package) is the one signature
+scheme; certificates still name it in their ``scheme=`` field, and a
+certificate naming any other scheme fails verification. Key pairs derive
 deterministically from an optional seed, which keeps fixtures and
-generated key material reproducible; the Schnorr scheme exists so the
-test suite has a scheme with no dependencies outside the standard
-library. Neither scheme's sign path uses randomness, so signatures are
-deterministic too.
+generated key material reproducible, and signing uses no randomness, so
+signatures are deterministic too.
 """
 
 from __future__ import annotations
 
-import abc
 import hashlib
 import os
 
@@ -27,128 +23,30 @@ from cryptography.hazmat.primitives.serialization import (
     PublicFormat,
 )
 
-
-class SignatureScheme(abc.ABC):
-    name: str
-
-    @abc.abstractmethod
-    def keypair(self, seed: bytes | None = None) -> tuple[bytes, bytes]:
-        """(private, public) bytes; the same seed yields the same pair."""
-
-    @abc.abstractmethod
-    def sign(self, private: bytes, message: bytes) -> bytes:
-        ...
-
-    @abc.abstractmethod
-    def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
-        ...
+NAME = "ed25519"
 
 
-class Ed25519Scheme(SignatureScheme):
-    name = "ed25519"
-
-    def keypair(self, seed: bytes | None = None) -> tuple[bytes, bytes]:
-        if seed is None:
-            private = os.urandom(32)
-        else:
-            private = hashlib.sha256(b"ed25519-key:" + seed).digest()
-        public = (
-            Ed25519PrivateKey.from_private_bytes(private)
-            .public_key()
-            .public_bytes(Encoding.Raw, PublicFormat.Raw)
-        )
-        return private, public
-
-    def sign(self, private: bytes, message: bytes) -> bytes:
-        return Ed25519PrivateKey.from_private_bytes(private).sign(message)
-
-    def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
-        try:
-            Ed25519PublicKey.from_public_bytes(public).verify(signature, message)
-        except (InvalidSignature, ValueError):
-            return False
-        return True
+def keypair(seed: bytes | None = None) -> tuple[bytes, bytes]:
+    """(private, public) bytes; the same seed yields the same pair."""
+    if seed is None:
+        private = os.urandom(32)
+    else:
+        private = hashlib.sha256(b"ed25519-key:" + seed).digest()
+    public = (
+        Ed25519PrivateKey.from_private_bytes(private)
+        .public_key()
+        .public_bytes(Encoding.Raw, PublicFormat.Raw)
+    )
+    return private, public
 
 
-# Fixed Schnorr group: q a 256-bit prime, p = k*q + 1 a 1024-bit prime,
-# g a generator of the order-q subgroup. Test-grade parameters: the point
-# is determinism and correctness, not bit security.
-_Q = 0xB61BA3B1AC20896FBB06599AFAE9E4B8CBD2EECB1DD503630842F32E93C6325D
-_P = int(
-    "82de5db74d30623f420ea811382c8b1f06fda3662123161f98ca9d3ea7abc93a"
-    "b33ac138daa8af6a3e75eddbe3a72fec3d9a25e33bbc6c987822c40addc2ccb9"
-    "26624264647946ed118e0a50456d5b83b54db19931069121968517b66be71931"
-    "543951d2f777f2b310a9ff0e1dcd32e1bd19165109e146e307c7ff942b47027b",
-    16,
-)
-_G = int(
-    "26e46e5da861935e69115358d087388bdc3ca710174ff4f9ae1abb60d2e00144"
-    "38e37040a3a2511434c6a143e427aa8f226c14352970ed1387d8ddd744a0504c"
-    "91908dbf35b510c60be28990fda70a2df0d34d737ec5b0d0be896a5e17ae52fc"
-    "9f4a89044fa8cdec80a105d6da02ca0e7736692980d9157257ceebad1a31c144",
-    16,
-)
-_Q_BYTES = 32
-_P_BYTES = 128
+def sign(private: bytes, message: bytes) -> bytes:
+    return Ed25519PrivateKey.from_private_bytes(private).sign(message)
 
 
-class SchnorrScheme(SignatureScheme):
-    name = "schnorr"
-
-    group_p = _P
-    group_q = _Q
-    group_g = _G
-
-    def keypair(self, seed: bytes | None = None) -> tuple[bytes, bytes]:
-        if seed is None:
-            material = os.urandom(64)
-        else:
-            material = hashlib.sha512(b"schnorr-key:" + seed).digest()
-        x = int.from_bytes(material, "big") % (_Q - 1) + 1
-        private = x.to_bytes(_Q_BYTES, "big")
-        public = pow(_G, x, _P).to_bytes(_P_BYTES, "big")
-        return private, public
-
-    def sign(self, private: bytes, message: bytes) -> bytes:
-        x = int.from_bytes(private, "big")
-        digest = hashlib.sha256(message).digest()
-        # Deterministic nonce from key and message, never reused across
-        # distinct messages and never revealed.
-        k = int.from_bytes(
-            hashlib.sha512(b"schnorr-nonce:" + private + digest).digest(), "big"
-        ) % (_Q - 1) + 1
-        r = pow(_G, k, _P)
-        e = int.from_bytes(
-            hashlib.sha256(r.to_bytes(_P_BYTES, "big") + digest).digest(), "big"
-        ) % _Q
-        s = (k + x * e) % _Q
-        return e.to_bytes(_Q_BYTES, "big") + s.to_bytes(_Q_BYTES, "big")
-
-    def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
-        if len(public) != _P_BYTES or len(signature) != 2 * _Q_BYTES:
-            return False
-        y = int.from_bytes(public, "big")
-        if not 1 < y < _P or pow(y, _Q, _P) != 1:
-            return False
-        e = int.from_bytes(signature[:_Q_BYTES], "big")
-        s = int.from_bytes(signature[_Q_BYTES:], "big")
-        if e >= _Q or s >= _Q:
-            return False
-        digest = hashlib.sha256(message).digest()
-        # g^s * y^-e = g^(k + x*e) * g^(-x*e) = g^k = r when honest.
-        r = pow(_G, s, _P) * pow(y, _Q - e, _P) % _P
-        check = int.from_bytes(
-            hashlib.sha256(r.to_bytes(_P_BYTES, "big") + digest).digest(), "big"
-        ) % _Q
-        return check == e
-
-
-DEFAULT_SCHEME = "ed25519"
-SCHEMES: dict[str, SignatureScheme] = {s.name: s for s in (Ed25519Scheme(), SchnorrScheme())}
-
-
-def scheme(name: str) -> SignatureScheme:
+def verify(public: bytes, message: bytes, signature: bytes) -> bool:
     try:
-        return SCHEMES[name]
-    except KeyError:
-        raise KeyError(f"unknown signature scheme {name!r}; known: {sorted(SCHEMES)}") from None
+        Ed25519PublicKey.from_public_bytes(public).verify(signature, message)
+    except (InvalidSignature, ValueError):
+        return False
+    return True

@@ -9,15 +9,15 @@ a serialized SignedReport is detectable.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..counts import VoteCount, accumulate
+from ..counts import VoteCount
 from ..errors import ParseError, SubjectMismatch
 from ..reports import Report
-from .encoding import LABEL_KINDS, canonical_encode
+from .encoding import LABEL_KINDS, REPORT_FIELDS, canonical_encode
 from .pki import (
+    CERT_FIELDS,
     Certificate,
     KeyHandle,
     build_certificate,
@@ -58,56 +58,6 @@ def sign_report(
     )
 
 
-class ForwardingMode(enum.Enum):
-    """How an intermediate node forwards results upward.
-
-    RELAY_AND_COUNTERSIGN (the default) passes the children's signed
-    reports along as evidence and countersigns the accumulated totals;
-    RE_SIGN sends only the accumulated totals under the forwarder's own
-    signature, trusting the forwarder's aggregation.
-    """
-
-    RELAY_AND_COUNTERSIGN = "relay_and_countersign"
-    RE_SIGN = "re_sign"
-
-
-@dataclass(frozen=True, slots=True)
-class ReportBundle:
-    mode: ForwardingMode
-    aggregate: SignedReport
-    attachments: tuple[SignedReport, ...]
-
-
-def bundle_report(
-    mode: ForwardingMode,
-    key: KeyHandle,
-    chain: Sequence[Certificate],
-    aggregate: Report,
-    child_reports: Sequence[SignedReport] = (),
-) -> ReportBundle:
-    if mode is ForwardingMode.RE_SIGN:
-        return ReportBundle(mode, sign_report(key, chain, aggregate), ())
-    if not child_reports:
-        raise ValueError("relay mode needs the child reports being relied on")
-    senders = [sr.report.sender for sr in child_reports]
-    if len(set(senders)) != len(senders):
-        raise ValueError("relay attachments must come from distinct children")
-    for sender in senders:
-        if sender.parent != aggregate.sender:
-            raise ValueError(f"{sender} is not a direct child of {aggregate.sender}")
-    summed = accumulate(sr.report.counts for sr in child_reports)
-    if summed != aggregate.counts:
-        raise ValueError(
-            f"aggregate counts {aggregate.counts} differ from attachment sum {summed}"
-        )
-    return ReportBundle(mode, sign_report(key, chain, aggregate), tuple(child_reports))
-
-
-_REPORT_FIELDS = ("election", "sender", "seq", "kind", "yes", "no", "blank", "invalid")
-_CERT_FIELDS = ("subject", "issuer", "serial", "scheme", "public_key", "issuer_signature")
-_LINES_PER_CERT = len(_CERT_FIELDS)
-
-
 def signed_report_to_text(sr: SignedReport) -> str:
     lines = canonical_encode(sr.report).decode("utf-8")
     out = [
@@ -115,12 +65,7 @@ def signed_report_to_text(sr: SignedReport) -> str:
         f"signature={sr.signature.hex()}\n",
         f"chain={len(sr.chain)}\n",
     ]
-    for i, cert in enumerate(sr.chain):
-        for field in _CERT_FIELDS:
-            value = getattr(cert, field)
-            if isinstance(value, bytes):
-                value = value.hex()
-            out.append(f"cert{i}.{field}={value}\n")
+    out.extend(cert.to_text(prefix=f"cert{i}.") for i, cert in enumerate(sr.chain))
     return "".join(out)
 
 
@@ -138,14 +83,14 @@ def signed_report_from_text(text: str) -> SignedReport:
     tolerates is covered by a signature checked later.
     """
     lines = text.splitlines(keepends=True)
-    header_len = len(_REPORT_FIELDS) + 2
+    header_len = len(REPORT_FIELDS) + 2
     if len(lines) < header_len:
         raise ParseError(f"expected at least {header_len} lines, found {len(lines)}")
-    values = parse_fields(lines[: len(_REPORT_FIELDS)], _REPORT_FIELDS, offset=0)
+    values = parse_fields(lines[: len(REPORT_FIELDS)], REPORT_FIELDS, offset=0)
     tail = parse_fields(
-        lines[len(_REPORT_FIELDS): header_len],
+        lines[len(REPORT_FIELDS): header_len],
         ("signature", "chain"),
-        offset=len(_REPORT_FIELDS),
+        offset=len(REPORT_FIELDS),
     )
 
     kind = LABEL_KINDS.get(values["kind"])
@@ -176,7 +121,7 @@ def signed_report_from_text(text: str) -> SignedReport:
     chain_count = _parse_count(tail["chain"], "chain")
     if not 1 <= chain_count <= MAX_CHAIN_LENGTH:
         raise ParseError(f"chain length must be in 1..{MAX_CHAIN_LENGTH}")
-    expected_total = header_len + chain_count * _LINES_PER_CERT
+    expected_total = header_len + chain_count * len(CERT_FIELDS)
     if len(lines) != expected_total:
         raise ParseError(
             f"expected exactly {expected_total} lines for a {chain_count}-link chain, "
@@ -185,11 +130,9 @@ def signed_report_from_text(text: str) -> SignedReport:
 
     chain: list[Certificate] = []
     for i in range(chain_count):
-        start = header_len + i * _LINES_PER_CERT
-        block = lines[start: start + _LINES_PER_CERT]
-        expected = tuple(f"cert{i}.{field}" for field in _CERT_FIELDS)
-        raw = parse_fields(block, expected, offset=start)
-        fields = {key.split(".", 1)[1]: value for key, value in raw.items()}
+        start = header_len + i * len(CERT_FIELDS)
+        block = lines[start: start + len(CERT_FIELDS)]
+        fields = parse_fields(block, CERT_FIELDS, offset=start, prefix=f"cert{i}.")
         chain.append(build_certificate(fields, where=f"cert{i}"))
 
     return SignedReport(

@@ -7,8 +7,10 @@ parent-child step (BROKEN_CHAIN), no serial may be revoked (REVOKED), the
 chain head must be the claimed sender (SENDER_MISMATCH), the signature
 must cover the canonical report bytes (BAD_SIGNATURE), the report must
 belong to the election at hand (WRONG_ELECTION), and the sequence number
-must be fresh (REPLAY). Sequence state changes only on Accept, and a
-bundle commits the sequence numbers of all its reports together or none.
+must be fresh (REPLAY). Ed25519 is the only scheme: a certificate naming
+another fails where its key is needed, as the root (UNTRUSTED_ROOT), as a
+link's issuer (BROKEN_CHAIN) or as the chain head (BAD_SIGNATURE).
+Sequence state changes only on Accept.
 """
 
 from __future__ import annotations
@@ -16,15 +18,13 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass
-from typing import Sequence
 
-from ..counts import accumulate
 from ..errors import EncodingError
 from ..tree import JurisdictionId
+from . import schemes
 from .encoding import canonical_encode
 from .pki import Certificate
-from .schemes import SCHEMES
-from .signing import ForwardingMode, ReportBundle, SignedReport
+from .signing import SignedReport
 
 
 class RejectReason(enum.Enum):
@@ -35,7 +35,6 @@ class RejectReason(enum.Enum):
     BAD_SIGNATURE = "bad_signature"
     WRONG_ELECTION = "wrong_election"
     REPLAY = "replay"
-    AGGREGATE_MISMATCH = "aggregate_mismatch"
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,8 +94,7 @@ class SequenceState:
     """Last accepted sequence number per sender, for one election.
 
     The check-and-update is atomic, so concurrent verifications of the
-    same (sender, sequence_no) yield at most one Accept; a batch of numbers
-    is checked and recorded under one lock acquisition.
+    same (sender, sequence_no) yield at most one Accept.
     """
 
     def __init__(self, election_id: str) -> None:
@@ -115,76 +113,15 @@ class SequenceState:
             self._last[sender] = sequence_no
             return True
 
-    def accept_all_if_fresh(self, claims: Sequence[tuple[JurisdictionId, int]]) -> bool:
-        """Record every (sender, sequence_no) if each is fresh, else none.
-
-        The senders must be distinct, as they are in a verified bundle.
-        """
-        with self._lock:
-            if any(seq <= self._last.get(sender, 0) for sender, seq in claims):
-                return False
-            self._last.update(claims)
-            return True
-
 
 def _verify_link(cert: Certificate, issuer_cert: Certificate) -> bool:
-    scheme = SCHEMES.get(issuer_cert.scheme)
-    if scheme is None:
+    if issuer_cert.scheme != schemes.NAME:
         return False
     try:
         payload = cert.payload()
     except EncodingError:
         return False
-    return scheme.verify(issuer_cert.public_key, payload, cert.issuer_signature)
-
-
-def _check_signed(
-    sr: SignedReport,
-    trusted_root: Certificate,
-    crl: RevocationList,
-    election_id: str,
-) -> RejectReason | None:
-    """The first failing check before freshness, or None; reads no state."""
-    chain = sr.chain
-    if not chain:
-        return RejectReason.BROKEN_CHAIN
-
-    # Anchor: the outermost certificate must be issued, verifiably, by the
-    # pinned root. A chain ending anywhere else is a foreign root.
-    top = chain[-1]
-    if top.issuer != trusted_root.subject or top.subject.parent != trusted_root.subject:
-        return RejectReason.UNTRUSTED_ROOT
-    if not _verify_link(top, trusted_root):
-        return RejectReason.UNTRUSTED_ROOT
-
-    # Each remaining link must be a parent-child step signed by the parent.
-    for i in range(len(chain) - 2, -1, -1):
-        cert, parent = chain[i], chain[i + 1]
-        if cert.issuer != parent.subject or cert.subject.parent != parent.subject:
-            return RejectReason.BROKEN_CHAIN
-        if not _verify_link(cert, parent):
-            return RejectReason.BROKEN_CHAIN
-
-    if any(crl.is_revoked(cert.serial) for cert in chain):
-        return RejectReason.REVOKED
-
-    head = chain[0]
-    if head.subject != sr.report.sender:
-        return RejectReason.SENDER_MISMATCH
-
-    scheme = SCHEMES.get(head.scheme)
-    if scheme is None:
-        return RejectReason.BAD_SIGNATURE
-    try:
-        message = canonical_encode(sr.report)
-    except EncodingError:
-        return RejectReason.BAD_SIGNATURE
-    if not scheme.verify(head.public_key, message, sr.signature):
-        return RejectReason.BAD_SIGNATURE
-
-    if sr.report.election_id != election_id:
-        return RejectReason.WRONG_ELECTION
-    return None
+    return schemes.verify(issuer_cert.public_key, payload, cert.issuer_signature)
 
 
 def verify_report(
@@ -193,45 +130,44 @@ def verify_report(
     crl: RevocationList,
     seq_state: SequenceState,
 ) -> Verdict:
-    reason = _check_signed(sr, trusted_root, crl, seq_state.election_id)
-    if reason is not None:
-        return _reject(reason)
+    chain = sr.chain
+    if not chain:
+        return _reject(RejectReason.BROKEN_CHAIN)
+
+    # Anchor: the outermost certificate must be issued, verifiably, by the
+    # pinned root. A chain ending anywhere else is a foreign root.
+    top = chain[-1]
+    if top.issuer != trusted_root.subject or top.subject.parent != trusted_root.subject:
+        return _reject(RejectReason.UNTRUSTED_ROOT)
+    if not _verify_link(top, trusted_root):
+        return _reject(RejectReason.UNTRUSTED_ROOT)
+
+    # Each remaining link must be a parent-child step signed by the parent.
+    for i in range(len(chain) - 2, -1, -1):
+        cert, parent = chain[i], chain[i + 1]
+        if cert.issuer != parent.subject or cert.subject.parent != parent.subject:
+            return _reject(RejectReason.BROKEN_CHAIN)
+        if not _verify_link(cert, parent):
+            return _reject(RejectReason.BROKEN_CHAIN)
+
+    if any(crl.is_revoked(cert.serial) for cert in chain):
+        return _reject(RejectReason.REVOKED)
+
+    head = chain[0]
+    if head.subject != sr.report.sender:
+        return _reject(RejectReason.SENDER_MISMATCH)
+
+    if head.scheme != schemes.NAME:
+        return _reject(RejectReason.BAD_SIGNATURE)
+    try:
+        message = canonical_encode(sr.report)
+    except EncodingError:
+        return _reject(RejectReason.BAD_SIGNATURE)
+    if not schemes.verify(head.public_key, message, sr.signature):
+        return _reject(RejectReason.BAD_SIGNATURE)
+
+    if sr.report.election_id != seq_state.election_id:
+        return _reject(RejectReason.WRONG_ELECTION)
     if not seq_state.accept_if_fresh(sr.report.sender, sr.report.sequence_no):
-        return _reject(RejectReason.REPLAY)
-    return ACCEPT
-
-
-def verify_bundle(
-    bundle: ReportBundle,
-    trusted_root: Certificate,
-    crl: RevocationList,
-    seq_state: SequenceState,
-) -> Verdict:
-    """Verify a forwarded aggregate and, in relay mode, its evidence.
-
-    Structural consistency is checked first, then every report's chain and
-    signature, attachments before the countersigned aggregate. Freshness
-    comes last, for all reports at once: either every sequence number is
-    committed or, on any rejection, none is, so a bundle with bad evidence
-    cannot use up a sequence number that a later honest bundle needs.
-    """
-    if bundle.mode is ForwardingMode.RELAY_AND_COUNTERSIGN:
-        senders = [sr.report.sender for sr in bundle.attachments]
-        if not senders or len(set(senders)) != len(senders):
-            return _reject(RejectReason.AGGREGATE_MISMATCH)
-        if any(s.parent != bundle.aggregate.report.sender for s in senders):
-            return _reject(RejectReason.AGGREGATE_MISMATCH)
-        summed = accumulate(sr.report.counts for sr in bundle.attachments)
-        if summed != bundle.aggregate.report.counts:
-            return _reject(RejectReason.AGGREGATE_MISMATCH)
-    elif bundle.attachments:
-        return _reject(RejectReason.AGGREGATE_MISMATCH)
-    signed = (*bundle.attachments, bundle.aggregate)
-    for sr in signed:
-        reason = _check_signed(sr, trusted_root, crl, seq_state.election_id)
-        if reason is not None:
-            return _reject(reason)
-    claims = [(sr.report.sender, sr.report.sequence_no) for sr in signed]
-    if not seq_state.accept_all_if_fresh(claims):
         return _reject(RejectReason.REPLAY)
     return ACCEPT

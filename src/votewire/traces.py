@@ -9,7 +9,6 @@ which makes traces diffable and suitable as golden files.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .counts import ZERO, VoteCount, accumulate
 from .reports import ReportKind
@@ -153,14 +152,6 @@ class EventTrace:
             raise ValueError("trace holds no final publication")
         return finals[-1]
 
-    def true_subtree_counts(self, node: JurisdictionId) -> VoteCount:
-        """Ground-truth totals for one subtree.
-
-        This sums the whole tree; to audit many subtrees, call
-        ``subtree_truths`` once instead.
-        """
-        return self.subtree_truths()[node]
-
     def subtree_truths(self) -> dict[JurisdictionId, VoteCount]:
         """Ground-truth totals for every node's subtree, in one pass.
 
@@ -178,25 +169,3 @@ class EventTrace:
             )
         return truths
 
-
-def publish_timeline(trace: EventTrace) -> list[tuple[int, ReportKind, VoteCount, Fraction]]:
-    """Chronological (time, kind, totals, covered share of cantons) rows."""
-    cantons = trace.tree.cantons()
-    rows: list[tuple[int, ReportKind, VoteCount, Fraction]] = []
-    for pub in trace.publishes():
-        covered = set(pub.covered())
-        share = Fraction(
-            sum(1 for c in cantons if c in covered or any(a in covered for a in _ancestors(c))),
-            len(cantons),
-        ) if cantons else Fraction(0)
-        rows.append((pub.time, pub.kind, pub.counts, share))
-    return rows
-
-
-def _ancestors(node: JurisdictionId) -> list[JurisdictionId]:
-    out = []
-    cur = node.parent
-    while cur is not None:
-        out.append(cur)
-        cur = cur.parent
-    return out

@@ -186,3 +186,38 @@ def double_flips_subsets(
                 continue
             best = total
     return best
+
+
+def outcome_flips_vectors(
+    per_canton: Mapping[JurisdictionId, VoteCount],
+    tree: JurisdictionTree,
+    target: Decision,
+) -> int | None:
+    """Exhaustive reference for the double-majority outcome solver; tiny instances only.
+
+    Acceptance needs both majorities, which double_flips_vectors prices.
+    Rejection needs only one to fail: nothing if either already rejects,
+    else the cheapest flip vector after which the no side holds a strict
+    ballot majority or strictly more than half the cantonal weight.
+    """
+    if target is Decision.ACCEPTED:
+        return double_flips_vectors(per_canton, tree, target)
+    if (
+        popular_outcome(accumulate(per_canton.values())) is target
+        or cantonal_outcome(per_canton, tree)[0] is target
+    ):
+        return 0
+    cantons = list(tree.cantons())
+    half_needed = tree.total_half_votes() // 2 + 1
+    best: int | None = None
+    for vector in itertools.product(*(range(per_canton[c].yes + 1) for c in cantons)):
+        total = sum(vector)
+        if best is not None and total >= best:
+            continue
+        flipped = {c: flip(per_canton[c], k, target) for c, k in zip(cantons, vector)}
+        if (
+            strict_target(accumulate(flipped.values()), target)
+            or _strict_half(flipped, tree, target) >= half_needed
+        ):
+            best = total
+    return best

@@ -30,7 +30,6 @@ from votewire.secauth import (
     EMPTY_CRL,
     SequenceState,
     provision_tree,
-    scheme,
     sign_report,
     signed_report_from_text,
     signed_report_to_text,
@@ -211,7 +210,7 @@ def test_criterion_6_replay_and_mauling():
     with criterion(6, "replay yields one accept per sequence; 10000 mauled reports all rejected"):
         start = time.perf_counter()
         tree = swiss_tree()
-        prov = provision_tree(tree, scheme("ed25519"), seed=b"acceptance")
+        prov = provision_tree(tree, seed=b"acceptance")
         rng = random.Random(99)
         captured = []
         for code in ("ZH", "BE", "GE", "AI"):
@@ -237,8 +236,7 @@ def test_criterion_6_replay_and_mauling():
                     accepted.add(key)
 
         deep = provision_tree(
-            tree_from_paths([("CH", "ZH", "Uster"), ("CH", "BE", "Bern")]),
-            scheme("schnorr"), seed=b"acceptance",
+            tree_from_paths([("CH", "ZH", "Uster"), ("CH", "BE", "Bern")]), seed=b"acceptance",
         )
         deep_report = Report(
             election_id="replay-check", sender=JurisdictionId.of("CH", "ZH", "Uster"),

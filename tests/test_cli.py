@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: output, files, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -8,12 +9,17 @@ from votewire.analysis import bundled_results_path
 from votewire.cli import main
 from votewire.scenario import bundled_scenario_path
 from votewire.secauth import TrustStore
+from votewire.swiss import canton_names
 
 RTVG = str(bundled_results_path("rtvg_2015"))
 FAMILY = str(bundled_results_path("family_2013"))
 MAXIMA = str(bundled_results_path("discrepancy_maxima"))
 HONEST = str(bundled_scenario_path("swiss_honest"))
 TAMPER = str(bundled_scenario_path("swiss_tamper"))
+# sha256 over name, NUL and bytes of each certificate file, sorted by
+# name, that `keys --tree swiss --seed 7` writes; recorded when keys could
+# still choose between signature schemes.
+SWISS_SEED7_STORE = "5ee1fa4b08570e4af328bea3e2ac2d3bc2eb7ff89478347f6f6b64cb67e3f7ac"
 
 
 class TestSimulate:
@@ -143,6 +149,32 @@ class TestFlip:
         assert "ZG Zug: 934" in out
         assert "total_flips: 1830" in out
 
+    def test_double_rejection_needs_only_one_majority(self, capsys):
+        # Accepted by people and cantons; the cantonal majority alone falls
+        # with 991 flips, cheaper than the popular vote's 1825.
+        assert main(["flip", "--results", RTVG, "--referendum", "rtvg-2015"]) == 0
+        out = capsys.readouterr().out
+        assert "rule: double\noutcome: accepted\ntarget: rejected\n" in out
+        assert "national" not in out
+        assert out.endswith("total_flips: 991\n")
+
+    def test_double_rejection_on_uniform_cantons(self, tmp_path, capsys):
+        # Every canton 1000 yes to 900 no: the popular vote needs 1301 flips,
+        # twelve full cantons at 51 flips each need 612.
+        rows = [
+            f"toy,2020-01-01,{code},1000,900,1000,900,1900"
+            for code in sorted(canton_names())
+        ]
+        results = tmp_path / "toy.csv"
+        results.write_text(
+            "referendum_id,date,canton,prelim_yes,prelim_no,final_yes,final_no,final_total\n"
+            + "\n".join(rows) + "\n"
+        )
+        assert main(["flip", "--results", str(results), "--referendum", "toy"]) == 0
+        out = capsys.readouterr().out
+        assert out.count(": 51\n") == 12
+        assert out.endswith("total_flips: 612\n")
+
     def test_already_at_target(self, capsys):
         code = main(
             ["flip", "--results", RTVG, "--referendum", "rtvg-2015",
@@ -167,6 +199,19 @@ class TestKeys:
         assert len(files) == 27
         assert "root.cert" in files
         TrustStore.load(out_dir)  # parses back cleanly
+
+    def test_seeded_store_bytes_are_pinned(self, tmp_path, capsys):
+        out_dir = tmp_path / "trust"
+        assert main(["keys", "--tree", "swiss", "--out-dir", str(out_dir), "--seed", "7"]) == 0
+        assert capsys.readouterr().out == (
+            f"root: CH\nscheme: ed25519\ncertificates: 27\nwrote: {out_dir}\n"
+        )
+        files = sorted(out_dir.glob("*.cert"))
+        assert len(files) == 27
+        digest = hashlib.sha256()
+        for path in files:
+            digest.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == SWISS_SEED7_STORE
 
     def test_same_seed_same_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -193,7 +238,7 @@ class TestKeys:
         out_dir = tmp_path / "store"
         assert main(
             ["keys", "--tree", str(tree_file), "--out-dir", str(out_dir),
-             "--seed", "3", "--scheme", "schnorr"]
+             "--seed", "3"]
         ) == 0
         assert "certificates: 6" in capsys.readouterr().out
         assert len(list(out_dir.glob("*.cert"))) == 6
@@ -218,6 +263,13 @@ class TestUsage:
             main(["simulate", "--scenario", HONEST, "--bogus"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_keys_has_no_scheme_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["keys", "--tree", "swiss", "--out-dir", str(tmp_path), "--scheme", "ed25519"])
+        assert exc.value.code == 2
+        assert "--scheme" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

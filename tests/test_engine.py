@@ -26,7 +26,7 @@ from votewire.engine import (
 )
 from votewire.errors import ArithmeticOverflow, CapabilityError, DuplicateFinal
 from votewire.reports import Report, ReportKind
-from votewire.traces import DeliverRecord, EmitRecord, PublishRecord, publish_timeline
+from votewire.traces import DeliverRecord, EmitRecord, PublishRecord
 from votewire.tree import JurisdictionId, tree_from_paths
 
 CH = JurisdictionId.of("CH")
@@ -152,12 +152,6 @@ class TestHonestRun:
         assert emits[(B, ReportKind.FINAL)] == 60
         assert emits[(A, ReportKind.FINAL)] == 100
 
-    def test_timeline_reports_coverage_share(self):
-        rows = publish_timeline(two_leaf_sim().run())
-        shares = [share for _, _, _, share in rows]
-        assert shares[0].numerator == 1 and shares[0].denominator == 2
-        assert shares[-1] == 1
-
 
 class TestDeepHierarchy:
     def build(self):
@@ -222,8 +216,9 @@ class TestDeepHierarchy:
     def test_subtree_ground_truth_helper(self):
         sim, BE, X, Y, VD = self.build()
         trace = sim.run()
-        assert trace.true_subtree_counts(BE) == VoteCount(30, 20)
-        assert trace.true_subtree_counts(sim.tree.root) == VoteCount(60, 60)
+        truths = trace.subtree_truths()
+        assert truths[BE] == VoteCount(30, 20)
+        assert truths[sim.tree.root] == VoteCount(60, 60)
 
 
 class TestAttacksInTheLoop:

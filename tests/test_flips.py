@@ -13,6 +13,7 @@ from votewire.flips import (
     apply_plan,
     min_flips_cantonal,
     min_flips_double,
+    min_flips_outcome,
     min_flips_popular,
 )
 from votewire.tally import (
@@ -21,7 +22,9 @@ from votewire.tally import (
     ReferendumSpec,
     cantonal_outcome,
     popular_outcome,
+    referendum_outcome,
 )
+from votewire.swiss import swiss_tree
 
 ACCEPT = Decision.ACCEPTED
 REJECT = Decision.REJECTED
@@ -256,3 +259,78 @@ class TestDoubleSolver:
         flipped = apply_plan(per_canton, plan)
         assert popular_outcome(accumulate(flipped.values())) is target
         assert cantonal_outcome(flipped, tree)[0] is target
+
+
+class TestOutcomeSolver:
+    """Double majority: acceptance needs both majorities, rejection only one."""
+
+    SPEC = ReferendumSpec("x", MajorityRule.DOUBLE_MAJORITY)
+
+    def test_rejection_takes_the_cheaper_cantonal_plan(self):
+        # Every canton 1000 yes to 900 no: flipping the popular vote costs
+        # 1301, but 12 full cantons at 51 flips each carry 24 of 46 half votes.
+        tree = swiss_tree()
+        per_canton = {c: VoteCount(yes=1000, no=900) for c in tree.cantons()}
+        plan = min_flips_outcome(per_canton, tree, self.SPEC, REJECT)
+        assert plan.total_flips == 612
+        assert set(plan.flips_per_canton.values()) == {51}
+        assert min_flips_double(per_canton, tree, self.SPEC, REJECT).total_flips == 1301
+        flipped = apply_plan(per_canton, plan)
+        assert referendum_outcome(self.SPEC, flipped, tree).overall is REJECT
+
+    @pytest.mark.parametrize("no_in_c, popular_cost", [(3, 1), (1, 2)])
+    def test_popular_plan_when_cheaper_or_tied(self, no_in_c, popular_cost):
+        # Cantonal rejection flips A (2 ballots) to join C; the popular vote
+        # costs 1 (cheaper) or 2 (tied, and the popular plan wins ties).
+        tree = make_canton_tree({"A": 2, "B": 2, "C": 1})
+        per_canton = {
+            canton_id("A"): VoteCount(yes=12, no=10),
+            canton_id("B"): VoteCount(yes=12, no=10),
+            canton_id("C"): VoteCount(yes=0, no=no_in_c),
+        }
+        assert min_flips_cantonal(per_canton, tree, REJECT).total_flips == 2
+        plan = min_flips_outcome(per_canton, tree, self.SPEC, REJECT)
+        assert plan.flips_per_canton == {None: popular_cost}
+
+    def test_acceptance_is_the_double_solver(self):
+        tree = make_canton_tree({"A": 2, "B": 2, "C": 2})
+        per_canton = {
+            canton_id("A"): VoteCount(yes=100, no=0),
+            canton_id("B"): VoteCount(yes=40, no=60),
+            canton_id("C"): VoteCount(yes=40, no=60),
+        }
+        assert min_flips_outcome(per_canton, tree, self.SPEC, ACCEPT) == min_flips_double(
+            per_canton, tree, self.SPEC, ACCEPT
+        )
+
+    def test_already_rejected_costs_nothing(self):
+        tree = make_canton_tree({"A": 2, "B": 1})
+        per_canton = {canton_id("A"): VoteCount(yes=10, no=0), canton_id("B"): VoteCount(yes=0, no=30)}
+        assert min_flips_outcome(per_canton, tree, self.SPEC, REJECT).total_flips == 0
+
+    def test_popular_only_rule_is_rejected(self):
+        tree = make_canton_tree({"A": 2})
+        with pytest.raises(ValueError):
+            min_flips_outcome(
+                {canton_id("A"): VoteCount(yes=2, no=1)}, tree,
+                ReferendumSpec("law", MajorityRule.POPULAR_ONLY), REJECT,
+            )
+
+    @settings(max_examples=60)
+    @given(instance=cantonal_instances(max_cantons=3, max_side=6))
+    @pytest.mark.parametrize("target", [ACCEPT, REJECT])
+    def test_matches_exhaustive_outcome_oracle(self, instance, target):
+        tree, per_canton = instance
+        expected = oracles.outcome_flips_vectors(per_canton, tree, target)
+        if expected is None:
+            with pytest.raises(Infeasible):
+                min_flips_outcome(per_canton, tree, self.SPEC, target)
+            return
+        plan = min_flips_outcome(per_canton, tree, self.SPEC, target)
+        assert plan.total_flips == expected
+        if None in plan.flips_per_canton:
+            national = apply_flips(accumulate(per_canton.values()), plan.total_flips, target)
+            assert popular_outcome(national) is target
+        else:
+            flipped = apply_plan(per_canton, plan)
+            assert referendum_outcome(self.SPEC, flipped, tree).overall is target

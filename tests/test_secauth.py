@@ -1,45 +1,35 @@
 """Certificate chains, signing, verification, replay and revocation."""
 
+import hashlib
 import random
 import threading
 
 import pytest
 
-from votewire.channels import EMAIL, preset
 from votewire.counts import VoteCount
-from votewire.errors import (
-    EncodingError,
-    HierarchyError,
-    ParseError,
-    ProvisioningError,
-    SubjectMismatch,
-)
+from votewire.errors import EncodingError, HierarchyError, ParseError, SubjectMismatch
 from votewire.reports import Report, ReportKind
 from votewire.secauth import (
     ACCEPT,
     EMPTY_CRL,
     Certificate,
-    ForwardingMode,
     RejectReason,
     RevocationList,
     SequenceState,
     SignedReport,
     TrustStore,
-    bundle_report,
     canonical_encode,
+    certificate_payload,
     issue_certificate,
     make_key,
     provision_tree,
-    scheme,
     sign_report,
     signed_report_from_text,
     signed_report_to_text,
-    verify_bundle,
     verify_report,
-    wrap_channel,
 )
+from votewire.secauth import schemes
 from votewire.secauth.pki import certificate_from_text
-from votewire.secauth.schemes import SchnorrScheme
 from votewire.swiss import swiss_tree
 from votewire.tree import JurisdictionId, tree_from_paths
 
@@ -56,7 +46,7 @@ def deep():
     tree = tree_from_paths(
         [("CH", "ZH", "Uster"), ("CH", "ZH", "Wil"), ("CH", "BE", "Bern")]
     )
-    return provision_tree(tree, scheme("ed25519"), seed=b"fixture")
+    return provision_tree(tree, seed=b"fixture")
 
 
 def report_for(sender, seq=1, counts=None, election="ref-1", kind=ReportKind.PRELIMINARY):
@@ -121,64 +111,64 @@ class TestCanonicalEncoding:
 
 
 class TestSchemes:
-    @pytest.mark.parametrize("name", ["ed25519", "schnorr"])
-    def test_sign_verify_roundtrip(self, name):
-        s = scheme(name)
-        private, public = s.keypair(seed=b"k1")
-        sig = s.sign(private, b"hello")
-        assert s.verify(public, b"hello", sig)
-        assert not s.verify(public, b"hello!", sig)
-        assert not s.verify(public, b"hello", sig[:-1])
-        assert not s.verify(public, b"hello", bytes(len(sig)))
+    def test_sign_verify_roundtrip(self):
+        private, public = schemes.keypair(seed=b"k1")
+        sig = schemes.sign(private, b"hello")
+        assert schemes.verify(public, b"hello", sig)
+        assert not schemes.verify(public, b"hello!", sig)
+        assert not schemes.verify(public, b"hello", sig[:-1])
+        assert not schemes.verify(public, b"hello", bytes(len(sig)))
 
-    @pytest.mark.parametrize("name", ["ed25519", "schnorr"])
-    def test_seeded_keypairs_are_deterministic(self, name):
-        s = scheme(name)
-        assert s.keypair(seed=b"a") == s.keypair(seed=b"a")
-        assert s.keypair(seed=b"a") != s.keypair(seed=b"b")
+    def test_seeded_keypairs_are_deterministic(self):
+        assert schemes.keypair(seed=b"a") == schemes.keypair(seed=b"a")
+        assert schemes.keypair(seed=b"a") != schemes.keypair(seed=b"b")
 
-    @pytest.mark.parametrize("name", ["ed25519", "schnorr"])
-    def test_wrong_key_rejects(self, name):
-        s = scheme(name)
-        private, _ = s.keypair(seed=b"a")
-        _, other_public = s.keypair(seed=b"b")
-        assert not s.verify(other_public, b"m", s.sign(private, b"m"))
+    def test_wrong_key_rejects(self):
+        private, _ = schemes.keypair(seed=b"a")
+        _, other_public = schemes.keypair(seed=b"b")
+        assert not schemes.verify(other_public, b"m", schemes.sign(private, b"m"))
 
-    def test_schnorr_group_is_coherent(self):
-        s = SchnorrScheme()
-        assert (s.group_p - 1) % s.group_q == 0
-        assert s.group_g != 1
-        assert pow(s.group_g, s.group_q, s.group_p) == 1
+    def test_signatures_are_deterministic(self):
+        private, _ = schemes.keypair(seed=b"a")
+        assert schemes.sign(private, b"m") == schemes.sign(private, b"m")
 
-    def test_schnorr_signatures_are_deterministic(self):
-        s = scheme("schnorr")
-        private, _ = s.keypair(seed=b"a")
-        assert s.sign(private, b"m") == s.sign(private, b"m")
+    def test_seeded_key_derivation_is_unchanged(self):
+        # Trust stores written with a seed depend on this rule staying put.
+        private, _ = schemes.keypair(seed=b"a")
+        assert private == hashlib.sha256(b"ed25519-key:a").digest()
 
-    def test_unknown_scheme(self):
-        with pytest.raises(KeyError, match="unknown signature scheme"):
-            scheme("rot13")
+    def test_unseeded_keypairs_differ(self):
+        assert schemes.keypair() != schemes.keypair()
+
+    def test_key_and_signature_sizes(self):
+        private, public = schemes.keypair(seed=b"a")
+        assert (len(private), len(public)) == (32, 32)
+        assert len(schemes.sign(private, b"m")) == 64
+
+    def test_malformed_public_key_rejects_without_raising(self):
+        private, public = schemes.keypair(seed=b"a")
+        sig = schemes.sign(private, b"m")
+        assert not schemes.verify(public[:-1], b"m", sig)
+        assert not schemes.verify(b"", b"m", sig)
 
 
 class TestKeyHandle:
     def test_sign_only_surface(self):
-        handle, public = make_key(ZH, scheme("ed25519"), seed=b"k")
+        handle, public = make_key(ZH, seed=b"k")
         sig = handle.sign(b"m")
-        assert scheme("ed25519").verify(public, b"m", sig)
+        assert schemes.verify(public, b"m", sig)
         assert handle.subject == ZH
-        assert handle.scheme == "ed25519"
 
     def test_repr_leaks_no_key_material(self):
-        s = scheme("ed25519")
-        private, public = s.keypair(seed=b"k")
-        handle, _ = make_key(ZH, s, seed=b"k")
+        private, public = schemes.keypair(seed=b"k")
+        handle, _ = make_key(ZH, seed=b"k")
         text = repr(handle)
         assert private.hex() not in text
         assert public.hex() not in text
 
     def test_no_key_attribute_exists(self):
-        handle, _ = make_key(ZH, scheme("ed25519"), seed=b"k")
-        exposed = [a for a in dir(handle) if "key" in a.lower() and a != "scheme"]
+        handle, _ = make_key(ZH, seed=b"k")
+        exposed = [a for a in dir(handle) if "key" in a.lower()]
         assert not any(isinstance(getattr(handle, a, None), bytes) for a in exposed)
 
 
@@ -186,17 +176,18 @@ class TestCertificates:
     def test_root_is_self_signed(self, deep):
         root = deep.root_certificate
         assert root.subject == root.issuer == CH
-        assert scheme(root.scheme).verify(root.public_key, root.payload(), root.issuer_signature)
+        assert root.scheme == "ed25519"
+        assert schemes.verify(root.public_key, root.payload(), root.issuer_signature)
 
     def test_issue_requires_direct_child(self, deep):
-        strangers_key, strangers_public = make_key(BERN_CITY, scheme("ed25519"), seed=b"x")
+        strangers_key, strangers_public = make_key(BERN_CITY, seed=b"x")
         with pytest.raises(HierarchyError, match="direct children"):
             issue_certificate(
                 deep.keys[ZH], deep.certificates[ZH], BERN_CITY, strangers_public, serial=99
             )
 
     def test_issue_requires_matching_key_and_cert(self, deep):
-        _, public = make_key(WIL, scheme("ed25519"), seed=b"x")
+        _, public = make_key(WIL, seed=b"x")
         with pytest.raises(SubjectMismatch):
             issue_certificate(
                 deep.keys[BE], deep.certificates[ZH], WIL, public, serial=99
@@ -215,11 +206,16 @@ class TestCertificates:
 
     def test_provisioning_is_deterministic_under_a_seed(self):
         tree = tree_from_paths([("CH", "ZH"), ("CH", "BE")])
-        a = provision_tree(tree, scheme("schnorr"), seed=b"s")
-        b = provision_tree(tree, scheme("schnorr"), seed=b"s")
+        a = provision_tree(tree, seed=b"s")
+        b = provision_tree(tree, seed=b"s")
         assert {n: c.to_text() for n, c in a.certificates.items()} == {
             n: c.to_text() for n, c in b.certificates.items()
         }
+
+    def test_every_certificate_names_ed25519(self):
+        prov = provision_tree(swiss_tree(), seed=b"s")
+        assert {c.scheme for c in prov.certificates.values()} == {schemes.NAME}
+        assert all("scheme=ed25519\n" in c.to_text() for c in prov.certificates.values())
 
     def test_unseeded_provisioning_differs(self):
         tree = tree_from_paths([("CH", "ZH")])
@@ -385,7 +381,7 @@ class TestVerifyReasons:
 
     def test_foreign_root_is_untrusted(self, deep):
         shadow = provision_tree(
-            tree_from_paths([("CH", "ZH", "Uster")]), scheme("ed25519"), seed=b"shadow"
+            tree_from_paths([("CH", "ZH", "Uster")]), seed=b"shadow"
         )
         sr = signed(shadow, USTER)
         verdict = verify_report(sr, deep.root_certificate, EMPTY_CRL, fresh_state())
@@ -393,7 +389,7 @@ class TestVerifyReasons:
 
     def test_swiss_preset_bootstrap_verifies_everywhere(self):
         tree = swiss_tree()
-        prov = provision_tree(tree, scheme("ed25519"), seed=b"swiss")
+        prov = provision_tree(tree, seed=b"swiss")
         state = fresh_state()
         for canton in tree.cantons():
             sr = signed(prov, canton)
@@ -454,14 +450,6 @@ class TestSequenceState:
         assert len(accepted) == 1
         assert all(v.reason is RejectReason.REPLAY for v in verdicts if not v.accepted)
 
-    def test_batch_records_all_numbers_or_none(self):
-        state = fresh_state()
-        assert state.accept_if_fresh(WIL, 4)
-        assert not state.accept_all_if_fresh([(USTER, 1), (WIL, 4)])
-        assert (state.last(USTER), state.last(WIL)) == (0, 4)
-        assert state.accept_all_if_fresh([(USTER, 3), (WIL, 5)])
-        assert (state.last(USTER), state.last(WIL)) == (3, 5)
-
     def test_redelivery_in_any_order_accepts_each_seq_once(self, deep):
         reports = [signed(deep, USTER, seq=s) for s in (1, 2, 3)]
         rng = random.Random(5)
@@ -485,146 +473,6 @@ class TestSequenceState:
         assert state.last(WIL) == 1
 
 
-class TestWrapChannel:
-    def test_wrap_flips_flags_only(self, deep):
-        wrapped_spec = wrap_channel(EMAIL, USTER, ZH, deep.certificates)
-        assert wrapped_spec.integrity and wrapped_spec.authenticity
-        assert wrapped_spec.delayable == EMAIL.delayable
-        assert wrapped_spec.base_latency == EMAIL.base_latency
-
-    def test_wrap_needs_both_endpoints_provisioned(self, deep):
-        certs = {k: v for k, v in deep.certificates.items() if k != USTER}
-        with pytest.raises(ProvisioningError, match="CH/ZH/Uster"):
-            wrap_channel(EMAIL, USTER, ZH, certs)
-        certs = {k: v for k, v in deep.certificates.items() if k != ZH}
-        with pytest.raises(ProvisioningError, match="CH/ZH"):
-            wrap_channel(EMAIL, USTER, ZH, certs)
-
-    def test_wrap_works_on_any_preset(self, deep):
-        for name in ("telephone", "fax", "email", "dedicated"):
-            spec = wrap_channel(preset(name), USTER, ZH, deep.certificates)
-            assert spec.integrity and spec.authenticity and spec.delayable
-
-
-class TestBundles:
-    def make_children(self, deep, seq=1):
-        uster = signed(deep, USTER, seq=seq, counts=VoteCount(10, 5))
-        wil = signed(deep, WIL, seq=seq, counts=VoteCount(7, 8))
-        return uster, wil
-
-    def aggregate_report(self, seq=1, counts=VoteCount(17, 13)):
-        return report_for(ZH, seq=seq, counts=counts)
-
-    def test_relay_bundle_verifies(self, deep):
-        children = self.make_children(deep)
-        bundle = bundle_report(
-            ForwardingMode.RELAY_AND_COUNTERSIGN,
-            deep.keys[ZH], deep.chain(ZH), self.aggregate_report(), children,
-        )
-        assert verify_bundle(bundle, deep.root_certificate, EMPTY_CRL, fresh_state()) == ACCEPT
-
-    def test_relay_is_the_default_forwarding_mode(self):
-        assert ForwardingMode.RELAY_AND_COUNTERSIGN.value == "relay_and_countersign"
-
-    def test_re_sign_bundle_has_no_attachments(self, deep):
-        bundle = bundle_report(
-            ForwardingMode.RE_SIGN, deep.keys[ZH], deep.chain(ZH), self.aggregate_report()
-        )
-        assert bundle.attachments == ()
-        assert verify_bundle(bundle, deep.root_certificate, EMPTY_CRL, fresh_state()) == ACCEPT
-
-    def test_builder_rejects_mismatched_sum(self, deep):
-        children = self.make_children(deep)
-        with pytest.raises(ValueError, match="differ from attachment sum"):
-            bundle_report(
-                ForwardingMode.RELAY_AND_COUNTERSIGN,
-                deep.keys[ZH], deep.chain(ZH),
-                self.aggregate_report(counts=VoteCount(18, 13)), children,
-            )
-
-    def test_builder_rejects_foreign_children(self, deep):
-        bern = signed(deep, BERN_CITY, counts=VoteCount(1, 1))
-        with pytest.raises(ValueError, match="not a direct child"):
-            bundle_report(
-                ForwardingMode.RELAY_AND_COUNTERSIGN,
-                deep.keys[ZH], deep.chain(ZH),
-                self.aggregate_report(counts=VoteCount(1, 1)), [bern],
-            )
-
-    def test_verifier_rejects_doctored_sum_without_burning_seq(self, deep):
-        children = self.make_children(deep)
-        good = bundle_report(
-            ForwardingMode.RELAY_AND_COUNTERSIGN,
-            deep.keys[ZH], deep.chain(ZH), self.aggregate_report(), children,
-        )
-        doctored = type(good)(
-            mode=good.mode,
-            aggregate=signed(deep, ZH, counts=VoteCount(99, 13)),
-            attachments=good.attachments,
-        )
-        state = fresh_state()
-        verdict = verify_bundle(doctored, deep.root_certificate, EMPTY_CRL, state)
-        assert verdict.reason is RejectReason.AGGREGATE_MISMATCH
-        assert state.last(ZH) == 0
-        assert state.last(USTER) == 0
-
-    def test_verifier_rejects_attachments_on_re_sign(self, deep):
-        children = self.make_children(deep)
-        bundle = bundle_report(
-            ForwardingMode.RE_SIGN, deep.keys[ZH], deep.chain(ZH), self.aggregate_report()
-        )
-        with_extras = type(bundle)(
-            mode=bundle.mode, aggregate=bundle.aggregate, attachments=children
-        )
-        verdict = verify_bundle(with_extras, deep.root_certificate, EMPTY_CRL, fresh_state())
-        assert verdict.reason is RejectReason.AGGREGATE_MISMATCH
-
-    def test_bad_attachment_fails_the_bundle(self, deep):
-        uster, wil = self.make_children(deep)
-        broken = SignedReport(uster.report, bytes(len(uster.signature)), uster.chain)
-        good = bundle_report(
-            ForwardingMode.RELAY_AND_COUNTERSIGN,
-            deep.keys[ZH], deep.chain(ZH), self.aggregate_report(), (uster, wil),
-        )
-        doctored = type(good)(mode=good.mode, aggregate=good.aggregate, attachments=(broken, wil))
-        verdict = verify_bundle(doctored, deep.root_certificate, EMPTY_CRL, fresh_state())
-        assert verdict.reason is RejectReason.BAD_SIGNATURE
-
-    def test_rejected_bundle_leaves_every_sequence_number_unused(self, deep):
-        uster, wil = self.make_children(deep)
-        honest = bundle_report(
-            ForwardingMode.RELAY_AND_COUNTERSIGN,
-            deep.keys[ZH], deep.chain(ZH), self.aggregate_report(), (uster, wil),
-        )
-        forged_wil = SignedReport(wil.report, bytes(len(wil.signature)), wil.chain)
-        forged_aggregate = SignedReport(
-            honest.aggregate.report, bytes(len(honest.aggregate.signature)), honest.aggregate.chain
-        )
-        state = fresh_state()
-        for attachments, aggregate in (
-            ((uster, forged_wil), honest.aggregate),
-            ((uster, wil), forged_aggregate),
-        ):
-            doctored = type(honest)(mode=honest.mode, aggregate=aggregate, attachments=attachments)
-            verdict = verify_bundle(doctored, deep.root_certificate, EMPTY_CRL, state)
-            assert verdict.reason is RejectReason.BAD_SIGNATURE
-            assert (state.last(USTER), state.last(WIL), state.last(ZH)) == (0, 0, 0)
-        assert verify_bundle(honest, deep.root_certificate, EMPTY_CRL, state) == ACCEPT
-        assert (state.last(USTER), state.last(WIL), state.last(ZH)) == (1, 1, 1)
-
-    def test_bundle_with_one_stale_report_commits_nothing(self, deep):
-        uster, wil = self.make_children(deep, seq=2)
-        bundle = bundle_report(
-            ForwardingMode.RELAY_AND_COUNTERSIGN,
-            deep.keys[ZH], deep.chain(ZH), self.aggregate_report(seq=2), (uster, wil),
-        )
-        state = fresh_state()
-        assert state.accept_if_fresh(WIL, 2)
-        verdict = verify_bundle(bundle, deep.root_certificate, EMPTY_CRL, state)
-        assert verdict.reason is RejectReason.REPLAY
-        assert (state.last(USTER), state.last(WIL), state.last(ZH)) == (0, 2, 0)
-
-
 class TestWireFormat:
     def test_round_trip(self, deep):
         sr = signed(deep, USTER)
@@ -635,12 +483,14 @@ class TestWireFormat:
         )
         assert signed_report_to_text(back) == text
 
-    def test_round_trip_via_schnorr(self):
-        tree = tree_from_paths([("CH", "ZH", "Uster")])
-        prov = provision_tree(tree, scheme("schnorr"), seed=b"s")
-        sr = signed(prov, USTER)
-        back = signed_report_from_text(signed_report_to_text(sr))
-        assert verify_report(back, prov.root_certificate, EMPTY_CRL, fresh_state()) == ACCEPT
+    def test_decoded_report_verifies(self, deep):
+        back = signed_report_from_text(signed_report_to_text(signed(deep, USTER)))
+        assert verify_report(back, deep.root_certificate, EMPTY_CRL, fresh_state()) == ACCEPT
+
+    def test_chain_blocks_are_certificate_text(self, deep):
+        sr = signed(deep, USTER)
+        blocks = "".join(cert.to_text(prefix=f"cert{i}.") for i, cert in enumerate(sr.chain))
+        assert signed_report_to_text(sr).endswith(f"chain={len(sr.chain)}\n" + blocks)
 
     def test_trailing_garbage_rejected(self, deep):
         text = signed_report_to_text(signed(deep, USTER))
@@ -692,3 +542,98 @@ class TestWireFormat:
                 candidate, deep.root_certificate, EMPTY_CRL, fresh_state()
             )
             assert not verdict.accepted
+
+
+KIRCHUSTER = JurisdictionId.of("CH", "ZH", "Uster", "Kirchuster")
+
+# Recorded before the signature-scheme registry was removed; seeded keys
+# and deterministic signatures make these bytes a function of the code.
+DEPTH3_WIRE = (
+    "election=ref-1\n"
+    "sender=CH/ZH/Uster/Kirchuster\n"
+    "seq=3\n"
+    "kind=Preliminary\n"
+    "yes=120\n"
+    "no=80\n"
+    "blank=3\n"
+    "invalid=1\n"
+    "signature=02d79122fcf6a43b666665e231e58f370930d2f20ab533da3a3c739f32f37425"
+    "9a6ee46a56abf4f85a46af1957c802523e93a8b186da5ab53e85158a2d9aeb05\n"
+    "chain=3\n"
+    "cert0.subject=CH/ZH/Uster/Kirchuster\n"
+    "cert0.issuer=CH/ZH/Uster\n"
+    "cert0.serial=6\n"
+    "cert0.scheme=ed25519\n"
+    "cert0.public_key=85e616231eb9e51c902a62e1a965048dded3f2ffe2957f5f6261e88b4de8e36e\n"
+    "cert0.issuer_signature=fb8c60a00cefb6ad6c964914040ebce91c2238aa26899926c8120d0672e8cd8f"
+    "a8503f4340e6c2c8a8ccdc92197c9ca0703761a8a2c73a43c2e2cc1cc2e62a03\n"
+    "cert1.subject=CH/ZH/Uster\n"
+    "cert1.issuer=CH/ZH\n"
+    "cert1.serial=5\n"
+    "cert1.scheme=ed25519\n"
+    "cert1.public_key=995e855ca88136c6ab9b55d9dd6ae4ad6587ffc3eee83da97224655c3465c08a\n"
+    "cert1.issuer_signature=251b9494099f87b080469dadadd7beaf68134e02263a1d8cc6d08f69c9177899"
+    "b4b92f7649a9db266f6d7ff42247804ba218a48b1ef0a991f2c47e64f2a0fd01\n"
+    "cert2.subject=CH/ZH\n"
+    "cert2.issuer=CH\n"
+    "cert2.serial=3\n"
+    "cert2.scheme=ed25519\n"
+    "cert2.public_key=58d16040ffd4c59177713f91cdea5d213c1f9c0800cc941525a13b83a15e15f6\n"
+    "cert2.issuer_signature=3f4530f1848b6a7f670fef55bb0145103214f0c58178a51f024bbb55042cea39"
+    "c2437ab30b9cb20f4a7739c0803f58c51d31329f446caea0fd2d81b678704d09\n"
+)
+
+
+@pytest.fixture(scope="module")
+def depth3():
+    tree = tree_from_paths([("CH", "ZH", "Uster", "Kirchuster"), ("CH", "BE", "Bern")])
+    return provision_tree(tree, seed=b"golden")
+
+
+def reissued(prov, node, scheme_name) -> Certificate:
+    """``node``'s certificate naming ``scheme_name``, validly signed by its issuer."""
+    cert = prov.certificates[node]
+    payload = certificate_payload(
+        cert.subject, cert.issuer, cert.serial, scheme_name, cert.public_key
+    )
+    return Certificate(
+        cert.subject, cert.issuer, cert.serial, scheme_name, cert.public_key,
+        prov.keys[cert.issuer].sign(payload),
+    )
+
+
+class TestGoldens:
+    def test_depth3_wire_text_is_pinned(self, depth3):
+        sr = sign_report(depth3.keys[KIRCHUSTER], depth3.chain(KIRCHUSTER), report_for(KIRCHUSTER, seq=3))
+        assert signed_report_to_text(sr) == DEPTH3_WIRE
+        assert verify_report(
+            signed_report_from_text(DEPTH3_WIRE), depth3.root_certificate, EMPTY_CRL, fresh_state()
+        ) == ACCEPT
+
+    @pytest.mark.parametrize(
+        "node, reason",
+        [
+            (CH, RejectReason.UNTRUSTED_ROOT),
+            (USTER, RejectReason.BROKEN_CHAIN),
+            (KIRCHUSTER, RejectReason.BAD_SIGNATURE),
+        ],
+        ids=["root", "inner-link", "chain-head"],
+    )
+    def test_unknown_scheme_rejects_by_position(self, depth3, node, reason):
+        sr = signed(depth3, KIRCHUSTER)
+        for scheme_name, expected in (("ed25519", None), ("rot13", reason)):
+            forged = reissued(depth3, node, scheme_name)
+            root = forged if node == CH else depth3.root_certificate
+            chain = tuple(forged if cert.subject == node else cert for cert in sr.chain)
+            verdict = verify_report(
+                SignedReport(sr.report, sr.signature, chain), root, EMPTY_CRL, fresh_state()
+            )
+            assert verdict.reason is expected, scheme_name
+
+    def test_store_with_unknown_scheme_still_loads(self, depth3, tmp_path):
+        certs = dict(depth3.certificates)
+        certs[USTER] = reissued(depth3, USTER, "rot13")
+        TrustStore(depth3.root_certificate, certs).save(tmp_path)
+        loaded = TrustStore.load(tmp_path)
+        assert loaded.get(USTER) == certs[USTER]
+        assert loaded.get(USTER).scheme == "rot13"
