@@ -2,9 +2,10 @@
 preliminary election-result aggregation.
 
 Vote totals flow from counting stations up a jurisdiction tree over
-channels with explicit capability flags; adversaries can tamper with,
-delay, or front-run reports exactly where the channel allows it. A signed
-transport, certificate chains, and replay protection close those holes.
+channels that are either signed or not; adversaries can tamper with or
+front-run reports on unsigned channels, and delay them on any channel. A
+signed transport, certificate chains, and replay protection close the
+first two holes.
 Historical preliminary-vs-final discrepancies and minimum-flip solvers
 quantify how little manipulation a close referendum needs.
 """

@@ -1,10 +1,10 @@
-"""Attacks on reporting edges, gated by channel capabilities.
+"""Attacks on reporting edges, gated by whether the channel is signed.
 
 An attack sits on one upward edge (identified by its child node) and fires
 on matching reports. What an attacker can do is decided entirely by the
-channel's capability flags, and the check happens when a scenario is
-built: tampering needs a channel without integrity, front-running needs a
-channel without authenticity, and delay needs only delayable. Attack
+channel, and the check happens when a scenario is built: tampering and
+front-running need an unsigned channel, and delay is possible on any
+channel, since signatures cannot make a courier hurry. Attack
 specifications are fixed before the run starts; the ``omniscient`` flag
 records whether their parameters were chosen with knowledge of the true
 counts (versus blind), which affects interpretation but not mechanics.
@@ -127,35 +127,24 @@ class AttackSpec:
 
 
 def check_attack_permitted(kind: AttackKind, channel: ChannelSpec) -> None:
-    """Reject an attack the channel's capabilities rule out.
+    """Reject an attack a signed channel rules out.
 
     Raised at scenario build time, never mid-run: an impossible attack is a
     configuration error, not an event.
     """
-    if kind is AttackKind.TAMPER and channel.integrity:
+    if kind is AttackKind.TAMPER and channel.signed:
         raise CapabilityError(
             f"channel {channel.name!r} preserves integrity; tamper is impossible"
         )
-    if kind is AttackKind.FRONT_RUN and channel.authenticity:
+    if kind is AttackKind.FRONT_RUN and channel.signed:
         raise CapabilityError(
             f"channel {channel.name!r} authenticates senders; front_run is impossible"
-        )
-    if kind is AttackKind.DELAY and not channel.delayable:
-        raise CapabilityError(
-            f"channel {channel.name!r} is not delayable; delay is impossible"
         )
 
 
 def apply_tamper(report: Report, mutation: Mutation, channel: ChannelSpec) -> Report:
     check_attack_permitted(AttackKind.TAMPER, channel)
     return replace(report, counts=apply_mutation(report.counts, mutation))
-
-
-def delayed_delivery(delivery_time: int, hold_ticks: int, channel: ChannelSpec) -> int:
-    check_attack_permitted(AttackKind.DELAY, channel)
-    if hold_ticks < 1:
-        raise ValueError("hold_ticks must be >= 1")
-    return delivery_time + hold_ticks
 
 
 def forge_report(genuine: Report, attack: AttackSpec, channel: ChannelSpec) -> Report:

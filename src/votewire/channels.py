@@ -1,11 +1,12 @@
-"""Transmission channels as capability flags.
+"""Transmission channels: signed or not.
 
-A channel is abstracted to three security-relevant booleans: can contents
-change in flight (integrity), can senders be impersonated (authenticity),
-and can messages be held back (delayable). The presets model the
-mechanisms in real use between cantonal and federal offices; none of the
-electronic ones provides integrity or authenticity, and every mechanism,
-postal mail included, can be delayed.
+A channel is abstracted to one security-relevant fact: whether reports on
+it are signed. An unsigned channel lets anyone on the edge change report
+contents (tamper) or inject reports in the sender's name (front-run); a
+signed one rules both out. No channel, signed or not, stops anyone from
+holding a message back, so delay is possible everywhere. The presets model
+the mechanisms in real use between cantonal and federal offices; none of
+the electronic ones is signed.
 """
 
 from __future__ import annotations
@@ -16,11 +17,8 @@ from dataclasses import dataclass, replace
 @dataclass(frozen=True, slots=True)
 class ChannelSpec:
     name: str
-    integrity: bool
-    authenticity: bool
-    delayable: bool
+    signed: bool
     base_latency: int
-    preset: str | None = None
 
     def __post_init__(self) -> None:
         if self.base_latency < 0:
@@ -30,18 +28,18 @@ class ChannelSpec:
         return replace(self, base_latency=base_latency)
 
 
-TELEPHONE = ChannelSpec("telephone", False, False, True, base_latency=3, preset="telephone")
-FAX = ChannelSpec("fax", False, False, True, base_latency=2, preset="fax")
-EMAIL = ChannelSpec("email", False, False, True, base_latency=1, preset="email")
+TELEPHONE = ChannelSpec("telephone", False, base_latency=3)
+FAX = ChannelSpec("fax", False, base_latency=2)
+EMAIL = ChannelSpec("email", False, base_latency=1)
 # Dedicated reporting software is not assumed secure: the deployed tools
 # have not passed a public review, so the conservative default applies.
-DEDICATED_SOFTWARE = ChannelSpec("dedicated", False, False, True, base_latency=1, preset="dedicated")
+DEDICATED_SOFTWARE = ChannelSpec("dedicated", False, base_latency=1)
 # The paper trail: hand-signed documents by post. Unforgeable and
 # unmodifiable for this model's purposes, but days slower and still delayable.
-POSTAL_FINAL = ChannelSpec("postal_final", True, True, True, base_latency=48, preset="postal_final")
+POSTAL_FINAL = ChannelSpec("postal_final", True, base_latency=48)
 
 PRESETS: dict[str, ChannelSpec] = {
-    spec.preset: spec
+    spec.name: spec
     for spec in (TELEPHONE, FAX, EMAIL, DEDICATED_SOFTWARE, POSTAL_FINAL)
 }
 
@@ -59,9 +57,9 @@ def preset(name: str, base_latency: int | None = None) -> ChannelSpec:
 def wrapped(spec: ChannelSpec) -> ChannelSpec:
     """The same channel carrying signed reports.
 
-    Signing gives integrity and authenticity on any transport. It cannot
-    stop anyone from sitting on a message, so delayable is untouched.
+    Signing rules out tampering and forgery on any transport. It cannot
+    stop anyone from sitting on a message, so delay stays possible.
     """
-    if spec.integrity and spec.authenticity:
+    if spec.signed:
         return spec
-    return replace(spec, name=f"{spec.name}+signed", integrity=True, authenticity=True)
+    return replace(spec, name=f"{spec.name}+signed", signed=True)

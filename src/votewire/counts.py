@@ -39,9 +39,6 @@ class VoteCount:
     def total(self) -> int:
         return self.yes + self.no + self.blank + self.invalid
 
-    def add(self, other: "VoteCount") -> "VoteCount":
-        return accumulate([self, other])
-
 
 ZERO = VoteCount()
 

@@ -12,8 +12,8 @@ preliminary immediately (same tick) emits fresh replacement totals for its
 own subtree upward; the root publishes instead. Finals are slower: a node
 forwards its final only once every child's final has arrived. Preliminary
 counts can be corrupted in flight by configured attacks; final counts ride
-the integrity-protected postal channel, so the final publication always
-equals the sum of the leaf ground truths.
+the signed postal channel, so the final publication always equals the sum
+of the leaf ground truths.
 
 Every event costs the same whatever the fanout. Each node keeps its
 children's latest accepted preliminaries and a running total of them: an
@@ -36,13 +36,12 @@ from .adversary import (
     AttackSpec,
     apply_tamper,
     check_attack_permitted,
-    delayed_delivery,
     forge_report,
 )
 from .channels import POSTAL_FINAL, ChannelSpec
 from .counts import VoteCount, accumulate
 from .errors import DuplicateFinal
-from .reports import Report, ReportKind
+from .reports import Report, ReportKind, SequenceState
 from .traces import (
     AttackRecord,
     DeliverRecord,
@@ -66,21 +65,22 @@ def feasibility_check(
     report: Report,
     receiver: JurisdictionId,
     tree: JurisdictionTree,
-    last_seen: Mapping[JurisdictionId, int],
+    seq_state: SequenceState,
 ) -> str | None:
     """First reason to refuse a preliminary report, or None to accept.
 
     Checks, in order: the sender must be a direct child of the receiver;
     the claimed total may not exceed the sender's eligible voters (when
     known); the sequence number must be strictly newer than the last one
-    accepted from that sender.
+    accepted from that sender. As in ``verify_report``, only an accept
+    records the sequence number in ``seq_state``.
     """
     if report.sender not in tree or tree.parent(report.sender) != receiver:
         return REASON_UNKNOWN_SENDER
     eligible = tree.eligible_voters.get(report.sender)
     if eligible is not None and report.counts.total() > eligible:
         return REASON_OVER_ELIGIBLE
-    if report.sequence_no <= last_seen.get(report.sender, 0):
+    if not seq_state.accept_if_fresh(report.sender, report.sequence_no):
         return REASON_STALE_SEQUENCE
     return None
 
@@ -134,13 +134,12 @@ class NoiseModel:
 
 class _NodeState:
     __slots__ = (
-        "next_seq", "last_seen", "received_prelim", "received_final",
+        "next_seq", "received_prelim", "received_final",
         "prelim_total", "finals_pending",
     )
 
     def __init__(self, fanout: int) -> None:
         self.next_seq = 1
-        self.last_seen: dict[JurisdictionId, int] = {}
         self.received_prelim: dict[JurisdictionId, Report] = {}
         self.received_final: dict[JurisdictionId, Report] = {}
         # [yes, no, blank, invalid] summed over received_prelim.
@@ -149,7 +148,6 @@ class _NodeState:
 
     def accept_prelim(self, report: Report) -> VoteCount:
         """Record an accepted child preliminary; return the new subtree total."""
-        self.last_seen[report.sender] = report.sequence_no
         old = self.received_prelim.get(report.sender)
         self.received_prelim[report.sender] = report
         total = self.prelim_total
@@ -200,9 +198,12 @@ class Simulation:
                 raise ValueError(f"no channel configured for edge {node} -> parent")
         if self.jitter_max < 0:
             raise ValueError("jitter_max must be >= 0")
-        for when in (*self.prelim_emit.values(), *self.final_emit.values()):
-            if when < 0:
-                raise ValueError("emit times must be >= 0")
+        for name, emits in (("prelim_emit", self.prelim_emit), ("final_emit", self.final_emit)):
+            for node, when in emits.items():
+                if node not in leaves:
+                    raise ValueError(f"{name} names {node}, which is not a leaf; only leaves emit")
+                if when < 0:
+                    raise ValueError("emit times must be >= 0")
         # Capability gating happens here, before anything runs: an attack a
         # channel rules out is a configuration error, not a runtime event.
         for attack in self.attacks:
@@ -222,6 +223,9 @@ class Simulation:
         heap: list[tuple[int, int, tuple]] = []
         tree = self.tree
         states = {n: _NodeState(len(tree.children(n))) for n in tree.nodes()}
+        # One state serves every receiver: a sender that passes the
+        # unknown-sender check has exactly one, its parent.
+        seq_state = SequenceState(self.election_id)
         fires_left: list[int | None] = [a.first_n for a in self.attacks]
         attacks_on: dict[tuple[JurisdictionId, ReportKind], list[int]] = {}
         for idx, attack in enumerate(self.attacks):
@@ -259,7 +263,7 @@ class Simulation:
                     assert attack.mutation is not None
                     report = apply_tamper(report, attack.mutation, channel)
                 elif attack.kind is AttackKind.DELAY:
-                    delivery = delayed_delivery(delivery, attack.hold_ticks, channel)
+                    delivery += attack.hold_ticks
                 else:
                     forged = forge_report(report, attack, channel)
                     # Pushed first at the same delivery tick, so the forgery
@@ -284,7 +288,7 @@ class Simulation:
 
         def on_prelim(time: int, report: Report, receiver: JurisdictionId, channel: ChannelSpec) -> None:
             state = states[receiver]
-            reason = feasibility_check(report, receiver, tree, state.last_seen)
+            reason = feasibility_check(report, receiver, tree, seq_state)
             records.append(
                 DeliverRecord(
                     time, report.sender, receiver, channel.name, report.kind,

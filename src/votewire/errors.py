@@ -22,7 +22,7 @@ class ConfigError(VotewireError):
 
 
 class CapabilityError(VotewireError):
-    """An attack was declared on a channel whose capabilities forbid it."""
+    """An attack was declared on a channel that rules it out."""
 
 
 class HierarchyError(VotewireError):

@@ -387,6 +387,10 @@ def _timing(
     for field_name, into in (("prelim_emit", prelim), ("final_emit", final)):
         for key, raw in _mapping(obj.get(field_name, {}), f"timing.{field_name}").items():
             node = _node(key, tree, f"timing.{field_name}.{key}")
+            if tree.children(node):
+                raise ConfigError(
+                    f"field 'timing.{field_name}.{key}': not a leaf; only leaves emit reports"
+                )
             into[node] = _int(raw, f"timing.{field_name}.{key}", minimum=0)
     default = _int(obj.get("final_emit_default", DEFAULT_FINAL_EMIT_AT),
                    "timing.final_emit_default", minimum=0)

@@ -7,6 +7,7 @@ checks the chain, revocation, the report signature, the election binding,
 and sequence freshness; each failure maps to one distinct reason.
 """
 
+from ..reports import SequenceState
 from .encoding import canonical_encode, certificate_payload
 from .pki import (
     Certificate,
@@ -29,7 +30,6 @@ from .verify import (
     EMPTY_CRL,
     RejectReason,
     RevocationList,
-    SequenceState,
     Verdict,
     verify_report,
 )

@@ -249,9 +249,6 @@ class TrustStore:
     root_certificate: Certificate
     certificates: Mapping[JurisdictionId, Certificate]
 
-    def get(self, node: JurisdictionId) -> Certificate | None:
-        return self.certificates.get(node)
-
     def save(self, directory: str | Path) -> None:
         where = Path(directory)
         where.mkdir(parents=True, exist_ok=True)

@@ -10,17 +10,18 @@ belong to the election at hand (WRONG_ELECTION), and the sequence number
 must be fresh (REPLAY). Ed25519 is the only scheme: a certificate naming
 another fails where its key is needed, as the root (UNTRUSTED_ROOT), as a
 link's issuer (BROKEN_CHAIN) or as the chain head (BAD_SIGNATURE).
-Sequence state changes only on Accept.
+Freshness is the same ``reports.SequenceState`` check the simulation
+engine applies to the preliminaries it receives; its state changes only
+on Accept.
 """
 
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass
 
 from ..errors import EncodingError
-from ..tree import JurisdictionId
+from ..reports import SequenceState
 from . import schemes
 from .encoding import canonical_encode
 from .pki import Certificate
@@ -88,30 +89,6 @@ class RevocationList:
 
 
 EMPTY_CRL = RevocationList()
-
-
-class SequenceState:
-    """Last accepted sequence number per sender, for one election.
-
-    The check-and-update is atomic, so concurrent verifications of the
-    same (sender, sequence_no) yield at most one Accept.
-    """
-
-    def __init__(self, election_id: str) -> None:
-        self.election_id = election_id
-        self._lock = threading.Lock()
-        self._last: dict[JurisdictionId, int] = {}
-
-    def last(self, sender: JurisdictionId) -> int:
-        with self._lock:
-            return self._last.get(sender, 0)
-
-    def accept_if_fresh(self, sender: JurisdictionId, sequence_no: int) -> bool:
-        with self._lock:
-            if sequence_no <= self._last.get(sender, 0):
-                return False
-            self._last[sender] = sequence_no
-            return True
 
 
 def _verify_link(cert: Certificate, issuer_cert: Certificate) -> bool:

@@ -7,7 +7,6 @@ a half canton 1) so majority comparisons stay exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 # '/' separates path segments in every textual rendering, so segments must
@@ -64,9 +63,6 @@ class JurisdictionId:
     @property
     def name(self) -> str:
         return self.path[-1]
-
-    def is_ancestor_of(self, other: "JurisdictionId") -> bool:
-        return len(self.path) < len(other.path) and other.path[: len(self.path)] == self.path
 
     def __str__(self) -> str:
         return "/".join(self.path)
@@ -175,9 +171,6 @@ class JurisdictionTree:
 
     def total_half_votes(self) -> int:
         return sum(self.canton_half_votes.values())
-
-    def canton_weight(self, canton: JurisdictionId) -> Fraction:
-        return Fraction(self.canton_half_votes[canton], 2)
 
 
 def tree_from_paths(

@@ -19,14 +19,10 @@ class TestPresets:
     @pytest.mark.parametrize("spec", [TELEPHONE, FAX, EMAIL, DEDICATED_SOFTWARE])
     def test_electronic_channels_are_insecure(self, spec):
         # None of the mechanisms in actual use protects contents or senders.
-        assert not spec.integrity
-        assert not spec.authenticity
-        assert spec.delayable
+        assert not spec.signed
 
-    def test_postal_is_secure_but_still_delayable(self):
-        assert POSTAL_FINAL.integrity
-        assert POSTAL_FINAL.authenticity
-        assert POSTAL_FINAL.delayable
+    def test_postal_is_signed(self):
+        assert POSTAL_FINAL.signed
 
     def test_postal_is_the_slowest(self):
         electronic = (TELEPHONE, FAX, EMAIL, DEDICATED_SOFTWARE)
@@ -46,22 +42,19 @@ class TestPresets:
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError, match="base_latency"):
-            ChannelSpec("x", False, False, True, base_latency=-1)
+            ChannelSpec("x", False, base_latency=-1)
 
 
 class TestWrap:
     @pytest.mark.parametrize("spec", [TELEPHONE, FAX, EMAIL, DEDICATED_SOFTWARE])
-    def test_wrap_adds_integrity_and_authenticity(self, spec):
+    def test_wrap_signs(self, spec):
         w = wrapped(spec)
-        assert w.integrity and w.authenticity
+        assert w.signed
         assert w.name == f"{spec.name}+signed"
 
     @pytest.mark.parametrize("spec", [TELEPHONE, FAX, EMAIL, DEDICATED_SOFTWARE])
-    def test_wrap_leaves_delay_and_latency_alone(self, spec):
-        # Signatures cannot stop anyone from sitting on a message.
-        w = wrapped(spec)
-        assert w.delayable == spec.delayable
-        assert w.base_latency == spec.base_latency
+    def test_wrap_leaves_latency_alone(self, spec):
+        assert wrapped(spec).base_latency == spec.base_latency
 
     def test_wrap_is_idempotent_on_secure_channels(self):
         assert wrapped(POSTAL_FINAL) is POSTAL_FINAL

@@ -51,14 +51,11 @@ class TestAccumulate:
         with pytest.raises(ArithmeticOverflow):
             accumulate([VoteCount(yes=MAX_COUNT), VoteCount(yes=1)])
 
-    def test_add_is_pairwise_accumulate(self):
-        assert VoteCount(1, 1, 0, 0).add(VoteCount(2, 0, 1, 0)) == VoteCount(3, 1, 1, 0)
-
     @given(counts_strategy(), counts_strategy(), counts_strategy())
     def test_associative_commutative_with_identity(self, a, b, c):
-        assert a.add(b) == b.add(a)
-        assert a.add(b).add(c) == a.add(b.add(c))
-        assert a.add(ZERO) == a
+        assert accumulate([a, b]) == accumulate([b, a])
+        assert accumulate([accumulate([a, b]), c]) == accumulate([a, accumulate([b, c])])
+        assert accumulate([a, ZERO]) == a
 
     @given(st.lists(counts_strategy(), max_size=12))
     def test_matches_field_wise_python_sums(self, items):

@@ -1,11 +1,16 @@
 """Event-loop behavior: feasibility, forwarding, publication, determinism."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import votewire
 from votewire.adversary import (
     AttackKind,
     AttackSpec,
@@ -25,7 +30,7 @@ from votewire.engine import (
     final_disposition,
 )
 from votewire.errors import ArithmeticOverflow, CapabilityError, DuplicateFinal
-from votewire.reports import Report, ReportKind
+from votewire.reports import Report, ReportKind, SequenceState
 from votewire.traces import DeliverRecord, EmitRecord, PublishRecord
 from votewire.tree import JurisdictionId, tree_from_paths
 
@@ -56,49 +61,73 @@ def prelim_report(sender, seq, counts):
     return Report("toy", sender, seq, counts, ReportKind.PRELIMINARY, 0)
 
 
+def seen(**last) -> SequenceState:
+    """A sequence state that has already accepted ``last[name]`` from CH/<name>."""
+    state = SequenceState("toy")
+    for name, seq in last.items():
+        assert state.accept_if_fresh(JurisdictionId.of("CH", name), seq)
+    return state
+
+
 class TestFeasibility:
     def test_accepts_a_plain_report(self):
         tree = two_leaf_tree()
-        assert feasibility_check(prelim_report(A, 1, VoteCount(50, 50)), CH, tree, {}) is None
+        assert feasibility_check(prelim_report(A, 1, VoteCount(50, 50)), CH, tree, seen()) is None
 
     def test_unknown_sender(self):
         tree = two_leaf_tree()
         stranger = JurisdictionId.of("CH", "Z")
-        assert feasibility_check(prelim_report(stranger, 1, VoteCount()), CH, tree, {}) == REASON_UNKNOWN_SENDER
+        assert feasibility_check(prelim_report(stranger, 1, VoteCount()), CH, tree, seen()) == REASON_UNKNOWN_SENDER
 
     def test_sibling_is_not_a_child(self):
         tree = two_leaf_tree()
-        assert feasibility_check(prelim_report(A, 1, VoteCount()), B, tree, {}) == REASON_UNKNOWN_SENDER
+        assert feasibility_check(prelim_report(A, 1, VoteCount()), B, tree, seen()) == REASON_UNKNOWN_SENDER
 
     def test_grandchild_is_not_a_child(self):
         deep = tree_from_paths([("CH", "A", "X")], eligible_voters={})
         x = JurisdictionId.of("CH", "A", "X")
-        assert feasibility_check(prelim_report(x, 1, VoteCount()), CH, deep, {}) == REASON_UNKNOWN_SENDER
+        assert feasibility_check(prelim_report(x, 1, VoteCount()), CH, deep, seen()) == REASON_UNKNOWN_SENDER
 
     def test_total_above_eligible_fails(self):
         tree = two_leaf_tree(eligible_a=100)
         exactly = prelim_report(A, 1, VoteCount(60, 40))
         over = prelim_report(A, 1, VoteCount(60, 40, blank=1))
-        assert feasibility_check(exactly, CH, tree, {}) is None
-        assert feasibility_check(over, CH, tree, {}) == REASON_OVER_ELIGIBLE
+        assert feasibility_check(exactly, CH, tree, seen()) is None
+        assert feasibility_check(over, CH, tree, seen()) == REASON_OVER_ELIGIBLE
 
     def test_unknown_eligible_means_no_ceiling(self):
         tree = tree_from_paths([("CH", "A"), ("CH", "B")])
         huge = prelim_report(A, 1, VoteCount(10**9, 0))
-        assert feasibility_check(huge, CH, tree, {}) is None
+        assert feasibility_check(huge, CH, tree, seen()) is None
 
     def test_sequence_must_strictly_grow(self):
         tree = two_leaf_tree()
-        seen = {A: 3}
-        assert feasibility_check(prelim_report(A, 3, VoteCount()), CH, tree, seen) == REASON_STALE_SEQUENCE
-        assert feasibility_check(prelim_report(A, 2, VoteCount()), CH, tree, seen) == REASON_STALE_SEQUENCE
-        assert feasibility_check(prelim_report(A, 4, VoteCount()), CH, tree, seen) is None
+        state = seen(A=3)
+        assert feasibility_check(prelim_report(A, 3, VoteCount()), CH, tree, state) == REASON_STALE_SEQUENCE
+        assert feasibility_check(prelim_report(A, 2, VoteCount()), CH, tree, state) == REASON_STALE_SEQUENCE
+        assert feasibility_check(prelim_report(A, 4, VoteCount()), CH, tree, state) is None
+
+    def test_accept_uses_up_the_sequence_number(self):
+        tree = two_leaf_tree()
+        state = seen()
+        assert feasibility_check(prelim_report(A, 5, VoteCount()), CH, tree, state) is None
+        assert feasibility_check(prelim_report(A, 5, VoteCount()), CH, tree, state) == REASON_STALE_SEQUENCE
+
+    def test_refused_report_does_not_use_up_its_sequence_number(self):
+        # Only an accept records a sequence number, as in verify_report.
+        tree = two_leaf_tree(eligible_a=100)
+        state = seen()
+        over = prelim_report(A, 5, VoteCount(100, 1))
+        assert feasibility_check(over, CH, tree, state) == REASON_OVER_ELIGIBLE
+        misrouted = prelim_report(A, 5, VoteCount(1, 1))
+        assert feasibility_check(misrouted, B, tree, state) == REASON_UNKNOWN_SENDER
+        assert feasibility_check(prelim_report(A, 5, VoteCount(1, 1)), CH, tree, state) is None
 
     def test_unknown_sender_wins_over_other_reasons(self):
         tree = two_leaf_tree(eligible_a=1)
         stranger = JurisdictionId.of("CH", "Z")
         report = prelim_report(stranger, 0 + 1, VoteCount(5, 5))
-        assert feasibility_check(report, CH, tree, {stranger: 9}) == REASON_UNKNOWN_SENDER
+        assert feasibility_check(report, CH, tree, seen(Z=9)) == REASON_UNKNOWN_SENDER
 
 
 class TestFinalDisposition:
@@ -380,6 +409,22 @@ class TestSimulationValidation:
         with pytest.raises(ValueError, match="emit times"):
             two_leaf_sim(prelim_emit={A: -1})
 
+    def test_emit_time_on_a_non_leaf_rejected(self):
+        # Only leaves emit; an inner node's entry would be silently ignored.
+        x, y, z = (JurisdictionId.of("CH", *rest) for rest in (("A", "X"), ("A", "Y"), ("B", "Z")))
+        tree = tree_from_paths([x.path, y.path, z.path])
+        base = dict(
+            election_id="toy",
+            tree=tree,
+            channels={n: preset("email") for n in tree.nodes() if n != CH},
+            ground_truth={x: VoteCount(1, 0), y: VoteCount(2, 0), z: VoteCount(0, 3)},
+        )
+        with pytest.raises(ValueError, match="prelim_emit names CH/A, which is not a leaf"):
+            Simulation(**base, prelim_emit={A: 50})
+        with pytest.raises(ValueError, match="final_emit names CH, which is not a leaf"):
+            Simulation(**base, final_emit={CH: 7})
+        Simulation(**base, prelim_emit={x: 50}, final_emit={z: 7}).run()
+
 
 class TestDeterminism:
     def test_same_seed_same_trace_bytes(self):
@@ -528,3 +573,19 @@ class TestTraceInvariants:
         )
         with pytest.raises(ArithmeticOverflow):
             sim.run()
+
+
+def test_simulating_does_not_load_the_crypto_library():
+    # Freshness checks live in votewire.reports, so a run never pays for
+    # importing the signed transport.
+    env = dict(os.environ)
+    src = str(Path(votewire.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, votewire.engine, votewire.adversary, votewire.scenario\n"
+        "print(sorted(m for m in ('cryptography', 'votewire.secauth') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True, timeout=60
+    )
+    assert done.stdout.strip() == "[]"

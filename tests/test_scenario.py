@@ -56,9 +56,9 @@ class TestParsingHappyPath:
                 "ground_truth": {"bundled_results": "rtvg_2015"},
             }
         )
-        assert config.channels[canton_id("BL")].preset == "telephone"
-        assert config.channels[canton_id("ZH")].preset == "dedicated"
-        assert config.channels[canton_id("ZG")].preset == "email"
+        assert config.channels[canton_id("BL")].name == "telephone"
+        assert config.channels[canton_id("ZH")].name == "dedicated"
+        assert config.channels[canton_id("ZG")].name == "email"
 
     def test_bundled_ground_truth_matches_final_columns(self):
         config = parse(
@@ -80,18 +80,18 @@ class TestParsingHappyPath:
         b = JurisdictionId.of("CH", "B")
         assert config.channels[a].name == "telephone"
         assert config.channels[a].base_latency == 9
-        assert config.channels[b].preset == "email"
+        assert config.channels[b].name == "email"
 
     def test_wrap_all_seals_every_channel(self):
         config = parse(custom_doc(wrap={"all": True}))
-        assert all(c.integrity and c.authenticity for c in config.channels.values())
+        assert all(c.signed for c in config.channels.values())
 
     def test_wrap_single_edge(self):
         config = parse(custom_doc(wrap={"edges": ["CH/A"]}))
         a = JurisdictionId.of("CH", "A")
         b = JurisdictionId.of("CH", "B")
-        assert config.channels[a].integrity
-        assert not config.channels[b].integrity
+        assert config.channels[a].signed
+        assert not config.channels[b].signed
 
     def test_timing_noise_jitter_and_postal(self):
         config = parse(
@@ -258,6 +258,19 @@ class TestDiagnostics:
             parse(custom_doc(timing={"prelim_emit": {"CH/Z": 1}}))
         with pytest.raises(ConfigError, match="timing.final_emit.CH/A"):
             parse(custom_doc(timing={"final_emit": {"CH/A": -2}}))
+
+    def test_timing_rejects_non_leaves(self):
+        # Only leaves emit; an inner node's entry would be silently ignored.
+        doc = custom_doc(
+            tree={"paths": ["CH/A/X", "CH/A/Y", "CH/B/Z"]},
+            ground_truth={"CH/A/X": {"yes": 1}, "CH/A/Y": {"yes": 2}, "CH/B/Z": {"no": 3}},
+        )
+        with pytest.raises(ConfigError, match=r"'timing\.prelim_emit\.CH/A': not a leaf"):
+            parse({**doc, "timing": {"prelim_emit": {"CH/A": 50}}})
+        with pytest.raises(ConfigError, match=r"'timing\.final_emit\.CH': not a leaf"):
+            parse({**doc, "timing": {"final_emit": {"CH": 7}}})
+        config = parse({**doc, "timing": {"prelim_emit": {"CH/A/X": 50}, "final_emit": {"CH/B/Z": 7}}})
+        assert config.prelim_emit == {JurisdictionId.of("CH", "A", "X"): 50}
 
     def test_wrapped_channel_rejects_tamper_at_build(self):
         config = parse(

@@ -8,6 +8,7 @@ import pytest
 
 from votewire.counts import VoteCount
 from votewire.errors import EncodingError, HierarchyError, ParseError, SubjectMismatch
+from votewire import reports
 from votewire.reports import Report, ReportKind
 from votewire.secauth import (
     ACCEPT,
@@ -251,7 +252,7 @@ class TestTrustStore:
         store.save(tmp_path / "store")
         loaded = TrustStore.load(tmp_path / "store")
         assert loaded.root_certificate == deep.root_certificate
-        assert loaded.get(USTER) == deep.certificates[USTER]
+        assert loaded.certificates[USTER] == deep.certificates[USTER]
         assert set(loaded.certificates) == set(deep.certificates)
 
     def test_root_is_pinned_by_filename(self, deep, tmp_path):
@@ -431,6 +432,9 @@ class TestRevocation:
 
 
 class TestSequenceState:
+    def test_is_the_state_the_engine_uses(self):
+        assert SequenceState is reports.SequenceState
+
     def test_at_most_one_accept_under_concurrency(self, deep):
         sr = signed(deep, USTER, seq=7)
         state = fresh_state()
@@ -469,8 +473,9 @@ class TestSequenceState:
         state = fresh_state()
         assert verify_report(signed(deep, USTER, seq=1), deep.root_certificate, EMPTY_CRL, state).accepted
         assert verify_report(signed(deep, WIL, seq=1), deep.root_certificate, EMPTY_CRL, state).accepted
-        assert state.last(USTER) == 1
-        assert state.last(WIL) == 1
+        replay = verify_report(signed(deep, USTER, seq=1), deep.root_certificate, EMPTY_CRL, state)
+        assert replay.reason is RejectReason.REPLAY
+        assert verify_report(signed(deep, WIL, seq=2), deep.root_certificate, EMPTY_CRL, state).accepted
 
 
 class TestWireFormat:
@@ -635,5 +640,5 @@ class TestGoldens:
         certs[USTER] = reissued(depth3, USTER, "rot13")
         TrustStore(depth3.root_certificate, certs).save(tmp_path)
         loaded = TrustStore.load(tmp_path)
-        assert loaded.get(USTER) == certs[USTER]
-        assert loaded.get(USTER).scheme == "rot13"
+        assert loaded.certificates[USTER] == certs[USTER]
+        assert loaded.certificates[USTER].scheme == "rot13"
