@@ -26,7 +26,6 @@ from .errors import (
     ArithmeticOverflow,
     CapabilityError,
     ConfigError,
-    DuplicateFinal,
     DuplicateRecord,
     EncodingError,
     HierarchyError,
@@ -67,7 +66,6 @@ __all__ = [
     "ConfigError",
     "DEDICATED_SOFTWARE",
     "Decision",
-    "DuplicateFinal",
     "DuplicateRecord",
     "EMAIL",
     "EncodingError",

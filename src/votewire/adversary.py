@@ -2,12 +2,13 @@
 
 An attack sits on one upward edge (identified by its child node) and fires
 on matching reports. What an attacker can do is decided entirely by the
-channel, and the check happens when a scenario is built: tampering and
-front-running need an unsigned channel, and delay is possible on any
-channel, since signatures cannot make a courier hurry. Attack
-specifications are fixed before the run starts; the ``omniscient`` flag
-records whether their parameters were chosen with knowledge of the true
-counts (versus blind), which affects interpretation but not mechanics.
+channel, and the check happens when a ``Simulation`` is constructed (a
+scenario file's, when it is loaded): tampering and front-running need an
+unsigned channel, and delay is possible on any channel, since signatures
+cannot make a courier hurry. Attack specifications are fixed before the
+run starts; the ``omniscient`` flag records whether their parameters were
+chosen with knowledge of the true counts (versus blind), which affects
+interpretation but not mechanics.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 
 from .channels import ChannelSpec
 from .counts import VoteCount
-from .errors import CapabilityError
+from .errors import CapabilityError, ConfigError
 from .reports import Report, ReportKind
 from .traces import DetectRecord, EventTrace
 from .tree import JurisdictionId
@@ -129,8 +130,8 @@ class AttackSpec:
 def check_attack_permitted(kind: AttackKind, channel: ChannelSpec) -> None:
     """Reject an attack a signed channel rules out.
 
-    Raised at scenario build time, never mid-run: an impossible attack is a
-    configuration error, not an event.
+    Raised when a ``Simulation`` is constructed, never mid-run: an
+    impossible attack is a configuration error, not an event.
     """
     if kind is AttackKind.TAMPER and channel.signed:
         raise CapabilityError(
@@ -143,8 +144,13 @@ def check_attack_permitted(kind: AttackKind, channel: ChannelSpec) -> None:
 
 
 def apply_tamper(report: Report, mutation: Mutation, channel: ChannelSpec) -> Report:
+    """The report with its counts mutated; a mutation they cannot bear is a ConfigError."""
     check_attack_permitted(AttackKind.TAMPER, channel)
-    return replace(report, counts=apply_mutation(report.counts, mutation))
+    try:
+        counts = apply_mutation(report.counts, mutation)
+    except ValueError as exc:
+        raise ConfigError(f"tamper on edge {report.sender}: {exc}") from None
+    return replace(report, counts=counts)
 
 
 def forge_report(genuine: Report, attack: AttackSpec, channel: ChannelSpec) -> Report:

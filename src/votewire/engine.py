@@ -7,7 +7,8 @@ explicitly seeded generator used for optional latency jitter and miscount
 noise.
 
 Each leaf emits one preliminary report over its configured channel and,
-later, one final report over the postal channel. A node that accepts a
+later, one final report over the signed postal channel, of which only
+the latency can be set. A node that accepts a
 preliminary immediately (same tick) emits fresh replacement totals for its
 own subtree upward; the root publishes instead. Finals are slower: a node
 forwards its final only once every child's final has arrived. Preliminary
@@ -40,7 +41,6 @@ from .adversary import (
 )
 from .channels import POSTAL_FINAL, ChannelSpec
 from .counts import VoteCount, accumulate
-from .errors import DuplicateFinal
 from .reports import Report, ReportKind, SequenceState
 from .traces import (
     AttackRecord,
@@ -56,7 +56,6 @@ from .tree import JurisdictionId, JurisdictionTree
 REASON_UNKNOWN_SENDER = "unknown_sender"
 REASON_OVER_ELIGIBLE = "over_eligible"
 REASON_STALE_SEQUENCE = "stale_sequence"
-REASON_DUPLICATE_FINAL = "duplicate_final"
 
 DEFAULT_FINAL_EMIT_AT = 100
 
@@ -83,23 +82,6 @@ def feasibility_check(
     if not seq_state.accept_if_fresh(report.sender, report.sequence_no):
         return REASON_STALE_SEQUENCE
     return None
-
-
-def final_disposition(prev: Report | None, incoming: Report) -> str:
-    """How to treat an incoming final given what the sender sent before.
-
-    Finals are idempotent: a redelivery with identical counts is absorbed
-    ("duplicate"), but the same sender contradicting its own final is a
-    protocol violation, not a message to reconcile.
-    """
-    if prev is None:
-        return "store"
-    if prev.counts != incoming.counts:
-        raise DuplicateFinal(
-            f"{incoming.sender} sent conflicting final counts "
-            f"({prev.counts} then {incoming.counts})"
-        )
-    return "duplicate"
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,7 +163,7 @@ class Simulation:
     jitter_max: int = 0
     noise: NoiseModel | None = None
     attacks: Sequence[AttackSpec] = ()
-    postal: ChannelSpec = POSTAL_FINAL
+    postal_latency: int = POSTAL_FINAL.base_latency
 
     def __post_init__(self) -> None:
         leaves = set(self.tree.leaves())
@@ -196,8 +178,9 @@ class Simulation:
         for node in self.tree.nodes():
             if node != self.tree.root and node not in self.channels:
                 raise ValueError(f"no channel configured for edge {node} -> parent")
-        if self.jitter_max < 0:
-            raise ValueError("jitter_max must be >= 0")
+        for name in ("jitter_max", "final_emit_default", "postal_latency"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         for name, emits in (("prelim_emit", self.prelim_emit), ("final_emit", self.final_emit)):
             for node, when in emits.items():
                 if node not in leaves:
@@ -210,6 +193,11 @@ class Simulation:
             if attack.edge_child not in self.tree or attack.edge_child == self.tree.root:
                 raise ValueError(f"attack targets unknown edge {attack.edge_child}")
             check_attack_permitted(attack.kind, self.channel_for(attack))
+
+    @property
+    def postal(self) -> ChannelSpec:
+        """The signed channel every final rides."""
+        return POSTAL_FINAL.with_latency(self.postal_latency)
 
     def channel_for(self, attack: AttackSpec) -> ChannelSpec:
         if attack.report_kind is ReportKind.FINAL:
@@ -231,20 +219,23 @@ class Simulation:
         for idx, attack in enumerate(self.attacks):
             attacks_on.setdefault(attack.key, []).append(idx)
 
+        postal = self.postal
+        channels = self.channels
+        prelim, final = ReportKind.PRELIMINARY, ReportKind.FINAL
+
         # Noise draws come first and in leaf order, so the perturbed counts
         # do not depend on event interleaving.
         leaves = tree.leaves()
-        prelim_counts: dict[JurisdictionId, VoteCount] = {}
         for leaf in leaves:
             counts = self.ground_truth[leaf]
-            prelim_counts[leaf] = self.noise.perturb(counts, rng) if self.noise else counts
-
-        for leaf in leaves:
+            if self.noise:
+                counts = self.noise.perturb(counts, rng)
             at = self.prelim_emit.get(leaf, 0)
-            heapq.heappush(heap, (at, next(counter), ("leaf_prelim", leaf)))
+            heapq.heappush(heap, (at, next(counter), ("leaf", prelim, leaf, counts)))
         for leaf in leaves:
             at = self.final_emit.get(leaf, self.final_emit_default)
-            heapq.heappush(heap, (at, next(counter), ("leaf_final", leaf)))
+            event = ("leaf", final, leaf, self.ground_truth[leaf])
+            heapq.heappush(heap, (at, next(counter), event))
 
         def send(time: int, report: Report, channel: ChannelSpec) -> None:
             receiver = tree.parent(report.sender)
@@ -279,12 +270,23 @@ class Simulation:
                 )
             heapq.heappush(heap, (delivery, next(counter), ("deliver", report, receiver, channel)))
 
-        def emit(time: int, node: JurisdictionId, kind: ReportKind, counts: VoteCount) -> Report:
+        def report_up(time: int, node: JurisdictionId, kind: ReportKind, counts: VoteCount) -> None:
+            """Publish ``counts`` at the root; anywhere else, emit them upward."""
             state = states[node]
+            if node == tree.root:
+                # A publication lists the child reports of its kind it sums.
+                received = state.received_final if kind is final else state.received_prelim
+                covered = tuple(
+                    (c, received[c].sequence_no, received[c].counts)
+                    for c in tree.children(node)
+                    if c in received
+                )
+                records.append(PublishRecord(time, node, kind, counts, covered))
+                return
             report = Report(self.election_id, node, state.next_seq, counts, kind, time)
             state.next_seq += 1
             records.append(EmitRecord(time, node, kind, report.sequence_no, counts))
-            return report
+            send(time, report, postal if kind is final else channels[node])
 
         def on_prelim(time: int, report: Report, receiver: JurisdictionId, channel: ChannelSpec) -> None:
             state = states[receiver]
@@ -300,32 +302,14 @@ class Simulation:
                     DetectRecord(time, receiver, reason, report.sender, report.sequence_no)
                 )
                 return
-            totals = state.accept_prelim(report)
-            if receiver == tree.root:
-                prelims = state.received_prelim
-                covered = tuple(
-                    (c, prelims[c].sequence_no, prelims[c].counts)
-                    for c in tree.children(receiver)
-                    if c in prelims
-                )
-                records.append(
-                    PublishRecord(time, receiver, ReportKind.PRELIMINARY, totals, covered)
-                )
-            else:
-                fresh = emit(time, receiver, ReportKind.PRELIMINARY, totals)
-                send(time, fresh, self.channels[receiver])
+            report_up(time, receiver, prelim, state.accept_prelim(report))
 
         def on_final(time: int, report: Report, receiver: JurisdictionId, channel: ChannelSpec) -> None:
             state = states[receiver]
-            prev = state.received_final.get(report.sender)
-            if final_disposition(prev, report) == "duplicate":
-                records.append(
-                    DeliverRecord(
-                        time, report.sender, receiver, channel.name, report.kind,
-                        report.sequence_no, report.counts, True, REASON_DUPLICATE_FINAL,
-                    )
-                )
-                return
+            # Each child sends one final, over the signed postal channel, where
+            # no attack can forge another: Simulation refuses front-run there.
+            # So each child's final arrives exactly once, and the count reaches
+            # zero exactly once: at the last child's final.
             state.received_final[report.sender] = report
             records.append(
                 DeliverRecord(
@@ -333,36 +317,22 @@ class Simulation:
                     report.sequence_no, report.counts, True, None,
                 )
             )
-            # Finals only ever come from children, each stored once, so the
-            # count reaches zero exactly once: at the last child's final.
             state.finals_pending -= 1
             if state.finals_pending:
                 return
             totals = accumulate(r.counts for r in state.received_final.values())
-            if receiver == tree.root:
-                finals = state.received_final
-                covered = tuple(
-                    (c, finals[c].sequence_no, finals[c].counts) for c in tree.children(receiver)
-                )
-                records.append(PublishRecord(time, receiver, ReportKind.FINAL, totals, covered))
-            else:
-                fresh = emit(time, receiver, ReportKind.FINAL, totals)
-                send(time, fresh, self.postal)
+            report_up(time, receiver, final, totals)
 
         while heap:
             time, _, event = heapq.heappop(heap)
             match event:
-                case ("leaf_prelim", leaf):
-                    report = emit(time, leaf, ReportKind.PRELIMINARY, prelim_counts[leaf])
-                    send(time, report, self.channels[leaf])
-                case ("leaf_final", leaf):
-                    report = emit(time, leaf, ReportKind.FINAL, self.ground_truth[leaf])
-                    send(time, report, self.postal)
+                case ("leaf", kind, leaf, counts):
+                    report_up(time, leaf, kind, counts)
                 case ("deliver", report, receiver, channel):
-                    if report.kind is ReportKind.PRELIMINARY:
-                        on_prelim(time, report, receiver, channel)
-                    else:
+                    if report.kind is final:
                         on_final(time, report, receiver, channel)
+                    else:
+                        on_prelim(time, report, receiver, channel)
 
         return EventTrace(
             election_id=self.election_id,

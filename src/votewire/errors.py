@@ -37,10 +37,6 @@ class EncodingError(VotewireError):
     """A value contains characters the canonical encoding cannot carry."""
 
 
-class DuplicateFinal(VotewireError):
-    """A second, different final report arrived from the same child."""
-
-
 class ParseError(VotewireError):
     """A results file failed to parse; message carries the row number."""
 

@@ -1,17 +1,20 @@
 """Scenario files: JSON descriptions of a complete simulation run.
 
 A scenario pins everything a run depends on, so the same file plus the
-same seed always reproduces the same trace. Validation is strict and
+same seed always reproduces the same trace. Parsing returns the
+``Simulation`` itself, so every check, the attack-capability gating
+included, happens when the scenario is loaded. Validation is strict and
 error messages name the offending field (``attacks[0].mutation.shift``)
 or, for malformed JSON, the line and column.
 """
 
 from __future__ import annotations
 
+import enum
 import json
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, TypeVar
 
 from . import swiss
 from .adversary import AttackKind, AttackSpec, Mutation, MutationKind
@@ -37,41 +40,12 @@ _COUNT_KEYS = {"yes", "no", "blank", "invalid"}
 _TIMING_KEYS = {"prelim_emit", "final_emit", "final_emit_default"}
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    election_id: str
-    majority_rule: MajorityRule
-    seed: int
-    tree: JurisdictionTree
-    channels: dict[JurisdictionId, ChannelSpec]
-    ground_truth: dict[JurisdictionId, VoteCount]
-    prelim_emit: dict[JurisdictionId, int]
-    final_emit: dict[JurisdictionId, int]
-    final_emit_default: int
-    jitter_max: int
-    noise: NoiseModel | None
-    attacks: tuple[AttackSpec, ...]
-    postal: ChannelSpec
+def build_simulation(config: Simulation, seed: int | None = None) -> Simulation:
+    """The scenario's run, with its seed replaced when ``seed`` is given."""
+    return config if seed is None else replace(config, seed=seed)
 
 
-def build_simulation(config: ScenarioConfig, seed: int | None = None) -> Simulation:
-    return Simulation(
-        election_id=config.election_id,
-        tree=config.tree,
-        channels=config.channels,
-        ground_truth=config.ground_truth,
-        seed=config.seed if seed is None else seed,
-        prelim_emit=config.prelim_emit,
-        final_emit=config.final_emit,
-        final_emit_default=config.final_emit_default,
-        jitter_max=config.jitter_max,
-        noise=config.noise,
-        attacks=config.attacks,
-        postal=config.postal,
-    )
-
-
-def load_scenario(path: str | Path) -> ScenarioConfig:
+def load_scenario(path: str | Path) -> Simulation:
     return parse_scenario(Path(path).read_text(encoding="utf-8"))
 
 
@@ -81,7 +55,7 @@ def bundled_scenario_path(name: str) -> Path:
     return Path(str(files("votewire.data").joinpath("scenarios", f"{name}.json")))
 
 
-def parse_scenario(text: str) -> ScenarioConfig:
+def parse_scenario(text: str) -> Simulation:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -92,7 +66,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
     _reject_unknown(top, _TOP_KEYS, "scenario")
 
     election_id = _string(_required(top, "election_id", "scenario"), "election_id")
-    rule = _majority_rule(top.get("majority_rule", "double"))
+    # Checked but not kept: simulating never tallies.
+    _choice(MajorityRule, top.get("majority_rule", "double"), "majority_rule", "rule")
     seed = _int(top.get("seed", 0), "seed", minimum=0)
 
     tree = _tree(_required(top, "tree", "scenario"))
@@ -100,9 +75,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
     channels = _channels(top, tree)
     _apply_wrap(top.get("wrap"), channels, tree)
 
-    postal = POSTAL_FINAL
-    if "postal_latency" in top:
-        postal = postal.with_latency(_int(top["postal_latency"], "postal_latency", minimum=0))
+    postal_latency = _int(
+        top.get("postal_latency", POSTAL_FINAL.base_latency), "postal_latency", minimum=0
+    )
 
     prelim_emit, final_emit, final_default = _timing(top.get("timing"), tree)
     jitter_max = _int(top.get("jitter_max", 0), "jitter_max", minimum=0)
@@ -117,21 +92,23 @@ def parse_scenario(text: str) -> ScenarioConfig:
                 f"{eligible} eligible voters"
             )
 
-    return ScenarioConfig(
-        election_id=election_id,
-        majority_rule=rule,
-        seed=seed,
-        tree=tree,
-        channels=channels,
-        ground_truth=ground_truth,
-        prelim_emit=prelim_emit,
-        final_emit=final_emit,
-        final_emit_default=final_default,
-        jitter_max=jitter_max,
-        noise=noise,
-        attacks=attacks,
-        postal=postal,
-    )
+    try:
+        return Simulation(
+            election_id=election_id,
+            tree=tree,
+            channels=channels,
+            ground_truth=ground_truth,
+            seed=seed,
+            prelim_emit=prelim_emit,
+            final_emit=final_emit,
+            final_emit_default=final_default,
+            jitter_max=jitter_max,
+            noise=noise,
+            attacks=attacks,
+            postal_latency=postal_latency,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"scenario: {exc}") from None
 
 
 def _required(mapping: Mapping[str, Any], key: str, where: str) -> Any:
@@ -180,14 +157,32 @@ def _path_key(value: Any, where: str) -> JurisdictionId:
 
 
 def _node(value: Any, tree: JurisdictionTree, where: str) -> JurisdictionId:
+    node = _path_key(value, where)
+    if node not in tree:
+        raise ConfigError(f"field '{where}': unknown jurisdiction {value!r}")
+    return node
+
+
+def _edge(value: Any, tree: JurisdictionTree, where: str) -> JurisdictionId:
+    """A node other than the root, naming the edge up to its parent."""
+    node = _node(value, tree, where)
+    if node == tree.root:
+        raise ConfigError(f"field '{where}': the root has no upward edge")
+    return node
+
+
+_Choice = TypeVar("_Choice", bound=enum.Enum)
+
+
+def _choice(choices: type[_Choice], value: Any, where: str, what: str) -> _Choice:
     text = _string(value, where)
     try:
-        node = JurisdictionId.from_text(text)
-    except ValueError as exc:
-        raise ConfigError(f"field '{where}': {exc}") from None
-    if node not in tree:
-        raise ConfigError(f"field '{where}': unknown jurisdiction {text!r}")
-    return node
+        return choices(text)
+    except ValueError:
+        raise ConfigError(
+            f"field '{where}': unknown {what} {text!r}; "
+            f"allowed: {[c.value for c in choices]}"
+        ) from None
 
 
 def _counts(value: Any, where: str) -> VoteCount:
@@ -202,17 +197,6 @@ def _counts(value: Any, where: str) -> VoteCount:
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"field '{where}': {exc}") from None
-
-
-def _majority_rule(value: Any) -> MajorityRule:
-    text = _string(value, "majority_rule")
-    for rule in MajorityRule:
-        if rule.value == text:
-            return rule
-    raise ConfigError(
-        f"field 'majority_rule': unknown rule {text!r}; "
-        f"allowed: {[r.value for r in MajorityRule]}"
-    )
 
 
 def tree_from_config(value: Any) -> JurisdictionTree:
@@ -232,12 +216,7 @@ def _tree(value: Any) -> JurisdictionTree:
     raw_paths = obj.get("paths")
     if not isinstance(raw_paths, list) or not raw_paths:
         raise ConfigError("field 'tree.paths' must be a non-empty list of path strings")
-    paths = []
-    for i, p in enumerate(raw_paths):
-        try:
-            paths.append(JurisdictionId.from_text(_string(p, f"tree.paths[{i}]")).path)
-        except ValueError as exc:
-            raise ConfigError(f"field 'tree.paths[{i}]': {exc}") from None
+    paths = [_path_key(p, f"tree.paths[{i}]").path for i, p in enumerate(raw_paths)]
     half_votes = {}
     for key, weight in _mapping(obj.get("half_votes", {}), "tree.half_votes").items():
         half_votes[_path_key(key, f"tree.half_votes.{key}")] = _int(
@@ -336,10 +315,7 @@ def _channels(top: Mapping[str, Any], tree: JurisdictionTree) -> dict[Jurisdicti
             channels[swiss.canton_id(code)] = preset(tag)
 
     for key, raw in _mapping(top.get("channels", {}), "channels").items():
-        node = _node(key, tree, f"channels.{key}")
-        if node == tree.root:
-            raise ConfigError(f"field 'channels.{key}': the root has no upward edge")
-        channels[node] = _channel_spec(raw, f"channels.{key}")
+        channels[_edge(key, tree, f"channels.{key}")] = _channel_spec(raw, f"channels.{key}")
 
     for node in tree.nodes():
         if node == tree.root or node in channels:
@@ -369,9 +345,7 @@ def _apply_wrap(
     if not isinstance(edges, list):
         raise ConfigError("field 'wrap.edges' must be a list of jurisdiction paths")
     for i, raw in enumerate(edges):
-        node = _node(raw, tree, f"wrap.edges[{i}]")
-        if node == tree.root:
-            raise ConfigError(f"field 'wrap.edges[{i}]': the root has no upward edge")
+        node = _edge(raw, tree, f"wrap.edges[{i}]")
         channels[node] = wrapped(channels[node])
 
 
@@ -417,15 +391,7 @@ def _noise(value: Any) -> NoiseModel | None:
 def _mutation(value: Any, where: str) -> Mutation:
     obj = _mapping(value, where)
     _reject_unknown(obj, _MUTATION_KEYS, where)
-    kind_text = _string(_required(obj, "kind", where), f"{where}.kind")
-    for kind in MutationKind:
-        if kind.value == kind_text:
-            break
-    else:
-        raise ConfigError(
-            f"field '{where}.kind': unknown mutation kind {kind_text!r}; "
-            f"allowed: {[k.value for k in MutationKind]}"
-        )
+    kind = _choice(MutationKind, _required(obj, "kind", where), f"{where}.kind", "mutation kind")
     counts = _counts(obj["counts"], f"{where}.counts") if "counts" in obj else None
     try:
         return Mutation(
@@ -446,30 +412,11 @@ def _attacks(value: Any, tree: JurisdictionTree) -> tuple[AttackSpec, ...]:
         where = f"attacks[{i}]"
         obj = _mapping(raw, where)
         _reject_unknown(obj, _ATTACK_KEYS, where)
-        kind_text = _string(_required(obj, "kind", where), f"{where}.kind")
-        for kind in AttackKind:
-            if kind.value == kind_text:
-                break
-        else:
-            raise ConfigError(
-                f"field '{where}.kind': unknown attack kind {kind_text!r}; "
-                f"allowed: {[k.value for k in AttackKind]}"
-            )
-        edge = _node(_required(obj, "edge", where), tree, f"{where}.edge")
-        if edge == tree.root:
-            raise ConfigError(f"field '{where}.edge': the root has no upward edge")
+        kind = _choice(AttackKind, _required(obj, "kind", where), f"{where}.kind", "attack kind")
+        edge = _edge(_required(obj, "edge", where), tree, f"{where}.edge")
         report_kind = ReportKind.PRELIMINARY
         if "report_kind" in obj:
-            text = _string(obj["report_kind"], f"{where}.report_kind")
-            for rk in ReportKind:
-                if rk.value == text:
-                    report_kind = rk
-                    break
-            else:
-                raise ConfigError(
-                    f"field '{where}.report_kind': unknown kind {text!r}; "
-                    f"allowed: {[k.value for k in ReportKind]}"
-                )
+            report_kind = _choice(ReportKind, obj["report_kind"], f"{where}.report_kind", "kind")
         first_n: int | None = 1
         if "first_n" in obj:
             first_n = None if obj["first_n"] is None else _int(obj["first_n"], f"{where}.first_n", minimum=1)

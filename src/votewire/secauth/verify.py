@@ -61,9 +61,8 @@ def _reject(reason: RejectReason) -> Verdict:
 class RevocationList:
     """Serials withdrawn from circulation; versions only ever add to it.
 
-    ``with_revoked`` returns the successor version, which must be a
-    superset: a compromised key stays revoked no matter how list updates
-    are ordered or replayed.
+    ``with_revoked`` returns the successor version, a superset of this
+    one: a compromised key stays revoked in every later version.
     """
 
     version: int = 0
@@ -78,14 +77,6 @@ class RevocationList:
 
     def with_revoked(self, *serials: int) -> "RevocationList":
         return RevocationList(self.version + 1, self.revoked | set(serials))
-
-    def merge(self, other: "RevocationList") -> "RevocationList":
-        """The delivery rule: always union, whatever order lists arrive in.
-
-        An out-of-date list can therefore never resurrect a revoked
-        serial; versions exist so holders can tell which list is newer.
-        """
-        return RevocationList(max(self.version, other.version), self.revoked | other.revoked)
 
 
 EMPTY_CRL = RevocationList()

@@ -105,9 +105,6 @@ class PublishRecord:
     counts: VoteCount
     children: tuple[tuple[JurisdictionId, int, VoteCount], ...]
 
-    def covered(self) -> tuple[JurisdictionId, ...]:
-        return tuple(child for child, _, _ in self.children)
-
     def to_line(self) -> str:
         parts = ",".join(
             f"{child}:{seq}:{c.yes}:{c.no}:{c.blank}:{c.invalid}"

@@ -90,6 +90,35 @@ class TestSimulate:
         assert main(["simulate", "--scenario", str(bad)]) == 2
         assert "tamper" in capsys.readouterr().err
 
+    def test_tree_without_edges_is_a_config_error(self, tmp_path, capsys):
+        doc = {
+            "election_id": "lonely",
+            "tree": {"paths": ["CH"]},
+            "ground_truth": {"CH": {"yes": 1}},
+            "default_channel": "email",
+        }
+        bad = tmp_path / "root_only.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "at least one reporting edge" in err
+
+    def test_oversized_shift_is_a_config_error_naming_the_edge(self, tmp_path, capsys):
+        doc = {
+            "election_id": "toy",
+            "tree": {"paths": ["CH/A", "CH/B"]},
+            "ground_truth": {"CH/A": {"yes": 30, "no": 20}, "CH/B": {"yes": 10, "no": 40}},
+            "default_channel": "email",
+            "attacks": [
+                {"kind": "tamper", "edge": "CH/A", "mutation": {"kind": "shift", "shift": 1000}}
+            ],
+        }
+        bad = tmp_path / "big_shift.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: tamper on edge CH/A: cannot shift 1000 ballots")
+
 
 class TestAnalyze:
     def test_bundled_maxima(self, capsys):

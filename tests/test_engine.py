@@ -18,18 +18,18 @@ from votewire.adversary import (
     MutationKind,
     detection_report,
 )
-from votewire.channels import preset, wrapped
+from votewire.channels import POSTAL_FINAL, preset, wrapped
 from votewire.counts import MAX_COUNT, VoteCount, accumulate
 from votewire.engine import (
+    DEFAULT_FINAL_EMIT_AT,
     REASON_OVER_ELIGIBLE,
     REASON_STALE_SEQUENCE,
     REASON_UNKNOWN_SENDER,
     NoiseModel,
     Simulation,
     feasibility_check,
-    final_disposition,
 )
-from votewire.errors import ArithmeticOverflow, CapabilityError, DuplicateFinal
+from votewire.errors import ArithmeticOverflow, CapabilityError
 from votewire.reports import Report, ReportKind, SequenceState
 from votewire.traces import DeliverRecord, EmitRecord, PublishRecord
 from votewire.tree import JurisdictionId, tree_from_paths
@@ -130,22 +130,6 @@ class TestFeasibility:
         assert feasibility_check(report, CH, tree, seen(Z=9)) == REASON_UNKNOWN_SENDER
 
 
-class TestFinalDisposition:
-    def test_first_final_is_stored(self):
-        assert final_disposition(None, prelim_report(A, 2, VoteCount(1, 2))) == "store"
-
-    def test_identical_redelivery_is_absorbed(self):
-        first = prelim_report(A, 2, VoteCount(1, 2))
-        again = prelim_report(A, 5, VoteCount(1, 2))
-        assert final_disposition(first, again) == "duplicate"
-
-    def test_conflicting_finals_blow_up(self):
-        first = prelim_report(A, 2, VoteCount(1, 2))
-        liar = prelim_report(A, 3, VoteCount(2, 1))
-        with pytest.raises(DuplicateFinal, match="conflicting final"):
-            final_disposition(first, liar)
-
-
 class TestHonestRun:
     def test_final_publication_equals_ground_truth_sum(self):
         sim = two_leaf_sim()
@@ -158,7 +142,7 @@ class TestHonestRun:
         trace = two_leaf_sim().run()
         seen: set[JurisdictionId] = set()
         for pub in trace.publishes(ReportKind.PRELIMINARY):
-            covered = set(pub.covered())
+            covered = {child for child, _, _ in pub.children}
             assert covered >= seen
             seen = covered
         assert seen == {A, B}
@@ -285,7 +269,9 @@ class TestAttacksInTheLoop:
         assert not summary.count_divergences
         assert any(B in gap.missing for gap in summary.coverage_gaps)
         covered_times = [
-            pub.time for pub in trace.publishes(ReportKind.PRELIMINARY) if B in pub.covered()
+            pub.time
+            for pub in trace.publishes(ReportKind.PRELIMINARY)
+            if any(child == B for child, _, _ in pub.children)
         ]
         assert covered_times and covered_times[0] == 53
 
@@ -310,7 +296,11 @@ class TestAttacksInTheLoop:
             if isinstance(r, DeliverRecord) and not r.accepted
         ]
         assert [r.reason for r in rejected] == ["over_eligible"]
-        assert all(A not in pub.covered() for pub in trace.publishes(ReportKind.PRELIMINARY))
+        assert all(
+            child != A
+            for pub in trace.publishes(ReportKind.PRELIMINARY)
+            for child, _, _ in pub.children
+        )
 
     def test_first_n_limits_how_often_an_attack_fires(self):
         BE = JurisdictionId.of("CH", "BE")
@@ -408,6 +398,26 @@ class TestSimulationValidation:
     def test_negative_emit_time_rejected(self):
         with pytest.raises(ValueError, match="emit times"):
             two_leaf_sim(prelim_emit={A: -1})
+
+    def test_negative_final_emit_default_rejected(self):
+        # Used to build, then fail mid-run when the first final was emitted.
+        with pytest.raises(ValueError, match="final_emit_default must be >= 0"):
+            two_leaf_sim(final_emit_default=-5)
+
+    def test_negative_postal_latency_rejected(self):
+        with pytest.raises(ValueError, match="postal_latency must be >= 0"):
+            two_leaf_sim(postal_latency=-1)
+
+    def test_finals_ride_the_signed_postal_channel(self):
+        sim = two_leaf_sim(postal_latency=10)
+        assert sim.postal == POSTAL_FINAL.with_latency(10)
+        assert two_leaf_sim().postal == POSTAL_FINAL
+        finals = [
+            r for r in sim.run().records
+            if isinstance(r, DeliverRecord) and r.kind is ReportKind.FINAL
+        ]
+        assert {(r.sender, r.channel) for r in finals} == {(A, "postal_final"), (B, "postal_final")}
+        assert [r.time for r in finals] == [DEFAULT_FINAL_EMIT_AT + 10] * 2
 
     def test_emit_time_on_a_non_leaf_rejected(self):
         # Only leaves emit; an inner node's entry would be silently ignored.

@@ -1,20 +1,29 @@
-"""The README's library snippets and scenario example run as printed.
+"""The README's examples run as printed.
 
 Every ``python`` block is executed in a fresh namespace. A line of the
 form ``expression  # value`` documents a result, so the expression is
 evaluated afterwards and its repr must read ``value``. The ``json`` block
-is a scenario document and must parse and build.
+is a scenario document and must parse and build. Every ``sh`` block that
+starts with ``$ votewire`` is run through ``cli.main`` from the repository
+root, with its output paths moved to a temporary directory, and the lines
+it shows must appear in order in stdout; a ``...`` line stands for any
+number of lines.
 """
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from votewire import cli
 from votewire.scenario import build_simulation, parse_scenario
 from votewire.tree import JurisdictionId
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+# Paths the README's commands write to, and where the test puts them.
+OUTPUT_PATHS = {"/tmp/run.trace": "run.trace", "./trust": "trust"}
 _BLOCK = re.compile(r"^```(\w+)\n(.*?)^```$", re.MULTILINE | re.DOTALL)
 _DOCUMENTED = re.compile(r"^(?P<expr>[\w.]+)\s+#\s+(?P<value>\S.*)$")
 
@@ -45,3 +54,57 @@ def test_json_scenario_block_builds():
     assert config.channels[JurisdictionId.of("CH", "BL")].signed
     trace = build_simulation(config).run()
     assert trace.final_publish().counts.yes == 1_128_522
+
+
+def cli_examples() -> list[tuple[str, list[str]]]:
+    """(command, shown output lines) for every ``$ votewire`` sh block."""
+    examples = []
+    for body in blocks("sh"):
+        lines = body.splitlines()
+        if not lines[0].startswith("$ votewire"):
+            continue
+        command = lines.pop(0)
+        while command.endswith("\\"):
+            command = command[:-1] + lines.pop(0)
+        examples.append((command.removeprefix("$ "), lines))
+    return examples
+
+
+CLI_EXAMPLES = cli_examples()
+
+
+def test_readme_has_the_documented_cli_examples():
+    commands = [shlex.split(command)[1] for command, _ in CLI_EXAMPLES]
+    assert commands == ["flip", "flip", "analyze", "simulate", "keys"]
+
+
+def example_id(command: str) -> str:
+    """The subcommand and its first argument's file name: ``flip rtvg_2015.csv``."""
+    args = shlex.split(command)
+    return f"{args[1]} {Path(args[3]).name}"
+
+
+@pytest.mark.parametrize(
+    "command,shown", CLI_EXAMPLES, ids=[example_id(command) for command, _ in CLI_EXAMPLES]
+)
+def test_cli_example_prints_what_the_readme_shows(command, shown, tmp_path, monkeypatch, capsys):
+    for path, name in OUTPUT_PATHS.items():
+        command = command.replace(path, str(tmp_path / name))
+        shown = [line.replace(path, str(tmp_path / name)) for line in shown]
+    monkeypatch.chdir(ROOT)
+    assert cli.main(shlex.split(command)[1:]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    segments: list[list[str]] = [[]]
+    for line in shown:
+        if line.strip() == "...":
+            segments.append([])
+        else:
+            segments[-1].append(line)
+    start = 0
+    for segment in segments:
+        matches = [
+            i for i in range(start, len(printed) - len(segment) + 1)
+            if printed[i:i + len(segment)] == segment
+        ]
+        assert matches, f"{segment} not printed after line {start} of {printed}"
+        start = matches[0] + len(segment)

@@ -1,5 +1,6 @@
 """Scenario JSON parsing, validation diagnostics, and building."""
 
+import dataclasses
 import json
 
 import pytest
@@ -39,12 +40,11 @@ def parse(doc) -> object:
 
 class TestParsingHappyPath:
     def test_minimal_custom_tree(self):
-        config = parse(custom_doc())
-        assert config.election_id == "toy"
-        assert config.majority_rule is MajorityRule.DOUBLE_MAJORITY
-        assert config.seed == 0
-        sim = build_simulation(config)
+        sim = parse(custom_doc())
         assert isinstance(sim, Simulation)
+        assert sim.election_id == "toy"
+        assert sim.seed == 0
+        assert build_simulation(sim) is sim
         trace = sim.run()
         assert trace.final_publish().counts == VoteCount(40, 60)
 
@@ -114,7 +114,8 @@ class TestParsingHappyPath:
         assert config.final_emit_default == 80
         assert config.noise.probability == 0.25
         assert config.jitter_max == 4
-        assert config.postal.base_latency == 10
+        assert config.postal_latency == 10
+        assert config.postal.base_latency == 10 and config.postal.signed
         assert config.seed == 99
 
     def test_attacks_parse_into_specs(self):
@@ -272,17 +273,37 @@ class TestDiagnostics:
         config = parse({**doc, "timing": {"prelim_emit": {"CH/A/X": 50}, "final_emit": {"CH/B/Z": 7}}})
         assert config.prelim_emit == {JurisdictionId.of("CH", "A", "X"): 50}
 
-    def test_wrapped_channel_rejects_tamper_at_build(self):
-        config = parse(
-            custom_doc(
-                wrap={"all": True},
-                attacks=[
-                    {"kind": "tamper", "edge": "CH/A", "mutation": {"kind": "swap_yes_no"}}
-                ],
-            )
+    def test_wrapped_channel_rejects_tamper_at_load(self):
+        doc = custom_doc(
+            wrap={"all": True},
+            attacks=[{"kind": "tamper", "edge": "CH/A", "mutation": {"kind": "swap_yes_no"}}],
         )
         with pytest.raises(CapabilityError, match="integrity"):
-            build_simulation(config)
+            parse(doc)
+
+    def test_tamper_on_a_final_is_refused_at_load(self):
+        # Finals always ride the signed postal channel.
+        doc = custom_doc(
+            attacks=[
+                {
+                    "kind": "tamper", "edge": "CH/A", "report_kind": "final",
+                    "mutation": {"kind": "swap_yes_no"},
+                }
+            ],
+        )
+        with pytest.raises(CapabilityError, match="'postal_final' preserves integrity"):
+            parse(doc)
+
+    def test_majority_rule_is_checked_but_not_kept(self):
+        assert "majority_rule" not in {f.name for f in dataclasses.fields(Simulation)}
+        plain = parse(custom_doc()).run().to_text()
+        for rule in MajorityRule:
+            assert parse(custom_doc(majority_rule=rule.value)).run().to_text() == plain
+
+    def test_tree_without_edges_is_a_config_error(self):
+        doc = custom_doc(tree={"paths": ["CH"]}, ground_truth={"CH": {"yes": 1}})
+        with pytest.raises(ConfigError, match="at least one reporting edge"):
+            parse(doc)
 
     def test_delay_still_builds_on_wrapped_channels(self):
         config = parse(
