@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .channels import ChannelSpec
 from .counts import VoteCount
@@ -106,6 +107,8 @@ class AttackSpec:
         if self.kind is AttackKind.FRONT_RUN:
             if self.forged_counts is None:
                 raise ValueError("front_run attack needs forged_counts")
+            if self.forged_seq is not None and self.forged_seq < 1:
+                raise ValueError("forged_seq must be >= 1: sequence numbers start at 1")
             if self.forged_seq is None and self.seq_offset < 1:
                 raise ValueError("seq_offset must be >= 1 when forged_seq is not fixed")
 
@@ -150,7 +153,10 @@ def apply_tamper(report: Report, mutation: Mutation, channel: ChannelSpec) -> Re
         counts = apply_mutation(report.counts, mutation)
     except ValueError as exc:
         raise ConfigError(f"tamper on edge {report.sender}: {exc}") from None
-    return replace(report, counts=counts)
+    return Report(
+        report.election_id, report.sender, report.sequence_no, counts, report.kind,
+        report.emitted_at,
+    )
 
 
 def forge_report(genuine: Report, attack: AttackSpec, channel: ChannelSpec) -> Report:
@@ -163,11 +169,13 @@ def forge_report(genuine: Report, attack: AttackSpec, channel: ChannelSpec) -> R
     check_attack_permitted(AttackKind.FRONT_RUN, channel)
     assert attack.forged_counts is not None
     seq = attack.forged_seq if attack.forged_seq is not None else genuine.sequence_no + attack.seq_offset
-    return replace(genuine, counts=attack.forged_counts, sequence_no=seq)
+    return Report(
+        genuine.election_id, genuine.sender, seq, attack.forged_counts, genuine.kind,
+        genuine.emitted_at,
+    )
 
 
-@dataclass(frozen=True, slots=True)
-class CountDivergence:
+class CountDivergence(NamedTuple):
     """A covered child whose published preliminary disagrees with truth."""
 
     time: int
@@ -258,21 +266,22 @@ def detection_report(trace: EventTrace) -> DetectionSummary:
     final_pub = trace.final_publish()
     root_children = trace.tree.children(trace.tree.root)
     truths = trace.subtree_truths()
-    truth = {child: truths[child] for child in root_children}
 
     divergences: list[CountDivergence] = []
     gaps: list[CoverageGap] = []
     first_divergent_time: int | None = None
     for pub in trace.publishes(ReportKind.PRELIMINARY):
-        covered = set()
         for child, _seq, counts in pub.children:
-            covered.add(child)
-            if counts != truth.get(child, counts):
-                divergences.append(CountDivergence(pub.time, child, counts, truth[child]))
+            expected = truths[child]
+            if counts != expected:
+                divergences.append(CountDivergence(pub.time, child, counts, expected))
                 if first_divergent_time is None:
                     first_divergent_time = pub.time
-        missing = tuple(c for c in root_children if c not in covered)
-        if missing:
+        # A publication lists each root child at most once, so only a short
+        # one can miss some.
+        if len(pub.children) != len(root_children):
+            covered = {child for child, _seq, _counts in pub.children}
+            missing = tuple(c for c in root_children if c not in covered)
             gaps.append(CoverageGap(pub.time, missing))
 
     gap_ticks = 0

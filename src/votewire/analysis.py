@@ -1,5 +1,4 @@
-"""Historical preliminary-vs-final discrepancy statistics and
-flip-vulnerability assessment.
+"""Historical preliminary-vs-final discrepancy statistics.
 
 The discrepancy of one (canton, referendum) pair is |Δyes| + |Δno| between
 the preliminary and the final count; relative values divide by that
@@ -15,19 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .counts import VoteCount, accumulate
+from .counts import VoteCount
 from .errors import DuplicateRecord, MissingCanton, ParseError
-from .flips import FlipPlan, min_flips_cantonal, min_flips_popular
 from .swiss import FEDERAL_CODE
-from .tally import (
-    MajorityRule,
-    Outcome,
-    ReferendumSpec,
-    cantonal_outcome,
-    referendum_outcome,
-)
 from .tree import JurisdictionId, JurisdictionTree
 
 RESULTS_HEADER = (
@@ -87,22 +78,6 @@ class DiscrepancySummary:
             if s.canton == canton:
                 return s
         raise KeyError(canton)
-
-
-@dataclass(frozen=True, slots=True)
-class VulnerabilityAssessment:
-    referendum_id: str
-    outcome: Outcome
-    popular_plan: FlipPlan
-    popular_reference: int
-    popular_vulnerable: bool
-    cantonal_plan: FlipPlan | None
-    cantonal_reference: int | None
-    cantonal_vulnerable: bool | None
-
-    @property
-    def vulnerable(self) -> bool:
-        return self.popular_vulnerable or bool(self.cantonal_vulnerable)
 
 
 def bundled_results_path(name: str) -> Path:
@@ -231,71 +206,5 @@ def canton_final_counts(
     if missing:
         raise MissingCanton(
             f"no final counts for: {', '.join(sorted(c.name for c in missing))}"
-        )
-    return out
-
-
-def _max_observed(records: Iterable[HistoricalRecord], cantons: set[str] | None) -> int:
-    values = [
-        r.discrepancy() for r in records if cantons is None or r.canton in cantons
-    ]
-    return max(values, default=0)
-
-
-def vulnerability_report(
-    records: Iterable[HistoricalRecord],
-    tree: JurisdictionTree,
-    specs: ReferendumSpec | Iterable[ReferendumSpec],
-    baseline: Iterable[HistoricalRecord] | None = None,
-) -> list[VulnerabilityAssessment]:
-    """Minimum-flip plans per referendum, flagged against observed error sizes.
-
-    A plan is vulnerable when its flip total does not exceed the largest
-    historical discrepancy observed for the cantons it touches (for the
-    popular plan: anywhere, since the flips may be spread over any canton).
-    ``baseline`` supplies the discrepancy history; by default the assessed
-    records themselves serve as their own history.
-    """
-    records = list(records)
-    history = list(baseline) if baseline is not None else records
-    if isinstance(specs, ReferendumSpec):
-        specs = [specs]
-    by_id: Mapping[str, ReferendumSpec] = {s.election_id: s for s in specs}
-    by_ref: dict[str, list[HistoricalRecord]] = {}
-    for rec in records:
-        by_ref.setdefault(rec.referendum_id, []).append(rec)
-
-    out: list[VulnerabilityAssessment] = []
-    for ref_id, spec in by_id.items():
-        rows = by_ref.get(ref_id)
-        if not rows:
-            raise MissingCanton(f"no records for referendum {ref_id}")
-        per_canton = canton_final_counts(rows, tree)
-        outcome = referendum_outcome(spec, per_canton, tree)
-
-        national = accumulate(per_canton.values())
-        popular_plan = min_flips_popular(national, outcome.popular.opposite())
-        popular_ref = _max_observed(history, None)
-        popular_vuln = 0 < popular_plan.total_flips <= popular_ref
-
-        cantonal_plan = cantonal_ref = cantonal_vuln = None
-        if spec.majority_rule is MajorityRule.DOUBLE_MAJORITY:
-            current, _, _ = cantonal_outcome(per_canton, tree)
-            cantonal_plan = min_flips_cantonal(per_canton, tree, current.opposite())
-            touched = {c.name for c in cantonal_plan.cantons()}
-            cantonal_ref = _max_observed(history, touched)
-            cantonal_vuln = 0 < cantonal_plan.total_flips <= cantonal_ref
-
-        out.append(
-            VulnerabilityAssessment(
-                referendum_id=ref_id,
-                outcome=outcome,
-                popular_plan=popular_plan,
-                popular_reference=popular_ref,
-                popular_vulnerable=popular_vuln,
-                cantonal_plan=cantonal_plan,
-                cantonal_reference=cantonal_ref,
-                cantonal_vulnerable=cantonal_vuln,
-            )
         )
     return out

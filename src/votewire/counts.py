@@ -27,6 +27,15 @@ class VoteCount:
     invalid: int = 0
 
     def __post_init__(self) -> None:
+        yes, no, blank, invalid = self.yes, self.no, self.blank, self.invalid
+        # The common case in one expression; anything else takes the loop,
+        # which names the first offending field.
+        if (
+            type(yes) is int and type(no) is int and type(blank) is int and type(invalid) is int
+            and 0 <= yes <= MAX_COUNT and 0 <= no <= MAX_COUNT
+            and 0 <= blank <= MAX_COUNT and 0 <= invalid <= MAX_COUNT
+        ):
+            return
         for name in ("yes", "no", "blank", "invalid"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):

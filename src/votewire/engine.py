@@ -20,8 +20,14 @@ Every event costs the same whatever the fanout. Each node keeps its
 children's latest accepted preliminaries and a running total of them: an
 accept subtracts the superseded report and adds the new one, instead of
 re-summing every child. Each node also counts the child finals it still
-awaits, and forwards its own final when that count reaches zero. Attacks
-are looked up by (edge, report kind), in configuration order.
+awaits, and forwards its own final when that count reaches zero. The root
+keeps each child's latest accepted (child, seq, counts) entry of each kind
+at that child's position, so a publication copies one list, in child
+order, instead of looking every child up. Attacks are looked up by (edge,
+report kind), in configuration order.
+
+Trace records and reports are tuples (see ``traces`` and ``reports``), so
+the ~100k values a large run builds cost a C constructor call each.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from .adversary import (
 )
 from .channels import POSTAL_FINAL, ChannelSpec
 from .counts import VoteCount, accumulate
+from .errors import ConfigError
 from .reports import Report, ReportKind, SequenceState
 from .traces import (
     AttackRecord,
@@ -150,7 +157,13 @@ class _NodeState:
 
 @dataclass(frozen=True)
 class Simulation:
-    """A fully specified run: tree, channels, truth, timing, attacks."""
+    """A fully specified run: tree, channels, truth, timing, attacks.
+
+    Construction checks the whole run before anything happens: a malformed
+    field raises ValueError, ground truth above a leaf's eligible voters
+    ConfigError naming the field, an attack its channel rules out
+    CapabilityError.
+    """
 
     election_id: str
     tree: JurisdictionTree
@@ -166,6 +179,13 @@ class Simulation:
     postal_latency: int = POSTAL_FINAL.base_latency
 
     def __post_init__(self) -> None:
+        for leaf, counts in self.ground_truth.items():
+            eligible = self.tree.eligible_voters.get(leaf)
+            if eligible is not None and counts.total() > eligible:
+                raise ConfigError(
+                    f"field 'ground_truth.{leaf}': total {counts.total()} exceeds "
+                    f"{eligible} eligible voters"
+                )
         leaves = set(self.tree.leaves())
         if leaves == {self.tree.root}:
             raise ValueError("simulation needs at least one reporting edge")
@@ -219,6 +239,15 @@ class Simulation:
         for idx, attack in enumerate(self.attacks):
             attacks_on.setdefault(attack.key, []).append(idx)
 
+        # The root keeps, per report kind, the latest accepted
+        # (child, seq, counts) entry of each child at that child's position,
+        # so a publication lists them in child order without a scan.
+        root_state = states[tree.root]
+        root_slot = {child: i for i, child in enumerate(tree.children(tree.root))}
+        root_entries: dict[ReportKind, list[tuple[JurisdictionId, int, VoteCount] | None]] = {
+            kind: [None] * len(root_slot) for kind in ReportKind
+        }
+
         postal = self.postal
         channels = self.channels
         prelim, final = ReportKind.PRELIMINARY, ReportKind.FINAL
@@ -270,17 +299,16 @@ class Simulation:
                 )
             heapq.heappush(heap, (delivery, next(counter), ("deliver", report, receiver, channel)))
 
+        def enter_at_root(report: Report) -> None:
+            entry = (report.sender, report.sequence_no, report.counts)
+            root_entries[report.kind][root_slot[report.sender]] = entry
+
         def report_up(time: int, node: JurisdictionId, kind: ReportKind, counts: VoteCount) -> None:
             """Publish ``counts`` at the root; anywhere else, emit them upward."""
             state = states[node]
-            if node == tree.root:
+            if state is root_state:
                 # A publication lists the child reports of its kind it sums.
-                received = state.received_final if kind is final else state.received_prelim
-                covered = tuple(
-                    (c, received[c].sequence_no, received[c].counts)
-                    for c in tree.children(node)
-                    if c in received
-                )
+                covered = tuple(filter(None, root_entries[kind]))
                 records.append(PublishRecord(time, node, kind, counts, covered))
                 return
             report = Report(self.election_id, node, state.next_seq, counts, kind, time)
@@ -302,6 +330,8 @@ class Simulation:
                     DetectRecord(time, receiver, reason, report.sender, report.sequence_no)
                 )
                 return
+            if state is root_state:
+                enter_at_root(report)
             report_up(time, receiver, prelim, state.accept_prelim(report))
 
         def on_final(time: int, report: Report, receiver: JurisdictionId, channel: ChannelSpec) -> None:
@@ -311,6 +341,8 @@ class Simulation:
             # So each child's final arrives exactly once, and the count reaches
             # zero exactly once: at the last child's final.
             state.received_final[report.sender] = report
+            if state is root_state:
+                enter_at_root(report)
             records.append(
                 DeliverRecord(
                     time, report.sender, receiver, channel.name, report.kind,

@@ -1,9 +1,11 @@
 """Minimum-vote-flip solvers.
 
 A flip moves one ballot from one side to the other, so every flip changes
-the yes/no margin by two. The cantonal solver picks the cheapest set of
-cantons to flip by an exact dynamic program over half-vote units; with
-half-canton weights in play a greedy choice is not always optimal.
+the yes/no margin by two. Costs follow the tally, ties included: a tie
+rejects, so erasing a yes lead is enough to reject. The cantonal solver
+picks the cheapest set of cantons to flip by an exact dynamic program over
+half-vote units; with half-canton weights in play a greedy choice is not
+always optimal.
 """
 
 from __future__ import annotations
@@ -41,33 +43,25 @@ class FlipPlan:
 
 
 def flips_to_majority(counts: VoteCount, target: Decision) -> int:
-    """Minimal single-ballot flips giving ``target`` a strict yes/no majority.
+    """Minimal single-ballot flips after which ``popular_outcome`` reads ``target``.
 
-    Returns 0 when the outcome already reads the target side. Raises
-    Infeasible when the side being drained runs out of ballots first.
+    Ties reject, as in the tally: acceptance needs strictly more yes than
+    no ballots, so a yes deficit of d costs d // 2 + 1 flips, while a yes
+    lead of d only has to be erased, which takes ceil(d / 2). Returns 0
+    when the counts already read the target. Raises Infeasible when the
+    side being drained runs out of ballots first.
     """
     if popular_outcome(counts) is target:
         return 0
-    return _strict_flip_cost(counts, target)
-
-
-def _strict_flip_cost(counts: VoteCount, target: Decision) -> int:
-    """Flips until the target side holds strictly more ballots; a tie costs one.
-
-    Unlike flips_to_majority this never shortcuts on the outcome rule: the
-    cantonal cover needs each selected canton to end with a strict target
-    majority, and a tied canton rejects without casting any weight.
-    """
     if target is Decision.ACCEPTED:
-        deficit, pool = counts.no - counts.yes, counts.no
-    else:
-        deficit, pool = counts.yes - counts.no, counts.yes
-    k = deficit // 2 + 1
-    if k > pool:
-        raise Infeasible(
-            f"need {k} flips toward {target.value} but only {pool} opposing ballots exist"
-        )
-    return k
+        k = (counts.no - counts.yes) // 2 + 1
+        if k > counts.no:
+            raise Infeasible(
+                f"need {k} flips toward {target.value} but only {counts.no} opposing ballots exist"
+            )
+        return k
+    # Never short of ballots: the lead is at most the yes side.
+    return (counts.yes - counts.no + 1) // 2
 
 
 def apply_flips(counts: VoteCount, n: int, target: Decision) -> VoteCount:
@@ -91,7 +85,7 @@ def apply_plan(
 
 
 def min_flips_popular(counts: VoteCount, target: Decision) -> FlipPlan:
-    """Minimal flips reversing (or keeping) the strict popular outcome."""
+    """Minimal flips after which the popular vote reads ``target``."""
     k = flips_to_majority(counts, target)
     if k == 0:
         return FlipPlan({}, 0, target)
@@ -103,29 +97,26 @@ def _canton_flip_items(
     tree: JurisdictionTree,
     target: Decision,
 ) -> tuple[int, list[tuple[JurisdictionId, int, int]]]:
-    """Current target-side half votes plus (canton, half_votes, cost) for the rest.
+    """Half votes of cantons reading ``target``, plus (canton, half_votes, cost) for the rest.
 
-    Cantons that cannot reach a strict target majority at all (no opposing
-    ballots left to flip) are silently excluded from the item list.
+    A canton reads a target as the popular vote does: for acceptance it
+    needs a yes majority of its own, while for rejection a tie is enough,
+    since a tied canton casts no yes weight. Cantons that cannot reach
+    the target at all (no opposing ballots left to flip) are silently
+    excluded from the item list.
     """
     held_half = 0
     items: list[tuple[JurisdictionId, int, int]] = []
     for canton in tree.cantons():
-        counts = per_canton[canton]
-        # A tied canton casts its weight for neither side, so "holds" means a
-        # strict majority even when the target is rejection.
-        if target is Decision.ACCEPTED:
-            holds = counts.yes > counts.no
-        else:
-            holds = counts.no > counts.yes
-        if holds:
-            held_half += tree.canton_half_votes[canton]
-            continue
+        half = tree.canton_half_votes[canton]
         try:
-            cost = _strict_flip_cost(counts, target)
+            cost = flips_to_majority(per_canton[canton], target)
         except Infeasible:
             continue
-        items.append((canton, tree.canton_half_votes[canton], cost))
+        if cost:
+            items.append((canton, half, cost))
+        else:
+            held_half += half
     return held_half, items
 
 
@@ -180,16 +171,21 @@ def min_flips_cantonal(
     tree: JurisdictionTree,
     target: Decision,
 ) -> FlipPlan:
-    """Cheapest flips handing ``target`` a strict cantonal majority.
+    """Cheapest flips after which the cantonal vote reads ``target``.
 
-    Per-canton cost is the canton's own strict-majority flip count; the
-    selection of cantons is solved exactly, not greedily.
+    Per-canton cost is the canton's own flip count (``flips_to_majority``);
+    the selection of cantons is solved exactly, not greedily.
     """
     current, _, _ = cantonal_outcome(per_canton, tree)
     if current is target:
         return FlipPlan({}, 0, target)
     total_half = tree.total_half_votes()
-    need_half = total_half // 2 + 1
+    # Acceptance needs yes cantons holding strictly more than half the
+    # weight; rejection needs the other cantons to hold at least the rest.
+    if target is Decision.ACCEPTED:
+        need_half = total_half // 2 + 1
+    else:
+        need_half = total_half - total_half // 2
     held_half, items = _canton_flip_items(per_canton, tree, target)
     deficit_half = need_half - held_half
     if deficit_half <= 0:
@@ -265,8 +261,7 @@ def min_flips_outcome(
     Acceptance needs both majorities, so it costs min_flips_double's plan.
     Rejection needs only one of them to fail, so it costs the cheaper of
     the popular plan (national pool) and the cantonal plan, the popular
-    one on a tie. Either dimension, if flipped, ends with a strict target
-    majority, as in the solvers above.
+    one on a tie. Ties reject, as in the solvers above.
     """
     if spec.majority_rule is not MajorityRule.DOUBLE_MAJORITY:
         raise ValueError("outcome solver called for a popular-only referendum")

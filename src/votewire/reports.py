@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import enum
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .counts import VoteCount
 from .tree import JurisdictionId
@@ -16,15 +16,7 @@ class ReportKind(enum.Enum):
     FINAL = "final"
 
 
-@dataclass(frozen=True, slots=True)
-class Report:
-    """One upward message: full replacement totals for the sender's subtree.
-
-    Reports are totals, never deltas, so a lost or reordered message cannot
-    corrupt an aggregate; the latest accepted report per sender wins.
-    Sequence numbers start at 1 and are per (sender, election).
-    """
-
+class _ReportFields(NamedTuple):
     election_id: str
     sender: JurisdictionId
     sequence_no: int
@@ -32,13 +24,37 @@ class Report:
     kind: ReportKind
     emitted_at: int
 
-    def __post_init__(self) -> None:
-        if not self.election_id:
+
+class Report(_ReportFields):
+    """One upward message: full replacement totals for the sender's subtree.
+
+    Reports are totals, never deltas, so a lost or reordered message cannot
+    corrupt an aggregate; the latest accepted report per sender wins.
+    Sequence numbers start at 1 and are per (sender, election).
+
+    An immutable tuple, cheap to build. Only the constructor checks its
+    fields: build every changed copy through it, never through ``_replace``
+    or ``_make``.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        election_id: str,
+        sender: JurisdictionId,
+        sequence_no: int,
+        counts: VoteCount,
+        kind: ReportKind,
+        emitted_at: int,
+    ) -> "Report":
+        if not election_id:
             raise ValueError("election_id must be non-empty")
-        if self.sequence_no < 1:
+        if sequence_no < 1:
             raise ValueError("sequence_no starts at 1")
-        if self.emitted_at < 0:
+        if emitted_at < 0:
             raise ValueError("emitted_at must be >= 0 ticks")
+        return tuple.__new__(cls, (election_id, sender, sequence_no, counts, kind, emitted_at))
 
 
 class SequenceState:

@@ -84,14 +84,6 @@ def parse_scenario(text: str) -> Simulation:
     noise = _noise(top.get("noise"))
     attacks = _attacks(top.get("attacks", []), tree)
 
-    for leaf, counts in ground_truth.items():
-        eligible = tree.eligible_voters.get(leaf)
-        if eligible is not None and counts.total() > eligible:
-            raise ConfigError(
-                f"field 'ground_truth.{leaf}': total {counts.total()} exceeds "
-                f"{eligible} eligible voters"
-            )
-
     try:
         return Simulation(
             election_id=election_id,

@@ -178,17 +178,25 @@ def tree_from_paths(
     canton_half_votes: Mapping[JurisdictionId, int] | None = None,
     eligible_voters: Mapping[JurisdictionId, int] | None = None,
 ) -> JurisdictionTree:
-    """Build a tree from full paths; intermediate nodes are created implicitly."""
-    ids = set()
+    """Build a tree from full paths; intermediate nodes are created implicitly.
+
+    Each node is built once, so a parent is the very object listed among
+    its own parent's children.
+    """
+    ids: dict[tuple[str, ...], JurisdictionId] = {}
     for p in paths:
         p = tuple(p)
-        for i in range(1, len(p) + 1):
-            ids.add(JurisdictionId(p[:i]))
-    roots = [j for j in ids if len(j.path) == 1]
+        # Longest prefix first: once one is known, so are all shorter ones.
+        for i in range(len(p), 0, -1):
+            prefix = p[:i]
+            if prefix in ids:
+                break
+            ids[prefix] = JurisdictionId(prefix)
+    roots = [j for prefix, j in ids.items() if len(prefix) == 1]
     if len(roots) != 1:
         raise ValueError(f"expected exactly one root, found {sorted(str(r) for r in roots)}")
     children: dict[JurisdictionId, list[JurisdictionId]] = {}
-    for j in sorted(ids, key=lambda j: j.path):
-        if j.parent is not None:
-            children.setdefault(j.parent, []).append(j)
+    for prefix in sorted(ids):
+        if len(prefix) > 1:
+            children.setdefault(ids[prefix[:-1]], []).append(ids[prefix])
     return JurisdictionTree(roots[0], children, canton_half_votes, eligible_voters)

@@ -121,6 +121,13 @@ class TestAttackSpecValidation:
         every = AttackSpec(AttackKind.DELAY, canton_id("ZH"), hold_ticks=5, first_n=None)
         assert every.first_n is None
 
+    def test_forged_seq_must_start_at_one(self):
+        # Used to build, then fail mid-run when the forgery was made.
+        with pytest.raises(ValueError, match="forged_seq must be >= 1"):
+            AttackSpec(
+                AttackKind.FRONT_RUN, canton_id("ZH"), forged_counts=VoteCount(1, 0), forged_seq=0
+            )
+
     def test_mode_labels(self):
         blind = AttackSpec(AttackKind.DELAY, canton_id("ZH"), hold_ticks=5)
         tuned = AttackSpec(AttackKind.DELAY, canton_id("ZH"), hold_ticks=5, omniscient=True)
@@ -196,3 +203,41 @@ class TestAttackApplication:
         )
         with pytest.raises(CapabilityError):
             forge_report(sample_report(), attack, wrapped(EMAIL))
+
+
+# Each unchecked report breaks one rule that Report(...) enforces.
+BROKEN_REPORTS = {
+    "election_id must be non-empty": dict(election_id=""),
+    "sequence_no starts at 1": dict(sequence_no=0),
+    "emitted_at must be >= 0 ticks": dict(emitted_at=-1),
+}
+
+
+class TestReportChecks:
+    @pytest.mark.parametrize("message, broken", BROKEN_REPORTS.items())
+    def test_constructor_checks_every_field(self, message, broken):
+        with pytest.raises(ValueError, match=message):
+            Report(**{**sample_report()._asdict(), **broken})
+
+    @pytest.mark.parametrize("message, broken", BROKEN_REPORTS.items())
+    def test_tamper_and_forgery_rebuild_through_the_checks(self, message, broken):
+        # _make skips the checks, so only a rebuild through Report(...)
+        # catches what it let through.
+        unchecked = Report._make({**sample_report()._asdict(), **broken}.values())
+        with pytest.raises(ValueError, match=message):
+            apply_tamper(unchecked, Mutation(MutationKind.SWAP_YES_NO), EMAIL)
+        if "sequence_no" in broken:
+            return  # a forgery brings its own sequence number
+        attack = AttackSpec(
+            AttackKind.FRONT_RUN, canton_id("ZH"), forged_counts=VoteCount(1, 0)
+        )
+        with pytest.raises(ValueError, match=message):
+            forge_report(unchecked, attack, EMAIL)
+
+    def test_fields_cannot_be_reassigned_or_added(self):
+        report = sample_report()
+        for name in Report._fields:
+            with pytest.raises(AttributeError):
+                setattr(report, name, None)
+        with pytest.raises(AttributeError):
+            report.note = "extra"

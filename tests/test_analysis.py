@@ -1,4 +1,4 @@
-"""Results ingestion, discrepancy statistics, and vulnerability flags."""
+"""Results ingestion and discrepancy statistics."""
 
 import datetime
 from fractions import Fraction
@@ -10,16 +10,14 @@ from hypothesis import strategies as st
 from votewire.analysis import (
     HistoricalRecord,
     bundled_results_path,
+    canton_final_counts,
     discrepancy_stats,
     load_results,
     parse_results,
-    vulnerability_report,
 )
-from votewire.counts import VoteCount, accumulate
+from votewire.counts import VoteCount
 from votewire.errors import DuplicateRecord, MissingCanton, ParseError
-from votewire.flips import min_flips_cantonal, min_flips_popular
 from votewire.swiss import canton_id, load_cantons, swiss_tree
-from votewire.tally import Decision, MajorityRule, ReferendumSpec
 
 HEADER = "referendum_id,date,canton,prelim_yes,prelim_no,final_yes,final_no,final_total"
 
@@ -156,77 +154,18 @@ class TestDiscrepancyStats:
             assert a.max_abs_discrepancy == b.max_abs_discrepancy
 
 
-class TestVulnerabilityReport:
-    def test_rtvg_popular_plan_is_flagged(self):
-        records = load_results(bundled_results_path("rtvg_2015"))
-        spec = ReferendumSpec("rtvg-2015", MajorityRule.POPULAR_ONLY)
-        (report,) = vulnerability_report(records, swiss_tree(), spec)
-        assert report.outcome.popular is Decision.ACCEPTED
-        assert report.popular_plan.total_flips == 1825
-        assert report.popular_vulnerable
-        assert report.vulnerable
-        assert report.cantonal_plan is None
-
-    def test_family_cantonal_plan_selects_two_mountain_cantons(self):
-        records = load_results(bundled_results_path("family_2013"))
-        spec = ReferendumSpec("family-2013", MajorityRule.DOUBLE_MAJORITY)
-        (report,) = vulnerability_report(records, swiss_tree(), spec)
-        assert report.outcome.overall is Decision.REJECTED
-        assert {c.name for c in report.cantonal_plan.cantons()} == {"GR", "ZG"}
-        assert report.cantonal_plan.flips_per_canton == {
-            canton_id("GR"): 896,
-            canton_id("ZG"): 934,
-        }
-        assert report.cantonal_plan.total_flips == 1830
-
-    def test_landslide_is_not_flagged(self):
+class TestCantonFinalCounts:
+    def test_keys_final_counts_by_canton_and_skips_the_federal_row(self):
         tree = swiss_tree()
-        records = [
-            record(c.name, (8000, 2000), (8000, 2000), ref="landslide")
-            for c in tree.cantons()
-        ]
-        spec = ReferendumSpec("landslide", MajorityRule.DOUBLE_MAJORITY)
-        (report,) = vulnerability_report(records, tree, spec)
-        assert not report.vulnerable
-        assert not report.popular_vulnerable
-        assert not report.cantonal_vulnerable
+        records = [record(c.name, (1, 1), (3, 2)) for c in tree.cantons()]
+        records.append(record("CH", (26, 26), (78, 52)))
+        counts = canton_final_counts(records, tree)
+        assert set(counts) == set(tree.cantons())
+        assert counts[canton_id("ZH")] == VoteCount(3, 2)
 
-    def test_totals_match_solver_code_path(self):
+    def test_names_missing_and_unknown_cantons(self):
         tree = swiss_tree()
-        records = load_results(bundled_results_path("family_2013"))
-        spec = ReferendumSpec("family-2013", MajorityRule.DOUBLE_MAJORITY)
-        (report,) = vulnerability_report(records, tree, spec)
-        per_canton = {
-            canton_id(r.canton): r.final for r in records if r.canton != "CH"
-        }
-        national = accumulate(per_canton.values())
-        assert (
-            report.popular_plan.total_flips
-            == min_flips_popular(national, Decision.REJECTED).total_flips
-        )
-        assert (
-            report.cantonal_plan.total_flips
-            == min_flips_cantonal(per_canton, tree, Decision.ACCEPTED).total_flips
-        )
-
-    def test_missing_canton_rejected(self):
-        tree = swiss_tree()
-        records = [record("ZH", (10, 5), (10, 5), ref="partial")]
-        spec = ReferendumSpec("partial", MajorityRule.POPULAR_ONLY)
-        with pytest.raises(MissingCanton):
-            vulnerability_report(records, tree, spec)
-
-    def test_external_baseline_supplies_the_history(self):
-        tree = swiss_tree()
-        # Flipping this referendum takes 27 flips; its own history is clean,
-        # but the baseline has seen errors that large.
-        records = [
-            record(c.name, (5001, 4999), (5001, 4999), ref="close")
-            for c in tree.cantons()
-        ]
-        spec = ReferendumSpec("close", MajorityRule.POPULAR_ONLY)
-        (clean,) = vulnerability_report(records, tree, spec)
-        assert not clean.popular_vulnerable
-        baseline = [record("VD", (900, 1100), (1000, 1000), ref="old")]
-        (flagged,) = vulnerability_report(records, tree, spec, baseline=baseline)
-        assert flagged.popular_vulnerable
+        with pytest.raises(MissingCanton, match=r"no final counts for: AG, AI, AR"):
+            canton_final_counts([record("ZH", (10, 5), (10, 5))], tree)
+        with pytest.raises(MissingCanton, match="XX is not a canton"):
+            canton_final_counts([record("XX", (10, 5), (10, 5))], tree)

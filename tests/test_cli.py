@@ -180,16 +180,18 @@ class TestFlip:
 
     def test_double_rejection_needs_only_one_majority(self, capsys):
         # Accepted by people and cantons; the cantonal majority alone falls
-        # with 991 flips, cheaper than the popular vote's 1825.
+        # with 868 flips that tie 13 cantons, cheaper than the popular vote's
+        # 1825.
         assert main(["flip", "--results", RTVG, "--referendum", "rtvg-2015"]) == 0
         out = capsys.readouterr().out
         assert "rule: double\noutcome: accepted\ntarget: rejected\n" in out
         assert "national" not in out
-        assert out.endswith("total_flips: 991\n")
+        assert out.count("\n  ") == 13
+        assert out.endswith("total_flips: 868\n")
 
     def test_double_rejection_on_uniform_cantons(self, tmp_path, capsys):
-        # Every canton 1000 yes to 900 no: the popular vote needs 1301 flips,
-        # twelve full cantons at 51 flips each need 612.
+        # Every canton 1000 yes to 900 no: the popular vote needs 1300 flips
+        # to tie, twelve cantons tied at 50 flips each need 600.
         rows = [
             f"toy,2020-01-01,{code},1000,900,1000,900,1900"
             for code in sorted(canton_names())
@@ -201,8 +203,8 @@ class TestFlip:
         )
         assert main(["flip", "--results", str(results), "--referendum", "toy"]) == 0
         out = capsys.readouterr().out
-        assert out.count(": 51\n") == 12
-        assert out.endswith("total_flips: 612\n")
+        assert out.count(": 50\n") == 12
+        assert out.endswith("total_flips: 600\n")
 
     def test_already_at_target(self, capsys):
         code = main(

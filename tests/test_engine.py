@@ -29,9 +29,9 @@ from votewire.engine import (
     Simulation,
     feasibility_check,
 )
-from votewire.errors import ArithmeticOverflow, CapabilityError
+from votewire.errors import ArithmeticOverflow, CapabilityError, ConfigError
 from votewire.reports import Report, ReportKind, SequenceState
-from votewire.traces import DeliverRecord, EmitRecord, PublishRecord
+from votewire.traces import AttackRecord, DeliverRecord, DetectRecord, EmitRecord, PublishRecord
 from votewire.tree import JurisdictionId, tree_from_paths
 
 CH = JurisdictionId.of("CH")
@@ -234,6 +234,50 @@ class TestDeepHierarchy:
         assert truths[sim.tree.root] == VoteCount(60, 60)
 
 
+class TestRootPublication:
+    def test_publishes_in_child_order_whatever_the_arrival_order(self):
+        # C reports first, then A's subtree twice (X, then Y), then B; the
+        # root lists its children in tree order, A's entry replaced in place.
+        x, y = JurisdictionId.of("CH", "A", "X"), JurisdictionId.of("CH", "A", "Y")
+        c = JurisdictionId.of("CH", "C")
+        tree = tree_from_paths([x.path, y.path, B.path, c.path])
+        sim = Simulation(
+            election_id="toy",
+            tree=tree,
+            channels={n: preset("email") for n in tree.nodes() if n != CH},
+            ground_truth={x: VoteCount(1, 0), y: VoteCount(2, 0), B: VoteCount(0, 3), c: VoteCount(4, 0)},
+            prelim_emit={c: 0, x: 10, y: 20, B: 30},
+            final_emit={c: 100, B: 110, y: 120, x: 130},
+        )
+        trace = sim.run()
+        prelims = [
+            [(child, seq) for child, seq, _ in pub.children]
+            for pub in trace.publishes(ReportKind.PRELIMINARY)
+        ]
+        assert prelims == [[(c, 1)], [(A, 1), (c, 1)], [(A, 2), (c, 1)], [(A, 2), (B, 1), (c, 1)]]
+        (final,) = trace.publishes(ReportKind.FINAL)
+        assert [child for child, _, _ in final.children] == [A, B, c]
+        assert final.counts == VoteCount(7, 3)
+
+
+class TestImmutableRecords:
+    RECORDS = (
+        EmitRecord(0, A, ReportKind.PRELIMINARY, 1, VoteCount(1, 0)),
+        DeliverRecord(1, A, CH, "email", ReportKind.PRELIMINARY, 1, VoteCount(1, 0), True),
+        AttackRecord(1, "delay", A, CH, "blind", "hold:5"),
+        DetectRecord(1, CH, REASON_STALE_SEQUENCE, A, 1),
+        PublishRecord(1, CH, ReportKind.PRELIMINARY, VoteCount(1, 0), ((A, 1, VoteCount(1, 0)),)),
+    )
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_fields_cannot_be_reassigned_or_added(self, record):
+        for name in type(record).__match_args__:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.note = "extra"
+
+
 class TestAttacksInTheLoop:
     def test_tamper_changes_prelim_but_never_final(self):
         attack = AttackSpec(
@@ -383,6 +427,15 @@ class TestSimulationValidation:
                     JurisdictionId.of("CH"): VoteCount(1, 0),
                 }
             )
+
+    def test_ground_truth_above_eligible_voters_rejected(self):
+        # Used to run: every preliminary from A was refused as over_eligible
+        # and the final published the impossible 31:21 as matching the truth.
+        tree = tree_from_paths([("CH", "A"), ("CH", "B")], eligible_voters={A: 10})
+        with pytest.raises(
+            ConfigError, match=r"^field 'ground_truth.CH/A': total 50 exceeds 10 eligible voters$"
+        ):
+            two_leaf_sim(tree=tree, ground_truth={A: VoteCount(30, 20), B: VoteCount(1, 1)})
 
     def test_every_edge_needs_a_channel(self):
         with pytest.raises(ValueError, match="no channel"):

@@ -62,6 +62,14 @@ class TestPopularSolver:
     def test_tie_breaks_with_one_flip(self):
         assert min_flips_popular(VoteCount(yes=7, no=7), ACCEPT).total_flips == 1
 
+    def test_a_tie_already_rejects(self):
+        assert min_flips_popular(VoteCount(yes=7, no=7), REJECT).total_flips == 0
+
+    def test_even_lead_is_rejected_by_a_tie(self):
+        # 1300 flips leave 1300:1300, which rejects; the strict count was 1301.
+        assert min_flips_popular(VoteCount(yes=2600, no=0), REJECT).total_flips == 1300
+        assert popular_outcome(apply_flips(VoteCount(yes=2600), 1300, REJECT)) is REJECT
+
     def test_already_at_target_is_free(self):
         plan = min_flips_popular(VoteCount(yes=9, no=1), ACCEPT)
         assert plan.total_flips == 0
@@ -84,9 +92,9 @@ class TestPopularSolver:
         assert plan.achieves is target
         if plan.total_flips:
             after = apply_flips(counts, plan.total_flips, target)
-            assert oracles.strict_target(after, target)
+            assert popular_outcome(after) is target
             almost = apply_flips(counts, plan.total_flips - 1, target)
-            assert not oracles.strict_target(almost, target)
+            assert popular_outcome(almost) is not target
 
 
 class TestCantonalSolver:
@@ -126,9 +134,9 @@ class TestCantonalSolver:
         }
         assert min_flips_cantonal(per_canton, tree, ACCEPT).total_flips == 0
 
-    def test_tied_canton_costs_one_flip_in_a_rejection_cover(self):
-        # B's tie already reads as rejection on its own, but selecting it for
-        # the cover still takes one flip before it casts its weight.
+    def test_tied_canton_already_withholds_its_weight_from_acceptance(self):
+        # B's tie casts no yes weight, so tying D (2 flips) leaves yes with
+        # half the weight, which rejects; flipping A or B is not needed.
         tree = make_canton_tree({"A": 2, "D": 1, "B": 1})
         per_canton = {
             canton_id("A"): VoteCount(yes=9, no=0),
@@ -136,8 +144,20 @@ class TestCantonalSolver:
             canton_id("B"): VoteCount(yes=2, no=2),
         }
         plan = min_flips_cantonal(per_canton, tree, REJECT)
-        assert plan.flips_per_canton == {canton_id("A"): 5, canton_id("B"): 1}
+        assert plan.flips_per_canton == {canton_id("D"): 2}
         assert plan.total_flips == oracles.cantonal_flips_subsets(per_canton, tree, REJECT)
+        assert cantonal_outcome(apply_plan(per_canton, plan), tree)[0] is REJECT
+
+    def test_acceptance_cover_still_needs_strict_canton_majorities(self):
+        # A tied canton casts no yes weight either: B must go one past the tie.
+        tree = make_canton_tree({"A": 2, "B": 2, "C": 2})
+        per_canton = {
+            canton_id("A"): VoteCount(yes=5, no=1),
+            canton_id("B"): VoteCount(yes=4, no=4),
+            canton_id("C"): VoteCount(yes=0, no=9),
+        }
+        plan = min_flips_cantonal(per_canton, tree, ACCEPT)
+        assert plan.flips_per_canton == {canton_id("B"): 1}
 
     def test_infeasible_when_opposing_cantons_have_no_ballots(self):
         tree = make_canton_tree({"A": 1, "B": 2})
@@ -160,11 +180,9 @@ class TestCantonalSolver:
         plan = min_flips_cantonal(per_canton, tree, target)
         assert plan.total_flips == expected
         for canton, n in plan.flips_per_canton.items():
-            # Each selected canton gets exactly its own strict-majority cost.
-            assert oracles.strict_target(apply_flips(per_canton[canton], n, target), target)
-            assert not oracles.strict_target(
-                apply_flips(per_canton[canton], n - 1, target), target
-            )
+            # Each selected canton gets exactly its own cost to read the target.
+            assert popular_outcome(apply_flips(per_canton[canton], n, target)) is target
+            assert popular_outcome(apply_flips(per_canton[canton], n - 1, target)) is not target
         if expected:
             decision, _, _ = cantonal_outcome(apply_plan(per_canton, plan), tree)
             assert decision is target
@@ -267,25 +285,26 @@ class TestOutcomeSolver:
     SPEC = ReferendumSpec("x", MajorityRule.DOUBLE_MAJORITY)
 
     def test_rejection_takes_the_cheaper_cantonal_plan(self):
-        # Every canton 1000 yes to 900 no: flipping the popular vote costs
-        # 1301, but 12 full cantons at 51 flips each carry 24 of 46 half votes.
+        # Every canton 1000 yes to 900 no: tying the popular vote costs 1300,
+        # but tying cantons worth 23 of 46 half votes, at 50 flips each,
+        # leaves yes without a cantonal majority for 600.
         tree = swiss_tree()
         per_canton = {c: VoteCount(yes=1000, no=900) for c in tree.cantons()}
         plan = min_flips_outcome(per_canton, tree, self.SPEC, REJECT)
-        assert plan.total_flips == 612
-        assert set(plan.flips_per_canton.values()) == {51}
-        assert min_flips_double(per_canton, tree, self.SPEC, REJECT).total_flips == 1301
+        assert plan.total_flips == 600
+        assert set(plan.flips_per_canton.values()) == {50}
+        assert min_flips_double(per_canton, tree, self.SPEC, REJECT).total_flips == 1300
         flipped = apply_plan(per_canton, plan)
         assert referendum_outcome(self.SPEC, flipped, tree).overall is REJECT
 
-    @pytest.mark.parametrize("no_in_c, popular_cost", [(3, 1), (1, 2)])
+    @pytest.mark.parametrize("no_in_c, popular_cost", [(5, 1), (2, 2)])
     def test_popular_plan_when_cheaper_or_tied(self, no_in_c, popular_cost):
-        # Cantonal rejection flips A (2 ballots) to join C; the popular vote
+        # Cantonal rejection ties A (2 flips) to join C; the popular vote
         # costs 1 (cheaper) or 2 (tied, and the popular plan wins ties).
         tree = make_canton_tree({"A": 2, "B": 2, "C": 1})
         per_canton = {
-            canton_id("A"): VoteCount(yes=12, no=10),
-            canton_id("B"): VoteCount(yes=12, no=10),
+            canton_id("A"): VoteCount(yes=13, no=10),
+            canton_id("B"): VoteCount(yes=13, no=10),
             canton_id("C"): VoteCount(yes=0, no=no_in_c),
         }
         assert min_flips_cantonal(per_canton, tree, REJECT).total_flips == 2

@@ -142,6 +142,19 @@ class TestTreeFromPaths:
         assert JurisdictionId.of("CH", "ZH") in tree
         assert tree.children(JurisdictionId.of("CH")) == (JurisdictionId.of("CH", "ZH"),)
 
+    def test_builds_each_node_once(self, monkeypatch):
+        built = []
+        check = JurisdictionId.__post_init__
+        monkeypatch.setattr(
+            JurisdictionId, "__post_init__", lambda self: (built.append(self), check(self))
+        )
+        paths = [("CH", "ZH", "Uster"), ("CH", "ZH", "Zurich"), ("CH", "BE", "Bern"), ("CH", "BE")]
+        tree = tree_from_paths(paths)
+        assert len(built) == len(tree.nodes()) == 6
+        for parent in built:
+            for child in tree.children(parent):
+                assert tree.parent(child) is parent
+
     def test_rejects_multiple_roots(self):
         with pytest.raises(ValueError):
             tree_from_paths([("CH", "ZH"), ("DE", "BY")])
