@@ -16,15 +16,16 @@ counts can be corrupted in flight by configured attacks; final counts ride
 the signed postal channel, so the final publication always equals the sum
 of the leaf ground truths.
 
-Every event costs the same whatever the fanout. Each node keeps its
-children's latest accepted preliminaries and a running total of them: an
-accept subtracts the superseded report and adds the new one, instead of
-re-summing every child. Each node also counts the child finals it still
-awaits, and forwards its own final when that count reaches zero. The root
-keeps each child's latest accepted (child, seq, counts) entry of each kind
-at that child's position, so a publication copies one list, in child
-order, instead of looking every child up. Attacks are looked up by (edge,
-report kind), in configuration order.
+Every event costs the same whatever the fanout. Each node keeps, per
+report kind, one child table: each child's latest accepted (child, seq,
+counts) entry at that child's ``JurisdictionTree.position``. Beside it the
+node keeps a running total of its preliminary table, so an accept
+subtracts the superseded entry and adds the new one instead of re-summing
+every child, and a count of the child finals it still awaits: when that
+reaches zero it sums its final table. The root is the node that publishes
+instead of emitting; a publication copies its table of that kind, which
+is already in child order. Attacks are looked up by (edge, report kind),
+in configuration order.
 
 Trace records and reports are tuples (see ``traces`` and ``reports``), so
 the ~100k values a large run builds cost a C constructor call each.
@@ -122,37 +123,19 @@ class NoiseModel:
 
 
 class _NodeState:
-    __slots__ = (
-        "next_seq", "received_prelim", "received_final",
-        "prelim_total", "finals_pending",
-    )
+    __slots__ = ("next_seq", "latest", "prelim_total", "finals_pending")
 
     def __init__(self, fanout: int) -> None:
         self.next_seq = 1
-        self.received_prelim: dict[JurisdictionId, Report] = {}
-        self.received_final: dict[JurisdictionId, Report] = {}
-        # [yes, no, blank, invalid] summed over received_prelim.
+        # Per report kind, the child table: each child's latest accepted
+        # (child, seq, counts) entry at the child's position, None before one.
+        self.latest: dict[ReportKind, list[tuple[JurisdictionId, int, VoteCount] | None]] = {
+            kind: [None] * fanout for kind in ReportKind
+        }
+        # [yes, no, blank, invalid] summed over the preliminary table.
         self.prelim_total = [0, 0, 0, 0]
+        # Children whose final has not arrived yet.
         self.finals_pending = fanout
-
-    def accept_prelim(self, report: Report) -> VoteCount:
-        """Record an accepted child preliminary; return the new subtree total."""
-        old = self.received_prelim.get(report.sender)
-        self.received_prelim[report.sender] = report
-        total = self.prelim_total
-        if old is not None:
-            prev = old.counts
-            total[0] -= prev.yes
-            total[1] -= prev.no
-            total[2] -= prev.blank
-            total[3] -= prev.invalid
-        new = report.counts
-        total[0] += new.yes
-        total[1] += new.no
-        total[2] += new.blank
-        total[3] += new.invalid
-        # VoteCount raises ArithmeticOverflow past the 64-bit count range.
-        return VoteCount(*total)
 
 
 @dataclass(frozen=True)
@@ -195,8 +178,8 @@ class Simulation:
             raise ValueError(
                 f"ground truth must cover exactly the leaves; missing={missing} extra={extra}"
             )
-        for node in self.tree.nodes():
-            if node != self.tree.root and node not in self.channels:
+        for node in self.tree.order()[1:]:
+            if node not in self.channels:
                 raise ValueError(f"no channel configured for edge {node} -> parent")
         for name in ("jitter_max", "final_emit_default", "postal_latency"):
             if getattr(self, name) < 0:
@@ -239,14 +222,8 @@ class Simulation:
         for idx, attack in enumerate(self.attacks):
             attacks_on.setdefault(attack.key, []).append(idx)
 
-        # The root keeps, per report kind, the latest accepted
-        # (child, seq, counts) entry of each child at that child's position,
-        # so a publication lists them in child order without a scan.
         root_state = states[tree.root]
-        root_slot = {child: i for i, child in enumerate(tree.children(tree.root))}
-        root_entries: dict[ReportKind, list[tuple[JurisdictionId, int, VoteCount] | None]] = {
-            kind: [None] * len(root_slot) for kind in ReportKind
-        }
+        position = tree.position
 
         postal = self.postal
         channels = self.channels
@@ -299,16 +276,12 @@ class Simulation:
                 )
             heapq.heappush(heap, (delivery, next(counter), ("deliver", report, receiver, channel)))
 
-        def enter_at_root(report: Report) -> None:
-            entry = (report.sender, report.sequence_no, report.counts)
-            root_entries[report.kind][root_slot[report.sender]] = entry
-
         def report_up(time: int, node: JurisdictionId, kind: ReportKind, counts: VoteCount) -> None:
             """Publish ``counts`` at the root; anywhere else, emit them upward."""
             state = states[node]
             if state is root_state:
-                # A publication lists the child reports of its kind it sums.
-                covered = tuple(filter(None, root_entries[kind]))
+                # A publication lists the child entries of its kind it sums.
+                covered = tuple(filter(None, state.latest[kind]))
                 records.append(PublishRecord(time, node, kind, counts, covered))
                 return
             report = Report(self.election_id, node, state.next_seq, counts, kind, time)
@@ -317,7 +290,6 @@ class Simulation:
             send(time, report, postal if kind is final else channels[node])
 
         def on_prelim(time: int, report: Report, receiver: JurisdictionId, channel: ChannelSpec) -> None:
-            state = states[receiver]
             reason = feasibility_check(report, receiver, tree, seq_state)
             records.append(
                 DeliverRecord(
@@ -330,9 +302,25 @@ class Simulation:
                     DetectRecord(time, receiver, reason, report.sender, report.sequence_no)
                 )
                 return
-            if state is root_state:
-                enter_at_root(report)
-            report_up(time, receiver, prelim, state.accept_prelim(report))
+            state = states[receiver]
+            table = state.latest[prelim]
+            slot = position(report.sender)
+            old = table[slot]
+            new = report.counts
+            table[slot] = (report.sender, report.sequence_no, new)
+            total = state.prelim_total
+            if old is not None:
+                prev = old[2]
+                total[0] -= prev.yes
+                total[1] -= prev.no
+                total[2] -= prev.blank
+                total[3] -= prev.invalid
+            total[0] += new.yes
+            total[1] += new.no
+            total[2] += new.blank
+            total[3] += new.invalid
+            # VoteCount raises ArithmeticOverflow past the 64-bit count range.
+            report_up(time, receiver, prelim, VoteCount(*total))
 
         def on_final(time: int, report: Report, receiver: JurisdictionId, channel: ChannelSpec) -> None:
             state = states[receiver]
@@ -340,9 +328,8 @@ class Simulation:
             # no attack can forge another: Simulation refuses front-run there.
             # So each child's final arrives exactly once, and the count reaches
             # zero exactly once: at the last child's final.
-            state.received_final[report.sender] = report
-            if state is root_state:
-                enter_at_root(report)
+            table = state.latest[final]
+            table[position(report.sender)] = (report.sender, report.sequence_no, report.counts)
             records.append(
                 DeliverRecord(
                     time, report.sender, receiver, channel.name, report.kind,
@@ -352,8 +339,7 @@ class Simulation:
             state.finals_pending -= 1
             if state.finals_pending:
                 return
-            totals = accumulate(r.counts for r in state.received_final.values())
-            report_up(time, receiver, final, totals)
+            report_up(time, receiver, final, accumulate(c for _, _, c in table))
 
         while heap:
             time, _, event = heapq.heappop(heap)

@@ -70,7 +70,7 @@ def parse_scenario(text: str) -> Simulation:
     _choice(MajorityRule, top.get("majority_rule", "double"), "majority_rule", "rule")
     seed = _int(top.get("seed", 0), "seed", minimum=0)
 
-    tree = _tree(_required(top, "tree", "scenario"))
+    tree = tree_from_config(_required(top, "tree", "scenario"))
     ground_truth = _ground_truth(_required(top, "ground_truth", "scenario"), tree)
     channels = _channels(top, tree)
     _apply_wrap(top.get("wrap"), channels, tree)
@@ -192,11 +192,7 @@ def _counts(value: Any, where: str) -> VoteCount:
 
 
 def tree_from_config(value: Any) -> JurisdictionTree:
-    """Parse the ``tree`` object of a scenario document on its own."""
-    return _tree(value)
-
-
-def _tree(value: Any) -> JurisdictionTree:
+    """Parse the ``tree`` object of a scenario document."""
     obj = _mapping(value, "tree")
     if "preset" in obj:
         _reject_unknown(obj, {"preset"}, "tree")
@@ -309,8 +305,8 @@ def _channels(top: Mapping[str, Any], tree: JurisdictionTree) -> dict[Jurisdicti
     for key, raw in _mapping(top.get("channels", {}), "channels").items():
         channels[_edge(key, tree, f"channels.{key}")] = _channel_spec(raw, f"channels.{key}")
 
-    for node in tree.nodes():
-        if node == tree.root or node in channels:
+    for node in tree.order()[1:]:
+        if node in channels:
             continue
         if default is None:
             raise ConfigError(

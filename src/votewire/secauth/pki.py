@@ -217,9 +217,9 @@ def provision_tree(tree: JurisdictionTree, seed: bytes | None = None) -> Provisi
     certs[root] = self_signed_root(root_key, root_public, serial=1)
 
     serial = 2
+    # Appending while iterating walks breadth first without popping the front.
     queue: list[JurisdictionId] = [root]
-    while queue:
-        parent = queue.pop(0)
+    for parent in queue:
         for child in tree.children(parent):
             child_key, child_public = make_key(child, node_seed(child))
             keys[child] = child_key

@@ -145,23 +145,23 @@ class EventTrace:
         return tuple(r for r in self.records if isinstance(r, DetectRecord))
 
     def final_publish(self) -> PublishRecord:
-        finals = self.publishes(ReportKind.FINAL)
-        if not finals:
-            raise ValueError("trace holds no final publication")
-        return finals[-1]
+        """The last final publication, found by scanning from the end."""
+        for record in reversed(self.records):
+            if isinstance(record, PublishRecord) and record.kind is ReportKind.FINAL:
+                return record
+        raise ValueError("trace holds no final publication")
 
     def subtree_truths(self) -> dict[JurisdictionId, VoteCount]:
         """Ground-truth totals for every node's subtree, in one pass.
 
-        Nodes are visited children first, so each total is the sum of its
-        children's totals, or a leaf's own ground truth.
+        Nodes are visited in reversed tree order, so children come before
+        their parent: each total is the sum of its children's totals, or a
+        leaf's own ground truth.
         """
-        order = [self.tree.root]
-        for node in order:
-            order.extend(self.tree.children(node))
+        tree = self.tree
         truths: dict[JurisdictionId, VoteCount] = {}
-        for node in reversed(order):
-            kids = self.tree.children(node)
+        for node in reversed(tree.order()):
+            kids = tree.children(node)
             truths[node] = (
                 accumulate(truths[k] for k in kids) if kids else self.ground_truth.get(node, ZERO)
             )

@@ -92,19 +92,28 @@ class JurisdictionTree:
         self._validate()
 
     def _validate(self) -> None:
-        seen: set[JurisdictionId] = {self.root}
+        # The tree's one walk: depth first, root first, children in listed
+        # order. Every order the tree hands out is read from what it records.
+        order: list[JurisdictionId] = []
+        leaves: list[JurisdictionId] = []
         parent_of: dict[JurisdictionId, JurisdictionId] = {}
+        position: dict[JurisdictionId, int] = {}
         stack = [self.root]
         while stack:
             node = stack.pop()
-            for child in self._children.get(node, ()):
+            order.append(node)
+            kids = self._children.get(node, ())
+            if not kids:
+                leaves.append(node)
+            for i, child in enumerate(kids):
                 if child in parent_of or child == self.root:
                     raise ValueError(f"{child} has more than one parent (or is the root)")
                 if child.path[:-1] != node.path:
                     raise ValueError(f"{child} is not a path-child of {node}")
                 parent_of[child] = node
-                seen.add(child)
-                stack.append(child)
+                position[child] = i
+            stack.extend(reversed(kids))
+        seen = frozenset(order)
         for parent in self._children:
             if parent not in seen:
                 raise ValueError(f"{parent} is not reachable from the root {self.root}")
@@ -129,14 +138,22 @@ class JurisdictionTree:
                         f"eligible voters of {parent} ({self.eligible_voters[parent]}) "
                         f"is less than the sum over its children ({sum(child_values)})"
                     )
+        self._order = tuple(order)
+        self._leaves = tuple(leaves)
         self._nodes = seen
         self._parent_of = parent_of
+        self._position = position
 
     def __contains__(self, node: JurisdictionId) -> bool:
         return node in self._nodes
 
     def nodes(self) -> frozenset[JurisdictionId]:
-        return frozenset(self._nodes)
+        return self._nodes
+
+    def order(self) -> tuple[JurisdictionId, ...]:
+        """Every node depth first: root first, each subtree contiguous,
+        children in listed order."""
+        return self._order
 
     def children(self, node: JurisdictionId) -> tuple[JurisdictionId, ...]:
         return self._children.get(node, ())
@@ -144,30 +161,20 @@ class JurisdictionTree:
     def parent(self, node: JurisdictionId) -> JurisdictionId | None:
         return self._parent_of.get(node)
 
+    def position(self, node: JurisdictionId) -> int:
+        """Index of a non-root node among its parent's children."""
+        return self._position[node]
+
     def leaves(self) -> tuple[JurisdictionId, ...]:
-        out = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            kids = self.children(node)
-            if kids:
-                stack.extend(reversed(kids))
-            else:
-                out.append(node)
-        return tuple(out)
+        """Childless nodes in ``order()``."""
+        return self._leaves
 
     def cantons(self) -> tuple[JurisdictionId, ...]:
-        """Weighted cantons in stable child order."""
-        out = []
-        stack = list(reversed(self.children(self.root)))
-        while stack:
-            node = stack.pop()
-            if node in self.canton_half_votes:
-                out.append(node)
-            stack.extend(reversed(self.children(node)))
-        # Weighted nodes that sit at unusual depths are still cantons.
-        missing = [c for c in self.canton_half_votes if c not in out]
-        return tuple(out + sorted(missing, key=lambda j: j.path))
+        """Weighted nodes in ``order()``, except that a weighted root comes last."""
+        weighted = [n for n in self._order[1:] if n in self.canton_half_votes]
+        if self.root in self.canton_half_votes:
+            weighted.append(self.root)
+        return tuple(weighted)
 
     def total_half_votes(self) -> int:
         return sum(self.canton_half_votes.values())

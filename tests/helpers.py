@@ -48,3 +48,21 @@ def cantonal_instances(draw, max_cantons: int = 5, max_side: int = 50):
         for code in weights
     }
     return tree, per_canton
+
+
+@st.composite
+def uneven_tree_paths(draw) -> list[tuple[str, ...]]:
+    """Leaf paths of an uneven tree of 2 to 4 levels, 1 to 3 children a node."""
+    max_depth = draw(st.integers(1, 3))
+    paths: list[tuple[str, ...]] = []
+
+    def grow(path: tuple[str, ...]) -> None:
+        depth = len(path) - 1
+        if depth == max_depth or (depth > 0 and draw(st.booleans())):
+            paths.append(path)
+            return
+        for i in range(draw(st.integers(1, 3))):
+            grow((*path, f"N{i}"))
+
+    grow(("CH",))
+    return paths

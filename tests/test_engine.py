@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import votewire
+from helpers import uneven_tree_paths
 from votewire.adversary import (
     AttackKind,
     AttackSpec,
@@ -319,6 +320,18 @@ class TestAttacksInTheLoop:
         ]
         assert covered_times and covered_times[0] == 53
 
+    def test_final_publish_skips_a_later_preliminary_publication(self):
+        # A's preliminary is held until after both finals reach the root, so
+        # the root publishes it last; the final publication is still found.
+        attack = AttackSpec(AttackKind.DELAY, A, hold_ticks=1000)
+        trace = two_leaf_sim(attacks=(attack,)).run()
+        last = trace.records[-1]
+        assert isinstance(last, PublishRecord) and last.kind is ReportKind.PRELIMINARY
+        final = trace.final_publish()
+        assert final.kind is ReportKind.FINAL and final.time < last.time
+        assert final == trace.publishes(ReportKind.FINAL)[-1]
+        assert final.counts == VoteCount(40, 60)
+
     def test_delayed_final_postpones_publication(self):
         attack = AttackSpec(
             AttackKind.DELAY, A, report_kind=ReportKind.FINAL, hold_ticks=500
@@ -527,18 +540,7 @@ class TestDeterminism:
 @st.composite
 def random_simulations(draw) -> Simulation:
     """A small run on an uneven tree of 2 to 4 levels, with attacks and noise."""
-    max_depth = draw(st.integers(1, 3))
-    paths: list[tuple[str, ...]] = []
-
-    def grow(path: tuple[str, ...]) -> None:
-        depth = len(path) - 1
-        if depth == max_depth or (depth > 0 and draw(st.booleans())):
-            paths.append(path)
-            return
-        for i in range(draw(st.integers(1, 3))):
-            grow((*path, f"N{i}"))
-
-    grow(("CH",))
+    paths = draw(uneven_tree_paths())
     leaves = [JurisdictionId(p) for p in paths]
     edges = sorted({JurisdictionId(p[:i]) for p in paths for i in range(2, len(p) + 1)}, key=str)
     small_counts = st.builds(

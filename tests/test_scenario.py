@@ -2,9 +2,14 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import votewire
 from votewire.adversary import AttackKind, MutationKind
 from votewire.counts import VoteCount, accumulate
 from votewire.engine import Simulation
@@ -218,6 +223,46 @@ class TestDiagnostics:
         del doc["default_channel"]
         with pytest.raises(ConfigError, match="no channel for edge"):
             parse(doc)
+
+    def test_missing_channel_names_the_first_edge_whatever_the_hash_seed(self):
+        # Edges are checked in tree order, not in the string-hash order of a
+        # node set, so every process names the same edge.
+        doc = custom_doc(
+            tree={"paths": ["CH/A", "CH/B", "CH/C", "CH/D"]},
+            ground_truth={f"CH/{c}": {"yes": 1} for c in "ABCD"},
+        )
+        del doc["default_channel"]
+        probe = (
+            "import sys\n"
+            "from votewire.engine import Simulation\n"
+            "from votewire.errors import ConfigError\n"
+            "from votewire.scenario import parse_scenario\n"
+            "try:\n"
+            "    parse_scenario(sys.stdin.read())\n"
+            "except ConfigError as exc:\n"
+            "    print(exc)\n"
+            "sim = parse_scenario(sys.argv[1])\n"
+            "try:\n"
+            "    Simulation(sim.election_id, sim.tree, {}, sim.ground_truth)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(votewire.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        outputs = set()
+        for seed in ("0", "1", "2", "3", "4", "5"):
+            env["PYTHONHASHSEED"] = seed
+            done = subprocess.run(
+                [sys.executable, "-c", probe, json.dumps(dict(doc, default_channel="email"))],
+                input=json.dumps(doc), env=env, check=True, capture_output=True, text=True,
+                timeout=60,
+            )
+            outputs.add(done.stdout)
+        assert outputs == {
+            "field 'channels': no channel for edge CH/A and no default_channel\n"
+            "no channel configured for edge CH/A -> parent\n"
+        }
 
     def test_unknown_tree_preset(self):
         with pytest.raises(ConfigError, match="tree.preset"):

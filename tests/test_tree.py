@@ -3,8 +3,10 @@
 import pickle
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import canton_id, make_canton_tree
+from helpers import canton_id, make_canton_tree, uneven_tree_paths
 from votewire.tree import JurisdictionId, JurisdictionTree, tree_from_paths
 
 
@@ -158,3 +160,56 @@ class TestTreeFromPaths:
     def test_rejects_multiple_roots(self):
         with pytest.raises(ValueError):
             tree_from_paths([("CH", "ZH"), ("DE", "BY")])
+
+
+@st.composite
+def shuffled_trees(draw) -> JurisdictionTree:
+    """An uneven tree of 2 to 4 levels with children listed in a drawn order,
+    and drawn weights on any nodes, the root included."""
+    shape = tree_from_paths(draw(uneven_tree_paths()))
+    # Draws follow shape.order(), never a set's hash order, so a failure
+    # replays in another process.
+    nodes = shape.order()
+    children = {node: draw(st.permutations(shape.children(node))) for node in nodes}
+    halves = draw(st.lists(st.sampled_from([0, 1, 2]), min_size=len(nodes), max_size=len(nodes)))
+    weights = {node: half for node, half in zip(nodes, halves) if half}
+    return JurisdictionTree(shape.root, children, weights)
+
+
+def descendants(tree: JurisdictionTree, node: JurisdictionId) -> set[JurisdictionId]:
+    out = {node}
+    for child in tree.children(node):
+        out |= descendants(tree, child)
+    return out
+
+
+class TestTreeOrder:
+    @given(tree=shuffled_trees())
+    def test_order_is_depth_first_in_listed_child_order(self, tree):
+        order = tree.order()
+        assert order[0] == tree.root
+        assert len(order) == len(set(order)) and set(order) == tree.nodes()
+        index = {node: i for i, node in enumerate(order)}
+        for node in order:
+            if node != tree.root:
+                assert index[tree.parent(node)] < index[node]
+            subtree = descendants(tree, node)
+            assert set(order[index[node] : index[node] + len(subtree)]) == subtree
+            kids = tree.children(node)
+            assert sorted(kids, key=index.__getitem__) == list(kids)
+
+    @given(tree=shuffled_trees())
+    def test_leaves_are_order_without_internal_nodes(self, tree):
+        assert tree.leaves() == tuple(n for n in tree.order() if not tree.children(n))
+
+    @given(tree=shuffled_trees())
+    def test_position_is_index_among_siblings(self, tree):
+        for node in tree.order()[1:]:
+            assert tree.position(node) == tree.children(tree.parent(node)).index(node)
+
+    @given(tree=shuffled_trees())
+    def test_cantons_follow_order_with_weighted_root_last(self, tree):
+        weighted = [n for n in tree.order() if n in tree.canton_half_votes and n != tree.root]
+        if tree.root in tree.canton_half_votes:
+            weighted.append(tree.root)
+        assert tree.cantons() == tuple(weighted)
