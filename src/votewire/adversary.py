@@ -21,7 +21,7 @@ from .channels import ChannelSpec
 from .counts import VoteCount
 from .errors import CapabilityError, ConfigError
 from .reports import Report, ReportKind
-from .traces import DetectRecord, EventTrace
+from .traces import DetectRecord, EventTrace, nogc
 from .tree import JurisdictionId
 
 
@@ -115,11 +115,6 @@ class AttackSpec:
     @property
     def mode(self) -> str:
         return "omniscient" if self.omniscient else "blind"
-
-    @property
-    def key(self) -> tuple[JurisdictionId, ReportKind]:
-        """The (sender, report kind) of the reports this attack hits."""
-        return (self.edge_child, self.report_kind)
 
     def describe(self) -> str:
         if self.kind is AttackKind.TAMPER:
@@ -253,6 +248,7 @@ def _capped(lines: list[str], max_items: int) -> list[str]:
     return lines[:max_items] + [f"  ... {len(lines) - max_items} more"]
 
 
+@nogc
 def detection_report(trace: EventTrace) -> DetectionSummary:
     """Audit a finished run using only its trace.
 

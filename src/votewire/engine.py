@@ -16,19 +16,29 @@ counts can be corrupted in flight by configured attacks; final counts ride
 the signed postal channel, so the final publication always equals the sum
 of the leaf ground truths.
 
-Every event costs the same whatever the fanout. Each node keeps, per
-report kind, one child table: each child's latest accepted (child, seq,
-counts) entry at that child's ``JurisdictionTree.position``. Beside it the
-node keeps a running total of its preliminary table, so an accept
+Every event costs the same whatever the fanout, and no event looks a
+node up by its id. Before the loop, ``Simulation.run`` resolves one state
+per node: its parent's state, its position among its siblings, its
+channel, its eligible-voter ceiling and the indices of the attacks on its
+upward edge, per report kind, in configuration order. Heap events carry
+these states. Only freshness is still keyed by the sender's id, because
+``SequenceState`` is the one check shared with ``verify_report``.
+
+Each node keeps, per report kind, one child table: each child's latest
+accepted (child, seq, counts) entry at the child's position. Beside it
+the node keeps a running total of its preliminary table, so an accept
 subtracts the superseded entry and adds the new one instead of re-summing
 every child, and a count of the child finals it still awaits: when that
 reaches zero it sums its final table. The root is the node that publishes
 instead of emitting; a publication copies its table of that kind, which
-is already in child order. Attacks are looked up by (edge, report kind),
-in configuration order.
+is already in child order.
 
 Trace records and reports are tuples (see ``traces`` and ``reports``), so
-the ~100k values a large run builds cost a C constructor call each.
+the ~100k values a large run builds cost a C constructor call each. The
+cyclic garbage collector is paused while they are built (``traces.nogc``):
+left on, it rescans the young tuples hundreds of times per large run,
+although no event creates a reference cycle and reference counting frees
+them all.
 """
 
 from __future__ import annotations
@@ -58,6 +68,7 @@ from .traces import (
     EventTrace,
     PublishRecord,
     TraceRecord,
+    nogc,
 )
 from .tree import JurisdictionId, JurisdictionTree
 
@@ -84,7 +95,12 @@ def feasibility_check(
     """
     if report.sender not in tree or tree.parent(report.sender) != receiver:
         return REASON_UNKNOWN_SENDER
-    eligible = tree.eligible_voters.get(report.sender)
+    return _refusal(report, tree.eligible_voters.get(report.sender), seq_state)
+
+
+def _refusal(report: Report, eligible: int | None, seq_state: SequenceState) -> str | None:
+    """The checks after the unknown-sender one, shared by ``feasibility_check``
+    and the engine, which resolves ``eligible`` once per node."""
     if eligible is not None and report.counts.total() > eligible:
         return REASON_OVER_ELIGIBLE
     if not seq_state.accept_if_fresh(report.sender, report.sequence_no):
@@ -123,15 +139,39 @@ class NoiseModel:
 
 
 class _NodeState:
-    __slots__ = ("next_seq", "latest", "prelim_total", "finals_pending")
+    """What an event needs about one node, resolved once before a run."""
 
-    def __init__(self, fanout: int) -> None:
+    __slots__ = (
+        "node", "parent", "position", "channel", "eligible", "prelim_attacks",
+        "final_attacks", "next_seq", "prelim_table", "final_table", "prelim_total",
+        "finals_pending",
+    )
+
+    def __init__(
+        self,
+        node: JurisdictionId,
+        parent: "_NodeState | None",
+        position: int,
+        channel: ChannelSpec | None,
+        eligible: int | None,
+        fanout: int,
+    ) -> None:
+        self.node = node
+        # None at the root, which publishes instead of emitting.
+        self.parent = parent
+        # Index among the parent's children: this node's slot in its tables.
+        self.position = position
+        # The preliminary channel up to the parent; finals ride the postal one.
+        self.channel = channel
+        self.eligible = eligible
+        # Indices into Simulation.attacks, in configuration order.
+        self.prelim_attacks: tuple[int, ...] = ()
+        self.final_attacks: tuple[int, ...] = ()
         self.next_seq = 1
         # Per report kind, the child table: each child's latest accepted
         # (child, seq, counts) entry at the child's position, None before one.
-        self.latest: dict[ReportKind, list[tuple[JurisdictionId, int, VoteCount] | None]] = {
-            kind: [None] * fanout for kind in ReportKind
-        }
+        self.prelim_table: list[tuple[JurisdictionId, int, VoteCount] | None] = [None] * fanout
+        self.final_table: list[tuple[JurisdictionId, int, VoteCount] | None] = [None] * fanout
         # [yes, no, blank, invalid] summed over the preliminary table.
         self.prelim_total = [0, 0, 0, 0]
         # Children whose final has not arrived yet.
@@ -181,7 +221,7 @@ class Simulation:
         for node in self.tree.order()[1:]:
             if node not in self.channels:
                 raise ValueError(f"no channel configured for edge {node} -> parent")
-        for name in ("jitter_max", "final_emit_default", "postal_latency"):
+        for name in ("seed", "jitter_max", "final_emit_default", "postal_latency"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         for name, emits in (("prelim_emit", self.prelim_emit), ("final_emit", self.final_emit)):
@@ -207,50 +247,51 @@ class Simulation:
             return self.postal
         return self.channels[attack.edge_child]
 
+    @nogc
     def run(self) -> EventTrace:
         rng = random.Random(self.seed)
         records: list[TraceRecord] = []
+        append = records.append
         counter = itertools.count()
-        heap: list[tuple[int, int, tuple]] = []
+        # Each event is (time, tie-breaker, handler, its three arguments).
+        heap: list[tuple] = []
+        push = heapq.heappush
         tree = self.tree
-        states = {n: _NodeState(len(tree.children(n))) for n in tree.nodes()}
-        # One state serves every receiver: a sender that passes the
-        # unknown-sender check has exactly one, its parent.
-        seq_state = SequenceState(self.election_id)
-        fires_left: list[int | None] = [a.first_n for a in self.attacks]
-        attacks_on: dict[tuple[JurisdictionId, ReportKind], list[int]] = {}
-        for idx, attack in enumerate(self.attacks):
-            attacks_on.setdefault(attack.key, []).append(idx)
-
-        root_state = states[tree.root]
-        position = tree.position
-
+        election_id = self.election_id
+        jitter_max = self.jitter_max
+        attacks = self.attacks
         postal = self.postal
-        channels = self.channels
         prelim, final = ReportKind.PRELIMINARY, ReportKind.FINAL
+        # One state serves every receiver: a sender has exactly one, its parent.
+        seq_state = SequenceState(election_id)
+        fires_left: list[int | None] = [a.first_n for a in attacks]
 
-        # Noise draws come first and in leaf order, so the perturbed counts
-        # do not depend on event interleaving.
-        leaves = tree.leaves()
-        for leaf in leaves:
-            counts = self.ground_truth[leaf]
-            if self.noise:
-                counts = self.noise.perturb(counts, rng)
-            at = self.prelim_emit.get(leaf, 0)
-            heapq.heappush(heap, (at, next(counter), ("leaf", prelim, leaf, counts)))
-        for leaf in leaves:
-            at = self.final_emit.get(leaf, self.final_emit_default)
-            event = ("leaf", final, leaf, self.ground_truth[leaf])
-            heapq.heappush(heap, (at, next(counter), event))
+        # order() lists each parent before its children. The root never
+        # sends, so it needs no channel or ceiling.
+        root = tree.root
+        states = {root: _NodeState(root, None, 0, None, None, len(tree.children(root)))}
+        for node in tree.order():
+            state = states[node]
+            for child in tree.children(node):
+                states[child] = _NodeState(
+                    child, state, tree.position(child), self.channels[child],
+                    tree.eligible_voters.get(child), len(tree.children(child)),
+                )
+        for idx, attack in enumerate(attacks):
+            state = states[attack.edge_child]
+            if attack.report_kind is final:
+                state.final_attacks += (idx,)
+            else:
+                state.prelim_attacks += (idx,)
 
-        def send(time: int, report: Report, channel: ChannelSpec) -> None:
-            receiver = tree.parent(report.sender)
-            assert receiver is not None
-            delivery = time + channel.base_latency
-            if self.jitter_max:
-                delivery += rng.randint(0, self.jitter_max)
-            for idx in attacks_on.get((report.sender, report.kind), ()):
-                attack = self.attacks[idx]
+        def fire(
+            time: int, report: Report, state: _NodeState, channel: ChannelSpec,
+            delivery: int, receive, indices: tuple[int, ...],
+        ) -> tuple[Report, int]:
+            """Apply the attacks ``indices`` on ``report``, in configuration order."""
+            receiver = state.parent.node
+            for idx in indices:
+                attack = attacks[idx]
                 left = fires_left[idx]
                 if left == 0:
                     continue
@@ -265,92 +306,107 @@ class Simulation:
                     forged = forge_report(report, attack, channel)
                     # Pushed first at the same delivery tick, so the forgery
                     # is processed before the genuine report it shadows.
-                    heapq.heappush(
-                        heap, (delivery, next(counter), ("deliver", forged, receiver, channel))
-                    )
-                records.append(
+                    push(heap, (delivery, next(counter), receive, forged, state, channel))
+                append(
                     AttackRecord(
                         time, attack.kind.value, report.sender, receiver,
                         attack.mode, attack.describe(),
                     )
                 )
-            heapq.heappush(heap, (delivery, next(counter), ("deliver", report, receiver, channel)))
+            return report, delivery
 
-        def report_up(time: int, node: JurisdictionId, kind: ReportKind, counts: VoteCount) -> None:
+        def report_up(time: int, state: _NodeState, kind: ReportKind, counts: VoteCount) -> None:
             """Publish ``counts`` at the root; anywhere else, emit them upward."""
-            state = states[node]
-            if state is root_state:
+            node = state.node
+            if state.parent is None:
                 # A publication lists the child entries of its kind it sums.
-                covered = tuple(filter(None, state.latest[kind]))
-                records.append(PublishRecord(time, node, kind, counts, covered))
+                table = state.final_table if kind is final else state.prelim_table
+                append(PublishRecord(time, node, kind, counts, tuple(filter(None, table))))
                 return
-            report = Report(self.election_id, node, state.next_seq, counts, kind, time)
-            state.next_seq += 1
-            records.append(EmitRecord(time, node, kind, report.sequence_no, counts))
-            send(time, report, postal if kind is final else channels[node])
+            seq = state.next_seq
+            state.next_seq = seq + 1
+            report = Report(election_id, node, seq, counts, kind, time)
+            append(EmitRecord(time, node, kind, seq, counts))
+            if kind is final:
+                channel, indices, receive = postal, state.final_attacks, on_final
+            else:
+                channel, indices, receive = state.channel, state.prelim_attacks, on_prelim
+            delivery = time + channel.base_latency
+            if jitter_max:
+                delivery += rng.randint(0, jitter_max)
+            if indices:
+                report, delivery = fire(time, report, state, channel, delivery, receive, indices)
+            push(heap, (delivery, next(counter), receive, report, state, channel))
 
-        def on_prelim(time: int, report: Report, receiver: JurisdictionId, channel: ChannelSpec) -> None:
-            reason = feasibility_check(report, receiver, tree, seq_state)
-            records.append(
+        def on_prelim(time: int, report: Report, sender: _NodeState, channel: ChannelSpec) -> None:
+            receiver = sender.parent
+            # The receiver is the sender's parent by construction, so the
+            # unknown-sender check of feasibility_check cannot fail here.
+            reason = _refusal(report, sender.eligible, seq_state)
+            _, sender_id, seq, counts, kind, _ = report
+            append(
                 DeliverRecord(
-                    time, report.sender, receiver, channel.name, report.kind,
-                    report.sequence_no, report.counts, reason is None, reason,
+                    time, sender_id, receiver.node, channel.name, kind, seq, counts,
+                    reason is None, reason,
                 )
             )
             if reason is not None:
-                records.append(
-                    DetectRecord(time, receiver, reason, report.sender, report.sequence_no)
-                )
+                append(DetectRecord(time, receiver.node, reason, sender_id, seq))
                 return
-            state = states[receiver]
-            table = state.latest[prelim]
-            slot = position(report.sender)
+            table = receiver.prelim_table
+            slot = sender.position
             old = table[slot]
-            new = report.counts
-            table[slot] = (report.sender, report.sequence_no, new)
-            total = state.prelim_total
+            table[slot] = (sender_id, seq, counts)
+            total = receiver.prelim_total
             if old is not None:
                 prev = old[2]
                 total[0] -= prev.yes
                 total[1] -= prev.no
                 total[2] -= prev.blank
                 total[3] -= prev.invalid
-            total[0] += new.yes
-            total[1] += new.no
-            total[2] += new.blank
-            total[3] += new.invalid
+            total[0] += counts.yes
+            total[1] += counts.no
+            total[2] += counts.blank
+            total[3] += counts.invalid
             # VoteCount raises ArithmeticOverflow past the 64-bit count range.
             report_up(time, receiver, prelim, VoteCount(*total))
 
-        def on_final(time: int, report: Report, receiver: JurisdictionId, channel: ChannelSpec) -> None:
-            state = states[receiver]
+        def on_final(time: int, report: Report, sender: _NodeState, channel: ChannelSpec) -> None:
+            receiver = sender.parent
+            _, sender_id, seq, counts, kind, _ = report
             # Each child sends one final, over the signed postal channel, where
             # no attack can forge another: Simulation refuses front-run there.
             # So each child's final arrives exactly once, and the count reaches
             # zero exactly once: at the last child's final.
-            table = state.latest[final]
-            table[position(report.sender)] = (report.sender, report.sequence_no, report.counts)
-            records.append(
+            table = receiver.final_table
+            table[sender.position] = (sender_id, seq, counts)
+            append(
                 DeliverRecord(
-                    time, report.sender, receiver, channel.name, report.kind,
-                    report.sequence_no, report.counts, True, None,
+                    time, sender_id, receiver.node, channel.name, kind, seq, counts, True, None,
                 )
             )
-            state.finals_pending -= 1
-            if state.finals_pending:
+            receiver.finals_pending -= 1
+            if receiver.finals_pending:
                 return
             report_up(time, receiver, final, accumulate(c for _, _, c in table))
 
+        # Noise draws come first and in leaf order, so the perturbed counts
+        # do not depend on event interleaving.
+        leaves = [states[leaf] for leaf in tree.leaves()]
+        for state in leaves:
+            counts = self.ground_truth[state.node]
+            if self.noise:
+                counts = self.noise.perturb(counts, rng)
+            at = self.prelim_emit.get(state.node, 0)
+            push(heap, (at, next(counter), report_up, state, prelim, counts))
+        for state in leaves:
+            at = self.final_emit.get(state.node, self.final_emit_default)
+            push(heap, (at, next(counter), report_up, state, final, self.ground_truth[state.node]))
+
+        pop = heapq.heappop
         while heap:
-            time, _, event = heapq.heappop(heap)
-            match event:
-                case ("leaf", kind, leaf, counts):
-                    report_up(time, leaf, kind, counts)
-                case ("deliver", report, receiver, channel):
-                    if report.kind is final:
-                        on_final(time, report, receiver, channel)
-                    else:
-                        on_prelim(time, report, receiver, channel)
+            time, _, handle, subject, what, detail = pop(heap)
+            handle(time, subject, what, detail)
 
         return EventTrace(
             election_id=self.election_id,

@@ -41,8 +41,16 @@ _TIMING_KEYS = {"prelim_emit", "final_emit", "final_emit_default"}
 
 
 def build_simulation(config: Simulation, seed: int | None = None) -> Simulation:
-    """The scenario's run, with its seed replaced when ``seed`` is given."""
-    return config if seed is None else replace(config, seed=seed)
+    """The scenario's run, with its seed replaced when ``seed`` is given.
+
+    A seed the run refuses, such as a negative one, is a ConfigError.
+    """
+    if seed is None:
+        return config
+    try:
+        return replace(config, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def load_scenario(path: str | Path) -> Simulation:

@@ -23,6 +23,8 @@ class JurisdictionId:
     # computed once here instead of per lookup. It equals the hash the
     # dataclass would generate, so set and dict orders are unchanged.
     _hash: int = field(init=False, repr=False, compare=False)
+    # Every trace and summary line renders ids, so the text is joined once too.
+    _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.path:
@@ -34,12 +36,13 @@ class JurisdictionId:
                 if ch in segment:
                     raise ValueError(f"segment {segment!r} contains forbidden character {ch!r}")
         object.__setattr__(self, "_hash", hash((self.path,)))
+        object.__setattr__(self, "_text", "/".join(self.path))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
-        # String hashes differ between processes: rebuild, never copy, the cache.
+        # String hashes differ between processes: rebuild, never copy, the caches.
         return (JurisdictionId, (self.path,))
 
     @classmethod
@@ -65,7 +68,7 @@ class JurisdictionId:
         return self.path[-1]
 
     def __str__(self) -> str:
-        return "/".join(self.path)
+        return self._text
 
 
 class JurisdictionTree:

@@ -134,17 +134,6 @@ class TestAttackSpecValidation:
         assert blind.mode == "blind"
         assert tuned.mode == "omniscient"
 
-    def test_key_filters_on_edge_and_kind(self):
-        # The engine indexes attacks by key and looks up (sender, kind).
-        report = sample_report()
-        attack = AttackSpec(AttackKind.DELAY, canton_id("ZH"), hold_ticks=5)
-        assert attack.key == (report.sender, report.kind)
-        assert attack.key != (canton_id("BE"), ReportKind.PRELIMINARY)
-        final = AttackSpec(
-            AttackKind.DELAY, canton_id("ZH"), hold_ticks=5, report_kind=ReportKind.FINAL
-        )
-        assert final.key != (report.sender, report.kind)
-
 
 class TestCapabilityGating:
     @pytest.mark.parametrize("channel", INSECURE)

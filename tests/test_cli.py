@@ -72,6 +72,13 @@ class TestSimulate:
         assert a.read_bytes() != b.read_bytes()
         capsys.readouterr()
 
+    def test_negative_seed_is_a_config_error(self, capsys):
+        # Scenario files refuse seed < 0; so does --seed, instead of running
+        # seed 3's run under a trace header that says seed=-3.
+        path = bundled_scenario_path("swiss_delay_noise")
+        assert main(["simulate", "--scenario", str(path), "--seed", "-3"]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+
     def test_missing_scenario_file(self, capsys):
         assert main(["simulate", "--scenario", "/nonexistent/x.json"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Event-loop behavior: feasibility, forwarding, publication, determinism."""
 
+import dataclasses
+import gc
 import os
 import random
 import subprocess
@@ -382,6 +384,36 @@ class TestAttacksInTheLoop:
         assert once.publishes(ReportKind.PRELIMINARY)[-1].counts == VoteCount(10, 0)
         assert always.publishes(ReportKind.PRELIMINARY)[-1].counts == VoteCount(0, 10)
 
+    def test_several_attacks_on_one_edge_fire_in_configuration_order(self):
+        tamper = AttackSpec(AttackKind.TAMPER, A, mutation=Mutation(MutationKind.SWAP_YES_NO))
+        front_run = AttackSpec(AttackKind.FRONT_RUN, A, forged_counts=VoteCount(90, 1))
+        hold_final = AttackSpec(AttackKind.DELAY, A, report_kind=ReportKind.FINAL, hold_ticks=30)
+        trace = two_leaf_sim(attacks=(tamper, front_run, hold_final)).run()
+        attacks = [r for r in trace.records if isinstance(r, AttackRecord)]
+        assert attacks == [
+            AttackRecord(0, "tamper", A, CH, "blind", "swap_yes_no"),
+            AttackRecord(0, "front_run", A, CH, "blind", "forged_seq_offset:1000"),
+            AttackRecord(100, "delay", A, CH, "blind", "hold:30"),
+        ]
+        from_a = [r for r in trace.records if isinstance(r, DeliverRecord) and r.sender == A]
+        assert [(r.time, r.kind, r.seq, r.counts, r.accepted) for r in from_a] == [
+            # The forgery arrives first; the genuine report behind it carries
+            # the tampered counts and is refused as stale.
+            (1, ReportKind.PRELIMINARY, 1001, VoteCount(90, 1), True),
+            (1, ReportKind.PRELIMINARY, 1, VoteCount(20, 30), False),
+            # Only the final is held: 100 + 48 postal ticks + 30.
+            (178, ReportKind.FINAL, 2, VoteCount(30, 20), True),
+        ]
+        assert trace.final_publish().time == 178
+
+        swapped = two_leaf_sim(attacks=(front_run, tamper, hold_final)).run()
+        assert [r.kind for r in swapped.records if isinstance(r, AttackRecord)] == [
+            "front_run", "tamper", "delay",
+        ]
+        assert [r for r in swapped.records if isinstance(r, DeliverRecord)] == [
+            r for r in trace.records if isinstance(r, DeliverRecord)
+        ]
+
     def test_attack_on_unknown_edge_rejected_at_build(self):
         ghost = JurisdictionId.of("CH", "GHOST")
         with pytest.raises(ValueError, match="unknown edge"):
@@ -469,6 +501,12 @@ class TestSimulationValidation:
         # Used to build, then fail mid-run when the first final was emitted.
         with pytest.raises(ValueError, match="final_emit_default must be >= 0"):
             two_leaf_sim(final_emit_default=-5)
+
+    def test_negative_seed_rejected(self):
+        # random.Random(-3) seeds like random.Random(3), so the run would
+        # be seed 3's while its trace header said seed=-3.
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            two_leaf_sim(seed=-3)
 
     def test_negative_postal_latency_rejected(self):
         with pytest.raises(ValueError, match="postal_latency must be >= 0"):
@@ -630,6 +668,18 @@ class TestTraceInvariants:
             assert out.time == delivered[-1].time
             assert out.counts == accumulate(d.counts for d in delivered)
 
+    @settings(max_examples=150)
+    @given(sim=random_simulations())
+    def test_feasibility_check_replays_every_preliminary_verdict(self, sim):
+        # The engine and feasibility_check share the acceptance rules; one
+        # fresh state serves every receiver, as in the engine.
+        state = SequenceState(sim.election_id)
+        for rec in sim.run().records:
+            if isinstance(rec, DeliverRecord) and rec.kind is ReportKind.PRELIMINARY:
+                report = Report(sim.election_id, rec.sender, rec.seq, rec.counts, rec.kind, 0)
+                reason = feasibility_check(report, rec.receiver, sim.tree, state)
+                assert (reason is None, reason) == (rec.accepted, rec.reason)
+
     def test_overflowing_sibling_totals_raise_from_run(self):
         sim = two_leaf_sim(
             tree=tree_from_paths([("CH", "A"), ("CH", "B")]),
@@ -654,3 +704,61 @@ def test_simulating_does_not_load_the_crypto_library():
         [sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True, timeout=60
     )
     assert done.stdout.strip() == "[]"
+
+
+class _WatchedNoise(NoiseModel):
+    """Noise that records whether the cyclic GC ran while it was drawn."""
+
+    seen: list[bool] = []
+
+    def perturb(self, counts, rng):
+        self.seen.append(gc.isenabled())
+        return counts
+
+
+class TestGcPause:
+    """run() and detection_report() pause the cyclic GC, then restore it."""
+
+    @pytest.fixture(autouse=True)
+    def restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def test_enabled_gc_is_paused_then_enabled_again(self):
+        gc.enable()
+        _WatchedNoise.seen = []
+        trace = two_leaf_sim(noise=_WatchedNoise(probability=1.0, max_shift=1)).run()
+        assert _WatchedNoise.seen == [False, False]
+        assert gc.isenabled()
+        detection_report(trace)
+        assert gc.isenabled()
+
+    def test_disabled_gc_stays_disabled(self):
+        trace = two_leaf_sim().run()
+        gc.disable()
+        two_leaf_sim().run()
+        assert not gc.isenabled()
+        detection_report(trace)
+        assert not gc.isenabled()
+
+    def test_gc_is_enabled_again_after_a_run_raises(self):
+        gc.enable()
+        shift = Mutation(MutationKind.SHIFT, shift=1000)
+        sim = two_leaf_sim(attacks=(AttackSpec(AttackKind.TAMPER, A, mutation=shift),))
+        with pytest.raises(ConfigError, match="cannot shift 1000 ballots"):
+            sim.run()
+        assert gc.isenabled()
+
+    def test_gc_is_enabled_again_after_an_audit_raises(self):
+        gc.enable()
+        trace = two_leaf_sim().run()
+        unfinished = dataclasses.replace(
+            trace, records=tuple(r for r in trace.records if not isinstance(r, PublishRecord))
+        )
+        with pytest.raises(ValueError, match="no final publication"):
+            detection_report(unfinished)
+        assert gc.isenabled()

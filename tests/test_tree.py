@@ -1,5 +1,6 @@
 """Jurisdiction identifiers and tree validation."""
 
+import copy
 import pickle
 
 import pytest
@@ -51,6 +52,44 @@ class TestJurisdictionId:
         # No two distinct ids may render to the same string.
         with pytest.raises(ValueError):
             JurisdictionId.of("CH", "ZH/Uster")
+
+
+segments = st.text(
+    alphabet=st.characters(blacklist_characters="/\n", blacklist_categories=("Cs",)),
+    min_size=1,
+    max_size=6,
+)
+paths = st.lists(segments, min_size=1, max_size=4).map(tuple)
+
+
+class TestStoredText:
+    """Each id keeps its text from construction; only the path counts."""
+
+    @given(path=paths)
+    def test_text_is_the_joined_path_however_the_id_is_built(self, path):
+        built = [
+            JurisdictionId.of(*path),
+            JurisdictionId.from_text("/".join(path)),
+            JurisdictionId.of(*path, "extra").parent,
+        ]
+        built += [copy.copy(jid) for jid in built] + [pickle.loads(pickle.dumps(jid)) for jid in built]
+        for jid in built:
+            assert jid == JurisdictionId(path)
+            assert str(jid) == "/".join(jid.path) == "/".join(path)
+
+    @given(leaves=st.lists(paths, min_size=1, max_size=8))
+    def test_text_of_every_node_of_a_built_tree(self, leaves):
+        tree = tree_from_paths([("R", *leaf) for leaf in leaves])
+        for node in tree.order():
+            assert str(node) == "/".join(node.path)
+
+    @given(path=paths)
+    def test_repr_equality_and_hash_ignore_the_stored_text(self, path):
+        jid, twin = JurisdictionId(path), JurisdictionId(path)
+        object.__setattr__(twin, "_text", "something else")
+        assert jid == twin and hash(jid) == hash(twin)
+        assert repr(jid) == repr(twin) == f"JurisdictionId(path={path!r})"
+        assert copy.copy(twin) == jid and str(copy.copy(twin)) == "/".join(path)
 
 
 class TestJurisdictionTree:
