@@ -2,25 +2,26 @@
 
 An attack sits on one upward edge (identified by its child node) and fires
 on matching reports. What an attacker can do is decided entirely by the
-channel, and the check happens when a ``Simulation`` is constructed (a
-scenario file's, when it is loaded): tampering and front-running need an
-unsigned channel, and delay is possible on any channel, since signatures
-cannot make a courier hurry. Attack specifications are fixed before the
-run starts; the ``omniscient`` flag records whether their parameters were
-chosen with knowledge of the true counts (versus blind), which affects
-interpretation but not mechanics.
+channel: tampering and front-running need an unsigned channel, and delay
+is possible on any channel, since signatures cannot make a courier hurry.
+That capability is checked once, when a ``Simulation`` is constructed (a
+scenario file's, when it is loaded); the engine then applies each attack
+to the values it sends without checking again. Attack specifications are
+fixed before the run starts; the ``omniscient`` flag records whether their
+parameters were chosen with knowledge of the true counts (versus blind),
+which affects interpretation but not mechanics.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .channels import ChannelSpec
 from .counts import VoteCount
-from .errors import CapabilityError, ConfigError
-from .reports import Report, ReportKind
+from .errors import CapabilityError
+from .reports import ReportKind
 from .traces import DetectRecord, EventTrace, nogc
 from .tree import JurisdictionId
 
@@ -141,35 +142,6 @@ def check_attack_permitted(kind: AttackKind, channel: ChannelSpec) -> None:
         )
 
 
-def apply_tamper(report: Report, mutation: Mutation, channel: ChannelSpec) -> Report:
-    """The report with its counts mutated; a mutation they cannot bear is a ConfigError."""
-    check_attack_permitted(AttackKind.TAMPER, channel)
-    try:
-        counts = apply_mutation(report.counts, mutation)
-    except ValueError as exc:
-        raise ConfigError(f"tamper on edge {report.sender}: {exc}") from None
-    return Report(
-        report.election_id, report.sender, report.sequence_no, counts, report.kind,
-        report.emitted_at,
-    )
-
-
-def forge_report(genuine: Report, attack: AttackSpec, channel: ChannelSpec) -> Report:
-    """Build the forged report injected ahead of a genuine one.
-
-    The forgery claims the same sender as the edge it rides on; an attacker
-    on one edge cannot speak for unrelated jurisdictions. The genuine
-    report still arrives afterwards.
-    """
-    check_attack_permitted(AttackKind.FRONT_RUN, channel)
-    assert attack.forged_counts is not None
-    seq = attack.forged_seq if attack.forged_seq is not None else genuine.sequence_no + attack.seq_offset
-    return Report(
-        genuine.election_id, genuine.sender, seq, attack.forged_counts, genuine.kind,
-        genuine.emitted_at,
-    )
-
-
 class CountDivergence(NamedTuple):
     """A covered child whose published preliminary disagrees with truth."""
 
@@ -201,51 +173,42 @@ class DetectionSummary:
         return not self.count_divergences and not self.detects
 
     def to_text(self, max_items: int = 10) -> str:
+        """The summary; each section lists at most ``max_items`` items, all when 0."""
         lines = [
             "detection summary",
             f"final matches ground truth: {str(self.final_matches_ground_truth).lower()}",
             f"count divergences: {len(self.count_divergences)}",
+            *_capped(self.count_divergences, _divergence_line, max_items),
+            f"coverage gaps: {len(self.coverage_gaps)}",
+            *_capped(self.coverage_gaps, _gap_line, max_items),
+            f"detect events: {len(self.detects)}",
+            *_capped(self.detects, _detect_line, max_items),
+            f"integrity gap ticks: {self.integrity_gap_ticks}",
         ]
-        lines.extend(
-            _capped(
-                [
-                    f"  t={d.time} child={d.child} reported={d.reported.yes}:{d.reported.no}"
-                    f":{d.reported.blank}:{d.reported.invalid} final={d.final.yes}:{d.final.no}"
-                    f":{d.final.blank}:{d.final.invalid}"
-                    for d in self.count_divergences
-                ],
-                max_items,
-            )
-        )
-        lines.append(f"coverage gaps: {len(self.coverage_gaps)}")
-        lines.extend(
-            _capped(
-                [
-                    f"  t={g.time} missing={','.join(str(m) for m in g.missing)}"
-                    for g in self.coverage_gaps
-                ],
-                max_items,
-            )
-        )
-        lines.append(f"detect events: {len(self.detects)}")
-        lines.extend(
-            _capped(
-                [
-                    f"  t={rec.time} node={rec.node} reason={rec.reason} "
-                    f"child={rec.child} seq={rec.seq}"
-                    for rec in self.detects
-                ],
-                max_items,
-            )
-        )
-        lines.append(f"integrity gap ticks: {self.integrity_gap_ticks}")
         return "\n".join(lines) + "\n"
 
 
-def _capped(lines: list[str], max_items: int) -> list[str]:
-    if max_items <= 0 or len(lines) <= max_items:
-        return lines
-    return lines[:max_items] + [f"  ... {len(lines) - max_items} more"]
+def _divergence_line(d: CountDivergence) -> str:
+    return (
+        f"  t={d.time} child={d.child} reported={d.reported.yes}:{d.reported.no}"
+        f":{d.reported.blank}:{d.reported.invalid} final={d.final.yes}:{d.final.no}"
+        f":{d.final.blank}:{d.final.invalid}"
+    )
+
+
+def _gap_line(g: CoverageGap) -> str:
+    return f"  t={g.time} missing={','.join(str(m) for m in g.missing)}"
+
+
+def _detect_line(rec: DetectRecord) -> str:
+    return f"  t={rec.time} node={rec.node} reason={rec.reason} child={rec.child} seq={rec.seq}"
+
+
+def _capped(items: Sequence[Any], line: Callable[[Any], str], max_items: int) -> list[str]:
+    """The lines of at most ``max_items`` items (all when 0), formatting only those."""
+    if max_items <= 0 or len(items) <= max_items:
+        return list(map(line, items))
+    return [*map(line, items[:max_items]), f"  ... {len(items) - max_items} more"]
 
 
 @nogc

@@ -13,16 +13,15 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
 from .adversary import detection_report
 from .analysis import canton_final_counts, discrepancy_stats, load_results
 from .counts import accumulate
-from .errors import ConfigError, MissingCanton, VotewireError
+from .errors import MissingCanton, VotewireError
 from .flips import min_flips_double, min_flips_outcome, min_flips_popular
-from .scenario import build_simulation, load_scenario, tree_from_config
+from .scenario import build_simulation, load_scenario, load_tree
 from .secauth import TrustStore, provision_tree
 from .swiss import canton_names, swiss_tree
 from .tally import Decision, MajorityRule, ReferendumSpec, referendum_outcome
@@ -65,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     keys = sub.add_parser("keys", help="provision certificates for a jurisdiction tree")
     keys.add_argument(
-        "--tree", required=True, help='tree JSON file, or "swiss" for the bundled federation'
+        "--tree", required=True, help='tree or scenario JSON file, or "swiss" for the Swiss tree'
     )
     keys.add_argument("--out-dir", required=True, help="trust-store directory to write")
     keys.add_argument("--seed", type=int, default=None, help="derive all keys deterministically")
@@ -155,18 +154,7 @@ def cmd_flip(args: argparse.Namespace) -> int:
 
 
 def cmd_keys(args: argparse.Namespace) -> int:
-    if args.tree == "swiss":
-        tree = swiss_tree()
-    else:
-        try:
-            document = json.loads(Path(args.tree).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from None
-        # Accept either a whole scenario document or a bare tree object.
-        value = document.get("tree", document) if isinstance(document, dict) else document
-        tree = tree_from_config(value)
+    tree = swiss_tree() if args.tree == "swiss" else load_tree(args.tree)
     seed = None if args.seed is None else f"keys:{args.seed}".encode("utf-8")
     provisioned = provision_tree(tree, seed=seed)
     out_dir = Path(args.out_dir)

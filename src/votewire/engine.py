@@ -21,8 +21,10 @@ node up by its id. Before the loop, ``Simulation.run`` resolves one state
 per node: its parent's state, its position among its siblings, its
 channel, its eligible-voter ceiling and the indices of the attacks on its
 upward edge, per report kind, in configuration order. Heap events carry
-these states. Only freshness is still keyed by the sender's id, because
-``SequenceState`` is the one check shared with ``verify_report``.
+these states, and no ``Report`` is built: the event in flight is (sender
+state, seq, counts), and attacks act on those values. Only freshness is
+still keyed by the sender's id, because ``SequenceState`` is the one check
+shared with ``verify_report``.
 
 Each node keeps, per report kind, one child table: each child's latest
 accepted (child, seq, counts) entry at the child's position. Beside it
@@ -33,12 +35,11 @@ reaches zero it sums its final table. The root is the node that publishes
 instead of emitting; a publication copies its table of that kind, which
 is already in child order.
 
-Trace records and reports are tuples (see ``traces`` and ``reports``), so
-the ~100k values a large run builds cost a C constructor call each. The
-cyclic garbage collector is paused while they are built (``traces.nogc``):
-left on, it rescans the young tuples hundreds of times per large run,
-although no event creates a reference cycle and reference counting frees
-them all.
+Trace records are tuples (see ``traces``), so the ~100k values a large
+run builds cost a C constructor call each. The cyclic garbage collector is
+paused while they are built (``traces.nogc``): left on, it rescans the
+young tuples hundreds of times per large run, although no event creates a
+reference cycle and reference counting frees them all.
 """
 
 from __future__ import annotations
@@ -49,13 +50,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .adversary import (
-    AttackKind,
-    AttackSpec,
-    apply_tamper,
-    check_attack_permitted,
-    forge_report,
-)
+from .adversary import AttackKind, AttackSpec, apply_mutation, check_attack_permitted
 from .channels import POSTAL_FINAL, ChannelSpec
 from .counts import VoteCount, accumulate
 from .errors import ConfigError
@@ -93,17 +88,20 @@ def feasibility_check(
     accepted from that sender. As in ``verify_report``, only an accept
     records the sequence number in ``seq_state``.
     """
-    if report.sender not in tree or tree.parent(report.sender) != receiver:
+    _, sender, seq, counts, _, _ = report
+    if sender not in tree or tree.parent(sender) != receiver:
         return REASON_UNKNOWN_SENDER
-    return _refusal(report, tree.eligible_voters.get(report.sender), seq_state)
+    return _refusal(sender, seq, counts, tree.eligible_voters.get(sender), seq_state)
 
 
-def _refusal(report: Report, eligible: int | None, seq_state: SequenceState) -> str | None:
+def _refusal(
+    sender: JurisdictionId, seq: int, counts: VoteCount, eligible: int | None, state: SequenceState
+) -> str | None:
     """The checks after the unknown-sender one, shared by ``feasibility_check``
     and the engine, which resolves ``eligible`` once per node."""
-    if eligible is not None and report.counts.total() > eligible:
+    if eligible is not None and counts.total() > eligible:
         return REASON_OVER_ELIGIBLE
-    if not seq_state.accept_if_fresh(report.sender, report.sequence_no):
+    if not state.accept_if_fresh(sender, seq):
         return REASON_STALE_SEQUENCE
     return None
 
@@ -183,9 +181,9 @@ class Simulation:
     """A fully specified run: tree, channels, truth, timing, attacks.
 
     Construction checks the whole run before anything happens: a malformed
-    field raises ValueError, ground truth above a leaf's eligible voters
-    ConfigError naming the field, an attack its channel rules out
-    CapabilityError.
+    field, an empty ``election_id`` included, raises ValueError, ground
+    truth above a leaf's eligible voters ConfigError naming the field, an
+    attack its channel rules out CapabilityError.
     """
 
     election_id: str
@@ -202,6 +200,8 @@ class Simulation:
     postal_latency: int = POSTAL_FINAL.base_latency
 
     def __post_init__(self) -> None:
+        if not self.election_id:
+            raise ValueError("election_id must be non-empty")
         for leaf, counts in self.ground_truth.items():
             eligible = self.tree.eligible_voters.get(leaf)
             if eligible is not None and counts.total() > eligible:
@@ -230,22 +230,19 @@ class Simulation:
                     raise ValueError(f"{name} names {node}, which is not a leaf; only leaves emit")
                 if when < 0:
                     raise ValueError("emit times must be >= 0")
-        # Capability gating happens here, before anything runs: an attack a
-        # channel rules out is a configuration error, not a runtime event.
+        # Capability gating happens here, and only here: an attack a channel
+        # rules out is a configuration error, so the run applies each unchecked.
         for attack in self.attacks:
-            if attack.edge_child not in self.tree or attack.edge_child == self.tree.root:
-                raise ValueError(f"attack targets unknown edge {attack.edge_child}")
-            check_attack_permitted(attack.kind, self.channel_for(attack))
+            edge = attack.edge_child
+            if edge not in self.tree or edge == self.tree.root:
+                raise ValueError(f"attack targets unknown edge {edge}")
+            final = attack.report_kind is ReportKind.FINAL
+            check_attack_permitted(attack.kind, self.postal if final else self.channels[edge])
 
     @property
     def postal(self) -> ChannelSpec:
         """The signed channel every final rides."""
         return POSTAL_FINAL.with_latency(self.postal_latency)
-
-    def channel_for(self, attack: AttackSpec) -> ChannelSpec:
-        if attack.report_kind is ReportKind.FINAL:
-            return self.postal
-        return self.channels[attack.edge_child]
 
     @nogc
     def run(self) -> EventTrace:
@@ -253,17 +250,17 @@ class Simulation:
         records: list[TraceRecord] = []
         append = records.append
         counter = itertools.count()
-        # Each event is (time, tie-breaker, handler, its three arguments).
+        # Each event is (time, tie-breaker, handler, its three arguments); a
+        # report in flight is (sender state, seq, counts).
         heap: list[tuple] = []
         push = heapq.heappush
         tree = self.tree
-        election_id = self.election_id
         jitter_max = self.jitter_max
         attacks = self.attacks
         postal = self.postal
         prelim, final = ReportKind.PRELIMINARY, ReportKind.FINAL
         # One state serves every receiver: a sender has exactly one, its parent.
-        seq_state = SequenceState(election_id)
+        seq_state = SequenceState(self.election_id)
         fires_left: list[int | None] = [a.first_n for a in attacks]
 
         # order() lists each parent before its children. The root never
@@ -285,11 +282,11 @@ class Simulation:
                 state.prelim_attacks += (idx,)
 
         def fire(
-            time: int, report: Report, state: _NodeState, channel: ChannelSpec,
+            time: int, state: _NodeState, seq: int, counts: VoteCount,
             delivery: int, receive, indices: tuple[int, ...],
-        ) -> tuple[Report, int]:
-            """Apply the attacks ``indices`` on ``report``, in configuration order."""
-            receiver = state.parent.node
+        ) -> tuple[VoteCount, int]:
+            """Apply the attacks ``indices`` to what ``state`` sends, in configuration order."""
+            node, receiver = state.node, state.parent.node
             for idx in indices:
                 attack = attacks[idx]
                 left = fires_left[idx]
@@ -299,21 +296,24 @@ class Simulation:
                     fires_left[idx] = left - 1
                 if attack.kind is AttackKind.TAMPER:
                     assert attack.mutation is not None
-                    report = apply_tamper(report, attack.mutation, channel)
+                    try:
+                        counts = apply_mutation(counts, attack.mutation)
+                    except ValueError as exc:
+                        raise ConfigError(f"tamper on edge {node}: {exc}") from None
                 elif attack.kind is AttackKind.DELAY:
                     delivery += attack.hold_ticks
                 else:
-                    forged = forge_report(report, attack, channel)
-                    # Pushed first at the same delivery tick, so the forgery
-                    # is processed before the genuine report it shadows.
-                    push(heap, (delivery, next(counter), receive, forged, state, channel))
+                    # A forgery in the edge sender's name, pushed first at the same
+                    # tick, so it is processed before the genuine report it shadows.
+                    forged = attack.forged_seq or seq + attack.seq_offset  # forged_seq >= 1
+                    push(heap, (delivery, next(counter), receive, state, forged,
+                                attack.forged_counts))
                 append(
                     AttackRecord(
-                        time, attack.kind.value, report.sender, receiver,
-                        attack.mode, attack.describe(),
+                        time, attack.kind.value, node, receiver, attack.mode, attack.describe(),
                     )
                 )
-            return report, delivery
+            return counts, delivery
 
         def report_up(time: int, state: _NodeState, kind: ReportKind, counts: VoteCount) -> None:
             """Publish ``counts`` at the root; anywhere else, emit them upward."""
@@ -325,7 +325,6 @@ class Simulation:
                 return
             seq = state.next_seq
             state.next_seq = seq + 1
-            report = Report(election_id, node, seq, counts, kind, time)
             append(EmitRecord(time, node, kind, seq, counts))
             if kind is final:
                 channel, indices, receive = postal, state.final_attacks, on_final
@@ -335,18 +334,18 @@ class Simulation:
             if jitter_max:
                 delivery += rng.randint(0, jitter_max)
             if indices:
-                report, delivery = fire(time, report, state, channel, delivery, receive, indices)
-            push(heap, (delivery, next(counter), receive, report, state, channel))
+                counts, delivery = fire(time, state, seq, counts, delivery, receive, indices)
+            push(heap, (delivery, next(counter), receive, state, seq, counts))
 
-        def on_prelim(time: int, report: Report, sender: _NodeState, channel: ChannelSpec) -> None:
+        def on_prelim(time: int, sender: _NodeState, seq: int, counts: VoteCount) -> None:
             receiver = sender.parent
+            sender_id = sender.node
             # The receiver is the sender's parent by construction, so the
             # unknown-sender check of feasibility_check cannot fail here.
-            reason = _refusal(report, sender.eligible, seq_state)
-            _, sender_id, seq, counts, kind, _ = report
+            reason = _refusal(sender_id, seq, counts, sender.eligible, seq_state)
             append(
                 DeliverRecord(
-                    time, sender_id, receiver.node, channel.name, kind, seq, counts,
+                    time, sender_id, receiver.node, sender.channel.name, prelim, seq, counts,
                     reason is None, reason,
                 )
             )
@@ -371,18 +370,17 @@ class Simulation:
             # VoteCount raises ArithmeticOverflow past the 64-bit count range.
             report_up(time, receiver, prelim, VoteCount(*total))
 
-        def on_final(time: int, report: Report, sender: _NodeState, channel: ChannelSpec) -> None:
+        def on_final(time: int, sender: _NodeState, seq: int, counts: VoteCount) -> None:
             receiver = sender.parent
-            _, sender_id, seq, counts, kind, _ = report
             # Each child sends one final, over the signed postal channel, where
             # no attack can forge another: Simulation refuses front-run there.
             # So each child's final arrives exactly once, and the count reaches
             # zero exactly once: at the last child's final.
             table = receiver.final_table
-            table[sender.position] = (sender_id, seq, counts)
+            table[sender.position] = (sender.node, seq, counts)
             append(
                 DeliverRecord(
-                    time, sender_id, receiver.node, channel.name, kind, seq, counts, True, None,
+                    time, sender.node, receiver.node, postal.name, final, seq, counts, True, None,
                 )
             )
             receiver.finals_pending -= 1

@@ -63,14 +63,25 @@ def bundled_scenario_path(name: str) -> Path:
     return Path(str(files("votewire.data").joinpath("scenarios", f"{name}.json")))
 
 
-def parse_scenario(text: str) -> Simulation:
+def load_tree(path: str | Path) -> JurisdictionTree:
+    """The tree of a scenario file, or of a file holding a bare tree object."""
+    document = _json(Path(path).read_text(encoding="utf-8"))
+    if isinstance(document, dict):
+        document = document.get("tree", document)
+    return tree_from_config(document)
+
+
+def _json(text: str) -> Any:
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
-    top = _mapping(raw, "scenario")
+
+
+def parse_scenario(text: str) -> Simulation:
+    top = _mapping(_json(text), "scenario")
     _reject_unknown(top, _TOP_KEYS, "scenario")
 
     election_id = _string(_required(top, "election_id", "scenario"), "election_id")
@@ -298,17 +309,15 @@ def _channel_spec(value: Any, where: str) -> ChannelSpec:
 
 
 def _channels(top: Mapping[str, Any], tree: JurisdictionTree) -> dict[JurisdictionId, ChannelSpec]:
-    is_swiss = tree.root == swiss.federal_id() and set(tree.children(tree.root)) == set(
-        swiss.canton_id(c) for c in swiss.channel_assignments()
-    )
     default: ChannelSpec | None = None
     if "default_channel" in top:
         default = _channel_spec(top["default_channel"], "default_channel")
 
     channels: dict[JurisdictionId, ChannelSpec] = {}
-    if is_swiss:
-        for code, tag in swiss.channel_assignments().items():
-            channels[swiss.canton_id(code)] = preset(tag)
+    if tree.root == swiss.federal_id():
+        cantons = {swiss.canton_id(c): preset(t) for c, t in swiss.channel_assignments().items()}
+        if set(tree.children(tree.root)) == set(cantons):
+            channels.update(cantons)
 
     for key, raw in _mapping(top.get("channels", {}), "channels").items():
         channels[_edge(key, tree, f"channels.{key}")] = _channel_spec(raw, f"channels.{key}")

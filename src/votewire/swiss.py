@@ -12,13 +12,14 @@ import csv
 from dataclasses import dataclass
 from importlib import resources
 
+from .channels import PRESETS
 from .errors import ParseError
 from .tree import JurisdictionId, JurisdictionTree
 
 FEDERAL_CODE = "CH"
 
-# Channel preset tags as they appear in the data file.
-CHANNEL_TAGS = ("telephone", "fax", "email", "dedicated")
+# Channel tags the data file may use: the unsigned presets.
+CHANNEL_TAGS = tuple(name for name, spec in PRESETS.items() if not spec.signed)
 
 
 @dataclass(frozen=True, slots=True)

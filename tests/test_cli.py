@@ -37,6 +37,17 @@ class TestSimulate:
         assert "integrity gap ticks: 165" in out
         assert "final matches ground truth: true" in out
 
+    def test_stdout_lists_ten_items_per_section(self, tmp_path, capsys):
+        summary = tmp_path / "run.summary"
+        assert main(["simulate", "--scenario", TAMPER, "--summary-out", str(summary)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("coverage gaps: 25")
+        assert lines[start + 11:start + 13] == ["  ... 15 more", "detect events: 0"]
+        # The file lists all 25 gaps; stdout shows the first 10 of them.
+        full = summary.read_text(encoding="utf-8").splitlines()
+        assert full[start:start + 11] == lines[start:start + 11]
+        assert full[start + 26] == "detect events: 0"
+
     def test_trace_and_summary_files(self, tmp_path, capsys):
         trace = tmp_path / "run.trace"
         summary = tmp_path / "run.summary"
@@ -280,6 +291,27 @@ class TestKeys:
         ) == 0
         assert "certificates: 6" in capsys.readouterr().out
         assert len(list(out_dir.glob("*.cert"))) == 6
+
+    def test_tree_from_scenario_file(self, tmp_path, capsys):
+        from_scenario, from_preset = tmp_path / "scenario", tmp_path / "preset"
+        assert main(["keys", "--tree", TAMPER, "--out-dir", str(from_scenario), "--seed", "7"]) == 0
+        assert main(["keys", "--tree", "swiss", "--out-dir", str(from_preset), "--seed", "7"]) == 0
+        capsys.readouterr()
+        certs = sorted(p.name for p in from_preset.glob("*.cert"))
+        assert len(certs) == 27
+        assert certs == sorted(p.name for p in from_scenario.glob("*.cert"))
+        for name in certs:
+            assert (from_preset / name).read_bytes() == (from_scenario / name).read_bytes()
+
+    def test_malformed_tree_json_reads_as_for_simulate(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{\n  broken\n}")
+        assert main(["simulate", "--scenario", str(bad)]) == 2
+        simulate_err = capsys.readouterr().err
+        assert main(["keys", "--tree", str(bad), "--out-dir", str(tmp_path / "store")]) == 2
+        keys_err = capsys.readouterr().err
+        assert keys_err == simulate_err
+        assert keys_err.startswith("error: invalid JSON at line 2 column 3: ")
 
     def test_invalid_tree_file(self, tmp_path, capsys):
         tree_file = tmp_path / "tree.json"

@@ -414,6 +414,21 @@ class TestAttacksInTheLoop:
             r for r in trace.records if isinstance(r, DeliverRecord)
         ]
 
+    def test_pinned_forged_seq_reaches_the_receiver(self):
+        pinned = AttackSpec(AttackKind.FRONT_RUN, A, forged_counts=VoteCount(90, 1), forged_seq=5)
+        trace = two_leaf_sim(attacks=(pinned,)).run()
+        assert [r for r in trace.records if isinstance(r, AttackRecord)] == [
+            AttackRecord(0, "front_run", A, CH, "blind", "forged_seq:5"),
+        ]
+        from_a = [r for r in trace.records if isinstance(r, DeliverRecord) and r.sender == A]
+        assert [(r.time, r.kind, r.seq, r.counts, r.accepted, r.reason) for r in from_a] == [
+            (1, ReportKind.PRELIMINARY, 5, VoteCount(90, 1), True, None),
+            (1, ReportKind.PRELIMINARY, 1, VoteCount(30, 20), False, REASON_STALE_SEQUENCE),
+            (148, ReportKind.FINAL, 2, VoteCount(30, 20), True, None),
+        ]
+        first = trace.publishes(ReportKind.PRELIMINARY)[0]
+        assert first.children == ((A, 5, VoteCount(90, 1)),)
+
     def test_attack_on_unknown_edge_rejected_at_build(self):
         ghost = JurisdictionId.of("CH", "GHOST")
         with pytest.raises(ValueError, match="unknown edge"):
@@ -481,6 +496,11 @@ class TestSimulationValidation:
             ConfigError, match=r"^field 'ground_truth.CH/A': total 50 exceeds 10 eligible voters$"
         ):
             two_leaf_sim(tree=tree, ground_truth={A: VoteCount(30, 20), B: VoteCount(1, 1)})
+
+    def test_empty_election_id_rejected(self):
+        # Used to build, then fail mid-run when the first report was emitted.
+        with pytest.raises(ValueError, match="election_id must be non-empty"):
+            two_leaf_sim(election_id="")
 
     def test_every_edge_needs_a_channel(self):
         with pytest.raises(ValueError, match="no channel"):

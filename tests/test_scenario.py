@@ -53,7 +53,12 @@ class TestParsingHappyPath:
         trace = sim.run()
         assert trace.final_publish().counts == VoteCount(40, 60)
 
-    def test_swiss_preset_uses_bundled_channel_assignments(self):
+    def test_swiss_preset_uses_bundled_channel_assignments(self, monkeypatch):
+        reads = []
+        assignments = votewire.swiss.channel_assignments
+        monkeypatch.setattr(
+            votewire.swiss, "channel_assignments", lambda: reads.append(1) or assignments()
+        )
         config = parse(
             {
                 "election_id": "rtvg-2015",
@@ -61,6 +66,7 @@ class TestParsingHappyPath:
                 "ground_truth": {"bundled_results": "rtvg_2015"},
             }
         )
+        assert len(reads) == 1  # the canton table is parsed once per scenario
         assert config.channels[canton_id("BL")].name == "telephone"
         assert config.channels[canton_id("ZH")].name == "dedicated"
         assert config.channels[canton_id("ZG")].name == "email"

@@ -1,7 +1,10 @@
 """Bundled federation preset: weights, electorate, channel assignments."""
 
+import pytest
 
+from votewire import swiss
 from votewire.counts import accumulate
+from votewire.errors import ParseError
 from votewire.swiss import (
     canton_id,
     channel_assignments,
@@ -42,6 +45,15 @@ def test_every_canton_has_a_channel_assignment():
     assert channels["BL"] == "telephone"
     assert channels["ZH"] == "dedicated"
     assert channels["ZG"] == "email"
+
+
+@pytest.mark.parametrize("tag", ["postal_final", "pigeon"])
+def test_channel_tag_must_name_an_unsigned_preset(monkeypatch, tag):
+    row = f"code,name,half_votes,eligible_voters,channel\nZH,Zürich,2,907623,{tag}\n"
+    monkeypatch.setattr(swiss, "_data_text", lambda filename: row)
+    with pytest.raises(ParseError) as exc:
+        load_cantons()
+    assert str(exc.value) == f"swiss_cantons.csv row 2: unknown channel tag {tag!r}"
 
 
 def test_display_names_cover_known_cantons():
