@@ -21,10 +21,12 @@ from votewire.channels import (
     wrapped,
 )
 from votewire.counts import VoteCount
+from votewire.engine import Simulation
 from votewire.errors import CapabilityError
 from votewire.reports import Report, ReportKind
+from votewire.traces import DeliverRecord
 
-from helpers import canton_id
+from helpers import canton_id, make_canton_tree
 
 INSECURE = (TELEPHONE, FAX, EMAIL, DEDICATED_SOFTWARE)
 SEALED = (POSTAL_FINAL,) + tuple(wrapped(c) for c in INSECURE)
@@ -152,6 +154,70 @@ class TestCapabilityGating:
     @pytest.mark.parametrize("channel", SEALED)
     def test_delay_survives_signing(self, channel):
         check_attack_permitted(AttackKind.DELAY, channel)
+
+
+def one_edge_sim(attack: AttackSpec, channel=EMAIL) -> Simulation:
+    """CH with one canton, ZH, reporting over ``channel`` with ``attack`` on its edge."""
+    zh = canton_id("ZH")
+    return Simulation(
+        election_id="toy",
+        tree=make_canton_tree({"ZH": 2}, {"ZH": 100}),
+        channels={zh: channel},
+        ground_truth={zh: VoteCount(30, 20, 2, 1)},
+        attacks=(attack,),
+    )
+
+
+def preliminaries(attack: AttackSpec) -> list[DeliverRecord]:
+    """The preliminary reports the root receives from ZH, in delivery order."""
+    return [
+        r for r in one_edge_sim(attack).run().records
+        if isinstance(r, DeliverRecord) and r.kind is ReportKind.PRELIMINARY
+    ]
+
+
+class TestAttackApplication:
+    # The engine applies attacks to what it sends; these check the report
+    # that reaches the receiver, and the channel check at construction.
+    def test_tamper_rewrites_counts_only(self):
+        attack = AttackSpec(
+            AttackKind.TAMPER, canton_id("ZH"), mutation=Mutation(MutationKind.SWAP_YES_NO)
+        )
+        [out] = preliminaries(attack)
+        assert out.counts == VoteCount(20, 30, 2, 1)
+        assert (out.sender, out.seq, out.kind, out.accepted) == (
+            canton_id("ZH"), 1, ReportKind.PRELIMINARY, True,
+        )
+
+    def test_tamper_checks_the_channel(self):
+        attack = AttackSpec(
+            AttackKind.TAMPER, canton_id("ZH"), mutation=Mutation(MutationKind.SWAP_YES_NO)
+        )
+        with pytest.raises(CapabilityError):
+            one_edge_sim(attack, POSTAL_FINAL)
+
+    def test_forged_report_shadows_the_genuine_sender(self):
+        attack = AttackSpec(
+            AttackKind.FRONT_RUN, canton_id("ZH"), forged_counts=VoteCount(999, 1)
+        )
+        forged, genuine = preliminaries(attack)
+        assert forged.sender == genuine.sender == canton_id("ZH")
+        assert forged.counts == VoteCount(999, 1)
+        assert forged.seq == genuine.seq + 1000 == 1001
+
+    def test_forged_seq_can_be_pinned(self):
+        attack = AttackSpec(
+            AttackKind.FRONT_RUN, canton_id("ZH"),
+            forged_counts=VoteCount(1, 0), forged_seq=77,
+        )
+        assert preliminaries(attack)[0].seq == 77
+
+    def test_forgery_checks_the_channel(self):
+        attack = AttackSpec(
+            AttackKind.FRONT_RUN, canton_id("ZH"), forged_counts=VoteCount(1, 0)
+        )
+        with pytest.raises(CapabilityError):
+            one_edge_sim(attack, wrapped(EMAIL))
 
 
 # Each field set breaks one rule that Report(...) enforces.
