@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from .channels import ChannelSpec
 from .counts import VoteCount
 from .errors import CapabilityError
 from .reports import ReportKind
-from .traces import DetectRecord, EventTrace, nogc
+from .traces import DetectRecord, EventTrace, PublishRecord, nogc
 from .tree import JurisdictionId
 
 
@@ -178,37 +178,62 @@ class DetectionSummary:
             "detection summary",
             f"final matches ground truth: {str(self.final_matches_ground_truth).lower()}",
             f"count divergences: {len(self.count_divergences)}",
-            *_capped(self.count_divergences, _divergence_line, max_items),
+            *_capped(self.count_divergences, _divergence_lines, max_items),
             f"coverage gaps: {len(self.coverage_gaps)}",
-            *_capped(self.coverage_gaps, _gap_line, max_items),
+            *_capped(self.coverage_gaps, _gap_lines, max_items),
             f"detect events: {len(self.detects)}",
-            *_capped(self.detects, _detect_line, max_items),
-            f"integrity gap ticks: {self.integrity_gap_ticks}",
+            *_capped(self.detects, _detect_lines, max_items),
+            # The last line carries the final newline, so the text is joined once.
+            f"integrity gap ticks: {self.integrity_gap_ticks}\n",
         ]
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines)
 
 
-def _divergence_line(d: CountDivergence) -> str:
-    return (
-        f"  t={d.time} child={d.child} reported={d.reported.yes}:{d.reported.no}"
-        f":{d.reported.blank}:{d.reported.invalid} final={d.final.yes}:{d.final.no}"
-        f":{d.final.blank}:{d.final.invalid}"
-    )
+def _divergence_lines(divergences: Sequence[CountDivergence]) -> list[str]:
+    """One line per divergence, each distinct tail formatted once.
+
+    A child's entry stays in the root's table until the child reports
+    again, so consecutive publications repeat the same (child, reported,
+    final) objects. Tails are kept by identity in a table that lives for
+    this call; the divergences keep every object alive meanwhile.
+    """
+    tails: dict[tuple[int, int, int], str] = {}
+    lines: list[str] = []
+    append = lines.append
+    for time, child, reported, final in divergences:
+        key = (id(child), id(reported), id(final))
+        tail = tails.get(key)
+        if tail is None:
+            r, f = reported, final
+            tail = tails[key] = (
+                f" child={child._text} reported={r.yes}:{r.no}:{r.blank}:{r.invalid}"
+                f" final={f.yes}:{f.no}:{f.blank}:{f.invalid}"
+            )
+        append(f"  t={time}{tail}")
+    return lines
 
 
-def _gap_line(g: CoverageGap) -> str:
-    return f"  t={g.time} missing={','.join(str(m) for m in g.missing)}"
+def _gap_lines(gaps: Sequence[CoverageGap]) -> list[str]:
+    return [f"  t={g.time} missing={','.join(m._text for m in g.missing)}" for g in gaps]
 
 
-def _detect_line(rec: DetectRecord) -> str:
-    return f"  t={rec.time} node={rec.node} reason={rec.reason} child={rec.child} seq={rec.seq}"
+def _detect_lines(detects: Sequence[DetectRecord]) -> list[str]:
+    return [
+        f"  t={time} node={node._text} reason={reason} child={child._text} seq={seq}"
+        for time, node, reason, child, seq in detects
+    ]
 
 
-def _capped(items: Sequence[Any], line: Callable[[Any], str], max_items: int) -> list[str]:
+_Item = TypeVar("_Item")
+
+
+def _capped(
+    items: Sequence[_Item], lines: Callable[[Sequence[_Item]], list[str]], max_items: int
+) -> list[str]:
     """The lines of at most ``max_items`` items (all when 0), formatting only those."""
     if max_items <= 0 or len(items) <= max_items:
-        return list(map(line, items))
-    return [*map(line, items[:max_items]), f"  ... {len(items) - max_items} more"]
+        return lines(items)
+    return [*lines(items[:max_items]), f"  ... {len(items) - max_items} more"]
 
 
 @nogc
@@ -225,23 +250,33 @@ def detection_report(trace: EventTrace) -> DetectionSummary:
     final_pub = trace.final_publish()
     root_children = trace.tree.children(trace.tree.root)
     truths = trace.subtree_truths()
+    prelim = ReportKind.PRELIMINARY
 
     divergences: list[CountDivergence] = []
     gaps: list[CoverageGap] = []
+    detects: list[DetectRecord] = []
     first_divergent_time: int | None = None
-    for pub in trace.publishes(ReportKind.PRELIMINARY):
-        for child, _seq, counts in pub.children:
+    # One pass over the records collects both detects and publications.
+    for record in trace.records:
+        cls = type(record)
+        if cls is DetectRecord:
+            detects.append(record)
+            continue
+        if cls is not PublishRecord or record.kind is not prelim:
+            continue
+        time, children = record.time, record.children
+        for child, _seq, counts in children:
             expected = truths[child]
             if counts != expected:
-                divergences.append(CountDivergence(pub.time, child, counts, expected))
+                divergences.append(CountDivergence(time, child, counts, expected))
                 if first_divergent_time is None:
-                    first_divergent_time = pub.time
+                    first_divergent_time = time
         # A publication lists each root child at most once, so only a short
         # one can miss some.
-        if len(pub.children) != len(root_children):
-            covered = {child for child, _seq, _counts in pub.children}
+        if len(children) != len(root_children):
+            covered = {child for child, _seq, _counts in children}
             missing = tuple(c for c in root_children if c not in covered)
-            gaps.append(CoverageGap(pub.time, missing))
+            gaps.append(CoverageGap(time, missing))
 
     gap_ticks = 0
     if first_divergent_time is not None:
@@ -250,7 +285,7 @@ def detection_report(trace: EventTrace) -> DetectionSummary:
     return DetectionSummary(
         count_divergences=tuple(divergences),
         coverage_gaps=tuple(gaps),
-        detects=trace.detects(),
+        detects=tuple(detects),
         final_matches_ground_truth=(
             final_pub.counts == truths[trace.tree.root]
         ),

@@ -19,7 +19,7 @@ from typing import Any, Mapping, TypeVar
 from . import swiss
 from .adversary import AttackKind, AttackSpec, Mutation, MutationKind
 from .channels import POSTAL_FINAL, PRESETS, ChannelSpec, preset, wrapped
-from .counts import VoteCount
+from .counts import MAX_COUNT, VoteCount
 from .engine import DEFAULT_FINAL_EMIT_AT, NoiseModel, Simulation
 from .errors import ConfigError
 from .reports import ReportKind
@@ -38,6 +38,8 @@ _ATTACK_KEYS = {
 _MUTATION_KEYS = {"kind", "counts", "shift", "direction"}
 _COUNT_KEYS = {"yes", "no", "blank", "invalid"}
 _TIMING_KEYS = {"prelim_emit", "final_emit", "final_emit_default"}
+# A parse's table of the tree's own nodes, by their text.
+_Nodes = Mapping[str, JurisdictionId]
 
 
 def build_simulation(config: Simulation, seed: int | None = None) -> Simulation:
@@ -90,18 +92,23 @@ def parse_scenario(text: str) -> Simulation:
     seed = _int(top.get("seed", 0), "seed", minimum=0)
 
     tree = tree_from_config(_required(top, "tree", "scenario"))
-    ground_truth = _ground_truth(_required(top, "ground_truth", "scenario"), tree)
-    channels = _channels(top, tree)
-    _apply_wrap(top.get("wrap"), channels, tree)
+    # Every jurisdiction key below resolves through this table of the
+    # tree's own nodes, so no node is built twice and every dict the run
+    # reads is keyed by the very objects the tree hands out. The table
+    # lives for this call only.
+    nodes = {str(node): node for node in tree.order()}
+    ground_truth = _ground_truth(_required(top, "ground_truth", "scenario"), tree, nodes)
+    channels = _channels(top, tree, nodes)
+    _apply_wrap(top.get("wrap"), channels, tree, nodes)
 
     postal_latency = _int(
         top.get("postal_latency", POSTAL_FINAL.base_latency), "postal_latency", minimum=0
     )
 
-    prelim_emit, final_emit, final_default = _timing(top.get("timing"), tree)
+    prelim_emit, final_emit, final_default = _timing(top.get("timing"), tree, nodes)
     jitter_max = _int(top.get("jitter_max", 0), "jitter_max", minimum=0)
     noise = _noise(top.get("noise"))
-    attacks = _attacks(top.get("attacks", []), tree)
+    attacks = _attacks(top.get("attacks", []), tree, nodes)
 
     try:
         return Simulation(
@@ -147,6 +154,8 @@ def _string(value: Any, where: str) -> str:
 
 
 def _int(value: Any, where: str, minimum: int | None = None) -> int:
+    if type(value) is int and (minimum is None or value >= minimum):
+        return value
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"field '{where}' must be an integer")
     if minimum is not None and value < minimum:
@@ -167,17 +176,33 @@ def _path_key(value: Any, where: str) -> JurisdictionId:
         raise ConfigError(f"field '{where}': {exc}") from None
 
 
-def _node(value: Any, tree: JurisdictionTree, where: str) -> JurisdictionId:
-    node = _path_key(value, where)
-    if node not in tree:
+def _path(value: Any, where: str) -> tuple[str, ...]:
+    """The segments of a path string, checked without building its id.
+
+    A path passes when ``JurisdictionId`` would accept it: no empty segment
+    and no newline ('/' only separates). Anything else takes ``_path_key``,
+    which raises the id's own error.
+    """
+    if isinstance(value, str) and "\n" not in value:
+        path = tuple(value.split("/"))
+        if "" not in path:
+            return path
+    return _path_key(value, where).path
+
+
+def _node(value: Any, nodes: _Nodes, where: str) -> JurisdictionId:
+    """The tree's own node that ``value`` names, from the parse's table."""
+    node = nodes.get(value) if isinstance(value, str) else None
+    if node is None:
+        _path_key(value, where)  # a malformed path gets the id's error
         raise ConfigError(f"field '{where}': unknown jurisdiction {value!r}")
     return node
 
 
-def _edge(value: Any, tree: JurisdictionTree, where: str) -> JurisdictionId:
+def _edge(value: Any, tree: JurisdictionTree, nodes: _Nodes, where: str) -> JurisdictionId:
     """A node other than the root, naming the edge up to its parent."""
-    node = _node(value, tree, where)
-    if node == tree.root:
+    node = _node(value, nodes, where)
+    if node is tree.root:
         raise ConfigError(f"field '{where}': the root has no upward edge")
     return node
 
@@ -197,6 +222,17 @@ def _choice(choices: type[_Choice], value: Any, where: str, what: str) -> _Choic
 
 
 def _counts(value: Any, where: str) -> VoteCount:
+    # The common case in one expression, building no field name; anything
+    # else takes the checks below, which name the first offending field.
+    if type(value) is dict and value.keys() <= _COUNT_KEYS:
+        get = value.get
+        yes, no, blank, invalid = get("yes", 0), get("no", 0), get("blank", 0), get("invalid", 0)
+        if (
+            type(yes) is int and type(no) is int and type(blank) is int and type(invalid) is int
+            and 0 <= yes <= MAX_COUNT and 0 <= no <= MAX_COUNT
+            and 0 <= blank <= MAX_COUNT and 0 <= invalid <= MAX_COUNT
+        ):
+            return VoteCount(yes, no, blank, invalid)
     obj = _mapping(value, where)
     _reject_unknown(obj, _COUNT_KEYS, where)
     try:
@@ -223,7 +259,7 @@ def tree_from_config(value: Any) -> JurisdictionTree:
     raw_paths = obj.get("paths")
     if not isinstance(raw_paths, list) or not raw_paths:
         raise ConfigError("field 'tree.paths' must be a non-empty list of path strings")
-    paths = [_path_key(p, f"tree.paths[{i}]").path for i, p in enumerate(raw_paths)]
+    paths = [_path(p, f"tree.paths[{i}]") for i, p in enumerate(raw_paths)]
     half_votes = {}
     for key, weight in _mapping(obj.get("half_votes", {}), "tree.half_votes").items():
         half_votes[_path_key(key, f"tree.half_votes.{key}")] = _int(
@@ -240,15 +276,16 @@ def tree_from_config(value: Any) -> JurisdictionTree:
         raise ConfigError(f"field 'tree': {exc}") from None
 
 
-def _ground_truth(value: Any, tree: JurisdictionTree) -> dict[JurisdictionId, VoteCount]:
+def _ground_truth(value: Any, tree: JurisdictionTree, nodes: _Nodes) -> dict[JurisdictionId, VoteCount]:
     obj = _mapping(value, "ground_truth")
     if "bundled_results" in obj:
         _reject_unknown(obj, {"bundled_results"}, "ground_truth")
-        return _truth_from_results(_string(obj["bundled_results"], "ground_truth.bundled_results"), tree)
+        name = _string(obj["bundled_results"], "ground_truth.bundled_results")
+        return _truth_from_results(name, tree, nodes)
     truth: dict[JurisdictionId, VoteCount] = {}
     for key, raw in obj.items():
-        node = _node(key, tree, f"ground_truth.{key}")
-        truth[node] = _counts(raw, f"ground_truth.{key}")
+        where = f"ground_truth.{key}"
+        truth[_node(key, nodes, where)] = _counts(raw, where)
     leaves = tree.leaves()
     missing = sorted(str(leaf) for leaf in leaves if leaf not in truth)
     if missing:
@@ -260,7 +297,9 @@ def _ground_truth(value: Any, tree: JurisdictionTree) -> dict[JurisdictionId, Vo
     return truth
 
 
-def _truth_from_results(name: str, tree: JurisdictionTree) -> dict[JurisdictionId, VoteCount]:
+def _truth_from_results(
+    name: str, tree: JurisdictionTree, nodes: _Nodes
+) -> dict[JurisdictionId, VoteCount]:
     """Leaf ground truth from a bundled results file's final columns.
 
     Final yes/no are taken as cast; whatever remains of final_total is
@@ -278,8 +317,8 @@ def _truth_from_results(name: str, tree: JurisdictionTree) -> dict[JurisdictionI
     for record in records:
         if record.canton == swiss.FEDERAL_CODE:
             continue
-        node = swiss.canton_id(record.canton)
-        if node not in tree:
+        node = nodes.get(str(swiss.canton_id(record.canton)))
+        if node is None:
             raise ConfigError(
                 f"field 'ground_truth.bundled_results': {record.canton!r} is not in the tree"
             )
@@ -308,19 +347,24 @@ def _channel_spec(value: Any, where: str) -> ChannelSpec:
     return preset(name, latency)
 
 
-def _channels(top: Mapping[str, Any], tree: JurisdictionTree) -> dict[JurisdictionId, ChannelSpec]:
+def _channels(
+    top: Mapping[str, Any], tree: JurisdictionTree, nodes: _Nodes
+) -> dict[JurisdictionId, ChannelSpec]:
     default: ChannelSpec | None = None
     if "default_channel" in top:
         default = _channel_spec(top["default_channel"], "default_channel")
 
     channels: dict[JurisdictionId, ChannelSpec] = {}
     if tree.root == swiss.federal_id():
-        cantons = {swiss.canton_id(c): preset(t) for c, t in swiss.channel_assignments().items()}
-        if set(tree.children(tree.root)) == set(cantons):
-            channels.update(cantons)
+        cantons = {
+            str(swiss.canton_id(c)): preset(t) for c, t in swiss.channel_assignments().items()
+        }
+        if {str(kid) for kid in tree.children(tree.root)} == cantons.keys():
+            channels.update((nodes[text], spec) for text, spec in cantons.items())
 
     for key, raw in _mapping(top.get("channels", {}), "channels").items():
-        channels[_edge(key, tree, f"channels.{key}")] = _channel_spec(raw, f"channels.{key}")
+        where = f"channels.{key}"
+        channels[_edge(key, tree, nodes, where)] = _channel_spec(raw, where)
 
     for node in tree.order()[1:]:
         if node in channels:
@@ -337,6 +381,7 @@ def _apply_wrap(
     value: Any,
     channels: dict[JurisdictionId, ChannelSpec],
     tree: JurisdictionTree,
+    nodes: _Nodes,
 ) -> None:
     if value is None:
         return
@@ -350,12 +395,12 @@ def _apply_wrap(
     if not isinstance(edges, list):
         raise ConfigError("field 'wrap.edges' must be a list of jurisdiction paths")
     for i, raw in enumerate(edges):
-        node = _edge(raw, tree, f"wrap.edges[{i}]")
+        node = _edge(raw, tree, nodes, f"wrap.edges[{i}]")
         channels[node] = wrapped(channels[node])
 
 
 def _timing(
-    value: Any, tree: JurisdictionTree
+    value: Any, tree: JurisdictionTree, nodes: _Nodes
 ) -> tuple[dict[JurisdictionId, int], dict[JurisdictionId, int], int]:
     if value is None:
         return {}, {}, DEFAULT_FINAL_EMIT_AT
@@ -365,12 +410,11 @@ def _timing(
     final: dict[JurisdictionId, int] = {}
     for field_name, into in (("prelim_emit", prelim), ("final_emit", final)):
         for key, raw in _mapping(obj.get(field_name, {}), f"timing.{field_name}").items():
-            node = _node(key, tree, f"timing.{field_name}.{key}")
+            where = f"timing.{field_name}.{key}"
+            node = _node(key, nodes, where)
             if tree.children(node):
-                raise ConfigError(
-                    f"field 'timing.{field_name}.{key}': not a leaf; only leaves emit reports"
-                )
-            into[node] = _int(raw, f"timing.{field_name}.{key}", minimum=0)
+                raise ConfigError(f"field '{where}': not a leaf; only leaves emit reports")
+            into[node] = _int(raw, where, minimum=0)
     default = _int(obj.get("final_emit_default", DEFAULT_FINAL_EMIT_AT),
                    "timing.final_emit_default", minimum=0)
     return prelim, final, default
@@ -409,7 +453,7 @@ def _mutation(value: Any, where: str) -> Mutation:
         raise ConfigError(f"field '{where}': {exc}") from None
 
 
-def _attacks(value: Any, tree: JurisdictionTree) -> tuple[AttackSpec, ...]:
+def _attacks(value: Any, tree: JurisdictionTree, nodes: _Nodes) -> tuple[AttackSpec, ...]:
     if not isinstance(value, list):
         raise ConfigError("field 'attacks' must be a list")
     attacks: list[AttackSpec] = []
@@ -418,7 +462,7 @@ def _attacks(value: Any, tree: JurisdictionTree) -> tuple[AttackSpec, ...]:
         obj = _mapping(raw, where)
         _reject_unknown(obj, _ATTACK_KEYS, where)
         kind = _choice(AttackKind, _required(obj, "kind", where), f"{where}.kind", "attack kind")
-        edge = _edge(_required(obj, "edge", where), tree, f"{where}.edge")
+        edge = _edge(_required(obj, "edge", where), tree, nodes, f"{where}.edge")
         report_kind = ReportKind.PRELIMINARY
         if "report_kind" in obj:
             report_kind = _choice(ReportKind, obj["report_kind"], f"{where}.report_kind", "kind")

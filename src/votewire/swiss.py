@@ -82,14 +82,15 @@ def swiss_tree() -> JurisdictionTree:
     """Two-level federation tree; the root's electorate is the cantonal sum."""
     cantons = load_cantons()
     root = federal_id()
+    # One id per canton, so every entry is keyed by the tree's own node.
     kids = [canton_id(info.code) for info in cantons]
     eligible: dict[JurisdictionId, int] = {
-        canton_id(info.code): info.eligible_voters for info in cantons
+        kid: info.eligible_voters for kid, info in zip(kids, cantons)
     }
     eligible[root] = sum(info.eligible_voters for info in cantons)
     return JurisdictionTree(
         root,
         {root: kids},
-        {canton_id(info.code): info.half_votes for info in cantons},
+        {kid: info.half_votes for kid, info in zip(kids, cantons)},
         eligible,
     )

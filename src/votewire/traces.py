@@ -4,6 +4,12 @@ Every observable step of a run becomes exactly one record, and each record
 renders to one stable text line of space-separated key=value fields. Two
 runs with the same configuration and seed produce byte-identical text,
 which makes traces diffable and suitable as golden files.
+
+Records carry no rendering of their own: ``EventTrace.to_text`` renders
+them all in one loop, one f-string per line, reading each id's and kind's
+text instead of calling ``str`` or ``Enum.value`` per field. A large run
+publishes the same child entries over and over, so each entry tuple is
+rendered once per call.
 """
 
 from __future__ import annotations
@@ -43,13 +49,6 @@ def nogc(build: Callable[..., _T]) -> Callable[..., _T]:
     return paused
 
 
-def _counts_fields(counts: VoteCount) -> str:
-    return (
-        f"yes={counts.yes} no={counts.no} "
-        f"blank={counts.blank} invalid={counts.invalid}"
-    )
-
-
 # Records are NamedTuples: immutable and built by tuple's C constructor,
 # which matters at ~100k records per large run. Like any tuple, a record
 # compares equal to a plain tuple of the same values. Rendering unpacks a
@@ -63,10 +62,6 @@ class EmitRecord(NamedTuple):
     seq: int
     counts: VoteCount
 
-    def to_line(self) -> str:
-        time, node, kind, seq, counts = self
-        return f"emit t={time} node={node} kind={kind.value} seq={seq} {_counts_fields(counts)}"
-
 
 class DeliverRecord(NamedTuple):
     time: int
@@ -79,17 +74,6 @@ class DeliverRecord(NamedTuple):
     accepted: bool
     reason: str | None = None
 
-    def to_line(self) -> str:
-        time, sender, receiver, channel, kind, seq, counts, accepted, reason = self
-        line = (
-            f"deliver t={time} from={sender} to={receiver} "
-            f"channel={channel} kind={kind.value} seq={seq} "
-            f"{_counts_fields(counts)} accepted={str(accepted).lower()}"
-        )
-        if reason is not None:
-            line += f" reason={reason}"
-        return line
-
 
 class AttackRecord(NamedTuple):
     time: int
@@ -99,13 +83,6 @@ class AttackRecord(NamedTuple):
     mode: str
     detail: str
 
-    def to_line(self) -> str:
-        time, kind, sender, receiver, mode, detail = self
-        return (
-            f"attack t={time} kind={kind} from={sender} "
-            f"to={receiver} mode={mode} detail={detail}"
-        )
-
 
 class DetectRecord(NamedTuple):
     time: int
@@ -113,10 +90,6 @@ class DetectRecord(NamedTuple):
     reason: str
     child: JurisdictionId
     seq: int
-
-    def to_line(self) -> str:
-        time, node, reason, child, seq = self
-        return f"detect t={time} node={node} reason={reason} child={child} seq={seq}"
 
 
 class PublishRecord(NamedTuple):
@@ -132,17 +105,6 @@ class PublishRecord(NamedTuple):
     counts: VoteCount
     children: tuple[tuple[JurisdictionId, int, VoteCount], ...]
 
-    def to_line(self) -> str:
-        time, node, kind, counts, children = self
-        parts = ",".join(
-            f"{child}:{seq}:{c.yes}:{c.no}:{c.blank}:{c.invalid}"
-            for child, seq, c in children
-        )
-        return (
-            f"publish t={time} node={node} kind={kind.value} "
-            f"{_counts_fields(counts)} children={parts}"
-        )
-
 
 TraceRecord = EmitRecord | DeliverRecord | AttackRecord | DetectRecord | PublishRecord
 
@@ -156,10 +118,70 @@ class EventTrace:
     records: tuple[TraceRecord, ...]
 
     def to_text(self) -> str:
+        """The header, one line per record, and the footer, each ending in a newline.
+
+        Each line is one f-string over the record's unpacked fields, ids
+        and kinds read from their stored text: no Python-level call per
+        field. Consecutive publications share most of their entry tuples
+        (the root publishes copies of one child table), so each entry
+        tuple is rendered once, in a table keyed by its identity that
+        lives for this call. The trace keeps every entry alive meanwhile,
+        so no identity is reused while the table is in use.
+        """
+        prelim = ReportKind.PRELIMINARY
+        prelim_text, final_text = prelim.value, ReportKind.FINAL.value
+        entry_texts: dict[int, str] = {}
         lines = [f"trace election={self.election_id} seed={self.seed}"]
-        lines.extend(record.to_line() for record in self.records)
-        lines.append(f"end records={len(self.records)}")
-        return "\n".join(lines) + "\n"
+        append = lines.append
+        for record in self.records:
+            cls = type(record)
+            if cls is DeliverRecord:
+                time, sender, receiver, channel, kind, seq, c, accepted, reason = record
+                line = (
+                    f"deliver t={time} from={sender._text} to={receiver._text} "
+                    f"channel={channel} kind={prelim_text if kind is prelim else final_text} "
+                    f"seq={seq} yes={c.yes} no={c.no} blank={c.blank} invalid={c.invalid} "
+                    f"accepted={'true' if accepted else 'false'}"
+                )
+                append(line if reason is None else f"{line} reason={reason}")
+            elif cls is EmitRecord:
+                time, node, kind, seq, c = record
+                append(
+                    f"emit t={time} node={node._text} "
+                    f"kind={prelim_text if kind is prelim else final_text} seq={seq} "
+                    f"yes={c.yes} no={c.no} blank={c.blank} invalid={c.invalid}"
+                )
+            elif cls is DetectRecord:
+                time, node, reason, child, seq = record
+                append(
+                    f"detect t={time} node={node._text} reason={reason} "
+                    f"child={child._text} seq={seq}"
+                )
+            elif cls is PublishRecord:
+                time, node, kind, c, children = record
+                parts = []
+                for entry in children:
+                    text = entry_texts.get(id(entry))
+                    if text is None:
+                        child, seq, e = entry
+                        text = f"{child._text}:{seq}:{e.yes}:{e.no}:{e.blank}:{e.invalid}"
+                        entry_texts[id(entry)] = text
+                    parts.append(text)
+                append(
+                    f"publish t={time} node={node._text} "
+                    f"kind={prelim_text if kind is prelim else final_text} "
+                    f"yes={c.yes} no={c.no} blank={c.blank} invalid={c.invalid} "
+                    f"children={','.join(parts)}"
+                )
+            else:
+                time, kind, sender, receiver, mode, detail = record
+                append(
+                    f"attack t={time} kind={kind} from={sender._text} "
+                    f"to={receiver._text} mode={mode} detail={detail}"
+                )
+        # The last line carries the final newline, so the text is joined once.
+        append(f"end records={len(self.records)}\n")
+        return "\n".join(lines)
 
     def publishes(self, kind: ReportKind | None = None) -> tuple[PublishRecord, ...]:
         return tuple(

@@ -190,9 +190,14 @@ def tree_from_paths(
 ) -> JurisdictionTree:
     """Build a tree from full paths; intermediate nodes are created implicitly.
 
-    Each node is built once, so a parent is the very object listed among
-    its own parent's children.
+    Each node is built once: a node that a weight or voter key names is
+    that key, any other is built here. So a parent is the very object
+    listed among its own parent's children, and every weight and voter
+    entry, re-keyed to the node of its path, is found by identity.
     """
+    named = {
+        node.path: node for entries in (canton_half_votes, eligible_voters) for node in entries or ()
+    }
     ids: dict[tuple[str, ...], JurisdictionId] = {}
     for p in paths:
         p = tuple(p)
@@ -201,7 +206,7 @@ def tree_from_paths(
             prefix = p[:i]
             if prefix in ids:
                 break
-            ids[prefix] = JurisdictionId(prefix)
+            ids[prefix] = named.get(prefix) or JurisdictionId(prefix)
     roots = [j for prefix, j in ids.items() if len(prefix) == 1]
     if len(roots) != 1:
         raise ValueError(f"expected exactly one root, found {sorted(str(r) for r in roots)}")
@@ -209,4 +214,13 @@ def tree_from_paths(
     for prefix in sorted(ids):
         if len(prefix) > 1:
             children.setdefault(ids[prefix[:-1]], []).append(ids[prefix])
-    return JurisdictionTree(roots[0], children, canton_half_votes, eligible_voters)
+    return JurisdictionTree(
+        roots[0], children, _rekeyed(canton_half_votes, ids), _rekeyed(eligible_voters, ids)
+    )
+
+
+def _rekeyed(
+    mapping: Mapping[JurisdictionId, int] | None, ids: Mapping[tuple[str, ...], JurisdictionId]
+) -> dict[JurisdictionId, int]:
+    # A key that names no node stays as it is, for the tree to refuse.
+    return {ids.get(node.path, node): value for node, value in (mapping or {}).items()}

@@ -5,6 +5,11 @@ enumeration, costs come from a linear scan, and every candidate is decided
 by applying its flips and asking the tally itself (``popular_outcome``,
 ``cantonal_outcome``, ``referendum_outcome``). No oracle restates a
 majority or tie rule, so none can share a solver's mistake about one.
+
+The trace and summary formatters at the end render every record and
+summary item field by field, with no table shared between lines: they pin
+the text that ``EventTrace.to_text`` and ``DetectionSummary.to_text``
+produce from their per-call tables.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Mapping
 
+from votewire.adversary import CountDivergence, CoverageGap, DetectionSummary
 from votewire.counts import VoteCount, accumulate
 from votewire.tally import (
     Decision,
@@ -20,6 +26,15 @@ from votewire.tally import (
     cantonal_outcome,
     popular_outcome,
     referendum_outcome,
+)
+from votewire.traces import (
+    AttackRecord,
+    DeliverRecord,
+    DetectRecord,
+    EmitRecord,
+    EventTrace,
+    PublishRecord,
+    TraceRecord,
 )
 from votewire.tree import JurisdictionId, JurisdictionTree
 
@@ -183,3 +198,91 @@ def outcome_flips_vectors(
         if referendum_outcome(DOUBLE, flipped, tree).overall is target:
             best = total
     return best
+
+
+def _counts_fields(counts: VoteCount) -> str:
+    return (
+        f"yes={counts.yes} no={counts.no} "
+        f"blank={counts.blank} invalid={counts.invalid}"
+    )
+
+
+def trace_line(record: TraceRecord) -> str:
+    """One record's trace line, each field formatted on its own."""
+    if isinstance(record, EmitRecord):
+        time, node, kind, seq, counts = record
+        return f"emit t={time} node={node} kind={kind.value} seq={seq} {_counts_fields(counts)}"
+    if isinstance(record, DeliverRecord):
+        time, sender, receiver, channel, kind, seq, counts, accepted, reason = record
+        line = (
+            f"deliver t={time} from={sender} to={receiver} "
+            f"channel={channel} kind={kind.value} seq={seq} "
+            f"{_counts_fields(counts)} accepted={str(accepted).lower()}"
+        )
+        if reason is not None:
+            line += f" reason={reason}"
+        return line
+    if isinstance(record, AttackRecord):
+        time, kind, sender, receiver, mode, detail = record
+        return (
+            f"attack t={time} kind={kind} from={sender} "
+            f"to={receiver} mode={mode} detail={detail}"
+        )
+    if isinstance(record, DetectRecord):
+        time, node, reason, child, seq = record
+        return f"detect t={time} node={node} reason={reason} child={child} seq={seq}"
+    assert isinstance(record, PublishRecord)
+    time, node, kind, counts, children = record
+    parts = ",".join(
+        f"{child}:{seq}:{c.yes}:{c.no}:{c.blank}:{c.invalid}" for child, seq, c in children
+    )
+    return (
+        f"publish t={time} node={node} kind={kind.value} "
+        f"{_counts_fields(counts)} children={parts}"
+    )
+
+
+def trace_text(trace: EventTrace) -> str:
+    """The header, one ``trace_line`` per record, and the footer."""
+    lines = [f"trace election={trace.election_id} seed={trace.seed}"]
+    lines.extend(trace_line(record) for record in trace.records)
+    lines.append(f"end records={len(trace.records)}")
+    return "\n".join(lines) + "\n"
+
+
+def divergence_line(d: CountDivergence) -> str:
+    return (
+        f"  t={d.time} child={d.child} reported={d.reported.yes}:{d.reported.no}"
+        f":{d.reported.blank}:{d.reported.invalid} final={d.final.yes}:{d.final.no}"
+        f":{d.final.blank}:{d.final.invalid}"
+    )
+
+
+def _gap_line(g: CoverageGap) -> str:
+    return f"  t={g.time} missing={','.join(str(m) for m in g.missing)}"
+
+
+def _detect_line(rec: DetectRecord) -> str:
+    return f"  t={rec.time} node={rec.node} reason={rec.reason} child={rec.child} seq={rec.seq}"
+
+
+def _capped(items, line, max_items: int) -> list[str]:
+    lines = [line(item) for item in items]
+    if max_items <= 0 or len(lines) <= max_items:
+        return lines
+    return [*lines[:max_items], f"  ... {len(lines) - max_items} more"]
+
+
+def summary_text(summary: DetectionSummary, max_items: int = 10) -> str:
+    lines = [
+        "detection summary",
+        f"final matches ground truth: {str(summary.final_matches_ground_truth).lower()}",
+        f"count divergences: {len(summary.count_divergences)}",
+        *_capped(summary.count_divergences, divergence_line, max_items),
+        f"coverage gaps: {len(summary.coverage_gaps)}",
+        *_capped(summary.coverage_gaps, _gap_line, max_items),
+        f"detect events: {len(summary.detects)}",
+        *_capped(summary.detects, _detect_line, max_items),
+        f"integrity gap ticks: {summary.integrity_gap_ticks}",
+    ]
+    return "\n".join(lines) + "\n"

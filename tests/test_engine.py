@@ -12,11 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import votewire
 from helpers import uneven_tree_paths
 from votewire.adversary import (
     AttackKind,
     AttackSpec,
+    CountDivergence,
+    DetectionSummary,
     Mutation,
     MutationKind,
     detection_report,
@@ -34,7 +37,14 @@ from votewire.engine import (
 )
 from votewire.errors import ArithmeticOverflow, CapabilityError, ConfigError
 from votewire.reports import Report, ReportKind, SequenceState
-from votewire.traces import AttackRecord, DeliverRecord, DetectRecord, EmitRecord, PublishRecord
+from votewire.traces import (
+    AttackRecord,
+    DeliverRecord,
+    DetectRecord,
+    EmitRecord,
+    EventTrace,
+    PublishRecord,
+)
 from votewire.tree import JurisdictionId, tree_from_paths
 
 CH = JurisdictionId.of("CH")
@@ -708,6 +718,64 @@ class TestTraceInvariants:
         )
         with pytest.raises(ArithmeticOverflow):
             sim.run()
+
+
+class TestRendering:
+    """Trace and summary text match the field-by-field reference formatters."""
+
+    @settings(max_examples=150)
+    @given(sim=random_simulations(), max_items=st.sampled_from([0, 1, 3, 10]))
+    def test_text_matches_the_reference(self, sim, max_items):
+        trace = sim.run()
+        assert trace.to_text() == oracles.trace_text(trace)
+        summary = detection_report(trace)
+        assert summary.to_text(max_items) == oracles.summary_text(summary, max_items)
+
+    def test_shared_and_equal_entry_tuples_render_alike(self):
+        tree = tree_from_paths([A.path, B.path])
+        shared = (A, 1, VoteCount(1, 2, 3, 4))
+        # Equal to ``shared`` in value, but a distinct tuple holding distinct counts.
+        equal = tuple([A, 1, VoteCount(1, 2, 3, 4)])
+        other = (B, 2, VoteCount(5, 0, 0, 1))
+        newer = (A, 2, VoteCount(9, 8, 7, 6))
+        assert equal == shared and equal is not shared and equal[2] is not shared[2]
+        prelim, final = ReportKind.PRELIMINARY, ReportKind.FINAL
+        records = (
+            PublishRecord(1, CH, prelim, VoteCount(1, 2, 3, 4), (shared,)),
+            PublishRecord(2, CH, prelim, VoteCount(6, 2, 3, 5), (shared, other)),
+            PublishRecord(3, CH, prelim, VoteCount(14, 8, 7, 7), (newer, other)),
+            PublishRecord(4, CH, final, VoteCount(6, 2, 3, 5), (equal, other)),
+            DeliverRecord(4, B, CH, "email", prelim, 3, VoteCount(0, 1), False, "stale_sequence"),
+        )
+        trace = EventTrace("toy", 5, tree, {}, records)
+        text = trace.to_text()
+        assert text == oracles.trace_text(trace)
+        assert text.splitlines()[2:5] == [
+            "publish t=2 node=CH kind=preliminary yes=6 no=2 blank=3 invalid=5 "
+            "children=CH/A:1:1:2:3:4,CH/B:2:5:0:0:1",
+            "publish t=3 node=CH kind=preliminary yes=14 no=8 blank=7 invalid=7 "
+            "children=CH/A:2:9:8:7:6,CH/B:2:5:0:0:1",
+            "publish t=4 node=CH kind=final yes=6 no=2 blank=3 invalid=5 "
+            "children=CH/A:1:1:2:3:4,CH/B:2:5:0:0:1",
+        ]
+
+    def test_divergences_that_share_child_and_counts_keep_their_own_final(self):
+        reported = VoteCount(10, 20)
+        divergences = (
+            CountDivergence(1, A, reported, VoteCount(11, 19)),
+            CountDivergence(2, A, reported, VoteCount(12, 18)),
+            CountDivergence(3, A, reported, VoteCount(11, 19)),
+            CountDivergence(4, B, reported, VoteCount(11, 19)),
+        )
+        summary = DetectionSummary(divergences, (), (), False, 3)
+        text = summary.to_text(max_items=0)
+        assert text == oracles.summary_text(summary, max_items=0)
+        assert text.splitlines()[3:7] == [
+            "  t=1 child=CH/A reported=10:20:0:0 final=11:19:0:0",
+            "  t=2 child=CH/A reported=10:20:0:0 final=12:18:0:0",
+            "  t=3 child=CH/A reported=10:20:0:0 final=11:19:0:0",
+            "  t=4 child=CH/B reported=10:20:0:0 final=11:19:0:0",
+        ]
 
 
 def test_simulating_does_not_load_the_crypto_library():

@@ -1,10 +1,12 @@
 """Scenario JSON parsing, validation diagnostics, and building."""
 
 import dataclasses
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ from votewire.counts import VoteCount, accumulate
 from votewire.engine import Simulation
 from votewire.errors import CapabilityError, ConfigError
 from votewire.reports import ReportKind
-from votewire.scenario import build_simulation, parse_scenario
+from votewire.scenario import build_simulation, bundled_scenario_path, parse_scenario
 from votewire.swiss import canton_id, load_cantons
 from votewire.tally import MajorityRule
 from votewire.tree import JurisdictionId
@@ -158,6 +160,63 @@ class TestParsingHappyPath:
         assert build_simulation(config, seed=123).seed == 123
 
 
+def deep_doc():
+    """A three-level tree whose every key kind names a node."""
+    leaves = ["CH/A/X", "CH/A/Y", "CH/B"]
+    return custom_doc(
+        tree={
+            "paths": leaves,
+            "half_votes": {"CH/A": 2, "CH/B": 1},
+            "eligible_voters": {"CH": 300, "CH/A": 200, "CH/A/X": 100, "CH/B": 100},
+        },
+        ground_truth={leaf: {"yes": 10, "no": 5} for leaf in leaves},
+        channels={"CH/A": "fax", "CH/A/Y": {"preset": "telephone"}},
+        wrap={"edges": ["CH/A/X"]},
+        timing={"prelim_emit": {"CH/A/X": 4, "CH/B": 2}, "final_emit": {"CH/A/Y": 140}},
+        attacks=[
+            {"kind": "delay", "edge": "CH/A", "hold_ticks": 3},
+            {"kind": "tamper", "edge": "CH/B", "mutation": {"kind": "swap_yes_no"}},
+        ],
+    )
+
+
+def bundled_doc(name):
+    return json.loads(bundled_scenario_path(name).read_text(encoding="utf-8"))
+
+
+class TestParsedIdentity:
+    """A parse resolves every jurisdiction key to the tree's own node."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [custom_doc(), deep_doc(), bundled_doc("swiss_honest"), bundled_doc("swiss_tamper")],
+        ids=["custom", "deep", "swiss_honest", "swiss_tamper"],
+    )
+    def test_every_key_is_a_node_of_the_tree(self, doc):
+        sim = parse(doc)
+        tree = sim.tree
+        nodes = {id(node) for node in tree.order()}
+        keyed = {
+            "ground_truth": list(sim.ground_truth),
+            "channels": list(sim.channels),
+            "prelim_emit": list(sim.prelim_emit),
+            "final_emit": list(sim.final_emit),
+            "eligible_voters": list(tree.eligible_voters),
+            "canton_half_votes": list(tree.canton_half_votes),
+            "attacks": [attack.edge_child for attack in sim.attacks],
+        }
+        for field, keys in keyed.items():
+            assert all(id(key) in nodes for key in keys), field
+
+    def test_a_parsed_tree_is_freed_with_its_simulation(self):
+        sim = parse(deep_doc())
+        sim.run()
+        tree = weakref.ref(sim.tree)
+        del sim
+        gc.collect()
+        assert tree() is None
+
+
 class TestDiagnostics:
     def test_json_syntax_error_reports_line_and_column(self):
         with pytest.raises(ConfigError, match=r"line 4 column 1"):
@@ -209,6 +268,45 @@ class TestDiagnostics:
         doc["ground_truth"]["CH/A"] = {"yes": -1}
         with pytest.raises(ConfigError, match=r"ground_truth.CH/A\.yes"):
             parse(doc)
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"yes": True}, "field 'ground_truth.CH/A.yes' must be an integer"),
+            ({"yes": 1.5}, "field 'ground_truth.CH/A.yes' must be an integer"),
+            ({"yes": 1, "no": -2}, "field 'ground_truth.CH/A.no' must be >= 0"),
+            ([30, 20], "field 'ground_truth.CH/A' must be an object"),
+        ],
+    )
+    def test_count_errors_keep_their_text(self, raw, message):
+        doc = custom_doc()
+        doc["ground_truth"]["CH/A"] = raw
+        with pytest.raises(ConfigError) as excinfo:
+            parse(doc)
+        assert str(excinfo.value) == message
+
+    def test_malformed_jurisdiction_keys_keep_their_text(self):
+        doc = custom_doc()
+        doc["ground_truth"]["CH//A"] = {"yes": 1}
+        with pytest.raises(ConfigError) as excinfo:
+            parse(doc)
+        assert str(excinfo.value) == (
+            "field 'ground_truth.CH//A': jurisdiction path segments must be nonempty"
+        )
+        doc = custom_doc()
+        doc["tree"]["paths"] = ["CH/A", "CH/B\n"]
+        with pytest.raises(ConfigError) as excinfo:
+            parse(doc)
+        assert str(excinfo.value) == (
+            "field 'tree.paths[1]': segment 'B\\n' contains forbidden character '\\n'"
+        )
+
+    @pytest.mark.parametrize("edge", [5, ["CH/A"], ""])
+    def test_non_string_attack_edges_keep_their_text(self, edge):
+        doc = custom_doc(attacks=[{"kind": "delay", "edge": edge, "hold_ticks": 2}])
+        with pytest.raises(ConfigError) as excinfo:
+            parse(doc)
+        assert str(excinfo.value) == "field 'attacks[0].edge' must be a non-empty string"
 
     def test_unknown_count_keys_are_named(self):
         doc = custom_doc()
