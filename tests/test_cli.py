@@ -9,7 +9,7 @@ from votewire.analysis import bundled_results_path
 from votewire.cli import main
 from votewire.scenario import bundled_scenario_path
 from votewire.secauth import TrustStore
-from votewire.swiss import canton_names
+from votewire.swiss import canton_names, load_cantons
 
 RTVG = str(bundled_results_path("rtvg_2015"))
 FAMILY = str(bundled_results_path("family_2013"))
@@ -136,6 +136,94 @@ class TestSimulate:
         assert main(["simulate", "--scenario", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: tamper on edge CH/A: cannot shift 1000 ballots")
+
+
+def bad_run_doc(**overrides):
+    """A CH/A/{X,Y} + CH/B run that builds, for one fault per row below."""
+    doc = {
+        "election_id": "toy",
+        "tree": {"paths": ["CH/A/X", "CH/A/Y", "CH/B"], "eligible_voters": {"CH/B": 10}},
+        "ground_truth": {"CH/A/X": {"yes": 1}, "CH/A/Y": {"yes": 2}, "CH/B": {"no": 3}},
+        "default_channel": "email",
+    }
+    doc.update(overrides)
+    return doc
+
+
+def _without(key):
+    doc = bad_run_doc()
+    del doc[key]
+    return doc
+
+
+def _truth(**extra):
+    doc = bad_run_doc()
+    doc["ground_truth"].update({key.replace("_", "/"): value for key, value in extra.items()})
+    return doc
+
+
+def _swiss_leaves_plus_qq():
+    paths = [f"CH/{canton.code}" for canton in load_cantons()] + ["CH/QQ"]
+    return {
+        "election_id": "rtvg-2015",
+        "tree": {"paths": paths},
+        "ground_truth": {"bundled_results": "rtvg_2015"},
+        "default_channel": "email",
+    }
+
+
+# One row per rule of a run: the document, extra arguments and the exact
+# stderr of `votewire simulate`, which exits 2 for each.
+BAD_RUNS = [
+    ("truth_missing_leaf",
+     bad_run_doc(ground_truth={"CH/A/X": {"yes": 1}, "CH/A/Y": {"yes": 2}}), [],
+     "error: field 'ground_truth': missing leaves ['CH/B']\n"),
+    ("truth_non_leaf", _truth(CH_A={"yes": 3}), [],
+     "error: field 'ground_truth': non-leaf entries ['CH/A']\n"),
+    ("truth_over_ceiling", _truth(CH_B={"no": 11}), [],
+     "error: field 'ground_truth.CH/B': total 11 exceeds 10 eligible voters\n"),
+    ("no_channel_no_default", _without("default_channel"), [],
+     "error: field 'channels': no channel for edge CH/A and no default_channel\n"),
+    ("channel_on_root", bad_run_doc(channels={"CH": "fax"}), [],
+     "error: field 'channels.CH': the root has no upward edge\n"),
+    ("wrap_names_root", bad_run_doc(wrap={"edges": ["CH"]}), [],
+     "error: field 'wrap.edges[0]': the root has no upward edge\n"),
+    ("prelim_emit_non_leaf", bad_run_doc(timing={"prelim_emit": {"CH/A": 4}}), [],
+     "error: field 'timing.prelim_emit.CH/A': not a leaf; only leaves emit reports\n"),
+    ("negative_final_emit", bad_run_doc(timing={"final_emit": {"CH/A/X": -1}}), [],
+     "error: field 'timing.final_emit.CH/A/X' must be >= 0\n"),
+    ("negative_final_emit_default", bad_run_doc(timing={"final_emit_default": -1}), [],
+     "error: field 'timing.final_emit_default' must be >= 0\n"),
+    ("negative_seed", bad_run_doc(seed=-1), [],
+     "error: field 'seed' must be >= 0\n"),
+    ("negative_jitter_max", bad_run_doc(jitter_max=-1), [],
+     "error: field 'jitter_max' must be >= 0\n"),
+    ("negative_postal_latency", bad_run_doc(postal_latency=-1), [],
+     "error: field 'postal_latency' must be >= 0\n"),
+    ("attack_on_root", bad_run_doc(attacks=[{"kind": "delay", "edge": "CH", "hold_ticks": 2}]), [],
+     "error: field 'attacks[0].edge': the root has no upward edge\n"),
+    ("attack_on_unknown", bad_run_doc(attacks=[{"kind": "delay", "edge": "CH/Z", "hold_ticks": 2}]),
+     [], "error: field 'attacks[0].edge': unknown jurisdiction 'CH/Z'\n"),
+    ("root_only_tree",
+     bad_run_doc(tree={"paths": ["CH"]}, ground_truth={"CH": {"yes": 1}}), [],
+     "error: scenario: simulation needs at least one reporting edge\n"),
+    ("bundled_truth_missing_leaf", _swiss_leaves_plus_qq(), [],
+     "error: field 'ground_truth.bundled_results': missing leaves ['CH/QQ']\n"),
+    ("negative_seed_option",
+     json.loads(bundled_scenario_path("swiss_delay_noise").read_text(encoding="utf-8")),
+     ["--seed", "-3"], "error: seed must be >= 0\n"),
+]
+
+
+class TestBadRuns:
+    @pytest.mark.parametrize(
+        "doc, args, stderr", [row[1:] for row in BAD_RUNS], ids=[row[0] for row in BAD_RUNS]
+    )
+    def test_simulate_refuses_the_run_naming_the_field(self, doc, args, stderr, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["simulate", "--scenario", str(path), *args]) == 2
+        assert capsys.readouterr() == ("", stderr)
 
 
 class TestAnalyze:
