@@ -106,6 +106,11 @@ def _refusal(
     return None
 
 
+def _check_nonnegative(value: int, where: str) -> None:
+    if value < 0:
+        raise ConfigError(f"field '{where}' must be >= 0")
+
+
 @dataclass(frozen=True, slots=True)
 class NoiseModel:
     """Honest miscounts: each leaf's preliminary may shift some ballots.
@@ -180,9 +185,9 @@ class _NodeState:
 class Simulation:
     """A fully specified run: tree, channels, truth, timing, attacks.
 
-    Construction checks the whole run before anything happens: a malformed
-    field, an empty ``election_id`` included, raises ValueError, ground
-    truth above a leaf's eligible voters ConfigError naming the field, an
+    Construction is the one check of the run's rules, made in the order a
+    scenario file lists its fields, so a file and a run built in Python fail
+    alike: a broken rule raises ConfigError naming the scenario field, an
     attack its channel rules out CapabilityError.
     """
 
@@ -201,41 +206,52 @@ class Simulation:
 
     def __post_init__(self) -> None:
         if not self.election_id:
-            raise ValueError("election_id must be non-empty")
-        for leaf, counts in self.ground_truth.items():
-            eligible = self.tree.eligible_voters.get(leaf)
+            raise ConfigError("field 'election_id' must be a non-empty string")
+        _check_nonnegative(self.seed, "seed")
+        tree = self.tree
+        leaves = tree.leaves()
+        if leaves == (tree.root,):
+            raise ConfigError("field 'tree': simulation needs at least one reporting edge")
+        truth = self.ground_truth
+        missing = [leaf for leaf in leaves if leaf not in truth]
+        if missing:
+            raise ConfigError(f"field 'ground_truth': missing leaves {sorted(map(str, missing))}")
+        if len(truth) != len(leaves):
+            leaf_set = set(leaves)
+            extra = sorted(str(node) for node in truth if node not in leaf_set)
+            raise ConfigError(f"field 'ground_truth': non-leaf entries {extra}")
+        # From here on the keys of ``truth`` are exactly the leaves.
+        for leaf, counts in truth.items():
+            eligible = tree.eligible_voters.get(leaf)
             if eligible is not None and counts.total() > eligible:
                 raise ConfigError(
                     f"field 'ground_truth.{leaf}': total {counts.total()} exceeds "
                     f"{eligible} eligible voters"
                 )
-        leaves = set(self.tree.leaves())
-        if leaves == {self.tree.root}:
-            raise ValueError("simulation needs at least one reporting edge")
-        if set(self.ground_truth) != leaves:
-            missing = sorted(str(a) for a in leaves - set(self.ground_truth))
-            extra = sorted(str(a) for a in set(self.ground_truth) - leaves)
-            raise ValueError(
-                f"ground truth must cover exactly the leaves; missing={missing} extra={extra}"
-            )
-        for node in self.tree.order()[1:]:
+        for node in tree.order()[1:]:
             if node not in self.channels:
-                raise ValueError(f"no channel configured for edge {node} -> parent")
-        for name in ("seed", "jitter_max", "final_emit_default", "postal_latency"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise ConfigError(
+                    f"field 'channels': no channel for edge {node} and no default_channel"
+                )
+        _check_nonnegative(self.postal_latency, "postal_latency")
         for name, emits in (("prelim_emit", self.prelim_emit), ("final_emit", self.final_emit)):
             for node, when in emits.items():
-                if node not in leaves:
-                    raise ValueError(f"{name} names {node}, which is not a leaf; only leaves emit")
+                if node not in truth:
+                    raise ConfigError(
+                        f"field 'timing.{name}.{node}': not a leaf; only leaves emit reports"
+                    )
                 if when < 0:
-                    raise ValueError("emit times must be >= 0")
+                    raise ConfigError(f"field 'timing.{name}.{node}' must be >= 0")
+        _check_nonnegative(self.final_emit_default, "timing.final_emit_default")
+        _check_nonnegative(self.jitter_max, "jitter_max")
         # Capability gating happens here, and only here: an attack a channel
         # rules out is a configuration error, so the run applies each unchecked.
-        for attack in self.attacks:
+        for i, attack in enumerate(self.attacks):
             edge = attack.edge_child
-            if edge not in self.tree or edge == self.tree.root:
-                raise ValueError(f"attack targets unknown edge {edge}")
+            if edge not in tree:
+                raise ConfigError(f"field 'attacks[{i}].edge': unknown jurisdiction {str(edge)!r}")
+            if edge == tree.root:
+                raise ConfigError(f"field 'attacks[{i}].edge': the root has no upward edge")
             final = attack.report_kind is ReportKind.FINAL
             check_attack_permitted(attack.kind, self.postal if final else self.channels[edge])
 

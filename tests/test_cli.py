@@ -2,14 +2,20 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
+from votewire.adversary import AttackKind, AttackSpec
 from votewire.analysis import bundled_results_path
 from votewire.cli import main
-from votewire.scenario import bundled_scenario_path
+from votewire.counts import VoteCount
+from votewire.engine import Simulation
+from votewire.errors import ConfigError
+from votewire.scenario import build_simulation, bundled_scenario_path, load_scenario, parse_scenario
 from votewire.secauth import TrustStore
 from votewire.swiss import canton_names, load_cantons
+from votewire.tree import JurisdictionId, tree_from_paths
 
 RTVG = str(bundled_results_path("rtvg_2015"))
 FAMILY = str(bundled_results_path("family_2013"))
@@ -88,7 +94,7 @@ class TestSimulate:
         # seed 3's run under a trace header that says seed=-3.
         path = bundled_scenario_path("swiss_delay_noise")
         assert main(["simulate", "--scenario", str(path), "--seed", "-3"]) == 2
-        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert capsys.readouterr().err == "error: field 'seed' must be >= 0\n"
 
     def test_missing_scenario_file(self, capsys):
         assert main(["simulate", "--scenario", "/nonexistent/x.json"]) == 2
@@ -156,9 +162,9 @@ def _without(key):
     return doc
 
 
-def _truth(**extra):
+def _truth(extra):
     doc = bad_run_doc()
-    doc["ground_truth"].update({key.replace("_", "/"): value for key, value in extra.items()})
+    doc["ground_truth"].update(extra)
     return doc
 
 
@@ -178,11 +184,13 @@ BAD_RUNS = [
     ("truth_missing_leaf",
      bad_run_doc(ground_truth={"CH/A/X": {"yes": 1}, "CH/A/Y": {"yes": 2}}), [],
      "error: field 'ground_truth': missing leaves ['CH/B']\n"),
-    ("truth_non_leaf", _truth(CH_A={"yes": 3}), [],
+    ("truth_non_leaf", _truth({"CH/A": {"yes": 3}}), [],
      "error: field 'ground_truth': non-leaf entries ['CH/A']\n"),
-    ("truth_over_ceiling", _truth(CH_B={"no": 11}), [],
+    ("truth_over_ceiling", _truth({"CH/B": {"no": 11}}), [],
      "error: field 'ground_truth.CH/B': total 11 exceeds 10 eligible voters\n"),
     ("no_channel_no_default", _without("default_channel"), [],
+     "error: field 'channels': no channel for edge CH/A and no default_channel\n"),
+    ("wrap_without_channel", dict(_without("default_channel"), wrap={"edges": ["CH/B"]}), [],
      "error: field 'channels': no channel for edge CH/A and no default_channel\n"),
     ("channel_on_root", bad_run_doc(channels={"CH": "fax"}), [],
      "error: field 'channels.CH': the root has no upward edge\n"),
@@ -206,13 +214,58 @@ BAD_RUNS = [
      [], "error: field 'attacks[0].edge': unknown jurisdiction 'CH/Z'\n"),
     ("root_only_tree",
      bad_run_doc(tree={"paths": ["CH"]}, ground_truth={"CH": {"yes": 1}}), [],
-     "error: scenario: simulation needs at least one reporting edge\n"),
+     "error: field 'tree': simulation needs at least one reporting edge\n"),
     ("bundled_truth_missing_leaf", _swiss_leaves_plus_qq(), [],
-     "error: field 'ground_truth.bundled_results': missing leaves ['CH/QQ']\n"),
+     "error: field 'ground_truth': missing leaves ['CH/QQ']\n"),
     ("negative_seed_option",
      json.loads(bundled_scenario_path("swiss_delay_noise").read_text(encoding="utf-8")),
-     ["--seed", "-3"], "error: seed must be >= 0\n"),
+     ["--seed", "-3"], "error: field 'seed' must be >= 0\n"),
 ]
+
+STDERR = {row[0]: row[3] for row in BAD_RUNS}
+
+
+def _swiss_plus_qq(run, nodes):
+    swiss_run = load_scenario(HONEST)
+    leaves = [leaf.path for leaf in swiss_run.tree.leaves()]
+    return replace(swiss_run, tree=tree_from_paths([*leaves, ("CH", "QQ")]))
+
+
+def _delay(edge):
+    return (AttackSpec(AttackKind.DELAY, edge, hold_ticks=2),)
+
+
+# The rules of the table, broken in a run built in Python from the good
+# run of bad_run_doc(); each build raises the text its row pins.
+BAD_BUILDS = {
+    "truth_missing_leaf": lambda run, nodes: replace(
+        run, ground_truth={k: v for k, v in run.ground_truth.items() if k != nodes["CH/B"]}
+    ),
+    "truth_non_leaf": lambda run, nodes: replace(
+        run, ground_truth={**run.ground_truth, nodes["CH/A"]: VoteCount(3, 0)}
+    ),
+    "truth_over_ceiling": lambda run, nodes: replace(
+        run, ground_truth={**run.ground_truth, nodes["CH/B"]: VoteCount(0, 11)}
+    ),
+    "no_channel_no_default": lambda run, nodes: replace(run, channels={}),
+    "prelim_emit_non_leaf": lambda run, nodes: replace(run, prelim_emit={nodes["CH/A"]: 4}),
+    "negative_final_emit": lambda run, nodes: replace(run, final_emit={nodes["CH/A/X"]: -1}),
+    "negative_final_emit_default": lambda run, nodes: replace(run, final_emit_default=-1),
+    "negative_seed": lambda run, nodes: replace(run, seed=-1),
+    "negative_jitter_max": lambda run, nodes: replace(run, jitter_max=-1),
+    "negative_postal_latency": lambda run, nodes: replace(run, postal_latency=-1),
+    "attack_on_root": lambda run, nodes: replace(run, attacks=_delay(nodes["CH"])),
+    "attack_on_unknown": lambda run, nodes: replace(
+        run, attacks=_delay(JurisdictionId.of("CH", "Z"))
+    ),
+    "root_only_tree": lambda run, nodes: Simulation(
+        "toy", tree_from_paths([("CH",)]), {}, {nodes["CH"]: VoteCount(1, 0)}
+    ),
+    "bundled_truth_missing_leaf": _swiss_plus_qq,
+    "negative_seed_option": lambda run, nodes: build_simulation(
+        load_scenario(bundled_scenario_path("swiss_delay_noise")), seed=-3
+    ),
+}
 
 
 class TestBadRuns:
@@ -224,6 +277,14 @@ class TestBadRuns:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["simulate", "--scenario", str(path), *args]) == 2
         assert capsys.readouterr() == ("", stderr)
+
+    @pytest.mark.parametrize("rule", BAD_BUILDS)
+    def test_a_run_built_in_python_gets_the_same_error(self, rule):
+        run = parse_scenario(json.dumps(bad_run_doc()))
+        nodes = {str(node): node for node in run.tree.order()}
+        with pytest.raises(ConfigError) as excinfo:
+            BAD_BUILDS[rule](run, nodes)
+        assert f"error: {excinfo.value}\n" == STDERR[rule]
 
 
 class TestAnalyze:

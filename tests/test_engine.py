@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -68,6 +69,11 @@ def two_leaf_sim(**overrides) -> Simulation:
     )
     base.update(overrides)
     return Simulation(**base)
+
+
+def refused(text: str):
+    """Expect a ConfigError whose whole message is ``text``."""
+    return pytest.raises(ConfigError, match=f"^{re.escape(text)}$")
 
 
 def prelim_report(sender, seq, counts):
@@ -441,7 +447,7 @@ class TestAttacksInTheLoop:
 
     def test_attack_on_unknown_edge_rejected_at_build(self):
         ghost = JurisdictionId.of("CH", "GHOST")
-        with pytest.raises(ValueError, match="unknown edge"):
+        with refused("field 'attacks[0].edge': unknown jurisdiction 'CH/GHOST'"):
             two_leaf_sim(attacks=(AttackSpec(AttackKind.DELAY, ghost, hold_ticks=5),))
 
     def test_wrapped_channel_rejects_tamper_at_build(self):
@@ -487,9 +493,9 @@ class TestNoise:
 
 class TestSimulationValidation:
     def test_ground_truth_must_cover_leaves_exactly(self):
-        with pytest.raises(ValueError, match="missing"):
+        with refused("field 'ground_truth': missing leaves ['CH/B']"):
             two_leaf_sim(ground_truth={A: VoteCount(1, 0)})
-        with pytest.raises(ValueError, match="extra"):
+        with refused("field 'ground_truth': non-leaf entries ['CH']"):
             two_leaf_sim(
                 ground_truth={
                     A: VoteCount(1, 0),
@@ -502,44 +508,55 @@ class TestSimulationValidation:
         # Used to run: every preliminary from A was refused as over_eligible
         # and the final published the impossible 31:21 as matching the truth.
         tree = tree_from_paths([("CH", "A"), ("CH", "B")], eligible_voters={A: 10})
-        with pytest.raises(
-            ConfigError, match=r"^field 'ground_truth.CH/A': total 50 exceeds 10 eligible voters$"
-        ):
+        with refused("field 'ground_truth.CH/A': total 50 exceeds 10 eligible voters"):
             two_leaf_sim(tree=tree, ground_truth={A: VoteCount(30, 20), B: VoteCount(1, 1)})
+
+    def test_a_non_leaf_entry_is_refused_before_its_ceiling(self):
+        # A scenario file said "non-leaf entries" for this run, while the
+        # same run built in Python said its total exceeded CH/A's voters.
+        x = JurisdictionId.of("CH", "A", "X")
+        tree = tree_from_paths([x.path, B.path], eligible_voters={A: 5})
+        with refused("field 'ground_truth': non-leaf entries ['CH/A']"):
+            Simulation(
+                election_id="toy",
+                tree=tree,
+                channels={n: preset("email") for n in tree.order()[1:]},
+                ground_truth={x: VoteCount(1, 0), A: VoteCount(9, 0), B: VoteCount(0, 1)},
+            )
 
     def test_empty_election_id_rejected(self):
         # Used to build, then fail mid-run when the first report was emitted.
-        with pytest.raises(ValueError, match="election_id must be non-empty"):
+        with refused("field 'election_id' must be a non-empty string"):
             two_leaf_sim(election_id="")
 
     def test_every_edge_needs_a_channel(self):
-        with pytest.raises(ValueError, match="no channel"):
+        with refused("field 'channels': no channel for edge CH/B and no default_channel"):
             two_leaf_sim(channels={A: preset("email")})
 
     def test_single_node_tree_rejected(self):
         lonely = tree_from_paths([("CH",)])
-        with pytest.raises(ValueError, match="reporting edge"):
+        with refused("field 'tree': simulation needs at least one reporting edge"):
             Simulation(
                 election_id="toy", tree=lonely, channels={}, ground_truth={}
             )
 
     def test_negative_emit_time_rejected(self):
-        with pytest.raises(ValueError, match="emit times"):
+        with refused("field 'timing.prelim_emit.CH/A' must be >= 0"):
             two_leaf_sim(prelim_emit={A: -1})
 
     def test_negative_final_emit_default_rejected(self):
         # Used to build, then fail mid-run when the first final was emitted.
-        with pytest.raises(ValueError, match="final_emit_default must be >= 0"):
+        with refused("field 'timing.final_emit_default' must be >= 0"):
             two_leaf_sim(final_emit_default=-5)
 
     def test_negative_seed_rejected(self):
         # random.Random(-3) seeds like random.Random(3), so the run would
         # be seed 3's while its trace header said seed=-3.
-        with pytest.raises(ValueError, match="seed must be >= 0"):
+        with refused("field 'seed' must be >= 0"):
             two_leaf_sim(seed=-3)
 
     def test_negative_postal_latency_rejected(self):
-        with pytest.raises(ValueError, match="postal_latency must be >= 0"):
+        with refused("field 'postal_latency' must be >= 0"):
             two_leaf_sim(postal_latency=-1)
 
     def test_finals_ride_the_signed_postal_channel(self):
@@ -563,9 +580,9 @@ class TestSimulationValidation:
             channels={n: preset("email") for n in tree.nodes() if n != CH},
             ground_truth={x: VoteCount(1, 0), y: VoteCount(2, 0), z: VoteCount(0, 3)},
         )
-        with pytest.raises(ValueError, match="prelim_emit names CH/A, which is not a leaf"):
+        with refused("field 'timing.prelim_emit.CH/A': not a leaf; only leaves emit reports"):
             Simulation(**base, prelim_emit={A: 50})
-        with pytest.raises(ValueError, match="final_emit names CH, which is not a leaf"):
+        with refused("field 'timing.final_emit.CH': not a leaf; only leaves emit reports"):
             Simulation(**base, final_emit={CH: 7})
         Simulation(**base, prelim_emit={x: 50}, final_emit={z: 7}).run()
 
