@@ -1,10 +1,15 @@
 """Deterministic discrete-event simulation of upward result reporting.
 
-Time is integer ticks. Events are processed from a heap ordered by
-(time, insertion counter), so ties break by scheduling order and a run is
-a pure function of its configuration and seed; the only randomness is an
-explicitly seeded generator used for optional latency jitter and miscount
-noise.
+Time is integer ticks. Each pending tick holds one list of events, in the
+order they were scheduled; a small heap holds the distinct pending ticks.
+The run takes the earliest tick and processes its list front to back, so
+events run in time order and, within a tick, in scheduling order, and a
+run is a pure function of its configuration and seed. An event scheduled
+for the tick being processed (a 0-latency channel, a forgery) joins the
+end of its list, after every event already queued for that tick. Nothing
+is ever scheduled for an earlier tick: latency and jitter are never
+negative. The only randomness is an explicitly seeded generator used for
+optional latency jitter and miscount noise.
 
 Each leaf emits one preliminary report over its configured channel and,
 later, one final report over the signed postal channel, of which only
@@ -20,8 +25,8 @@ Every event costs the same whatever the fanout, and no event looks a
 node up by its id. Before the loop, ``Simulation.run`` resolves one state
 per node: its parent's state, its position among its siblings, its
 channel, its eligible-voter ceiling and the indices of the attacks on its
-upward edge, per report kind, in configuration order. Heap events carry
-these states, and no ``Report`` is built: the event in flight is (sender
+upward edge, per report kind, in configuration order. Events carry these
+states, and no ``Report`` is built: the event in flight is (sender
 state, seq, counts), and attacks act on those values. Only freshness is
 still keyed by the sender's id, because ``SequenceState`` is the one check
 shared with ``verify_report``.
@@ -44,10 +49,9 @@ reference cycle and reference counting frees them all.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import random
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Mapping, Sequence
 
 from .adversary import AttackKind, AttackSpec, apply_mutation, check_attack_permitted
@@ -228,11 +232,19 @@ class Simulation:
                     f"field 'ground_truth.{leaf}': total {counts.total()} exceeds "
                     f"{eligible} eligible voters"
                 )
+        channels = self.channels
+        if tree.root in channels:
+            raise ConfigError(f"field 'channels.{tree.root}': the root has no upward edge")
         for node in tree.order()[1:]:
-            if node not in self.channels:
+            if node not in channels:
                 raise ConfigError(
                     f"field 'channels': no channel for edge {node} and no default_channel"
                 )
+        # Every edge has a channel and the root none, so any further key
+        # names a node outside the tree.
+        if len(channels) >= len(tree.order()):
+            stray = next(node for node in channels if node not in tree)
+            raise ConfigError(f"field 'channels.{stray}': unknown jurisdiction {str(stray)!r}")
         _check_nonnegative(self.postal_latency, "postal_latency")
         for name, emits in (("prelim_emit", self.prelim_emit), ("final_emit", self.final_emit)):
             for node, when in emits.items():
@@ -265,11 +277,20 @@ class Simulation:
         rng = random.Random(self.seed)
         records: list[TraceRecord] = []
         append = records.append
-        counter = itertools.count()
-        # Each event is (time, tie-breaker, handler, its three arguments); a
-        # report in flight is (sender state, seq, counts).
-        heap: list[tuple] = []
-        push = heapq.heappush
+        # Each event is (handler, its three arguments); a report in flight is
+        # (sender state, seq, counts). ``buckets`` holds each pending tick's
+        # events in scheduling order, ``ticks`` those ticks as a heap.
+        buckets: dict[int, list[tuple]] = {}
+        ticks: list[int] = []
+
+        def schedule(at: int, event: tuple) -> None:
+            bucket = buckets.get(at)
+            if bucket is None:
+                buckets[at] = [event]
+                heappush(ticks, at)
+            else:
+                bucket.append(event)
+
         tree = self.tree
         jitter_max = self.jitter_max
         attacks = self.attacks
@@ -319,11 +340,11 @@ class Simulation:
                 elif attack.kind is AttackKind.DELAY:
                     delivery += attack.hold_ticks
                 else:
-                    # A forgery in the edge sender's name, pushed first at the same
-                    # tick, so it is processed before the genuine report it shadows.
+                    # A forgery in the edge sender's name, scheduled first at the
+                    # same tick, so it is processed before the genuine report it
+                    # shadows.
                     forged = attack.forged_seq or seq + attack.seq_offset  # forged_seq >= 1
-                    push(heap, (delivery, next(counter), receive, state, forged,
-                                attack.forged_counts))
+                    schedule(delivery, (receive, state, forged, attack.forged_counts))
                 append(
                     AttackRecord(
                         time, attack.kind.value, node, receiver, attack.mode, attack.describe(),
@@ -351,7 +372,7 @@ class Simulation:
                 delivery += rng.randint(0, jitter_max)
             if indices:
                 counts, delivery = fire(time, state, seq, counts, delivery, receive, indices)
-            push(heap, (delivery, next(counter), receive, state, seq, counts))
+            schedule(delivery, (receive, state, seq, counts))
 
         def on_prelim(time: int, sender: _NodeState, seq: int, counts: VoteCount) -> None:
             receiver = sender.parent
@@ -412,15 +433,18 @@ class Simulation:
             if self.noise:
                 counts = self.noise.perturb(counts, rng)
             at = self.prelim_emit.get(state.node, 0)
-            push(heap, (at, next(counter), report_up, state, prelim, counts))
+            schedule(at, (report_up, state, prelim, counts))
         for state in leaves:
             at = self.final_emit.get(state.node, self.final_emit_default)
-            push(heap, (at, next(counter), report_up, state, final, self.ground_truth[state.node]))
+            schedule(at, (report_up, state, final, self.ground_truth[state.node]))
 
-        pop = heapq.heappop
-        while heap:
-            time, _, handle, subject, what, detail = pop(heap)
-            handle(time, subject, what, detail)
+        while ticks:
+            time = heappop(ticks)
+            # The list grows while it is read: what a handler schedules for
+            # this tick is appended, and runs after everything queued before.
+            for handle, subject, what, detail in buckets[time]:
+                handle(time, subject, what, detail)
+            del buckets[time]
 
         return EventTrace(
             election_id=self.election_id,

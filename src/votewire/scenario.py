@@ -343,7 +343,8 @@ def _channels(
 
     for key, raw in _mapping(top.get("channels", {}), "channels").items():
         where = f"channels.{key}"
-        channels[_edge(key, tree, nodes, where)] = _channel_spec(raw, where)
+        # A key naming the root is refused by the run, with this field's name.
+        channels[_node(key, nodes, where)] = _channel_spec(raw, where)
 
     if default is not None:
         for node in tree.order()[1:]:

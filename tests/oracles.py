@@ -6,19 +6,36 @@ by applying its flips and asking the tally itself (``popular_outcome``,
 ``cantonal_outcome``, ``referendum_outcome``). No oracle restates a
 majority or tie rule, so none can share a solver's mistake about one.
 
-The trace and summary formatters at the end render every record and
-summary item field by field, with no table shared between lines: they pin
-the text that ``EventTrace.to_text`` and ``DetectionSummary.to_text``
-produce from their per-call tables.
+The trace and summary formatters render every record and summary item
+field by field, with no table shared between lines: they pin the text that
+``EventTrace.to_text`` and ``DetectionSummary.to_text`` produce from their
+per-call tables.
+
+``reference_run`` at the end replays a ``Simulation`` from the rules in the
+engine's module docstring alone, the slow and literal way: events on a
+(time, insertion counter) heap, a ``Report`` per emit, dicts keyed by id,
+every child re-summed on every accept, and each acceptance check spelled
+out. It shares no code with the engine's event loop.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import random
 from typing import Mapping
 
-from votewire.adversary import CountDivergence, CoverageGap, DetectionSummary
+from votewire.adversary import (
+    AttackKind,
+    CountDivergence,
+    CoverageGap,
+    DetectionSummary,
+    apply_mutation,
+)
 from votewire.counts import VoteCount, accumulate
+from votewire.engine import Simulation
+from votewire.errors import ConfigError
+from votewire.reports import Report, ReportKind
 from votewire.tally import (
     Decision,
     MajorityRule,
@@ -286,3 +303,120 @@ def summary_text(summary: DetectionSummary, max_items: int = 10) -> str:
         f"integrity gap ticks: {summary.integrity_gap_ticks}",
     ]
     return "\n".join(lines) + "\n"
+
+
+def reference_run(sim: Simulation) -> tuple[TraceRecord, ...]:
+    """The records ``sim.run()`` must produce, derived from the rules alone.
+
+    Noise is drawn first, once per leaf in leaf order. Every leaf then
+    schedules its preliminary, and after that every leaf its final. Ties on
+    time run in scheduling order. An emit takes the sender's next sequence
+    number, then its jitter draw, then the attacks on its edge and kind in
+    configuration order; a forgery is scheduled before the genuine report.
+    """
+    tree = sim.tree
+    rng = random.Random(sim.seed)
+    records: list[TraceRecord] = []
+    counter = itertools.count()
+    heap: list[tuple] = []
+    next_seq: dict[JurisdictionId, int] = {}
+    last_accepted: dict[JurisdictionId, int] = {}
+    latest: dict[JurisdictionId, dict[JurisdictionId, tuple[int, VoteCount]]] = {}
+    finals: dict[JurisdictionId, dict[JurisdictionId, tuple[int, VoteCount]]] = {}
+    fires_left = [attack.first_n for attack in sim.attacks]
+
+    def schedule(time: int, *event) -> None:
+        heapq.heappush(heap, (time, next(counter), event))
+
+    def entries(table: dict[JurisdictionId, tuple[int, VoteCount]], node: JurisdictionId):
+        return tuple(
+            (child, *table[child]) for child in tree.children(node) if child in table
+        )
+
+    def report_up(time: int, node: JurisdictionId, kind: ReportKind, counts: VoteCount) -> None:
+        if node == tree.root:
+            table = (finals if kind is ReportKind.FINAL else latest).get(node, {})
+            records.append(PublishRecord(time, node, kind, counts, entries(table, node)))
+            return
+        seq = next_seq.get(node, 1)
+        next_seq[node] = seq + 1
+        records.append(EmitRecord(time, node, kind, seq, counts))
+        report = Report(sim.election_id, node, seq, counts, kind, time)
+        channel = sim.postal if kind is ReportKind.FINAL else sim.channels[node]
+        delivery = time + channel.base_latency
+        if sim.jitter_max:
+            delivery += rng.randint(0, sim.jitter_max)
+        parent = tree.parent(node)
+        for i, attack in enumerate(sim.attacks):
+            if attack.edge_child != node or attack.report_kind is not kind or fires_left[i] == 0:
+                continue
+            if fires_left[i] is not None:
+                fires_left[i] -= 1
+            if attack.kind is AttackKind.TAMPER:
+                try:
+                    mutated = apply_mutation(report.counts, attack.mutation)
+                except ValueError as exc:
+                    raise ConfigError(f"tamper on edge {node}: {exc}") from None
+                report = Report(sim.election_id, node, seq, mutated, kind, time)
+            elif attack.kind is AttackKind.DELAY:
+                delivery += attack.hold_ticks
+            else:
+                forged_seq = attack.forged_seq or seq + attack.seq_offset
+                forged = Report(sim.election_id, node, forged_seq, attack.forged_counts, kind, time)
+                schedule(delivery, receive, parent, forged)
+            records.append(
+                AttackRecord(time, attack.kind.value, node, parent, attack.mode, attack.describe())
+            )
+        schedule(delivery, receive, parent, report)
+
+    def refusal(receiver: JurisdictionId, report: Report) -> str | None:
+        sender = report.sender
+        if sender not in tree or tree.parent(sender) != receiver:
+            return "unknown_sender"
+        eligible = tree.eligible_voters.get(sender)
+        if eligible is not None and report.counts.total() > eligible:
+            return "over_eligible"
+        if report.sequence_no <= last_accepted.get(sender, 0):
+            return "stale_sequence"
+        return None
+
+    def receive(time: int, receiver: JurisdictionId, report: Report) -> None:
+        sender, seq, counts, kind = report.sender, report.sequence_no, report.counts, report.kind
+        if kind is ReportKind.FINAL:
+            records.append(
+                DeliverRecord(time, sender, receiver, sim.postal.name, kind, seq, counts, True)
+            )
+            table = finals.setdefault(receiver, {})
+            table[sender] = (seq, counts)
+            if len(table) == len(tree.children(receiver)):
+                report_up(time, receiver, kind, accumulate(c for _, c in table.values()))
+            return
+        reason = refusal(receiver, report)
+        channel = sim.channels[sender].name
+        accepted = reason is None
+        records.append(
+            DeliverRecord(time, sender, receiver, channel, kind, seq, counts, accepted, reason)
+        )
+        if reason is not None:
+            records.append(DetectRecord(time, receiver, reason, sender, seq))
+            return
+        last_accepted[sender] = seq
+        table = latest.setdefault(receiver, {})
+        table[sender] = (seq, counts)
+        report_up(time, receiver, kind, accumulate(c for _, _, c in entries(table, receiver)))
+
+    leaves = tree.leaves()
+    prelims = {}
+    for leaf in leaves:
+        counts = sim.ground_truth[leaf]
+        prelims[leaf] = sim.noise.perturb(counts, rng) if sim.noise else counts
+    for leaf in leaves:
+        at = sim.prelim_emit.get(leaf, 0)
+        schedule(at, report_up, leaf, ReportKind.PRELIMINARY, prelims[leaf])
+    for leaf in leaves:
+        at = sim.final_emit.get(leaf, sim.final_emit_default)
+        schedule(at, report_up, leaf, ReportKind.FINAL, sim.ground_truth[leaf])
+    while heap:
+        time, _, (handle, *args) = heapq.heappop(heap)
+        handle(time, *args)
+    return tuple(records)

@@ -8,6 +8,7 @@ import pytest
 
 from votewire.adversary import AttackKind, AttackSpec
 from votewire.analysis import bundled_results_path
+from votewire.channels import preset
 from votewire.cli import main
 from votewire.counts import VoteCount
 from votewire.engine import Simulation
@@ -194,6 +195,8 @@ BAD_RUNS = [
      "error: field 'channels': no channel for edge CH/A and no default_channel\n"),
     ("channel_on_root", bad_run_doc(channels={"CH": "fax"}), [],
      "error: field 'channels.CH': the root has no upward edge\n"),
+    ("channel_on_unknown", bad_run_doc(channels={"CH/Z": "fax"}), [],
+     "error: field 'channels.CH/Z': unknown jurisdiction 'CH/Z'\n"),
     ("wrap_names_root", bad_run_doc(wrap={"edges": ["CH"]}), [],
      "error: field 'wrap.edges[0]': the root has no upward edge\n"),
     ("prelim_emit_non_leaf", bad_run_doc(timing={"prelim_emit": {"CH/A": 4}}), [],
@@ -248,6 +251,12 @@ BAD_BUILDS = {
         run, ground_truth={**run.ground_truth, nodes["CH/B"]: VoteCount(0, 11)}
     ),
     "no_channel_no_default": lambda run, nodes: replace(run, channels={}),
+    "channel_on_root": lambda run, nodes: replace(
+        run, channels={**run.channels, nodes["CH"]: preset("fax")}
+    ),
+    "channel_on_unknown": lambda run, nodes: replace(
+        run, channels={**run.channels, JurisdictionId.of("CH", "Z"): preset("fax")}
+    ),
     "prelim_emit_non_leaf": lambda run, nodes: replace(run, prelim_emit={nodes["CH/A"]: 4}),
     "negative_final_emit": lambda run, nodes: replace(run, final_emit={nodes["CH/A/X"]: -1}),
     "negative_final_emit_default": lambda run, nodes: replace(run, final_emit_default=-1),

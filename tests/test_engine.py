@@ -38,6 +38,7 @@ from votewire.engine import (
 )
 from votewire.errors import ArithmeticOverflow, CapabilityError, ConfigError
 from votewire.reports import Report, ReportKind, SequenceState
+from votewire.scenario import bundled_scenario_path, load_scenario
 from votewire.traces import (
     AttackRecord,
     DeliverRecord,
@@ -183,6 +184,27 @@ class TestHonestRun:
         assert emits[(B, ReportKind.PRELIMINARY)] == 0
         assert emits[(B, ReportKind.FINAL)] == 60
         assert emits[(A, ReportKind.FINAL)] == 100
+
+
+class TestEventOrder:
+    def test_same_tick_events_run_in_scheduling_order(self):
+        # Both preliminaries leave at t=0 over a 0-latency channel, so each
+        # delivery joins tick 0 behind everything already queued there: both
+        # emits first, then A's delivery and publication, then B's.
+        instant = preset("email", 0)
+        trace = two_leaf_sim(channels={A: instant, B: instant}).run()
+        assert [oracles.trace_line(r) for r in trace.records if r.time == 0] == [
+            "emit t=0 node=CH/A kind=preliminary seq=1 yes=30 no=20 blank=0 invalid=0",
+            "emit t=0 node=CH/B kind=preliminary seq=1 yes=10 no=40 blank=0 invalid=0",
+            "deliver t=0 from=CH/A to=CH channel=email kind=preliminary seq=1"
+            " yes=30 no=20 blank=0 invalid=0 accepted=true",
+            "publish t=0 node=CH kind=preliminary yes=30 no=20 blank=0 invalid=0"
+            " children=CH/A:1:30:20:0:0",
+            "deliver t=0 from=CH/B to=CH channel=email kind=preliminary seq=1"
+            " yes=10 no=40 blank=0 invalid=0 accepted=true",
+            "publish t=0 node=CH kind=preliminary yes=40 no=60 blank=0 invalid=0"
+            " children=CH/A:1:30:20:0:0,CH/B:1:10:40:0:0",
+        ]
 
 
 class TestDeepHierarchy:
@@ -633,7 +655,11 @@ def random_simulations(draw) -> Simulation:
     )
     truth = {leaf: draw(small_counts) for leaf in leaves}
     eligible = {leaf: truth[leaf].total() + draw(st.integers(0, 20)) for leaf in leaves}
-    presets = [preset(name) for name in ("telephone", "fax", "email", "dedicated")]
+    presets = [
+        preset(name, latency)
+        for name in ("telephone", "fax", "email", "dedicated")
+        for latency in (None, 0)
+    ]
     channels = {edge: draw(st.sampled_from(presets)) for edge in edges}
     emit_times = st.dictionaries(st.sampled_from(leaves), st.integers(0, 30))
     attacks = []
@@ -669,6 +695,7 @@ def random_simulations(draw) -> Simulation:
         jitter_max=draw(st.integers(0, 5)),
         noise=noise,
         attacks=tuple(attacks),
+        postal_latency=draw(st.sampled_from([0, POSTAL_FINAL.base_latency])),
     )
 
 
@@ -735,6 +762,69 @@ class TestTraceInvariants:
         )
         with pytest.raises(ArithmeticOverflow):
             sim.run()
+
+
+def deep_uneven_simulation() -> Simulation:
+    """A five-level tree of uneven depth, with every attack kind, noise and jitter."""
+    paths = [
+        ("CH", "A", "A1", "A11", "A111"), ("CH", "A", "A1", "A12"), ("CH", "A", "A2"),
+        ("CH", "B"),
+        ("CH", "C", "C1", "C11"), ("CH", "C", "C1", "C12", "C121"),
+        ("CH", "C", "C1", "C12", "C122"), ("CH", "C", "C2"),
+    ]
+    tree = tree_from_paths(paths)
+    node = {str(n): n for n in tree.order()}
+    return Simulation(
+        election_id="deep",
+        tree=tree,
+        channels={
+            n: preset(("email", "fax", "telephone")[i % 3], 0 if i % 4 == 0 else None)
+            for i, n in enumerate(tree.order()[1:])
+        },
+        ground_truth={
+            leaf: VoteCount(10 + 3 * i, 20 - i, i % 3, 1) for i, leaf in enumerate(tree.leaves())
+        },
+        seed=11,
+        prelim_emit={node["CH/A/A2"]: 3, node["CH/C/C1/C12/C122"]: 0},
+        final_emit={node["CH/B"]: 60},
+        jitter_max=3,
+        noise=NoiseModel(probability=0.6, max_shift=4),
+        attacks=(
+            AttackSpec(AttackKind.TAMPER, node["CH/A/A1"], first_n=None,
+                       mutation=Mutation(MutationKind.SWAP_YES_NO)),
+            AttackSpec(AttackKind.FRONT_RUN, node["CH/C/C1/C12"], forged_counts=VoteCount(40, 1)),
+            AttackSpec(AttackKind.DELAY, node["CH/C/C1/C12"], first_n=2, hold_ticks=4),
+            AttackSpec(AttackKind.FRONT_RUN, node["CH/B"], forged_seq=1,
+                       forged_counts=VoteCount(1, 40)),
+            AttackSpec(AttackKind.DELAY, node["CH/A"], report_kind=ReportKind.FINAL,
+                       hold_ticks=30),
+        ),
+        postal_latency=0,
+    )
+
+
+class TestAgainstTheReference:
+    """Every record of a run equals what ``oracles.reference_run`` derives
+    from the engine's rules alone: times, order, sequence numbers, attacks,
+    jitter and noise draws."""
+
+    @settings(max_examples=300)
+    @given(sim=random_simulations())
+    def test_random_runs_match_the_reference(self, sim):
+        assert sim.run().records == oracles.reference_run(sim)
+
+    @pytest.mark.parametrize("name", ["swiss_honest", "swiss_tamper", "swiss_delay_noise"])
+    def test_bundled_scenarios_match_the_reference(self, name):
+        sim = load_scenario(bundled_scenario_path(name))
+        assert sim.run().records == oracles.reference_run(sim)
+
+    def test_a_deep_uneven_tree_matches_the_reference(self):
+        sim = deep_uneven_simulation()
+        records = sim.run().records
+        assert {type(r).__name__ for r in records} == {
+            "EmitRecord", "DeliverRecord", "AttackRecord", "DetectRecord", "PublishRecord"
+        }
+        assert records == oracles.reference_run(sim)
 
 
 class TestRendering:
