@@ -15,7 +15,7 @@ which affects interpretation but not mechanics.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from .channels import ChannelSpec
@@ -69,7 +69,7 @@ class Mutation:
 
 def apply_mutation(counts: VoteCount, mutation: Mutation) -> VoteCount:
     if mutation.kind is MutationKind.SWAP_YES_NO:
-        return replace(counts, yes=counts.no, no=counts.yes)
+        return VoteCount(counts.no, counts.yes, counts.blank, counts.invalid)
     if mutation.kind is MutationKind.SET_COUNTS:
         assert mutation.counts is not None
         return mutation.counts
@@ -78,10 +78,8 @@ def apply_mutation(counts: VoteCount, mutation: Mutation) -> VoteCount:
         raise ValueError(
             f"cannot shift {mutation.shift} ballots, only {source} on the source side"
         )
-    delta = mutation.shift
-    if mutation.direction == "yes_to_no":
-        return replace(counts, yes=counts.yes - delta, no=counts.no + delta)
-    return replace(counts, yes=counts.yes + delta, no=counts.no - delta)
+    delta = mutation.shift if mutation.direction == "yes_to_no" else -mutation.shift
+    return VoteCount(counts.yes - delta, counts.no + delta, counts.blank, counts.invalid)
 
 
 @dataclass(frozen=True, slots=True)
@@ -268,7 +266,8 @@ def detection_report(trace: EventTrace) -> DetectionSummary:
         for child, _seq, counts in children:
             expected = truths[child]
             if counts != expected:
-                divergences.append(CountDivergence(time, child, counts, expected))
+                # Built by tuple's C constructor, like the run's records.
+                divergences.append(tuple.__new__(CountDivergence, (time, child, counts, expected)))
                 if first_divergent_time is None:
                     first_divergent_time = time
         # A publication lists each root child at most once, so only a short
@@ -286,8 +285,6 @@ def detection_report(trace: EventTrace) -> DetectionSummary:
         count_divergences=tuple(divergences),
         coverage_gaps=tuple(gaps),
         detects=tuple(detects),
-        final_matches_ground_truth=(
-            final_pub.counts == truths[trace.tree.root]
-        ),
+        final_matches_ground_truth=final_pub.counts == truths[trace.tree.root],
         integrity_gap_ticks=gap_ticks,
     )

@@ -7,6 +7,7 @@ directory for a jurisdiction tree). Human-readable output goes to stdout;
 machine artifacts are written only where an explicit flag points.
 
 Exit status: 0 success, 1 internal error, 2 user or configuration error.
+A file that cannot be read or written (``OSError``) is a user error.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (VotewireError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+    except (VotewireError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises

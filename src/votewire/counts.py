@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import ArithmeticOverflow
 
@@ -12,41 +11,50 @@ from .errors import ArithmeticOverflow
 MAX_COUNT = 2**63 - 1
 
 
-@dataclass(frozen=True, slots=True)
-class VoteCount:
+class _CountFields(NamedTuple):
+    yes: int
+    no: int
+    blank: int
+    invalid: int
+
+
+class VoteCount(_CountFields):
     """Per-jurisdiction ballot counts for one binary question.
 
     Outcome rules look only at ``yes`` and ``no``; ``blank`` and ``invalid``
     ballots exist so that plausibility checks against the electorate size
     see every counted ballot.
+
+    A tuple checked in its constructor, like ``Report``, because a large run
+    builds and compares ~100k counts: a tuple's ``==`` and ``hash`` run in C.
     """
 
-    yes: int = 0
-    no: int = 0
-    blank: int = 0
-    invalid: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        yes, no, blank, invalid = self.yes, self.no, self.blank, self.invalid
+    def __new__(cls, yes: int = 0, no: int = 0, blank: int = 0, invalid: int = 0) -> "VoteCount":
         # The common case in one expression; anything else takes the loop,
         # which names the first offending field.
-        if (
+        if not (
             type(yes) is int and type(no) is int and type(blank) is int and type(invalid) is int
             and 0 <= yes <= MAX_COUNT and 0 <= no <= MAX_COUNT
             and 0 <= blank <= MAX_COUNT and 0 <= invalid <= MAX_COUNT
         ):
-            return
-        for name in ("yes", "no", "blank", "invalid"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an int, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-            if value > MAX_COUNT:
-                raise ArithmeticOverflow(f"{name}={value} exceeds the 64-bit count range")
+            for name, value in zip(cls._fields, (yes, no, blank, invalid)):
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise TypeError(f"{name} must be an int, got {value!r}")
+                if value < 0:
+                    raise ValueError(f"{name} must be >= 0, got {value}")
+                if value > MAX_COUNT:
+                    raise ArithmeticOverflow(f"{name}={value} exceeds the 64-bit count range")
+        return tuple.__new__(cls, (yes, no, blank, invalid))
+
+    @classmethod
+    def _make(cls, values: Iterable[int]) -> "VoteCount":
+        # namedtuple's own _make, which _replace calls too, skips the checks.
+        return cls(*values)
 
     def total(self) -> int:
-        return self.yes + self.no + self.blank + self.invalid
+        return sum(self)
 
 
 ZERO = VoteCount()
@@ -58,13 +66,8 @@ def accumulate(reports: Iterable[VoteCount]) -> VoteCount:
     Raises ArithmeticOverflow instead of silently producing a value no wire
     format can carry.
     """
-    yes = no = blank = invalid = 0
-    for c in reports:
-        yes += c.yes
-        no += c.no
-        blank += c.blank
-        invalid += c.invalid
-    for name, value in (("yes", yes), ("no", no), ("blank", blank), ("invalid", invalid)):
+    totals = [sum(column) for column in zip(*reports)] or [0, 0, 0, 0]
+    for name, value in zip(VoteCount._fields, totals):
         if value > MAX_COUNT:
             raise ArithmeticOverflow(f"accumulated {name}={value} exceeds the 64-bit count range")
-    return VoteCount(yes=yes, no=no, blank=blank, invalid=invalid)
+    return VoteCount(*totals)

@@ -40,11 +40,11 @@ reaches zero it sums its final table. The root is the node that publishes
 instead of emitting; a publication copies its table of that kind, which
 is already in child order.
 
-Trace records are tuples (see ``traces``), so the ~100k values a large
-run builds cost a C constructor call each. The cyclic garbage collector is
-paused while they are built (``traces.nogc``): left on, it rescans the
-young tuples hundreds of times per large run, although no event creates a
-reference cycle and reference counting frees them all.
+Records, counts and ids are tuples; ``run`` builds each of a large run's
+~100k records with one call of tuple's C constructor. The cyclic garbage
+collector is paused meanwhile (``traces.nogc``): left on, it rescans the
+young tuples hundreds of times per large run, although reference counting
+frees them all: however a run ends, it leaves no reference cycle behind.
 """
 
 from __future__ import annotations
@@ -277,6 +277,7 @@ class Simulation:
         rng = random.Random(self.seed)
         records: list[TraceRecord] = []
         append = records.append
+        new = tuple.__new__  # builds a record from all its fields, in C
         # Each event is (handler, its three arguments); a report in flight is
         # (sender state, seq, counts). ``buckets`` holds each pending tick's
         # events in scheduling order, ``ticks`` those ticks as a heap.
@@ -345,11 +346,8 @@ class Simulation:
                     # shadows.
                     forged = attack.forged_seq or seq + attack.seq_offset  # forged_seq >= 1
                     schedule(delivery, (receive, state, forged, attack.forged_counts))
-                append(
-                    AttackRecord(
-                        time, attack.kind.value, node, receiver, attack.mode, attack.describe(),
-                    )
-                )
+                fields = (time, attack.kind.value, node, receiver, attack.mode, attack.describe())
+                append(new(AttackRecord, fields))
             return counts, delivery
 
         def report_up(time: int, state: _NodeState, kind: ReportKind, counts: VoteCount) -> None:
@@ -358,18 +356,18 @@ class Simulation:
             if state.parent is None:
                 # A publication lists the child entries of its kind it sums.
                 table = state.final_table if kind is final else state.prelim_table
-                append(PublishRecord(time, node, kind, counts, tuple(filter(None, table))))
+                append(new(PublishRecord, (time, node, kind, counts, tuple(filter(None, table)))))
                 return
             seq = state.next_seq
             state.next_seq = seq + 1
-            append(EmitRecord(time, node, kind, seq, counts))
+            append(new(EmitRecord, (time, node, kind, seq, counts)))
             if kind is final:
                 channel, indices, receive = postal, state.final_attacks, on_final
             else:
                 channel, indices, receive = state.channel, state.prelim_attacks, on_prelim
             delivery = time + channel.base_latency
             if jitter_max:
-                delivery += rng.randint(0, jitter_max)
+                delivery += rng.randrange(jitter_max + 1)  # randint(0, jitter_max)'s draw
             if indices:
                 counts, delivery = fire(time, state, seq, counts, delivery, receive, indices)
             schedule(delivery, (receive, state, seq, counts))
@@ -380,14 +378,12 @@ class Simulation:
             # The receiver is the sender's parent by construction, so the
             # unknown-sender check of feasibility_check cannot fail here.
             reason = _refusal(sender_id, seq, counts, sender.eligible, seq_state)
-            append(
-                DeliverRecord(
-                    time, sender_id, receiver.node, sender.channel.name, prelim, seq, counts,
-                    reason is None, reason,
-                )
-            )
+            append(new(DeliverRecord, (
+                time, sender_id, receiver.node, sender.channel.name, prelim, seq, counts,
+                reason is None, reason,
+            )))
             if reason is not None:
-                append(DetectRecord(time, receiver.node, reason, sender_id, seq))
+                append(new(DetectRecord, (time, receiver.node, reason, sender_id, seq)))
                 return
             table = receiver.prelim_table
             slot = sender.position
@@ -415,36 +411,39 @@ class Simulation:
             # zero exactly once: at the last child's final.
             table = receiver.final_table
             table[sender.position] = (sender.node, seq, counts)
-            append(
-                DeliverRecord(
-                    time, sender.node, receiver.node, postal.name, final, seq, counts, True, None,
-                )
-            )
+            fields = (time, sender.node, receiver.node, postal.name, final, seq, counts, True, None)
+            append(new(DeliverRecord, fields))
             receiver.finals_pending -= 1
             if receiver.finals_pending:
                 return
             report_up(time, receiver, final, accumulate(c for _, _, c in table))
 
-        # Noise draws come first and in leaf order, so the perturbed counts
-        # do not depend on event interleaving.
-        leaves = [states[leaf] for leaf in tree.leaves()]
-        for state in leaves:
-            counts = self.ground_truth[state.node]
-            if self.noise:
-                counts = self.noise.perturb(counts, rng)
-            at = self.prelim_emit.get(state.node, 0)
-            schedule(at, (report_up, state, prelim, counts))
-        for state in leaves:
-            at = self.final_emit.get(state.node, self.final_emit_default)
-            schedule(at, (report_up, state, final, self.ground_truth[state.node]))
+        try:
+            # Noise draws come first and in leaf order, so the perturbed counts
+            # do not depend on event interleaving.
+            leaves = [states[leaf] for leaf in tree.leaves()]
+            for state in leaves:
+                counts = self.ground_truth[state.node]
+                if self.noise:
+                    counts = self.noise.perturb(counts, rng)
+                at = self.prelim_emit.get(state.node, 0)
+                schedule(at, (report_up, state, prelim, counts))
+            for state in leaves:
+                at = self.final_emit.get(state.node, self.final_emit_default)
+                schedule(at, (report_up, state, final, self.ground_truth[state.node]))
 
-        while ticks:
-            time = heappop(ticks)
-            # The list grows while it is read: what a handler schedules for
-            # this tick is appended, and runs after everything queued before.
-            for handle, subject, what, detail in buckets[time]:
-                handle(time, subject, what, detail)
-            del buckets[time]
+            while ticks:
+                time = heappop(ticks)
+                # The list grows while it is read: what a handler schedules for
+                # this tick is appended, and runs after everything queued before.
+                for handle, subject, what, detail in buckets[time]:
+                    handle(time, subject, what, detail)
+                del buckets[time]
+        finally:
+            # The handlers reach one another through their closures, and
+            # events a failed run leaves pending hold them: drop both.
+            buckets.clear()
+            del report_up, on_prelim, on_final
 
         return EventTrace(
             election_id=self.election_id,

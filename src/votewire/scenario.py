@@ -20,9 +20,9 @@ from typing import Any, Mapping, TypeVar
 from . import swiss
 from .adversary import AttackKind, AttackSpec, Mutation, MutationKind
 from .channels import POSTAL_FINAL, PRESETS, ChannelSpec, preset, wrapped
-from .counts import MAX_COUNT, VoteCount
+from .counts import VoteCount
 from .engine import DEFAULT_FINAL_EMIT_AT, NoiseModel, Simulation
-from .errors import ConfigError
+from .errors import ArithmeticOverflow, ConfigError
 from .reports import ReportKind
 from .tally import MajorityRule
 from .tree import JurisdictionId, JurisdictionTree, tree_from_paths
@@ -214,17 +214,14 @@ def _choice(choices: type[_Choice], value: Any, where: str, what: str) -> _Choic
 
 
 def _counts(value: Any, where: str) -> VoteCount:
-    # The common case in one expression, building no field name; anything
-    # else takes the checks below, which name the first offending field.
+    # The common case is one checked construction, building no field name;
+    # whatever it refuses takes the checks below, which name the field.
     if type(value) is dict and value.keys() <= _COUNT_KEYS:
         get = value.get
-        yes, no, blank, invalid = get("yes", 0), get("no", 0), get("blank", 0), get("invalid", 0)
-        if (
-            type(yes) is int and type(no) is int and type(blank) is int and type(invalid) is int
-            and 0 <= yes <= MAX_COUNT and 0 <= no <= MAX_COUNT
-            and 0 <= blank <= MAX_COUNT and 0 <= invalid <= MAX_COUNT
-        ):
-            return VoteCount(yes, no, blank, invalid)
+        try:
+            return VoteCount(get("yes", 0), get("no", 0), get("blank", 0), get("invalid", 0))
+        except (TypeError, ValueError, ArithmeticOverflow):
+            pass
     obj = _mapping(value, where)
     _reject_unknown(obj, _COUNT_KEYS, where)
     try:

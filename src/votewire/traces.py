@@ -49,10 +49,10 @@ def nogc(build: Callable[..., _T]) -> Callable[..., _T]:
     return paused
 
 
-# Records are NamedTuples: immutable and built by tuple's C constructor,
-# which matters at ~100k records per large run. Like any tuple, a record
-# compares equal to a plain tuple of the same values. Rendering unpacks a
-# record once: that is cheaper than reading its fields one by one.
+# Records are immutable NamedTuples, which ``Simulation.run`` builds with
+# tuple's C constructor, not their generated ``__new__``. Like any tuple, a
+# record equals a plain tuple of the same values. Rendering unpacks a record
+# once: that is cheaper than reading its fields one by one.
 
 
 class EmitRecord(NamedTuple):

@@ -6,52 +6,55 @@ a half canton 1) so majority comparisons stay exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-# '/' separates path segments in every textual rendering, so segments must
-# not contain it; that also keeps the rendering injective.
-_FORBIDDEN_IN_SEGMENT = ("/", "\n")
+_IdFields = NamedTuple("_IdFields", [("path", tuple[str, ...]), ("text", str)])
 
 
-@dataclass(frozen=True, slots=True)
-class JurisdictionId:
-    """Path of name segments from the root down, e.g. ``("CH", "ZH", "Uster")``."""
+class JurisdictionId(tuple):
+    """Path of name segments from the root down, e.g. ``("CH", "ZH", "Uster")``.
 
-    path: tuple[str, ...]
-    # Every engine and audit dict is keyed by these ids, so the hash is
-    # computed once here instead of per lookup. It equals the hash the
-    # dataclass would generate, so set and dict orders are unchanged.
-    _hash: int = field(init=False, repr=False, compare=False)
-    # Every trace and summary line renders ids, so the text is joined once too.
-    _text: str = field(init=False, repr=False, compare=False)
+    A tuple ``(path, text)`` checked in its constructor, because every engine
+    and audit dict is keyed by ids: ``==`` and ``hash`` run in C. The text
+    is stored because every trace line renders ids. It is the path joined
+    by '/', which no segment may contain, so text and path determine each
+    other. An id never equals a bare path tuple or a string.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.path:
+    __slots__ = ()
+    # The fields' C accessors, without namedtuple's unchecked _make and _replace.
+    path = _IdFields.path
+    _text = _IdFields.text
+
+    def __new__(cls, path: Iterable[str]) -> "JurisdictionId":
+        path = tuple(path)
+        if not path:
             raise ValueError("jurisdiction path must be nonempty")
-        for segment in self.path:
-            if not segment:
-                raise ValueError("jurisdiction path segments must be nonempty")
-            for ch in _FORBIDDEN_IN_SEGMENT:
-                if ch in segment:
-                    raise ValueError(f"segment {segment!r} contains forbidden character {ch!r}")
-        object.__setattr__(self, "_hash", hash((self.path,)))
-        object.__setattr__(self, "_text", "/".join(self.path))
-
-    def __hash__(self) -> int:
-        return self._hash
+        text = "/".join(path)
+        # One C check for the common case; the loop names the first fault.
+        if "" in path or "\n" in text or text.count("/") != len(path) - 1:
+            for segment in path:
+                if not segment:
+                    raise ValueError("jurisdiction path segments must be nonempty")
+                for ch in ("/", "\n"):
+                    if ch in segment:
+                        raise ValueError(f"segment {segment!r} contains forbidden character {ch!r}")
+        return tuple.__new__(cls, (path, text))
 
     def __reduce__(self):
-        # String hashes differ between processes: rebuild, never copy, the caches.
+        # Pickle the path alone: loading rebuilds, and so checks, the id.
         return (JurisdictionId, (self.path,))
+
+    def __repr__(self) -> str:
+        return f"JurisdictionId(path={self.path!r})"
 
     @classmethod
     def of(cls, *segments: str) -> "JurisdictionId":
-        return cls(tuple(segments))
+        return cls(segments)
 
     @classmethod
     def from_text(cls, text: str) -> "JurisdictionId":
-        return cls(tuple(text.split("/")))
+        return cls(text.split("/"))
 
     @property
     def parent(self) -> "JurisdictionId | None":

@@ -3,6 +3,7 @@
 import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +102,11 @@ class TestSimulate:
         assert main(["simulate", "--scenario", "/nonexistent/x.json"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unreadable_scenario_file(self, monkeypatch, capsys):
+        monkeypatch.setattr(Path, "read_text", _denied)
+        assert main(["simulate", "--scenario", HONEST]) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno 13] Permission denied: {HONEST!r}\n")
+
     def test_invalid_scenario_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{\n  broken\n}")
@@ -143,6 +149,44 @@ class TestSimulate:
         assert main(["simulate", "--scenario", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: tamper on edge CH/A: cannot shift 1000 ballots")
+
+
+def _denied(self, *args, **kwargs):
+    raise PermissionError(13, "Permission denied", str(self))
+
+
+class TestUnwritableOutput:
+    """A path the user may not write is a user error (exit 2), not an
+    internal one. A test runner running as root ignores file modes, so
+    these tests make every write fail instead."""
+
+    @pytest.fixture(autouse=True)
+    def writes_denied(self, monkeypatch):
+        real_open = Path.open
+
+        def open_for_reading_only(self, mode="r", *args, **kwargs):
+            if set(mode) & set("wax+"):
+                _denied(self)
+            return real_open(self, mode, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", open_for_reading_only)
+        monkeypatch.setattr(Path, "write_text", _denied)
+
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (["simulate", "--scenario", HONEST, "--trace-out"], "out"),
+            (["simulate", "--scenario", HONEST, "--summary-out"], "out"),
+            (["analyze", "--results", MAXIMA, "--out"], "out"),
+            (["keys", "--tree", "swiss", "--seed", "7", "--out-dir"], "out/root.cert"),
+        ],
+        ids=["trace-out", "summary-out", "analyze-out", "keys-out-dir"],
+    )
+    def test_is_reported_as_a_user_error(self, argv, target, tmp_path, capsys):
+        assert main([*argv, str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 13] Permission denied: {str(tmp_path / target)!r}\n"
+        assert not (tmp_path / target).is_file()
 
 
 def bad_run_doc(**overrides):
@@ -477,12 +521,12 @@ class TestKeys:
         assert main(["keys", "--tree", str(tree_file), "--out-dir", str(tmp_path / "s)")]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_unwritable_out_dir_is_internal(self, monkeypatch, capsys):
+    def test_unwritable_out_dir_is_a_user_error(self, monkeypatch, capsys):
         monkeypatch.setattr(
             TrustStore, "save", lambda self, d: (_ for _ in ()).throw(PermissionError(d))
         )
-        assert main(["keys", "--tree", "swiss", "--out-dir", "/cannot/write"]) == 1
-        assert "internal error:" in capsys.readouterr().err
+        assert main(["keys", "--tree", "swiss", "--out-dir", "/cannot/write"]) == 2
+        assert capsys.readouterr().err == "error: /cannot/write\n"
 
 
 class TestUsage:

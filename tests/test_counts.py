@@ -1,6 +1,7 @@
 """Count arithmetic and accumulation."""
 
-import dataclasses
+import copy
+import pickle
 
 import pytest
 from hypothesis import given
@@ -20,8 +21,11 @@ class TestVoteCount:
 
     def test_is_immutable(self):
         counts = VoteCount(yes=1)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             counts.yes = 2
+        with pytest.raises(AttributeError):
+            counts.extra = 2
+        assert counts == VoteCount(1, 0, 0, 0) and counts.yes == 1
 
     @pytest.mark.parametrize("field", ["yes", "no", "blank", "invalid"])
     def test_rejects_negative(self, field):
@@ -64,3 +68,27 @@ class TestAccumulate:
         assert total.no == sum(c.no for c in items)
         assert total.blank == sum(c.blank for c in items)
         assert total.invalid == sum(c.invalid for c in items)
+
+
+class TestCheckedTuple:
+    """Every way to build a count goes through the constructor's checks."""
+
+    def test_keyword_construction_and_repr(self):
+        counts = VoteCount(yes=1, invalid=4)
+        assert counts == VoteCount(1, 0, 0, 4)
+        assert repr(counts) == "VoteCount(yes=1, no=0, blank=0, invalid=4)"
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_and_copy_round_trip(self, protocol):
+        counts = VoteCount(1, 2, 3, 4)
+        loaded = pickle.loads(pickle.dumps(counts, protocol))
+        assert loaded == counts and type(loaded) is VoteCount
+        assert copy.copy(counts) == copy.deepcopy(counts) == counts
+
+    def test_replace_and_make_are_checked(self):
+        counts = VoteCount(1, 2, 3, 4)
+        assert counts._replace(no=5) == VoteCount(1, 5, 3, 4)
+        with pytest.raises(ValueError, match="no must be >= 0, got -1"):
+            counts._replace(no=-1)
+        with pytest.raises(ArithmeticOverflow, match=f"blank={MAX_COUNT + 1} exceeds"):
+            VoteCount._make((0, 0, MAX_COUNT + 1, 0))

@@ -948,6 +948,32 @@ class TestGcPause:
             sim.run()
         assert gc.isenabled()
 
+    def test_a_run_leaves_no_reference_cycle(self):
+        attacks = (
+            AttackSpec(AttackKind.TAMPER, A, mutation=Mutation(MutationKind.SWAP_YES_NO)),
+            AttackSpec(AttackKind.FRONT_RUN, B, forged_counts=VoteCount(9, 1)),
+            AttackSpec(AttackKind.DELAY, A, report_kind=ReportKind.FINAL, hold_ticks=3),
+        )
+        sim = two_leaf_sim(
+            attacks=attacks, jitter_max=2, noise=NoiseModel(probability=1.0, max_shift=3)
+        )
+        gc.collect()
+        trace = sim.run()
+        assert gc.collect() == 0
+        assert {type(r) for r in trace.records} >= {AttackRecord, DetectRecord, PublishRecord}
+
+    def test_a_run_that_raises_leaves_no_reference_cycle(self):
+        shift = Mutation(MutationKind.SHIFT, shift=1000)
+        sim = two_leaf_sim(attacks=(AttackSpec(AttackKind.TAMPER, A, mutation=shift),))
+        gc.collect()
+        try:
+            sim.run()
+        except ConfigError:
+            pass
+        else:
+            pytest.fail("the oversized shift was applied")
+        assert gc.collect() == 0
+
     def test_gc_is_enabled_again_after_an_audit_raises(self):
         gc.enable()
         trace = two_leaf_sim().run()

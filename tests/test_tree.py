@@ -33,13 +33,20 @@ class TestJurisdictionId:
         with pytest.raises(ValueError):
             JurisdictionId(())
 
-    def test_cached_hash_keeps_value_semantics(self):
+    def test_equal_ids_compare_and_hash_equal(self):
         jid = JurisdictionId.of("CH", "ZH")
         twin = JurisdictionId(("CH", "ZH"))
-        assert jid == twin and hash(jid) == hash(twin) == hash((("CH", "ZH"),))
+        assert jid is not twin
+        assert jid == twin and hash(jid) == hash(twin)
+        assert jid == JurisdictionId.from_text("CH/ZH") == JurisdictionId.of("CH", "ZH", "x").parent
         assert jid != JurisdictionId.of("CH", "BE")
         assert repr(jid) == "JurisdictionId(path=('CH', 'ZH'))"
         assert {jid: 1}[twin] == 1
+
+    def test_never_equals_its_path_or_its_text(self):
+        jid = JurisdictionId.of("CH", "ZH")
+        assert jid != ("CH", "ZH") and jid != "CH/ZH"
+        assert ("CH", "ZH") not in {jid} and "CH/ZH" not in {jid}
 
     def test_pickle_rebuilds_the_hash_in_the_loading_process(self):
         jid = JurisdictionId.of("CH", "ZH")
@@ -86,8 +93,13 @@ class TestStoredText:
     @given(path=paths)
     def test_repr_equality_and_hash_ignore_the_stored_text(self, path):
         jid, twin = JurisdictionId(path), JurisdictionId(path)
-        object.__setattr__(twin, "_text", "something else")
-        assert jid == twin and hash(jid) == hash(twin)
+        # The text is derived from the path at construction and cannot be set.
+        for attribute in ("_text", "path"):
+            with pytest.raises(AttributeError):
+                setattr(twin, attribute, "something else")
+            with pytest.raises(AttributeError):
+                object.__setattr__(twin, attribute, "something else")
+        assert jid == twin and hash(jid) == hash(twin) and str(twin) == "/".join(path)
         assert repr(jid) == repr(twin) == f"JurisdictionId(path={path!r})"
         assert copy.copy(twin) == jid and str(copy.copy(twin)) == "/".join(path)
 
@@ -185,10 +197,13 @@ class TestTreeFromPaths:
 
     def test_builds_each_node_once(self, monkeypatch):
         built = []
-        check = JurisdictionId.__post_init__
-        monkeypatch.setattr(
-            JurisdictionId, "__post_init__", lambda self: (built.append(self), check(self))
-        )
+        new = JurisdictionId.__new__
+
+        def counting_new(cls, path):
+            built.append(new(cls, path))
+            return built[-1]
+
+        monkeypatch.setattr(JurisdictionId, "__new__", staticmethod(counting_new))
         paths = [("CH", "ZH", "Uster"), ("CH", "ZH", "Zurich"), ("CH", "BE", "Bern"), ("CH", "BE")]
         tree = tree_from_paths(paths)
         assert len(built) == len(tree.nodes()) == 6
