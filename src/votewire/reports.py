@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import enum
 import threading
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .counts import VoteCount
 from .tree import JurisdictionId
@@ -32,9 +32,7 @@ class Report(_ReportFields):
     corrupt an aggregate; the latest accepted report per sender wins.
     Sequence numbers start at 1 and are per (sender, election).
 
-    An immutable tuple, cheap to build. Only the constructor checks its
-    fields: build every changed copy through it, never through ``_replace``
-    or ``_make``.
+    An immutable tuple, cheap to build, checked in its constructor.
     """
 
     __slots__ = ()
@@ -55,6 +53,11 @@ class Report(_ReportFields):
         if emitted_at < 0:
             raise ValueError("emitted_at must be >= 0 ticks")
         return tuple.__new__(cls, (election_id, sender, sequence_no, counts, kind, emitted_at))
+
+    @classmethod
+    def _make(cls, values: Iterable) -> "Report":
+        # namedtuple's own _make, which _replace calls too, skips the checks.
+        return cls(*values)
 
 
 class SequenceState:

@@ -6,47 +6,51 @@ certificate naming any other scheme fails verification. Key pairs derive
 deterministically from an optional seed, which keeps fixtures and
 generated key material reproducible, and signing uses no randomness, so
 signatures are deterministic too.
+
+The cryptography package and hashlib load on the first keypair, sign or
+verify, once per process: only ``keys`` and the signing API use them, and
+importing them was about a fifth of the CLI's import time, paid by
+``simulate``, ``flip`` and ``analyze`` too.
 """
 
 from __future__ import annotations
 
-import hashlib
+import functools
 import os
-
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
-from cryptography.hazmat.primitives.serialization import (
-    Encoding,
-    PublicFormat,
-)
 
 NAME = "ed25519"
 
 
+@functools.cache
+def _library():
+    """(hashlib, private key class, public key class, InvalidSignature)."""
+    import hashlib
+
+    from cryptography.exceptions import InvalidSignature
+    from cryptography.hazmat.primitives.asymmetric import ed25519
+
+    return hashlib, ed25519.Ed25519PrivateKey, ed25519.Ed25519PublicKey, InvalidSignature
+
+
 def keypair(seed: bytes | None = None) -> tuple[bytes, bytes]:
     """(private, public) bytes; the same seed yields the same pair."""
+    hashlib, private_key, _, _ = _library()
     if seed is None:
         private = os.urandom(32)
     else:
         private = hashlib.sha256(b"ed25519-key:" + seed).digest()
-    public = (
-        Ed25519PrivateKey.from_private_bytes(private)
-        .public_key()
-        .public_bytes(Encoding.Raw, PublicFormat.Raw)
-    )
-    return private, public
+    return private, private_key.from_private_bytes(private).public_key().public_bytes_raw()
 
 
 def sign(private: bytes, message: bytes) -> bytes:
-    return Ed25519PrivateKey.from_private_bytes(private).sign(message)
+    _, private_key, _, _ = _library()
+    return private_key.from_private_bytes(private).sign(message)
 
 
 def verify(public: bytes, message: bytes, signature: bytes) -> bool:
+    _, _, public_key, invalid_signature = _library()
     try:
-        Ed25519PublicKey.from_public_bytes(public).verify(signature, message)
-    except (InvalidSignature, ValueError):
+        public_key.from_public_bytes(public).verify(signature, message)
+    except (invalid_signature, ValueError):
         return False
     return True

@@ -34,6 +34,10 @@ def nogc(build: Callable[..., _T]) -> Callable[..., _T]:
     would rescan them over and over while they are young, although none
     takes part in a reference cycle: reference counting frees them all.
     Whatever ``build`` does, ``gc.isenabled()`` is restored afterwards.
+
+    The pause moves one scan, it does not remove it: the objects the paused
+    call allocates still count towards the next collection, so the first
+    tracked allocation after it scans everything the call leaves alive.
     """
 
     @functools.wraps(build)

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from hypothesis import strategies as st
 
+import votewire
 from votewire.counts import VoteCount
 from votewire.tree import JurisdictionId, JurisdictionTree
 
@@ -66,3 +72,14 @@ def uneven_tree_paths(draw) -> list[tuple[str, ...]]:
 
     grow(("CH",))
     return paths
+
+
+def fresh_interpreter(code: str) -> str:
+    """Run code in a new interpreter that imports this checkout; its stdout."""
+    env = dict(os.environ)
+    src = str(Path(votewire.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True, timeout=60
+    )
+    return done.stdout

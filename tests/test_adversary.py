@@ -234,6 +234,18 @@ class TestReportChecks:
         with pytest.raises(ValueError, match=message):
             Report(**{**sample_report()._asdict(), **broken})
 
+    @pytest.mark.parametrize("message, broken", BROKEN_REPORTS.items())
+    def test_replace_and_make_are_checked(self, message, broken):
+        with pytest.raises(ValueError, match=message):
+            sample_report()._replace(**broken)
+        with pytest.raises(ValueError, match=message):
+            Report._make({**sample_report()._asdict(), **broken}.values())
+
+    def test_replace_keeps_a_valid_report(self):
+        report = sample_report()._replace(sequence_no=2)
+        assert type(report) is Report
+        assert report == Report(*sample_report()[:2], 2, *sample_report()[3:])
+
     def test_fields_cannot_be_reassigned_or_added(self):
         report = sample_report()
         for name in Report._fields:

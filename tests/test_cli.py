@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import fresh_interpreter
 from votewire.adversary import AttackKind, AttackSpec
 from votewire.analysis import bundled_results_path
 from votewire.channels import preset
@@ -28,6 +29,13 @@ TAMPER = str(bundled_scenario_path("swiss_tamper"))
 # name, that `keys --tree swiss --seed 7` writes; recorded when keys could
 # still choose between signature schemes.
 SWISS_SEED7_STORE = "5ee1fa4b08570e4af328bea3e2ac2d3bc2eb7ff89478347f6f6b64cb67e3f7ac"
+
+
+def store_digest(out_dir: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(out_dir.glob("*.cert")):
+        digest.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
+    return digest.hexdigest()
 
 
 class TestSimulate:
@@ -457,12 +465,8 @@ class TestKeys:
         assert capsys.readouterr().out == (
             f"root: CH\nscheme: ed25519\ncertificates: 27\nwrote: {out_dir}\n"
         )
-        files = sorted(out_dir.glob("*.cert"))
-        assert len(files) == 27
-        digest = hashlib.sha256()
-        for path in files:
-            digest.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
-        assert digest.hexdigest() == SWISS_SEED7_STORE
+        assert len(list(out_dir.glob("*.cert"))) == 27
+        assert store_digest(out_dir) == SWISS_SEED7_STORE
 
     def test_same_seed_same_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -527,6 +531,39 @@ class TestKeys:
         )
         assert main(["keys", "--tree", "swiss", "--out-dir", "/cannot/write"]) == 2
         assert capsys.readouterr().err == "error: /cannot/write\n"
+
+
+class TestFreshInterpreter:
+    """Only keys loads the signature library, on its first use."""
+
+    def test_simulate_flip_and_analyze_leave_the_crypto_library_unloaded(self):
+        commands = [
+            ["simulate", "--scenario", TAMPER],
+            ["flip", "--results", RTVG, "--referendum", "rtvg-2015", "--rule", "popular"],
+            ["analyze", "--results", MAXIMA],
+        ]
+        probe = (
+            "import contextlib, io, sys\n"
+            "from votewire.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "print(sorted(m for m in ('cryptography', 'hashlib') if m in sys.modules))"
+        )
+        assert fresh_interpreter(probe).strip() == "[]"
+
+    def test_keys_loads_it_and_derives_the_pinned_store(self, tmp_path):
+        out_dir = tmp_path / "trust"
+        argv = ["keys", "--tree", "swiss", "--seed", "7", "--out-dir", str(out_dir)]
+        probe = (
+            "import sys\n"
+            "from votewire.cli import main\n"
+            "loaded = 'cryptography' in sys.modules\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(loaded, 'cryptography' in sys.modules)"
+        )
+        assert fresh_interpreter(probe).splitlines()[-1] == "False True"
+        assert store_digest(out_dir) == SWISS_SEED7_STORE
 
 
 class TestUsage:

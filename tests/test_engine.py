@@ -2,20 +2,15 @@
 
 import dataclasses
 import gc
-import os
 import random
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-import votewire
-from helpers import uneven_tree_paths
+from helpers import fresh_interpreter, uneven_tree_paths
 from votewire.adversary import (
     AttackKind,
     AttackSpec,
@@ -888,17 +883,11 @@ class TestRendering:
 def test_simulating_does_not_load_the_crypto_library():
     # Freshness checks live in votewire.reports, so a run never pays for
     # importing the signed transport.
-    env = dict(os.environ)
-    src = str(Path(votewire.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = (
         "import sys, votewire.engine, votewire.adversary, votewire.scenario\n"
         "print(sorted(m for m in ('cryptography', 'votewire.secauth') if m in sys.modules))"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True, timeout=60
-    )
-    assert done.stdout.strip() == "[]"
+    assert fresh_interpreter(probe).strip() == "[]"
 
 
 class _WatchedNoise(NoiseModel):
