@@ -192,21 +192,26 @@ def _divergence_lines(divergences: Sequence[CountDivergence]) -> list[str]:
 
     A child's entry stays in the root's table until the child reports
     again, so consecutive publications repeat the same (child, reported,
-    final) objects. Tails are kept by identity in a table that lives for
-    this call; the divergences keep every object alive meanwhile.
+    final) objects. Tails are kept in a table that lives for this call,
+    keyed by the identity of the reported counts alone; a hit counts only
+    when the stored child and final are the very objects of this line,
+    else the tail is formatted again and replaces the stored one. The
+    divergences keep every object alive meanwhile.
     """
-    tails: dict[tuple[int, int, int], str] = {}
+    tails: dict[int, tuple[JurisdictionId, VoteCount, str]] = {}
     lines: list[str] = []
     append = lines.append
     for time, child, reported, final in divergences:
-        key = (id(child), id(reported), id(final))
-        tail = tails.get(key)
-        if tail is None:
+        known = tails.get(id(reported))
+        if known is not None and known[0] is child and known[1] is final:
+            tail = known[2]
+        else:
             r, f = reported, final
-            tail = tails[key] = (
+            tail = (
                 f" child={child._text} reported={r.yes}:{r.no}:{r.blank}:{r.invalid}"
                 f" final={f.yes}:{f.no}:{f.blank}:{f.invalid}"
             )
+            tails[id(reported)] = (child, final, tail)
         append(f"  t={time}{tail}")
     return lines
 

@@ -45,6 +45,10 @@ Records, counts and ids are tuples; ``run`` builds each of a large run's
 collector is paused meanwhile (``traces.nogc``): left on, it rescans the
 young tuples hundreds of times per large run, although reference counting
 frees them all: however a run ends, it leaves no reference cycle behind.
+The pause defers one scan of whatever the run leaves alive to the first
+allocation after it. ``simulate`` pays none: its own pause spans parse,
+run, audit, rendering and writes, and it drops the trace before the pause
+ends. A library caller that keeps the trace pays that one pass.
 """
 
 from __future__ import annotations

@@ -33,11 +33,29 @@ def nogc(build: Callable[..., _T]) -> Callable[..., _T]:
     A large run and its audit each allocate ~100k tuples, and the collector
     would rescan them over and over while they are young, although none
     takes part in a reference cycle: reference counting frees them all.
-    Whatever ``build`` does, ``gc.isenabled()`` is restored afterwards.
+    Whatever ``build`` does, ``gc.isenabled()`` is restored afterwards. A
+    pause inside another pause is a no-op, so the pauses on
+    ``Simulation.run`` and ``detection_report`` serve library callers and
+    change nothing under ``simulate``'s own pause.
 
-    The pause moves one scan, it does not remove it: the objects the paused
-    call allocates still count towards the next collection, so the first
-    tracked allocation after it scans everything the call leaves alive.
+    The pause moves one scan, it does not remove it: what the paused call
+    allocates still counts towards the next collection, so the first
+    tracked allocation after the outermost pause ends scans everything the
+    call left alive. A caller that drops its output before the pause ends
+    pays none of that scan, because reference counting has already freed
+    it: ``simulate`` pauses around the whole command for that reason. A
+    caller that keeps the output pays one pass over it, ~100 ms per
+    federation-lib benchmark operation (a run of 10,400 leaves, audited
+    and rendered); only fewer surviving objects will shrink it.
+
+    Survivors are not promoted with ``gc.freeze(); gc.unfreeze()``, which
+    would skip that pass: unfreezing puts every object then alive, such
+    as the CLI's argument parser, in the oldest generation, and freezing
+    zeroes the counts that would start the full collection that frees it.
+    Measured on Python 3.11: after 300 ``simulate`` commands in one
+    process ~58k garbage objects were waiting against ~2k without it, and
+    a 25 s run of the benchmark's cli-small workload (the README's seven
+    commands, repeated) peaked at 74 MB resident instead of 36 MB.
     """
 
     @functools.wraps(build)

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: output, files, exit codes."""
 
+import gc
 import hashlib
 import json
 from dataclasses import replace
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from helpers import fresh_interpreter
+from votewire import cli
 from votewire.adversary import AttackKind, AttackSpec
 from votewire.analysis import bundled_results_path
 from votewire.channels import preset
@@ -195,6 +197,91 @@ class TestUnwritableOutput:
         err = capsys.readouterr().err
         assert err == f"error: [Errno 13] Permission denied: {str(tmp_path / target)!r}\n"
         assert not (tmp_path / target).is_file()
+
+
+class TestSimulateGcPause:
+    """simulate runs with the cyclic collector off from the parse to the
+    last write, and gives the caller's collector state back however the
+    command ends."""
+
+    @pytest.fixture(autouse=True)
+    def restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """``gc.isenabled()`` at the parse and at each file write, in order."""
+        states: list[tuple[str, bool]] = []
+        real_load, real_write = cli.load_scenario, Path.write_text
+
+        def load_scenario(*args, **kwargs):
+            states.append(("parse", gc.isenabled()))
+            return real_load(*args, **kwargs)
+
+        def write_text(self, *args, **kwargs):
+            states.append(("write", gc.isenabled()))
+            return real_write(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_scenario", load_scenario)
+        monkeypatch.setattr(Path, "write_text", write_text)
+        return states
+
+    def test_collector_is_off_from_parse_to_last_write(self, seen, tmp_path, capsys):
+        gc.enable()
+        argv = ["simulate", "--scenario", TAMPER, "--trace-out", str(tmp_path / "run.trace"),
+                "--summary-out", str(tmp_path / "run.summary")]
+        assert main(argv) == 0
+        assert seen == [("parse", False), ("write", False), ("write", False)]
+        assert gc.isenabled()
+        assert capsys.readouterr().out.startswith("detection summary\n")
+
+    def test_disabled_collector_stays_disabled(self, seen, tmp_path, capsys):
+        gc.disable()
+        assert main(["simulate", "--scenario", TAMPER, "--trace-out", str(tmp_path / "t")]) == 0
+        assert seen == [("parse", False), ("write", False)]
+        assert not gc.isenabled()
+        capsys.readouterr()
+
+    def test_unknown_scenario_field_gives_the_collector_back(self, seen, tmp_path, capsys):
+        doc = json.loads(Path(TAMPER).read_text())
+        doc["bogus"] = 1
+        bad = tmp_path / "bogus.json"
+        bad.write_text(json.dumps(doc))
+        seen.clear()
+        gc.enable()
+        assert main(["simulate", "--scenario", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown field 'scenario.bogus'")
+        assert seen == [("parse", False)]
+        assert gc.isenabled()
+
+    def test_unwritable_trace_out_gives_the_collector_back(self, seen, monkeypatch, tmp_path, capsys):
+        gc.enable()
+
+        def denied(self, *args, **kwargs):
+            seen.append(("write", gc.isenabled()))
+            _denied(self)
+
+        monkeypatch.setattr(Path, "write_text", denied)
+        assert main(["simulate", "--scenario", TAMPER, "--trace-out", str(tmp_path / "t")]) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 13] Permission denied")
+        assert seen == [("parse", False), ("write", False)]
+        assert gc.isenabled()
+
+    def test_internal_error_gives_the_collector_back(self, seen, monkeypatch, capsys):
+        def broken_audit(trace):
+            raise RuntimeError("audit broke")
+
+        monkeypatch.setattr(cli, "detection_report", broken_audit)
+        gc.enable()
+        assert main(["simulate", "--scenario", TAMPER]) == 1
+        assert capsys.readouterr().err == "internal error: RuntimeError: audit broke\n"
+        assert seen == [("parse", False)]
+        assert gc.isenabled()
 
 
 def bad_run_doc(**overrides):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import fresh_interpreter, uneven_tree_paths
+from votewire import cli
 from votewire.adversary import (
     AttackKind,
     AttackSpec,
@@ -861,6 +862,39 @@ class TestRendering:
             "children=CH/A:1:1:2:3:4,CH/B:2:5:0:0:1",
         ]
 
+    def test_one_reported_count_under_two_children_and_two_finals(self):
+        # detection_report gives each divergence its own (child, final)
+        # pair, so only a hand-built summary reaches the listing's identity
+        # checks: the same reported object under another child or against
+        # another final, and equal counts that are distinct objects.
+        reported, final, other_final = VoteCount(10, 20), VoteCount(11, 19), VoteCount(12, 18)
+        twin, twin_final = VoteCount(*reported), VoteCount(*final)
+        assert twin == reported and twin is not reported
+        assert twin_final == final and twin_final is not final
+        divergences = (
+            CountDivergence(1, A, reported, final),
+            CountDivergence(2, B, reported, final),
+            CountDivergence(3, B, reported, other_final),
+            CountDivergence(4, A, reported, final),
+            CountDivergence(5, A, twin, twin_final),
+            CountDivergence(6, B, twin, final),
+            CountDivergence(7, A, reported, twin_final),
+            CountDivergence(8, A, reported, final),
+        )
+        summary = DetectionSummary(divergences, (), (), False, 7)
+        text = summary.to_text(0)
+        assert text == oracles.summary_text(summary, 0)
+        assert text.splitlines()[3:11] == [
+            "  t=1 child=CH/A reported=10:20:0:0 final=11:19:0:0",
+            "  t=2 child=CH/B reported=10:20:0:0 final=11:19:0:0",
+            "  t=3 child=CH/B reported=10:20:0:0 final=12:18:0:0",
+            "  t=4 child=CH/A reported=10:20:0:0 final=11:19:0:0",
+            "  t=5 child=CH/A reported=10:20:0:0 final=11:19:0:0",
+            "  t=6 child=CH/B reported=10:20:0:0 final=11:19:0:0",
+            "  t=7 child=CH/A reported=10:20:0:0 final=11:19:0:0",
+            "  t=8 child=CH/A reported=10:20:0:0 final=11:19:0:0",
+        ]
+
     def test_divergences_that_share_child_and_counts_keep_their_own_final(self):
         reported = VoteCount(10, 20)
         divergences = (
@@ -888,6 +922,18 @@ def test_simulating_does_not_load_the_crypto_library():
         "print(sorted(m for m in ('cryptography', 'votewire.secauth') if m in sys.modules))"
     )
     assert fresh_interpreter(probe).strip() == "[]"
+
+
+def attack_heavy_sim() -> Simulation:
+    """The two-leaf run with tamper, front-run, delay, jitter and noise."""
+    attacks = (
+        AttackSpec(AttackKind.TAMPER, A, mutation=Mutation(MutationKind.SWAP_YES_NO)),
+        AttackSpec(AttackKind.FRONT_RUN, B, forged_counts=VoteCount(9, 1)),
+        AttackSpec(AttackKind.DELAY, A, report_kind=ReportKind.FINAL, hold_ticks=3),
+    )
+    return two_leaf_sim(
+        attacks=attacks, jitter_max=2, noise=NoiseModel(probability=1.0, max_shift=3)
+    )
 
 
 class _WatchedNoise(NoiseModel):
@@ -938,18 +984,35 @@ class TestGcPause:
         assert gc.isenabled()
 
     def test_a_run_leaves_no_reference_cycle(self):
-        attacks = (
-            AttackSpec(AttackKind.TAMPER, A, mutation=Mutation(MutationKind.SWAP_YES_NO)),
-            AttackSpec(AttackKind.FRONT_RUN, B, forged_counts=VoteCount(9, 1)),
-            AttackSpec(AttackKind.DELAY, A, report_kind=ReportKind.FINAL, hold_ticks=3),
-        )
-        sim = two_leaf_sim(
-            attacks=attacks, jitter_max=2, noise=NoiseModel(probability=1.0, max_shift=3)
-        )
+        sim = attack_heavy_sim()
         gc.collect()
         trace = sim.run()
         assert gc.collect() == 0
         assert {type(r) for r in trace.records} >= {AttackRecord, DetectRecord, PublishRecord}
+
+    def test_audit_and_renders_leave_no_reference_cycle(self):
+        # simulate pauses the collector over all of these at once and relies
+        # on reference counting alone to free what they build.
+        trace = attack_heavy_sim().run()
+        gc.collect()
+        summary = detection_report(trace)
+        assert gc.collect() == 0
+        assert summary.count_divergences and summary.detects
+        trace.to_text()
+        assert gc.collect() == 0
+        summary.to_text(0)
+        assert gc.collect() == 0
+
+    def test_simulate_command_leaves_no_reference_cycle(self, tmp_path, capsys):
+        args = cli.build_parser().parse_args(
+            ["simulate", "--scenario", str(bundled_scenario_path("swiss_tamper")),
+             "--trace-out", str(tmp_path / "run.trace"),
+             "--summary-out", str(tmp_path / "run.summary")]
+        )
+        gc.collect()
+        assert cli.cmd_simulate(args) == 0
+        assert gc.collect() == 0
+        assert capsys.readouterr().out.startswith("detection summary\n")
 
     def test_a_run_that_raises_leaves_no_reference_cycle(self):
         shift = Mutation(MutationKind.SHIFT, shift=1000)
