@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from pathlib import Path
 
@@ -31,7 +32,10 @@ from .traces import nogc
 SUMMARY_HEADER = ("canton", "max_abs_discrepancy", "final_total_at_max", "max_relative_percent")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process, since every parser is a reference cycle;
+    # parse_args fills a new namespace on each call.
     parser = argparse.ArgumentParser(
         prog="votewire",
         description="Deterministic election-result aggregation: simulate, analyze, flip, keys.",

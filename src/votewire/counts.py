@@ -56,6 +56,12 @@ class VoteCount(_CountFields):
     def total(self) -> int:
         return sum(self)
 
+    def _no_concatenation(self, other):
+        # Tuple + and * would splice two counts into a wrong-length tuple.
+        raise TypeError("VoteCount does not support + or *; accumulate() is the checked sum")
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _no_concatenation
+
 
 ZERO = VoteCount()
 

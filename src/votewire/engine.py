@@ -75,38 +75,17 @@ from .traces import (
 )
 from .tree import JurisdictionId, JurisdictionTree
 
-REASON_UNKNOWN_SENDER = "unknown_sender"
 REASON_OVER_ELIGIBLE = "over_eligible"
 REASON_STALE_SEQUENCE = "stale_sequence"
 
 DEFAULT_FINAL_EMIT_AT = 100
 
 
-def feasibility_check(
-    report: Report,
-    receiver: JurisdictionId,
-    tree: JurisdictionTree,
-    seq_state: SequenceState,
-) -> str | None:
-    """First reason to refuse a preliminary report, or None to accept.
-
-    Checks, in order: the sender must be a direct child of the receiver;
-    the claimed total may not exceed the sender's eligible voters (when
-    known); the sequence number must be strictly newer than the last one
-    accepted from that sender. As in ``verify_report``, only an accept
-    records the sequence number in ``seq_state``.
-    """
-    _, sender, seq, counts, _, _ = report
-    if sender not in tree or tree.parent(sender) != receiver:
-        return REASON_UNKNOWN_SENDER
-    return _refusal(sender, seq, counts, tree.eligible_voters.get(sender), seq_state)
-
-
 def _refusal(
     sender: JurisdictionId, seq: int, counts: VoteCount, eligible: int | None, state: SequenceState
 ) -> str | None:
-    """The checks after the unknown-sender one, shared by ``feasibility_check``
-    and the engine, which resolves ``eligible`` once per node."""
+    """Why a preliminary from a child is refused, or None; ``eligible`` is
+    resolved once per node. Only an accept records ``seq`` in ``state``."""
     if eligible is not None and counts.total() > eligible:
         return REASON_OVER_ELIGIBLE
     if not state.accept_if_fresh(sender, seq):
@@ -379,8 +358,8 @@ class Simulation:
         def on_prelim(time: int, sender: _NodeState, seq: int, counts: VoteCount) -> None:
             receiver = sender.parent
             sender_id = sender.node
-            # The receiver is the sender's parent by construction, so the
-            # unknown-sender check of feasibility_check cannot fail here.
+            # The receiver is the sender's parent by construction, so no
+            # report comes from an unknown sender.
             reason = _refusal(sender_id, seq, counts, sender.eligible, seq_state)
             append(new(DeliverRecord, (
                 time, sender_id, receiver.node, sender.channel.name, prelim, seq, counts,

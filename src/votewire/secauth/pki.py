@@ -26,9 +26,9 @@ _SERIAL_RE = re.compile(r"\A[1-9][0-9]*\Z")
 class KeyHandle:
     """A signing capability that never hands out the key itself.
 
-    Software stand-in for a smartcard: the private key lives in a closure
-    and the only operation is sign(message). Nothing on the instance, its
-    repr included, exposes key material.
+    Software stand-in for a smartcard: the parsed private key lives behind
+    the ``sign`` it was handed and the only operation is sign(message).
+    Nothing on the instance, its repr included, exposes key material.
     """
 
     __slots__ = ("subject", "_signer")
@@ -46,8 +46,8 @@ class KeyHandle:
 
 def make_key(subject: JurisdictionId, seed: bytes | None = None) -> tuple[KeyHandle, bytes]:
     """A fresh key pair: the handle for the subject, public bytes for certs."""
-    private, public = schemes.keypair(seed)
-    return KeyHandle(subject, lambda m: schemes.sign(private, m)), public
+    sign, public = schemes.signing_key(seed)
+    return KeyHandle(subject, sign), public
 
 
 # Wire field order of a certificate, shared by its own text form and the

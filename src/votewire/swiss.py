@@ -9,6 +9,7 @@ federal level.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from importlib import resources
 
@@ -31,13 +32,17 @@ class CantonInfo:
     channel: str
 
 
-def _data_text(filename: str) -> str:
-    return resources.files("votewire.data").joinpath(filename).read_text(encoding="utf-8")
-
-
+@functools.cache
 def load_cantons() -> tuple[CantonInfo, ...]:
-    """Parse the bundled canton table; order is the conventional cantonal order."""
-    reader = csv.DictReader(_data_text("swiss_cantons.csv").splitlines())
+    """The bundled canton table, parsed once per process; order is the
+    conventional cantonal order."""
+    data = resources.files("votewire.data").joinpath("swiss_cantons.csv")
+    return parse_cantons(data.read_text(encoding="utf-8"))
+
+
+def parse_cantons(text: str) -> tuple[CantonInfo, ...]:
+    """Parse a canton table in the bundled file's format."""
+    reader = csv.DictReader(text.splitlines())
     rows: list[CantonInfo] = []
     for lineno, row in enumerate(reader, start=2):
         try:

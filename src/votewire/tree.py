@@ -73,6 +73,11 @@ class JurisdictionId(tuple):
     def __str__(self) -> str:
         return self._text
 
+    def _no_concatenation(self, other):
+        raise TypeError("JurisdictionId does not support + or *")
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _no_concatenation
+
 
 class JurisdictionTree:
     """The aggregation hierarchy: stations up to the federal root.

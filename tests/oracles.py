@@ -11,11 +11,14 @@ field by field, with no table shared between lines: they pin the text that
 ``EventTrace.to_text`` and ``DetectionSummary.to_text`` produce from their
 per-call tables.
 
-``reference_run`` at the end replays a ``Simulation`` from the rules in the
-engine's module docstring alone, the slow and literal way: events on a
-(time, insertion counter) heap, a ``Report`` per emit, dicts keyed by id,
-every child re-summed on every accept, and each acceptance check spelled
-out. It shares no code with the engine's event loop.
+``feasibility_check`` applies the engine's acceptance checks to one
+preliminary report over a ``SequenceState``; the feasibility tests
+exercise it. ``reference_run`` at the end replays a ``Simulation``
+from the rules in the engine's module docstring alone, the slow and literal
+way: events on a (time, insertion counter) heap, a ``Report`` per emit,
+dicts keyed by id, every child re-summed on every accept, and each
+acceptance check spelled out. It shares no code with the engine's event
+loop, nor with the sequence tracking the engine uses for replay protection.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from votewire.adversary import (
 from votewire.counts import VoteCount, accumulate
 from votewire.engine import Simulation
 from votewire.errors import ConfigError
-from votewire.reports import Report, ReportKind
+from votewire.reports import Report, ReportKind, SequenceState
 from votewire.tally import (
     Decision,
     MajorityRule,
@@ -303,6 +306,31 @@ def summary_text(summary: DetectionSummary, max_items: int = 10) -> str:
         f"integrity gap ticks: {summary.integrity_gap_ticks}",
     ]
     return "\n".join(lines) + "\n"
+
+
+def feasibility_check(
+    report: Report,
+    receiver: JurisdictionId,
+    tree: JurisdictionTree,
+    seq_state: SequenceState,
+) -> str | None:
+    """First reason to refuse a preliminary report, or None to accept.
+
+    Checks, in order: the sender must be a direct child of the receiver;
+    the claimed total may not exceed the sender's eligible voters (when
+    known); the sequence number must be strictly newer than the last one
+    accepted from that sender. As in ``verify_report``, only an accept
+    records the sequence number in ``seq_state``.
+    """
+    sender = report.sender
+    if sender not in tree or tree.parent(sender) != receiver:
+        return "unknown_sender"
+    eligible = tree.eligible_voters.get(sender)
+    if eligible is not None and report.counts.total() > eligible:
+        return "over_eligible"
+    if not seq_state.accept_if_fresh(sender, report.sequence_no):
+        return "stale_sequence"
+    return None
 
 
 def reference_run(sim: Simulation) -> tuple[TraceRecord, ...]:

@@ -653,6 +653,52 @@ class TestFreshInterpreter:
         assert store_digest(out_dir) == SWISS_SEED7_STORE
 
 
+def readme_round(out: Path) -> dict[str, list[str]]:
+    """The README's seven commands, writing their files under ``out``."""
+    commands = {
+        f"simulate {name}": [
+            "simulate", "--scenario", str(bundled_scenario_path(f"swiss_{name}")),
+            "--trace-out", str(out / f"{name}.trace"), "--summary-out", str(out / f"{name}.summary"),
+        ]
+        for name in ("honest", "tamper", "delay_noise")
+    }
+    commands["flip popular"] = ["flip", "--results", RTVG, "--referendum", "rtvg-2015", "--rule", "popular"]
+    commands["flip double"] = ["flip", "--results", FAMILY, "--referendum", "family-2013", "--rule", "double"]
+    commands["analyze"] = ["analyze", "--results", MAXIMA]
+    commands["keys"] = ["keys", "--tree", "swiss", "--out-dir", str(out / "trust"), "--seed", "7"]
+    return commands
+
+
+class TestOneParserPerProcess:
+    """main reuses one parser, which leaves no garbage behind a command
+    and hands every call a namespace of its own."""
+
+    @pytest.mark.parametrize("name", list(readme_round(Path())))
+    def test_command_leaves_no_cyclic_garbage(self, name, tmp_path, capsys):
+        argv = readme_round(tmp_path)[name]
+        assert main(argv) == 0  # the first call may load modules
+        gc.collect()
+        assert main(argv) == 0
+        assert gc.collect() == 0
+        capsys.readouterr()
+
+    def test_seed_override_does_not_outlive_its_call(self, tmp_path, capsys):
+        trace = tmp_path / "run.trace"
+        assert main(["simulate", "--scenario", HONEST, "--seed", "5", "--trace-out", str(trace)]) == 0
+        assert trace.read_text(encoding="utf-8").startswith("trace election=rtvg-2015 seed=5\n")
+        assert main(["simulate", "--scenario", HONEST, "--trace-out", str(trace)]) == 0
+        assert trace.read_text(encoding="utf-8").startswith("trace election=rtvg-2015 seed=2015\n")
+        capsys.readouterr()
+
+    def test_usage_error_leaves_the_parser_usable(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["flip", "--results", RTVG, "--rule", "popular"])
+        assert exc.value.code == 2
+        assert "--referendum" in capsys.readouterr().err
+        assert main(["flip", "--results", RTVG, "--referendum", "rtvg-2015", "--rule", "popular"]) == 0
+        assert "total_flips: 1825" in capsys.readouterr().out
+
+
 class TestUsage:
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

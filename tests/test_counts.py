@@ -92,3 +92,15 @@ class TestCheckedTuple:
             counts._replace(no=-1)
         with pytest.raises(ArithmeticOverflow, match=f"blank={MAX_COUNT + 1} exceeds"):
             VoteCount._make((0, 0, MAX_COUNT + 1, 0))
+
+    @pytest.mark.parametrize(
+        "operation",
+        [lambda c: c + c, lambda c: c + (1,), lambda c: (1,) + c, lambda c: c * 2, lambda c: 2 * c],
+        ids=["count + count", "count + tuple", "tuple + count", "count * 2", "2 * count"],
+    )
+    def test_plus_and_times_raise_instead_of_concatenating(self, operation):
+        with pytest.raises(TypeError, match=r"accumulate\(\) is the checked sum"):
+            operation(VoteCount(1, 2))
+
+    def test_equality_and_hash_stay_the_tuple_s(self):
+        assert VoteCount.__eq__ is tuple.__eq__ and VoteCount.__hash__ is tuple.__hash__

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import fresh_interpreter, uneven_tree_paths
+from oracles import feasibility_check
 from votewire import cli
 from votewire.adversary import (
     AttackKind,
@@ -27,10 +28,8 @@ from votewire.engine import (
     DEFAULT_FINAL_EMIT_AT,
     REASON_OVER_ELIGIBLE,
     REASON_STALE_SEQUENCE,
-    REASON_UNKNOWN_SENDER,
     NoiseModel,
     Simulation,
-    feasibility_check,
 )
 from votewire.errors import ArithmeticOverflow, CapabilityError, ConfigError
 from votewire.reports import Report, ReportKind, SequenceState
@@ -93,16 +92,16 @@ class TestFeasibility:
     def test_unknown_sender(self):
         tree = two_leaf_tree()
         stranger = JurisdictionId.of("CH", "Z")
-        assert feasibility_check(prelim_report(stranger, 1, VoteCount()), CH, tree, seen()) == REASON_UNKNOWN_SENDER
+        assert feasibility_check(prelim_report(stranger, 1, VoteCount()), CH, tree, seen()) == "unknown_sender"
 
     def test_sibling_is_not_a_child(self):
         tree = two_leaf_tree()
-        assert feasibility_check(prelim_report(A, 1, VoteCount()), B, tree, seen()) == REASON_UNKNOWN_SENDER
+        assert feasibility_check(prelim_report(A, 1, VoteCount()), B, tree, seen()) == "unknown_sender"
 
     def test_grandchild_is_not_a_child(self):
         deep = tree_from_paths([("CH", "A", "X")], eligible_voters={})
         x = JurisdictionId.of("CH", "A", "X")
-        assert feasibility_check(prelim_report(x, 1, VoteCount()), CH, deep, seen()) == REASON_UNKNOWN_SENDER
+        assert feasibility_check(prelim_report(x, 1, VoteCount()), CH, deep, seen()) == "unknown_sender"
 
     def test_total_above_eligible_fails(self):
         tree = two_leaf_tree(eligible_a=100)
@@ -121,6 +120,8 @@ class TestFeasibility:
         state = seen(A=3)
         assert feasibility_check(prelim_report(A, 3, VoteCount()), CH, tree, state) == REASON_STALE_SEQUENCE
         assert feasibility_check(prelim_report(A, 2, VoteCount()), CH, tree, state) == REASON_STALE_SEQUENCE
+        # A stale refusal leaves the last accepted number where it was.
+        assert feasibility_check(prelim_report(A, 3, VoteCount()), CH, tree, state) == REASON_STALE_SEQUENCE
         assert feasibility_check(prelim_report(A, 4, VoteCount()), CH, tree, state) is None
 
     def test_accept_uses_up_the_sequence_number(self):
@@ -136,14 +137,14 @@ class TestFeasibility:
         over = prelim_report(A, 5, VoteCount(100, 1))
         assert feasibility_check(over, CH, tree, state) == REASON_OVER_ELIGIBLE
         misrouted = prelim_report(A, 5, VoteCount(1, 1))
-        assert feasibility_check(misrouted, B, tree, state) == REASON_UNKNOWN_SENDER
+        assert feasibility_check(misrouted, B, tree, state) == "unknown_sender"
         assert feasibility_check(prelim_report(A, 5, VoteCount(1, 1)), CH, tree, state) is None
 
     def test_unknown_sender_wins_over_other_reasons(self):
         tree = two_leaf_tree(eligible_a=1)
         stranger = JurisdictionId.of("CH", "Z")
         report = prelim_report(stranger, 0 + 1, VoteCount(5, 5))
-        assert feasibility_check(report, CH, tree, seen(Z=9)) == REASON_UNKNOWN_SENDER
+        assert feasibility_check(report, CH, tree, seen(Z=9)) == "unknown_sender"
 
 
 class TestHonestRun:
@@ -741,7 +742,7 @@ class TestTraceInvariants:
     @settings(max_examples=150)
     @given(sim=random_simulations())
     def test_feasibility_check_replays_every_preliminary_verdict(self, sim):
-        # The engine and feasibility_check share the acceptance rules; one
+        # feasibility_check spells out the engine's acceptance rules; one
         # fresh state serves every receiver, as in the engine.
         state = SequenceState(sim.election_id)
         for rec in sim.run().records:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from votewire import swiss
 from votewire.counts import accumulate
 from votewire.errors import ParseError
 from votewire.swiss import (
@@ -10,6 +9,7 @@ from votewire.swiss import (
     channel_assignments,
     federal_id,
     load_cantons,
+    parse_cantons,
     swiss_tree,
 )
 
@@ -48,11 +48,10 @@ def test_every_canton_has_a_channel_assignment():
 
 
 @pytest.mark.parametrize("tag", ["postal_final", "pigeon"])
-def test_channel_tag_must_name_an_unsigned_preset(monkeypatch, tag):
+def test_channel_tag_must_name_an_unsigned_preset(tag):
     row = f"code,name,half_votes,eligible_voters,channel\nZH,Zürich,2,907623,{tag}\n"
-    monkeypatch.setattr(swiss, "_data_text", lambda filename: row)
     with pytest.raises(ParseError) as exc:
-        load_cantons()
+        parse_cantons(row)
     assert str(exc.value) == f"swiss_cantons.csv row 2: unknown channel tag {tag!r}"
 
 
@@ -61,3 +60,7 @@ def test_display_names_cover_known_cantons():
     assert names["GR"] == "Graubünden"
     assert names["ZG"] == "Zug"
     assert names["BL"] == "Basel-Landschaft"
+
+
+def test_bundled_table_is_parsed_once_per_process():
+    assert load_cantons() is load_cantons()

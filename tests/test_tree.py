@@ -60,6 +60,18 @@ class TestJurisdictionId:
         with pytest.raises(ValueError):
             JurisdictionId.of("CH", "ZH/Uster")
 
+    @pytest.mark.parametrize(
+        "operation",
+        [lambda j: j + j, lambda j: j + ("x",), lambda j: ("x",) + j, lambda j: j * 2, lambda j: 2 * j],
+        ids=["id + id", "id + tuple", "tuple + id", "id * 2", "2 * id"],
+    )
+    def test_plus_and_times_raise_instead_of_concatenating(self, operation):
+        with pytest.raises(TypeError, match="JurisdictionId does not support"):
+            operation(JurisdictionId.of("CH", "ZH"))
+
+    def test_equality_and_hash_stay_the_tuple_s(self):
+        assert JurisdictionId.__eq__ is tuple.__eq__ and JurisdictionId.__hash__ is tuple.__hash__
+
 
 segments = st.text(
     alphabet=st.characters(blacklist_characters="/\n", blacklist_categories=("Cs",)),
