@@ -24,7 +24,7 @@ from .counts import accumulate
 from .errors import MissingCanton, VotewireError
 from .flips import min_flips_double, min_flips_outcome, min_flips_popular
 from .scenario import build_simulation, load_scenario, load_tree
-from .secauth import TrustStore, provision_tree
+from .secauth import provision_tree
 from .swiss import canton_names, swiss_tree
 from .tally import Decision, MajorityRule, ReferendumSpec, referendum_outcome
 from .traces import nogc
@@ -171,7 +171,7 @@ def cmd_keys(args: argparse.Namespace) -> int:
     seed = None if args.seed is None else f"keys:{args.seed}".encode("utf-8")
     provisioned = provision_tree(tree, seed=seed)
     out_dir = Path(args.out_dir)
-    TrustStore.from_provisioned(provisioned).save(out_dir)
+    provisioned.save(out_dir)
     print(f"root: {provisioned.root_certificate.subject}")
     print(f"scheme: {provisioned.root_certificate.scheme}")
     print(f"certificates: {len(provisioned.certificates)}")

@@ -281,8 +281,8 @@ def _ground_truth(value: Any, nodes: _Nodes) -> dict[JurisdictionId, VoteCount]:
 def _truth_from_results(name: str, nodes: _Nodes) -> dict[JurisdictionId, VoteCount]:
     """Leaf ground truth from a bundled results file's final columns.
 
-    Final yes/no are taken as cast; whatever remains of final_total is
-    recorded as blank, which preserves the published totals.
+    Each leaf's truth is its record's ``final``: yes/no as cast, and
+    whatever remains of final_total as blank, preserving published totals.
     """
     from .analysis import bundled_results_path, load_results
 
@@ -301,9 +301,7 @@ def _truth_from_results(name: str, nodes: _Nodes) -> dict[JurisdictionId, VoteCo
             raise ConfigError(
                 f"field 'ground_truth.bundled_results': {record.canton!r} is not in the tree"
             )
-        final = record.final
-        rest = record.final_total() - final.yes - final.no
-        truth[node] = VoteCount(final.yes, final.no, blank=rest)
+        truth[node] = record.final
     return truth
 
 

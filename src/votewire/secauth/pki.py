@@ -9,7 +9,6 @@ node therefore climbs exactly depth(node) links before reaching the root.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
@@ -17,10 +16,16 @@ from typing import Callable, Mapping
 from ..errors import HierarchyError, ParseError, SubjectMismatch
 from ..tree import JurisdictionId, JurisdictionTree
 from . import schemes
-from .encoding import certificate_payload
-
-_HEX_RE = re.compile(r"\A(?:[0-9a-f]{2})+\Z")
-_SERIAL_RE = re.compile(r"\A[1-9][0-9]*\Z")
+from .encoding import (
+    CERT_FIELDS,
+    certificate_payload,
+    format_fields,
+    parse_decimal,
+    parse_fields,
+    parse_hex,
+    parse_node,
+    split_lines,
+)
 
 
 class KeyHandle:
@@ -50,11 +55,6 @@ def make_key(subject: JurisdictionId, seed: bytes | None = None) -> tuple[KeyHan
     return KeyHandle(subject, sign), public
 
 
-# Wire field order of a certificate, shared by its own text form and the
-# chain blocks of a signed report.
-CERT_FIELDS = ("subject", "issuer", "serial", "scheme", "public_key", "issuer_signature")
-
-
 @dataclass(frozen=True, slots=True)
 class Certificate:
     subject: JurisdictionId
@@ -71,69 +71,19 @@ class Certificate:
 
     def to_text(self, prefix: str = "") -> str:
         """``field=value`` lines in CERT_FIELDS order, each name after ``prefix``."""
-        out = []
-        for field in CERT_FIELDS:
-            value = getattr(self, field)
-            out.append(f"{prefix}{field}={value.hex() if isinstance(value, bytes) else value}\n")
-        return "".join(out)
+        return format_fields(CERT_FIELDS, (getattr(self, f) for f in CERT_FIELDS), prefix)
 
 
 def certificate_from_text(text: str) -> Certificate:
-    values = parse_fields(text.splitlines(keepends=True), CERT_FIELDS, offset=0)
+    values = parse_fields(split_lines(text), CERT_FIELDS, offset=0)
     return build_certificate(values, where="certificate")
-
-
-def parse_fields(
-    lines: list[str], expected: tuple[str, ...], offset: int, prefix: str = ""
-) -> dict[str, str]:
-    """Strict ``prefix + field=value`` lines in exactly the expected order.
-
-    ``offset`` is the number of lines consumed before these, used only to
-    report accurate line numbers. The result is keyed by field, without
-    the prefix.
-    """
-    if len(lines) != len(expected):
-        raise ParseError(
-            f"expected {len(expected)} lines after line {offset}, found {len(lines)}"
-        )
-    values: dict[str, str] = {}
-    for i, (line, field) in enumerate(zip(lines, expected), start=offset + 1):
-        if not line.endswith("\n") or line.count("\n") != 1:
-            raise ParseError(f"line {i}: every line must end with a single line feed")
-        body = line[:-1]
-        head = f"{prefix}{field}="
-        if not body.startswith(head):
-            raise ParseError(f"line {i}: expected '{head}...', found {body[:40]!r}")
-        values[field] = body[len(head):]
-    return values
-
-
-def parse_hex(value: str, where: str) -> bytes:
-    # Lowercase only: bytes.fromhex would silently accept the uppercase
-    # variant, making two distinct byte strings decode identically.
-    if not _HEX_RE.fullmatch(value):
-        raise ParseError(f"{where}: not lowercase even-length hex")
-    return bytes.fromhex(value)
-
-
-def parse_serial(value: str, where: str) -> int:
-    if not _SERIAL_RE.fullmatch(value):
-        raise ParseError(f"{where}: serial must be a positive decimal with no leading zeros")
-    return int(value)
-
-
-def parse_node(value: str, where: str) -> JurisdictionId:
-    try:
-        return JurisdictionId.from_text(value)
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}") from None
 
 
 def build_certificate(values: Mapping[str, str], where: str) -> Certificate:
     return Certificate(
         subject=parse_node(values["subject"], f"{where} subject"),
         issuer=parse_node(values["issuer"], f"{where} issuer"),
-        serial=parse_serial(values["serial"], where),
+        serial=parse_decimal(values["serial"], f"{where} serial", minimum=1),
         scheme=values["scheme"],
         public_key=parse_hex(values["public_key"], f"{where} public_key"),
         issuer_signature=parse_hex(values["issuer_signature"], f"{where} issuer_signature"),
@@ -175,26 +125,68 @@ def issue_certificate(
     return _certify(issuer_key, subject, issuer_cert.subject, serial, subject_public_key)
 
 
+ROOT_FILENAME = "root.cert"
+
+
+def _cert_filename(node: JurisdictionId) -> str:
+    return str(node).replace("/", "__") + ".cert"
+
+
 @dataclass(frozen=True)
-class Provisioned:
-    """Key handles and certificates for every node of a tree."""
+class TrustStore:
+    """Certificates by subject, and their directory-of-files layout.
 
-    keys: Mapping[JurisdictionId, KeyHandle]
+    One certificate per file; the trust anchor is whichever certificate
+    sits in ``root.cert``, so trust is pinned by filename, not content.
+    """
+
+    root_certificate: Certificate
     certificates: Mapping[JurisdictionId, Certificate]
-    root: JurisdictionId
-
-    @property
-    def root_certificate(self) -> Certificate:
-        return self.certificates[self.root]
 
     def chain(self, node: JurisdictionId) -> tuple[Certificate, ...]:
         """Certificates from node upward, excluding the root anchor."""
         out: list[Certificate] = []
         cursor: JurisdictionId | None = node
-        while cursor is not None and cursor != self.root:
+        while cursor is not None and cursor != self.root_certificate.subject:
             out.append(self.certificates[cursor])
             cursor = cursor.parent
         return tuple(out)
+
+    def save(self, directory: str | Path) -> None:
+        where = Path(directory)
+        where.mkdir(parents=True, exist_ok=True)
+        (where / ROOT_FILENAME).write_bytes(self.root_certificate.to_text().encode("utf-8"))
+        for node, cert in self.certificates.items():
+            if node == self.root_certificate.subject:
+                continue
+            (where / _cert_filename(node)).write_bytes(cert.to_text().encode("utf-8"))
+
+    @classmethod
+    def load(cls, directory: str | Path) -> "TrustStore":
+        where = Path(directory)
+        root_path = where / ROOT_FILENAME
+        if not root_path.is_file():
+            raise ParseError(f"trust store {where} has no {ROOT_FILENAME}")
+        root_cert = certificate_from_text(root_path.read_bytes().decode("utf-8"))
+        certs: dict[JurisdictionId, Certificate] = {root_cert.subject: root_cert}
+        for path in sorted(where.glob("*.cert")):
+            if path.name == ROOT_FILENAME:
+                continue
+            cert = certificate_from_text(path.read_bytes().decode("utf-8"))
+            expected = _cert_filename(cert.subject)
+            if path.name != expected:
+                raise ParseError(
+                    f"{path.name}: certificate for {cert.subject} belongs in {expected}"
+                )
+            certs[cert.subject] = cert
+        return TrustStore(root_certificate=root_cert, certificates=certs)
+
+
+@dataclass(frozen=True)
+class Provisioned(TrustStore):
+    """A trust store that also holds every node's signing key."""
+
+    keys: Mapping[JurisdictionId, KeyHandle]
 
 
 def provision_tree(tree: JurisdictionTree, seed: bytes | None = None) -> Provisioned:
@@ -228,59 +220,6 @@ def provision_tree(tree: JurisdictionTree, seed: bytes | None = None) -> Provisi
             )
             serial += 1
             queue.append(child)
-    return Provisioned(keys=keys, certificates=certs, root=root)
+    return Provisioned(root_certificate=certs[root], certificates=certs, keys=keys)
 
 
-ROOT_FILENAME = "root.cert"
-
-
-def _cert_filename(node: JurisdictionId) -> str:
-    return str(node).replace("/", "__") + ".cert"
-
-
-@dataclass(frozen=True)
-class TrustStore:
-    """Directory-of-files certificate layout.
-
-    One certificate per file; the trust anchor is whichever certificate
-    sits in ``root.cert``, so trust is pinned by filename, not content.
-    """
-
-    root_certificate: Certificate
-    certificates: Mapping[JurisdictionId, Certificate]
-
-    def save(self, directory: str | Path) -> None:
-        where = Path(directory)
-        where.mkdir(parents=True, exist_ok=True)
-        (where / ROOT_FILENAME).write_text(self.root_certificate.to_text(), encoding="utf-8")
-        for node, cert in self.certificates.items():
-            if node == self.root_certificate.subject:
-                continue
-            (where / _cert_filename(node)).write_text(cert.to_text(), encoding="utf-8")
-
-    @classmethod
-    def load(cls, directory: str | Path) -> "TrustStore":
-        where = Path(directory)
-        root_path = where / ROOT_FILENAME
-        if not root_path.is_file():
-            raise ParseError(f"trust store {where} has no {ROOT_FILENAME}")
-        root_cert = certificate_from_text(root_path.read_text(encoding="utf-8"))
-        certs: dict[JurisdictionId, Certificate] = {root_cert.subject: root_cert}
-        for path in sorted(where.glob("*.cert")):
-            if path.name == ROOT_FILENAME:
-                continue
-            cert = certificate_from_text(path.read_text(encoding="utf-8"))
-            expected = _cert_filename(cert.subject)
-            if path.name != expected:
-                raise ParseError(
-                    f"{path.name}: certificate for {cert.subject} belongs in {expected}"
-                )
-            certs[cert.subject] = cert
-        return cls(root_certificate=root_cert, certificates=certs)
-
-    @classmethod
-    def from_provisioned(cls, provisioned: Provisioned) -> "TrustStore":
-        return cls(
-            root_certificate=provisioned.root_certificate,
-            certificates=dict(provisioned.certificates),
-        )

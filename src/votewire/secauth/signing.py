@@ -13,18 +13,22 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..counts import VoteCount
-from ..errors import ParseError, SubjectMismatch
+from ..errors import EncodingError, ParseError, SubjectMismatch
 from ..reports import Report
-from .encoding import LABEL_KINDS, REPORT_FIELDS, canonical_encode
-from .pki import (
+from .encoding import (
     CERT_FIELDS,
-    Certificate,
-    KeyHandle,
-    build_certificate,
+    LABEL_KINDS,
+    REPORT_FIELDS,
+    canonical_encode,
+    check_id,
+    format_fields,
+    parse_decimal,
     parse_fields,
     parse_hex,
     parse_node,
+    split_lines,
 )
+from .pki import Certificate, KeyHandle, build_certificate
 
 MAX_CHAIN_LENGTH = 32
 
@@ -58,67 +62,52 @@ def sign_report(
     )
 
 
+# The lines between a signed report's REPORT_FIELDS and its chain blocks.
+_TAIL_FIELDS = ("signature", "chain")
+
+
 def signed_report_to_text(sr: SignedReport) -> str:
-    lines = canonical_encode(sr.report).decode("utf-8")
-    out = [
-        lines,
-        f"signature={sr.signature.hex()}\n",
-        f"chain={len(sr.chain)}\n",
-    ]
-    out.extend(cert.to_text(prefix=f"cert{i}.") for i, cert in enumerate(sr.chain))
-    return "".join(out)
-
-
-def _parse_count(value: str, where: str) -> int:
-    if value != "0" and (not value.isdigit() or value[0] == "0"):
-        raise ParseError(f"{where}: expected a canonical decimal, found {value!r}")
-    return int(value)
+    tail = format_fields(_TAIL_FIELDS, (sr.signature, len(sr.chain)))
+    blocks = [cert.to_text(prefix=f"cert{i}.") for i, cert in enumerate(sr.chain)]
+    return canonical_encode(sr.report).decode("utf-8") + tail + "".join(blocks)
 
 
 def signed_report_from_text(text: str) -> SignedReport:
     """Strict inverse of signed_report_to_text.
 
     Field order, line endings, canonical decimals, and lowercase hex are
-    all enforced; trailing content is an error. Any byte this parser
-    tolerates is covered by a signature checked later.
+    all enforced, and ids are held to canonical_encode's rules; trailing
+    content is an error. Any text this parser accepts re-encodes to itself,
+    and its every byte is covered by a signature checked later.
     """
-    lines = text.splitlines(keepends=True)
-    header_len = len(REPORT_FIELDS) + 2
+    lines = split_lines(text)
+    header_len = len(REPORT_FIELDS) + len(_TAIL_FIELDS)
     if len(lines) < header_len:
         raise ParseError(f"expected at least {header_len} lines, found {len(lines)}")
-    values = parse_fields(lines[: len(REPORT_FIELDS)], REPORT_FIELDS, offset=0)
-    tail = parse_fields(
-        lines[len(REPORT_FIELDS): header_len],
-        ("signature", "chain"),
-        offset=len(REPORT_FIELDS),
-    )
+    values = parse_fields(lines[:header_len], REPORT_FIELDS + _TAIL_FIELDS, offset=0)
 
     kind = LABEL_KINDS.get(values["kind"])
     if kind is None:
         raise ParseError(f"unknown report kind {values['kind']!r}")
-    seq = _parse_count(values["seq"], "seq")
-    if seq < 1:
-        raise ParseError("seq must be >= 1")
     try:
+        check_id(values["election"], "election id")
+        check_id(values["sender"], "sender")
         report = Report(
             election_id=values["election"],
             sender=parse_node(values["sender"], "sender"),
-            sequence_no=seq,
+            sequence_no=parse_decimal(values["seq"], "seq", minimum=1),
             counts=VoteCount(
-                yes=_parse_count(values["yes"], "yes"),
-                no=_parse_count(values["no"], "no"),
-                blank=_parse_count(values["blank"], "blank"),
-                invalid=_parse_count(values["invalid"], "invalid"),
+                *(parse_decimal(values[f], f) for f in ("yes", "no", "blank", "invalid"))
             ),
             kind=kind,
             # Emission time is local bookkeeping; it is not signed and
             # therefore never serialized.
             emitted_at=0,
         )
-    except (ValueError, TypeError) as exc:
+    except (EncodingError, ValueError, TypeError) as exc:
         raise ParseError(str(exc)) from None
 
-    chain_count = _parse_count(tail["chain"], "chain")
+    chain_count = parse_decimal(values["chain"], "chain")
     if not 1 <= chain_count <= MAX_CHAIN_LENGTH:
         raise ParseError(f"chain length must be in 1..{MAX_CHAIN_LENGTH}")
     expected_total = header_len + chain_count * len(CERT_FIELDS)
@@ -137,6 +126,6 @@ def signed_report_from_text(text: str) -> SignedReport:
 
     return SignedReport(
         report=report,
-        signature=parse_hex(tail["signature"], "signature"),
+        signature=parse_hex(values["signature"], "signature"),
         chain=tuple(chain),
     )

@@ -59,24 +59,19 @@ def _reject(reason: RejectReason) -> Verdict:
 
 @dataclass(frozen=True)
 class RevocationList:
-    """Serials withdrawn from circulation; versions only ever add to it.
+    """Serials withdrawn from circulation; a list only ever grows.
 
-    ``with_revoked`` returns the successor version, a superset of this
-    one: a compromised key stays revoked in every later version.
+    ``with_revoked`` returns a superset of this list: a compromised key
+    stays revoked in every list derived from it.
     """
 
-    version: int = 0
     revoked: frozenset[int] = frozenset()
-
-    def __post_init__(self) -> None:
-        if self.version < 0:
-            raise ValueError("version must be >= 0")
 
     def is_revoked(self, serial: int) -> bool:
         return serial in self.revoked
 
     def with_revoked(self, *serials: int) -> "RevocationList":
-        return RevocationList(self.version + 1, self.revoked | set(serials))
+        return RevocationList(self.revoked | set(serials))
 
 
 EMPTY_CRL = RevocationList()

@@ -1,8 +1,11 @@
 """Certificate chains, signing, verification, replay and revocation."""
 
+import functools
 import hashlib
 import random
+import sys
 import threading
+import unicodedata
 
 import pytest
 
@@ -66,6 +69,19 @@ def signed(prov, sender, **kwargs) -> SignedReport:
 
 def fresh_state(election="ref-1") -> SequenceState:
     return SequenceState(election)
+
+
+@functools.cache
+def non_ascii_zeros() -> tuple[str, ...]:
+    """The zero of every non-ASCII run of Unicode decimal digits 0-9."""
+    return tuple(
+        ch for ch in map(chr, range(0x80, sys.maxunicode + 1))
+        if unicodedata.decimal(ch, None) == 0
+    )
+
+
+# Every line boundary str.splitlines knows besides the line feed.
+OTHER_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 class TestCanonicalEncoding:
@@ -255,15 +271,15 @@ class TestCertificates:
 
 class TestTrustStore:
     def test_save_load_round_trip(self, deep, tmp_path):
-        store = TrustStore.from_provisioned(deep)
-        store.save(tmp_path / "store")
+        deep.save(tmp_path / "store")
         loaded = TrustStore.load(tmp_path / "store")
         assert loaded.root_certificate == deep.root_certificate
         assert loaded.certificates[USTER] == deep.certificates[USTER]
         assert set(loaded.certificates) == set(deep.certificates)
+        assert loaded.chain(USTER) == deep.chain(USTER)
 
     def test_root_is_pinned_by_filename(self, deep, tmp_path):
-        TrustStore.from_provisioned(deep).save(tmp_path)
+        deep.save(tmp_path)
         assert (tmp_path / "root.cert").is_file()
         assert (tmp_path / "CH__ZH__Uster.cert").is_file()
 
@@ -272,7 +288,7 @@ class TestTrustStore:
             TrustStore.load(tmp_path)
 
     def test_misfiled_certificate(self, deep, tmp_path):
-        TrustStore.from_provisioned(deep).save(tmp_path)
+        deep.save(tmp_path)
         zh = tmp_path / "CH__ZH.cert"
         (tmp_path / "CH__IMPOSTOR.cert").write_text(zh.read_text())
         with pytest.raises(ParseError, match="belongs in"):
@@ -423,7 +439,6 @@ class TestRevocation:
 
     def test_versions_only_grow(self):
         crl = EMPTY_CRL.with_revoked(3).with_revoked(9)
-        assert crl.version == 2
         assert crl.revoked == {3, 9}
 
 
@@ -509,27 +524,103 @@ class TestWireFormat:
             signed_report_from_text(text.replace("yes=120", "yes=0120", 1))
 
     def test_single_byte_mauls_never_verify(self, deep):
-        # Soundness, sampled: flip one byte anywhere in the wire form and
-        # the result must fail to parse or fail to verify.
+        # Soundness, sampled: flip one byte anywhere in the wire form, or
+        # put a non-ASCII decimal digit of the same value in place of an
+        # ASCII one, and the result must fail to parse or fail to verify.
+        # Whatever does parse re-encodes to itself: a signed report has
+        # exactly one wire text.
         sr = signed(deep, USTER)
-        wire = signed_report_to_text(sr).encode("utf-8")
+        text = signed_report_to_text(sr)
+        wire = text.encode("utf-8")
         rng = random.Random(1234)
-        survivors = 0
+        mauls = []
         for _ in range(2_000):
             pos = rng.randrange(len(wire))
             replacement = rng.randrange(256)
             while replacement == wire[pos]:
                 replacement = rng.randrange(256)
-            mauled = wire[:pos] + bytes([replacement]) + wire[pos + 1:]
+            mauls.append(wire[:pos] + bytes([replacement]) + wire[pos + 1:])
+        zeros = non_ascii_zeros()
+        digits = [pos for pos, ch in enumerate(text) if ch in "0123456789"]
+        for n, pos in enumerate(digits):
+            lookalike = chr(ord(zeros[n % len(zeros)]) + int(text[pos]))
+            assert unicodedata.decimal(lookalike) == int(text[pos])
+            mauls.append((text[:pos] + lookalike + text[pos + 1:]).encode("utf-8"))
+        assert len(digits) > len(zeros)
+        survivors = 0
+        for mauled in mauls:
             try:
                 candidate = signed_report_from_text(mauled.decode("utf-8"))
             except (ParseError, UnicodeDecodeError):
                 continue
+            assert signed_report_to_text(candidate).encode("utf-8") == mauled
             verdict = verify_report(
                 candidate, deep.root_certificate, EMPTY_CRL, fresh_state()
             )
             survivors += verdict.accepted
         assert survivors == 0
+
+    @pytest.mark.parametrize("field, ascii_value, lookalike", [
+        ("seq", "12", "\u0661\u0662"),
+        ("yes", "120", "\u0661\u0662\u0660"),
+        ("seq", "12", "\uff11\uff12"),
+        ("seq", "2", "\u00b2"),
+        ("chain", "2", "\u00b2"),
+    ], ids=["seq-arabic-indic", "yes-arabic-indic", "seq-fullwidth", "seq-superscript", "chain-superscript"])
+    def test_only_ascii_digits_are_decimals(self, deep, field, ascii_value, lookalike):
+        seq = int(ascii_value) if field == "seq" else 12
+        text = signed_report_to_text(signed(deep, USTER, seq=seq))
+        line = f"\n{field}={ascii_value}\n"
+        assert line in text
+        mauled = text.replace(line, f"\n{field}={lookalike}\n", 1)
+        with pytest.raises(ParseError, match=f"{field}: expected a canonical decimal"):
+            signed_report_from_text(mauled)
+
+    @pytest.mark.parametrize("field", ["seq", "yes", "chain", "cert0.serial"])
+    def test_overlong_decimals_are_parse_errors(self, deep, field):
+        # Past int()'s digit limit a decimal must still fail as a ParseError,
+        # not a bare ValueError; under no limit it parses and cannot verify.
+        text = signed_report_to_text(signed(deep, USTER))
+        head = f"\n{field}="
+        start = text.index(head) + len(head)
+        end = text.index("\n", start)
+        mauled = text[:start] + "9" * 5_000 + text[end:]
+        try:
+            candidate = signed_report_from_text(mauled)
+        except ParseError:
+            return
+        verdict = verify_report(candidate, deep.root_certificate, EMPTY_CRL, fresh_state())
+        assert not verdict.accepted
+
+    @pytest.mark.parametrize("line, forged", [
+        ("election=ref-1\n", "election=ref=1\n"),
+        ("sender=CH/ZH/Uster\n", "sender=CH/ZH/Us=ter\n"),
+    ], ids=["election", "sender"])
+    def test_ids_the_writer_refuses_do_not_parse(self, deep, line, forged):
+        text = signed_report_to_text(signed(deep, USTER))
+        with pytest.raises(ParseError, match="may not contain '='"):
+            signed_report_from_text(text.replace(line, forged, 1))
+
+    @pytest.mark.parametrize("ch", OTHER_LINE_BREAKS, ids=lambda ch: f"U+{ord(ch):04X}")
+    def test_other_line_breaks_round_trip(self, ch, tmp_path):
+        # Only the line feed ends a line, so ids may carry every other
+        # character str.splitlines breaks at, on the wire and on disk.
+        segment, election = f"Z{ch}H", f"ref{ch}1"
+        node = JurisdictionId.of("CH", segment, "Uster")
+        prov = provision_tree(tree_from_paths([node.path]), seed=b"breaks")
+        sr = sign_report(prov.keys[node], prov.chain(node), report_for(node, election=election))
+        text = signed_report_to_text(sr)
+        back = signed_report_from_text(text)
+        assert back == sr
+        assert signed_report_to_text(back) == text
+        verdict = verify_report(back, prov.root_certificate, EMPTY_CRL, fresh_state(election))
+        assert verdict == ACCEPT
+        for cert in prov.certificates.values():
+            assert certificate_from_text(cert.to_text()) == cert
+        prov.save(tmp_path)
+        loaded = TrustStore.load(tmp_path)
+        assert loaded.root_certificate == prov.root_certificate
+        assert loaded.certificates == prov.certificates
 
     def test_truncation_never_verifies(self, deep):
         sr = signed(deep, USTER)
