@@ -32,6 +32,7 @@ from .errors import (
     Infeasible,
     MissingCanton,
     ParseError,
+    StoreConflict,
     SubjectMismatch,
     VotewireError,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "ReferendumSpec",
     "Report",
     "ReportKind",
+    "StoreConflict",
     "SubjectMismatch",
     "TELEPHONE",
     "VoteCount",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from .channels import ChannelSpec
-from .counts import VoteCount
+from .counts import VoteCount, accumulate
 from .errors import CapabilityError
 from .reports import ReportKind
 from .traces import DetectRecord, EventTrace, PublishRecord, nogc
@@ -249,10 +249,16 @@ def detection_report(trace: EventTrace) -> DetectionSummary:
     gap. Detect events are collected verbatim. The comparison baseline is
     the ground truth, so honest miscount noise shows up exactly like
     tampering: this reports what differed, not who is to blame.
+
+    Only the root children's truths are summed, from the leaves: a run's
+    ground truth is keyed by leaves, each naming its root child second.
     """
     final_pub = trace.final_publish()
     root_children = trace.tree.children(trace.tree.root)
-    truths = trace.subtree_truths()
+    leaf_counts: dict[str, list[VoteCount]] = {child.path[1]: [] for child in root_children}
+    for leaf, counts in trace.ground_truth.items():
+        leaf_counts[leaf.path[1]].append(counts)
+    truths = {child: accumulate(leaf_counts[child.path[1]]) for child in root_children}
     prelim = ReportKind.PRELIMINARY
 
     divergences: list[CountDivergence] = []
@@ -290,6 +296,6 @@ def detection_report(trace: EventTrace) -> DetectionSummary:
         count_divergences=tuple(divergences),
         coverage_gaps=tuple(gaps),
         detects=tuple(detects),
-        final_matches_ground_truth=final_pub.counts == truths[trace.tree.root],
+        final_matches_ground_truth=final_pub.counts == accumulate(truths.values()),
         integrity_gap_ticks=gap_ticks,
     )

@@ -21,15 +21,18 @@ counts can be corrupted in flight by configured attacks; final counts ride
 the signed postal channel, so the final publication always equals the sum
 of the leaf ground truths.
 
-Every event costs the same whatever the fanout, and no event looks a
-node up by its id. Before the loop, ``Simulation.run`` resolves one state
-per node: its parent's state, its position among its siblings, its
-channel, its eligible-voter ceiling and the indices of the attacks on its
-upward edge, per report kind, in configuration order. Events carry these
-states, and no ``Report`` is built: the event in flight is (sender
-state, seq, counts), and attacks act on those values. Only freshness is
-still keyed by the sender's id, because ``SequenceState`` is the one check
-shared with ``verify_report``.
+The run is one loop with no handler per event kind. An event is (kind,
+state, what, counts): a leaf's own emit of report kind ``what`` when
+``kind`` is None, else a delivery of ``kind`` from ``state`` to its
+parent with sequence number ``what``. Each runs in the loop's own frame,
+and each that yields new totals falls through into one report-up tail:
+the root publishes; any other node emits, draws its jitter, applies its
+edge's attacks (the one call: attacks are rare) and schedules delivery.
+Before the loop, ``run`` resolves one state per node (parent's state,
+position among siblings, channel, eligible-voter ceiling, attacks per
+report kind), so no event looks a node up by its id. Only freshness is
+keyed by the sender's id, in the ``SequenceState`` check ``verify_report``
+shares; the run owns its state, so it takes no lock.
 
 Each node keeps, per report kind, one child table: each child's latest
 accepted (child, seq, counts) entry at the child's position. Beside it
@@ -41,14 +44,15 @@ instead of emitting; a publication copies its table of that kind, which
 is already in child order.
 
 Records, counts and ids are tuples; ``run`` builds each of a large run's
-~100k records with one call of tuple's C constructor. The cyclic garbage
-collector is paused meanwhile (``traces.nogc``): left on, it rescans the
-young tuples hundreds of times per large run, although reference counting
-frees them all: however a run ends, it leaves no reference cycle behind.
-The pause defers one scan of whatever the run leaves alive to the first
-allocation after it. ``simulate`` pays none: its own pause spans parse,
-run, audit, rendering and writes, and it drops the trace before the pause
-ends. A library caller that keeps the trace pays that one pass.
+~100k records, and each new preliminary total, with one call of tuple's
+C constructor. The cyclic garbage collector is paused meanwhile
+(``traces.nogc``): left on, it rescans the young tuples hundreds of times
+per large run, although reference counting frees them all: however a run
+ends, it leaves no reference cycle behind. The pause defers one scan of
+whatever the run leaves alive to the first allocation after it.
+``simulate`` pays none: its own pause spans parse, run, audit, rendering
+and writes, and it drops the trace before the pause ends. A library
+caller that keeps the trace pays that one pass.
 """
 
 from __future__ import annotations
@@ -60,9 +64,9 @@ from typing import Mapping, Sequence
 
 from .adversary import AttackKind, AttackSpec, apply_mutation, check_attack_permitted
 from .channels import POSTAL_FINAL, ChannelSpec
-from .counts import VoteCount, accumulate
+from .counts import MAX_COUNT, VoteCount, accumulate
 from .errors import ConfigError
-from .reports import Report, ReportKind, SequenceState
+from .reports import ReportKind, SequenceState
 from .traces import (
     AttackRecord,
     DeliverRecord,
@@ -79,18 +83,6 @@ REASON_OVER_ELIGIBLE = "over_eligible"
 REASON_STALE_SEQUENCE = "stale_sequence"
 
 DEFAULT_FINAL_EMIT_AT = 100
-
-
-def _refusal(
-    sender: JurisdictionId, seq: int, counts: VoteCount, eligible: int | None, state: SequenceState
-) -> str | None:
-    """Why a preliminary from a child is refused, or None; ``eligible`` is
-    resolved once per node. Only an accept records ``seq`` in ``state``."""
-    if eligible is not None and counts.total() > eligible:
-        return REASON_OVER_ELIGIBLE
-    if not state.accept_if_fresh(sender, seq):
-        return REASON_STALE_SEQUENCE
-    return None
 
 
 def _check_nonnegative(value: int, where: str) -> None:
@@ -261,9 +253,8 @@ class Simulation:
         records: list[TraceRecord] = []
         append = records.append
         new = tuple.__new__  # builds a record from all its fields, in C
-        # Each event is (handler, its three arguments); a report in flight is
-        # (sender state, seq, counts). ``buckets`` holds each pending tick's
-        # events in scheduling order, ``ticks`` those ticks as a heap.
+        # ``buckets`` holds each pending tick's events in scheduling order,
+        # ``ticks`` those ticks as a heap.
         buckets: dict[int, list[tuple]] = {}
         ticks: list[int] = []
 
@@ -277,11 +268,14 @@ class Simulation:
 
         tree = self.tree
         jitter_max = self.jitter_max
+        # randrange(jitter_max + 1)'s draw: the span's bit count, redrawn until below it.
+        jitter_bits = (jitter_max + 1).bit_length()
+        getrandbits = rng.getrandbits
         attacks = self.attacks
-        postal = self.postal
+        postal_latency, postal_name = self.postal_latency, POSTAL_FINAL.name
         prelim, final = ReportKind.PRELIMINARY, ReportKind.FINAL
         # One state serves every receiver: a sender has exactly one, its parent.
-        seq_state = SequenceState(self.election_id)
+        accept = SequenceState(self.election_id).accept_if_fresh
         fires_left: list[int | None] = [a.first_n for a in attacks]
 
         # order() lists each parent before its children. The root never
@@ -304,7 +298,7 @@ class Simulation:
 
         def fire(
             time: int, state: _NodeState, seq: int, counts: VoteCount,
-            delivery: int, receive, indices: tuple[int, ...],
+            delivery: int, kind: ReportKind, indices: tuple[int, ...],
         ) -> tuple[VoteCount, int]:
             """Apply the attacks ``indices`` to what ``state`` sends, in configuration order."""
             node, receiver = state.node, state.parent.node
@@ -328,105 +322,104 @@ class Simulation:
                     # same tick, so it is processed before the genuine report it
                     # shadows.
                     forged = attack.forged_seq or seq + attack.seq_offset  # forged_seq >= 1
-                    schedule(delivery, (receive, state, forged, attack.forged_counts))
+                    schedule(delivery, (kind, state, forged, attack.forged_counts))
                 fields = (time, attack.kind.value, node, receiver, attack.mode, attack.describe())
                 append(new(AttackRecord, fields))
             return counts, delivery
 
-        def report_up(time: int, state: _NodeState, kind: ReportKind, counts: VoteCount) -> None:
-            """Publish ``counts`` at the root; anywhere else, emit them upward."""
-            node = state.node
-            if state.parent is None:
-                # A publication lists the child entries of its kind it sums.
-                table = state.final_table if kind is final else state.prelim_table
-                append(new(PublishRecord, (time, node, kind, counts, tuple(filter(None, table)))))
-                return
-            seq = state.next_seq
-            state.next_seq = seq + 1
-            append(new(EmitRecord, (time, node, kind, seq, counts)))
-            if kind is final:
-                channel, indices, receive = postal, state.final_attacks, on_final
-            else:
-                channel, indices, receive = state.channel, state.prelim_attacks, on_prelim
-            delivery = time + channel.base_latency
-            if jitter_max:
-                delivery += rng.randrange(jitter_max + 1)  # randint(0, jitter_max)'s draw
-            if indices:
-                counts, delivery = fire(time, state, seq, counts, delivery, receive, indices)
-            schedule(delivery, (receive, state, seq, counts))
+        # Noise draws come first and in leaf order, so the perturbed counts
+        # do not depend on event interleaving.
+        leaves = [states[leaf] for leaf in tree.leaves()]
+        for state in leaves:
+            counts = self.ground_truth[state.node]
+            if self.noise:
+                counts = self.noise.perturb(counts, rng)
+            schedule(self.prelim_emit.get(state.node, 0), (None, state, prelim, counts))
+        for state in leaves:
+            at = self.final_emit.get(state.node, self.final_emit_default)
+            schedule(at, (None, state, final, self.ground_truth[state.node]))
 
-        def on_prelim(time: int, sender: _NodeState, seq: int, counts: VoteCount) -> None:
-            receiver = sender.parent
-            sender_id = sender.node
-            # The receiver is the sender's parent by construction, so no
-            # report comes from an unknown sender.
-            reason = _refusal(sender_id, seq, counts, sender.eligible, seq_state)
-            append(new(DeliverRecord, (
-                time, sender_id, receiver.node, sender.channel.name, prelim, seq, counts,
-                reason is None, reason,
-            )))
-            if reason is not None:
-                append(new(DetectRecord, (time, receiver.node, reason, sender_id, seq)))
-                return
-            table = receiver.prelim_table
-            slot = sender.position
-            old = table[slot]
-            table[slot] = (sender_id, seq, counts)
-            total = receiver.prelim_total
-            if old is not None:
-                prev = old[2]
-                total[0] -= prev.yes
-                total[1] -= prev.no
-                total[2] -= prev.blank
-                total[3] -= prev.invalid
-            total[0] += counts.yes
-            total[1] += counts.no
-            total[2] += counts.blank
-            total[3] += counts.invalid
-            # VoteCount raises ArithmeticOverflow past the 64-bit count range.
-            report_up(time, receiver, prelim, VoteCount(*total))
-
-        def on_final(time: int, sender: _NodeState, seq: int, counts: VoteCount) -> None:
-            receiver = sender.parent
-            # Each child sends one final, over the signed postal channel, where
-            # no attack can forge another: Simulation refuses front-run there.
-            # So each child's final arrives exactly once, and the count reaches
-            # zero exactly once: at the last child's final.
-            table = receiver.final_table
-            table[sender.position] = (sender.node, seq, counts)
-            fields = (time, sender.node, receiver.node, postal.name, final, seq, counts, True, None)
-            append(new(DeliverRecord, fields))
-            receiver.finals_pending -= 1
-            if receiver.finals_pending:
-                return
-            report_up(time, receiver, final, accumulate(c for _, _, c in table))
-
-        try:
-            # Noise draws come first and in leaf order, so the perturbed counts
-            # do not depend on event interleaving.
-            leaves = [states[leaf] for leaf in tree.leaves()]
-            for state in leaves:
-                counts = self.ground_truth[state.node]
-                if self.noise:
-                    counts = self.noise.perturb(counts, rng)
-                at = self.prelim_emit.get(state.node, 0)
-                schedule(at, (report_up, state, prelim, counts))
-            for state in leaves:
-                at = self.final_emit.get(state.node, self.final_emit_default)
-                schedule(at, (report_up, state, final, self.ground_truth[state.node]))
-
-            while ticks:
-                time = heappop(ticks)
-                # The list grows while it is read: what a handler schedules for
-                # this tick is appended, and runs after everything queued before.
-                for handle, subject, what, detail in buckets[time]:
-                    handle(time, subject, what, detail)
-                del buckets[time]
-        finally:
-            # The handlers reach one another through their closures, and
-            # events a failed run leaves pending hold them: drop both.
-            buckets.clear()
-            del report_up, on_prelim, on_final
+        while ticks:
+            time = heappop(ticks)
+            # The list grows while it is read: what an event schedules for
+            # this tick is appended, and runs after everything queued before.
+            for kind, state, what, counts in buckets[time]:
+                if kind is prelim:
+                    sender, state = state, state.parent  # the receiver is ``state`` now
+                    sender_id = sender.node
+                    eligible = sender.eligible
+                    if eligible is not None and sum(counts) > eligible:
+                        reason = REASON_OVER_ELIGIBLE
+                    else:
+                        reason = None if accept(sender_id, what) else REASON_STALE_SEQUENCE
+                    append(new(DeliverRecord, (
+                        time, sender_id, state.node, sender.channel.name, prelim, what, counts,
+                        reason is None, reason,
+                    )))
+                    if reason is not None:
+                        append(new(DetectRecord, (time, state.node, reason, sender_id, what)))
+                        continue
+                    table, slot = state.prelim_table, sender.position
+                    old = table[slot]
+                    table[slot] = (sender_id, what, counts)
+                    total = state.prelim_total
+                    if old is not None:
+                        prev = old[2]
+                        total[0] -= prev[0]
+                        total[1] -= prev[1]
+                        total[2] -= prev[2]
+                        total[3] -= prev[3]
+                    total[0] += counts[0]
+                    total[1] += counts[1]
+                    total[2] += counts[2]
+                    total[3] += counts[3]
+                    # Only the sum can be out of range: the checked constructor names the field.
+                    counts = new(VoteCount, total) if max(total) <= MAX_COUNT else VoteCount(*total)
+                elif kind is final:
+                    # Each child sends one final, over the signed postal channel,
+                    # where no attack can forge another: Simulation refuses
+                    # front-run there. So each child's final arrives exactly once,
+                    # and the count reaches zero exactly once: at the last one.
+                    sender, state = state, state.parent
+                    table = state.final_table
+                    table[sender.position] = (sender.node, what, counts)
+                    append(new(DeliverRecord, (
+                        time, sender.node, state.node, postal_name, final, what, counts, True, None,
+                    )))
+                    state.finals_pending -= 1
+                    if state.finals_pending:
+                        continue
+                    counts = accumulate(c for _, _, c in table)
+                else:
+                    kind = what
+                # Report up: the root publishes ``counts``, any other node emits them.
+                if state.parent is None:
+                    # A publication lists the child entries of its kind it sums.
+                    table = state.final_table if kind is final else state.prelim_table
+                    entries = tuple(filter(None, table))
+                    append(new(PublishRecord, (time, state.node, kind, counts, entries)))
+                    continue
+                seq = state.next_seq
+                state.next_seq = seq + 1
+                append(new(EmitRecord, (time, state.node, kind, seq, counts)))
+                if kind is final:
+                    delivery, indices = time + postal_latency, state.final_attacks
+                else:
+                    delivery, indices = time + state.channel.base_latency, state.prelim_attacks
+                if jitter_max:
+                    drawn = getrandbits(jitter_bits)
+                    while drawn > jitter_max:
+                        drawn = getrandbits(jitter_bits)
+                    delivery += drawn
+                if indices:
+                    counts, delivery = fire(time, state, seq, counts, delivery, kind, indices)
+                bucket = buckets.get(delivery)  # schedule(), inlined
+                if bucket is None:
+                    buckets[delivery] = [(kind, state, seq, counts)]
+                    heappush(ticks, delivery)
+                else:
+                    bucket.append((kind, state, seq, counts))
+            del buckets[time]
 
         return EventTrace(
             election_id=self.election_id,

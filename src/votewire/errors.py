@@ -33,6 +33,10 @@ class SubjectMismatch(VotewireError):
     """Signing key, certificate chain, and report sender disagree."""
 
 
+class StoreConflict(VotewireError):
+    """A trust store would share its directory or a file name with another certificate."""
+
+
 class EncodingError(VotewireError):
     """A value contains characters the canonical encoding cannot carry."""
 

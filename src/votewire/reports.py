@@ -63,18 +63,18 @@ class Report(_ReportFields):
 class SequenceState:
     """Last accepted sequence number per sender, for one election.
 
-    The check-and-update is atomic, so concurrent verifications of the
-    same (sender, sequence_no) yield at most one Accept.
+    ``accept_if_fresh`` alone is not atomic: a caller sharing the state
+    between threads holds ``lock`` around it, as ``verify_report`` does, so
+    one (sender, sequence_no) is accepted at most once. A run takes no lock.
     """
 
     def __init__(self, election_id: str) -> None:
         self.election_id = election_id
-        self._lock = threading.Lock()
+        self.lock = threading.Lock()
         self._last: dict[JurisdictionId, int] = {}
 
     def accept_if_fresh(self, sender: JurisdictionId, sequence_no: int) -> bool:
-        with self._lock:
-            if sequence_no <= self._last.get(sender, 0):
-                return False
-            self._last[sender] = sequence_no
-            return True
+        if sequence_no <= self._last.get(sender, 0):
+            return False
+        self._last[sender] = sequence_no
+        return True

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
-from ..errors import HierarchyError, ParseError, SubjectMismatch
+from ..errors import HierarchyError, ParseError, StoreConflict, SubjectMismatch
 from ..tree import JurisdictionId, JurisdictionTree
 from . import schemes
 from .encoding import (
@@ -153,13 +153,25 @@ class TrustStore:
         return tuple(out)
 
     def save(self, directory: str | Path) -> None:
+        """One file per certificate in ``directory``; refused with StoreConflict,
+        before anything is written, when two certificates map to one file or
+        ``load`` would return another ``.cert`` file from the directory."""
         where = Path(directory)
-        where.mkdir(parents=True, exist_ok=True)
-        (where / ROOT_FILENAME).write_bytes(self.root_certificate.to_text().encode("utf-8"))
+        root = self.root_certificate
+        files = {ROOT_FILENAME: root}
         for node, cert in self.certificates.items():
-            if node == self.root_certificate.subject:
+            if node == root.subject:
                 continue
-            (where / _cert_filename(node)).write_bytes(cert.to_text().encode("utf-8"))
+            name = _cert_filename(node)
+            if name in files:
+                raise StoreConflict(f"{where / name}: {files[name].subject} and {node} share it")
+            files[name] = cert
+        for path in sorted(where.glob("*.cert")):
+            if path.name not in files:
+                raise StoreConflict(f"{path}: not a certificate of this store")
+        where.mkdir(parents=True, exist_ok=True)
+        for name, cert in files.items():
+            (where / name).write_bytes(cert.to_text().encode("utf-8"))
 
     @classmethod
     def load(cls, directory: str | Path) -> "TrustStore":

@@ -11,8 +11,8 @@ must be fresh (REPLAY). Ed25519 is the only scheme: a certificate naming
 another fails where its key is needed, as the root (UNTRUSTED_ROOT), as a
 link's issuer (BROKEN_CHAIN) or as the chain head (BAD_SIGNATURE).
 Freshness is the same ``reports.SequenceState`` check the simulation
-engine applies to the preliminaries it receives; its state changes only
-on Accept.
+engine applies to the preliminaries it receives, taken under the state's
+lock, as threads may share one state; it changes only on Accept.
 """
 
 from __future__ import annotations
@@ -131,6 +131,6 @@ def verify_report(
 
     if sr.report.election_id != seq_state.election_id:
         return _reject(RejectReason.WRONG_ELECTION)
-    if not seq_state.accept_if_fresh(sr.report.sender, sr.report.sequence_no):
-        return _reject(RejectReason.REPLAY)
-    return ACCEPT
+    with seq_state.lock:
+        fresh = seq_state.accept_if_fresh(sr.report.sender, sr.report.sequence_no)
+    return ACCEPT if fresh else _reject(RejectReason.REPLAY)

@@ -19,7 +19,7 @@ import gc
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, TypeVar
 
-from .counts import ZERO, VoteCount, accumulate
+from .counts import VoteCount
 from .reports import ReportKind
 from .tree import JurisdictionId, JurisdictionTree
 
@@ -221,20 +221,3 @@ class EventTrace:
             if isinstance(record, PublishRecord) and record.kind is ReportKind.FINAL:
                 return record
         raise ValueError("trace holds no final publication")
-
-    def subtree_truths(self) -> dict[JurisdictionId, VoteCount]:
-        """Ground-truth totals for every node's subtree, in one pass.
-
-        Nodes are visited in reversed tree order, so children come before
-        their parent: each total is the sum of its children's totals, or a
-        leaf's own ground truth.
-        """
-        tree = self.tree
-        truths: dict[JurisdictionId, VoteCount] = {}
-        for node in reversed(tree.order()):
-            kids = tree.children(node)
-            truths[node] = (
-                accumulate(truths[k] for k in kids) if kids else self.ground_truth.get(node, ZERO)
-            )
-        return truths
-

@@ -9,7 +9,8 @@ majority or tie rule, so none can share a solver's mistake about one.
 The trace and summary formatters render every record and summary item
 field by field, with no table shared between lines: they pin the text that
 ``EventTrace.to_text`` and ``DetectionSummary.to_text`` produce from their
-per-call tables.
+per-call tables. ``reference_detection_report`` audits a trace against
+subtree truths summed leaf by leaf.
 
 ``feasibility_check`` applies the engine's acceptance checks to one
 preliminary report over a ``SequenceState``; the feasibility tests
@@ -306,6 +307,39 @@ def summary_text(summary: DetectionSummary, max_items: int = 10) -> str:
         f"integrity gap ticks: {summary.integrity_gap_ticks}",
     ]
     return "\n".join(lines) + "\n"
+
+
+def subtree_truth(trace: EventTrace, node: JurisdictionId) -> VoteCount:
+    """Ground truth of ``node``'s subtree: every leaf under it, summed directly."""
+    depth = len(node.path)
+    return accumulate(
+        trace.ground_truth[leaf] for leaf in trace.tree.leaves() if leaf.path[:depth] == node.path
+    )
+
+
+def reference_detection_report(trace: EventTrace) -> DetectionSummary:
+    """The summary ``detection_report`` must return, with each truth it
+    compares summed by ``subtree_truth`` from the leaves."""
+    tree = trace.tree
+    root_children = tree.children(tree.root)
+    divergences, gaps = [], []
+    for pub in trace.publishes(ReportKind.PRELIMINARY):
+        covered = [child for child, _, _ in pub.children]
+        for child, _, counts in pub.children:
+            truth = subtree_truth(trace, child)
+            if counts != truth:
+                divergences.append(CountDivergence(pub.time, child, counts, truth))
+        missing = tuple(child for child in root_children if child not in covered)
+        if missing:
+            gaps.append(CoverageGap(pub.time, missing))
+    final = trace.final_publish()
+    return DetectionSummary(
+        count_divergences=tuple(divergences),
+        coverage_gaps=tuple(gaps),
+        detects=trace.detects(),
+        final_matches_ground_truth=final.counts == subtree_truth(trace, tree.root),
+        integrity_gap_ticks=max(0, final.time - divergences[0].time) if divergences else 0,
+    )
 
 
 def feasibility_check(

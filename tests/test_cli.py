@@ -565,6 +565,23 @@ class TestKeys:
             assert path.read_bytes() == (b / path.name).read_bytes()
         capsys.readouterr()
 
+    def test_a_directory_holding_another_store_is_a_user_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "trust"
+        swiss = ["keys", "--tree", "swiss", "--out-dir", str(out_dir), "--seed", "7"]
+        assert main(swiss) == 0
+        tree_file = tmp_path / "tree.json"
+        tree_file.write_text(json.dumps({"paths": ["CH/ZH/Uster"]}))
+        capsys.readouterr()
+        assert main(["keys", "--tree", str(tree_file), "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out_dir / 'CH__AG.cert'}: not a certificate of this store\n"
+        )
+        assert store_digest(out_dir) == SWISS_SEED7_STORE
+        # The same store may be saved over itself.
+        assert main(swiss) == 0
+        assert store_digest(out_dir) == SWISS_SEED7_STORE
+        capsys.readouterr()
+
     def test_different_seed_different_keys(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["keys", "--tree", "swiss", "--out-dir", str(a), "--seed", "1"]) == 0

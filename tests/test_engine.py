@@ -267,9 +267,9 @@ class TestDeepHierarchy:
     def test_subtree_ground_truth_helper(self):
         sim, BE, X, Y, VD = self.build()
         trace = sim.run()
-        truths = trace.subtree_truths()
-        assert truths[BE] == VoteCount(30, 20)
-        assert truths[sim.tree.root] == VoteCount(60, 60)
+        assert oracles.subtree_truth(trace, BE) == VoteCount(30, 20)
+        assert oracles.subtree_truth(trace, VD) == VoteCount(30, 40)
+        assert oracles.subtree_truth(trace, sim.tree.root) == VoteCount(60, 60)
 
 
 class TestRootPublication:
@@ -822,6 +822,28 @@ class TestAgainstTheReference:
             "EmitRecord", "DeliverRecord", "AttackRecord", "DetectRecord", "PublishRecord"
         }
         assert records == oracles.reference_run(sim)
+
+    @pytest.mark.parametrize("jitter_max", [1, 7, 8, 63, 64, 1000])
+    def test_wide_jitter_draws_match_the_reference(self, jitter_max):
+        # The run draws jitter by randrange's own rule; the reference calls randint.
+        sim = dataclasses.replace(deep_uneven_simulation(), jitter_max=jitter_max)
+        assert sim.run().records == oracles.reference_run(sim)
+
+
+class TestAuditAgainstTheReference:
+    """``detection_report`` equals ``oracles.reference_detection_report``,
+    whose truths are each root child's leaves, summed directly."""
+
+    @settings(max_examples=150)
+    @given(
+        sim=random_simulations()
+        | st.builds(deep_uneven_simulation)
+        # CH/VD is a leaf directly under the root.
+        | st.builds(lambda: TestDeepHierarchy().build()[0])
+    )
+    def test_audit_matches_the_reference(self, sim):
+        trace = sim.run()
+        assert detection_report(trace) == oracles.reference_detection_report(trace)
 
 
 class TestRendering:

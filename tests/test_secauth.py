@@ -5,12 +5,19 @@ import hashlib
 import random
 import sys
 import threading
+import time
 import unicodedata
 
 import pytest
 
 from votewire.counts import VoteCount
-from votewire.errors import EncodingError, HierarchyError, ParseError, SubjectMismatch
+from votewire.errors import (
+    EncodingError,
+    HierarchyError,
+    ParseError,
+    StoreConflict,
+    SubjectMismatch,
+)
 from votewire import reports
 from votewire.reports import Report, ReportKind
 from votewire.secauth import (
@@ -294,6 +301,25 @@ class TestTrustStore:
         with pytest.raises(ParseError, match="belongs in"):
             TrustStore.load(tmp_path)
 
+    def test_two_nodes_sharing_a_file_name_are_refused_before_writing(self, tmp_path):
+        # CH/a__b and CH/a/b both map to CH__a__b.cert.
+        store = provision_tree(tree_from_paths([("CH", "a__b"), ("CH", "a", "b")]), seed=b"x")
+        assert len(store.certificates) == 4
+        with pytest.raises(StoreConflict, match=r"CH__a__b\.cert: CH/a__b and CH/a/b share it"):
+            store.save(tmp_path / "store")
+        assert not (tmp_path / "store").exists()
+
+    def test_a_directory_holding_another_store_is_refused_before_writing(self, deep, tmp_path):
+        deep.save(tmp_path)
+        other = provision_tree(tree_from_paths([("CH", "ZH", "Uster")]), seed=b"other")
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        with pytest.raises(StoreConflict, match=r"CH__BE\.cert: not a certificate of this store"):
+            other.save(tmp_path)
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+        # The same store, saved again, rewrites its own files.
+        deep.save(tmp_path)
+        assert TrustStore.load(tmp_path).certificates == deep.certificates
+
 
 class TestSignReport:
     def test_happy_path_verifies(self, deep):
@@ -442,6 +468,15 @@ class TestRevocation:
         assert crl.revoked == {3, 9}
 
 
+class _StallingTable(dict):
+    """A last-accepted table whose reads return only after a 10 ms stall."""
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        time.sleep(0.01)
+        return value
+
+
 class TestSequenceState:
     def test_is_the_state_the_engine_uses(self):
         assert SequenceState is reports.SequenceState
@@ -449,6 +484,9 @@ class TestSequenceState:
     def test_at_most_one_accept_under_concurrency(self, deep):
         sr = signed(deep, USTER, seq=7)
         state = fresh_state()
+        # Every read of the last accepted number stalls, so without the lock
+        # all threads would read it before any writes it, and all accept.
+        state._last = _StallingTable()
         verdicts = []
         barrier = threading.Barrier(8)
 
