@@ -73,12 +73,6 @@ class DiscrepancySummary:
     federal_average_discrepancy: Fraction
     average_max_cantonal_discrepancy: Fraction
 
-    def stat(self, canton: str) -> DiscrepancyStat:
-        for s in self.per_canton:
-            if s.canton == canton:
-                return s
-        raise KeyError(canton)
-
 
 def bundled_results_path(name: str) -> Path:
     """Filesystem path of a bundled results file, e.g. ``rtvg_2015``."""
@@ -87,7 +81,10 @@ def bundled_results_path(name: str) -> Path:
 
 def load_results(source: str | Path) -> list[HistoricalRecord]:
     """Parse a results CSV; errors carry the 1-based row number."""
-    text = Path(source).read_text(encoding="utf-8")
+    try:
+        text = Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{source} is not UTF-8 text: {exc}") from None
     return parse_results(text)
 
 

@@ -63,9 +63,6 @@ class VoteCount(_CountFields):
     __add__ = __radd__ = __mul__ = __rmul__ = _no_concatenation
 
 
-ZERO = VoteCount()
-
-
 def accumulate(reports: Iterable[VoteCount]) -> VoteCount:
     """Component-wise sum of counts; the empty sum is all zeros.
 

@@ -284,9 +284,9 @@ class Simulation:
         states = {root: _NodeState(root, None, 0, None, None, len(tree.children(root)))}
         for node in tree.order():
             state = states[node]
-            for child in tree.children(node):
+            for position, child in enumerate(tree.children(node)):
                 states[child] = _NodeState(
-                    child, state, tree.position(child), self.channels[child],
+                    child, state, position, self.channels[child],
                     tree.eligible_voters.get(child), len(tree.children(child)),
                 )
         for idx, attack in enumerate(attacks):

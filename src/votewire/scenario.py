@@ -7,6 +7,10 @@ tree. It returns the ``Simulation`` itself, whose construction checks the
 run's rules: ground-truth cover, channels, emit times, non-negative
 integers, attack edges and capabilities. Every error names its field
 (``attacks[0].mutation.shift``) or, for malformed JSON, the line and column.
+
+A field the file leaves out is not passed on: it takes the default of the
+class it builds (``Simulation``, ``AttackSpec``, ``Mutation``), so every
+default is stated once, on that class.
 """
 
 from __future__ import annotations
@@ -14,14 +18,15 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
-from typing import Any, Mapping, TypeVar
+from typing import Any, Callable, Mapping, TypeVar
 
 from . import swiss
 from .adversary import AttackKind, AttackSpec, Mutation, MutationKind
-from .channels import POSTAL_FINAL, PRESETS, ChannelSpec, preset, wrapped
+from .channels import PRESETS, ChannelSpec, preset, wrapped
 from .counts import VoteCount
-from .engine import DEFAULT_FINAL_EMIT_AT, NoiseModel, Simulation
+from .engine import NoiseModel, Simulation
 from .errors import ArithmeticOverflow, ConfigError
 from .reports import ReportKind
 from .tally import MajorityRule
@@ -32,15 +37,11 @@ _TOP_KEYS = {
     "default_channel", "wrap", "postal_latency", "timing", "jitter_max",
     "noise", "attacks",
 }
-_ATTACK_KEYS = {
-    "kind", "edge", "report_kind", "first_n", "mutation", "hold_ticks",
-    "forged_counts", "forged_seq", "seq_offset", "omniscient",
-}
-_MUTATION_KEYS = {"kind", "counts", "shift", "direction"}
-_COUNT_KEYS = {"yes", "no", "blank", "invalid"}
-_TIMING_KEYS = {"prelim_emit", "final_emit", "final_emit_default"}
 # A parse's table of the tree's own nodes, by their text.
 _Nodes = Mapping[str, JurisdictionId]
+# Checks one field's value, named by its second argument, and converts it.
+_Converter = Callable[[Any, str], Any]
+_Built = TypeVar("_Built")
 
 
 def build_simulation(config: Simulation, seed: int | None = None) -> Simulation:
@@ -54,7 +55,14 @@ def build_simulation(config: Simulation, seed: int | None = None) -> Simulation:
 
 
 def load_scenario(path: str | Path) -> Simulation:
-    return parse_scenario(Path(path).read_text(encoding="utf-8"))
+    return parse_scenario(_read(path))
+
+
+def _read(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def bundled_scenario_path(name: str) -> Path:
@@ -65,7 +73,7 @@ def bundled_scenario_path(name: str) -> Path:
 
 def load_tree(path: str | Path) -> JurisdictionTree:
     """The tree of a scenario file, or of a file holding a bare tree object."""
-    document = _json(Path(path).read_text(encoding="utf-8"))
+    document = _json(_read(path))
     if isinstance(document, dict):
         document = document.get("tree", document)
     return tree_from_config(document)
@@ -78,6 +86,8 @@ def _json(text: str) -> Any:
         raise ConfigError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except (ValueError, RecursionError) as exc:  # past Python's digit or nesting limit
+        raise ConfigError(f"invalid JSON: {exc}") from None
 
 
 def parse_scenario(text: str) -> Simulation:
@@ -86,8 +96,8 @@ def parse_scenario(text: str) -> Simulation:
 
     election_id = _string(_required(top, "election_id", "scenario"), "election_id")
     # Checked but not kept: simulating never tallies.
-    _choice(MajorityRule, top.get("majority_rule", "double"), "majority_rule", "rule")
-    seed = _int(top.get("seed", 0), "seed")
+    _given(top, {"majority_rule": partial(_choice, MajorityRule, what="rule")})
+    given = _given(top, {"seed": _int})
 
     tree = tree_from_config(_required(top, "tree", "scenario"))
     # Every jurisdiction key below resolves through this table of the
@@ -99,32 +109,63 @@ def parse_scenario(text: str) -> Simulation:
     channels = _channels(top, tree, nodes)
     _apply_wrap(top.get("wrap"), channels, tree, nodes)
 
-    postal_latency = _int(top.get("postal_latency", POSTAL_FINAL.base_latency), "postal_latency")
-    prelim_emit, final_emit, final_default = _timing(top.get("timing"), nodes)
-    jitter_max = _int(top.get("jitter_max", 0), "jitter_max")
-    noise = _noise(top.get("noise"))
-    attacks = _attacks(top.get("attacks", []), nodes)
-
-    return Simulation(
-        election_id=election_id,
-        tree=tree,
-        channels=channels,
-        ground_truth=ground_truth,
-        seed=seed,
-        prelim_emit=prelim_emit,
-        final_emit=final_emit,
-        final_emit_default=final_default,
-        jitter_max=jitter_max,
-        noise=noise,
-        attacks=attacks,
-        postal_latency=postal_latency,
-    )
+    given.update(_given(top, {"postal_latency": _int}))
+    if top.get("timing") is not None:  # its keys are Simulation fields
+        emit_times = partial(_keyed, key=partial(_node, nodes), convert=_int)
+        given.update(_build(dict, top["timing"], "timing", {}, {
+            "prelim_emit": emit_times, "final_emit": emit_times, "final_emit_default": _int,
+        }))
+    given.update(_given(top, {
+        "jitter_max": _int, "noise": _noise, "attacks": partial(_attacks, nodes=nodes),
+    }))
+    return Simulation(election_id, tree, channels, ground_truth, **given)
 
 
 def _required(mapping: Mapping[str, Any], key: str, where: str) -> Any:
     if key not in mapping:
         raise ConfigError(f"field '{where}.{key}' is required")
     return mapping[key]
+
+
+def _given(
+    obj: Mapping[str, Any], table: Mapping[str, _Converter], prefix: str = ""
+) -> dict[str, Any]:
+    """Each key of ``table`` that ``obj`` sets, converted, in table order.
+
+    A key the object leaves out is not passed on, so the class built from
+    the result applies its own default.
+    """
+    return {key: convert(obj[key], prefix + key) for key, convert in table.items() if key in obj}
+
+
+def _build(
+    cls: Callable[..., _Built],
+    value: Any,
+    where: str,
+    required: Mapping[str, _Converter],
+    optional: Mapping[str, _Converter],
+) -> _Built:
+    """``cls`` built from the object at ``where``, which may hold only the tables' keys.
+
+    The required values are passed in table order, then what ``_given``
+    passes on. A ValueError from ``cls`` becomes a ConfigError naming ``where``.
+    """
+    obj = _mapping(value, where)
+    _reject_unknown(obj, required.keys() | optional.keys(), where)
+    values = [convert(_required(obj, k, where), f"{where}.{k}") for k, convert in required.items()]
+    try:
+        return cls(*values, **_given(obj, optional, f"{where}."))
+    except ValueError as exc:
+        raise ConfigError(f"field '{where}': {exc}") from None
+
+
+def _keyed(value: Any, where: str, key: _Converter, convert: _Converter) -> dict[Any, Any]:
+    """The object at ``where`` with each value converted and then its key resolved by ``key``."""
+    out = {}
+    for text, raw in _mapping(value, where).items():
+        at = f"{where}.{text}"
+        out[key(text, at)] = convert(raw, at)
+    return out
 
 
 def _reject_unknown(mapping: Mapping[str, Any], allowed: set[str], where: str) -> None:
@@ -182,7 +223,7 @@ def _path(value: Any, where: str) -> tuple[str, ...]:
     return _path_key(value, where).path
 
 
-def _node(value: Any, nodes: _Nodes, where: str) -> JurisdictionId:
+def _node(nodes: _Nodes, value: Any, where: str) -> JurisdictionId:
     """The tree's own node that ``value`` names, from the parse's table."""
     node = nodes.get(value) if isinstance(value, str) else None
     if node is None:
@@ -193,7 +234,7 @@ def _node(value: Any, nodes: _Nodes, where: str) -> JurisdictionId:
 
 def _edge(value: Any, tree: JurisdictionTree, nodes: _Nodes, where: str) -> JurisdictionId:
     """A node other than the root, naming the edge up to its parent."""
-    node = _node(value, nodes, where)
+    node = _node(nodes, value, where)
     if node is tree.root:
         raise ConfigError(f"field '{where}': the root has no upward edge")
     return node
@@ -213,26 +254,19 @@ def _choice(choices: type[_Choice], value: Any, where: str, what: str) -> _Choic
         ) from None
 
 
+# The count fields a file may set; VoteCount makes each one left out 0.
+_COUNT_FIELDS = {name: partial(_int, minimum=0) for name in VoteCount._fields}
+
+
 def _counts(value: Any, where: str) -> VoteCount:
     # The common case is one checked construction, building no field name;
-    # whatever it refuses takes the checks below, which name the field.
-    if type(value) is dict and value.keys() <= _COUNT_KEYS:
-        get = value.get
+    # whatever it refuses takes _build, whose checks name the field.
+    if type(value) is dict and value.keys() <= _COUNT_FIELDS.keys():
         try:
-            return VoteCount(get("yes", 0), get("no", 0), get("blank", 0), get("invalid", 0))
+            return VoteCount(**value)
         except (TypeError, ValueError, ArithmeticOverflow):
             pass
-    obj = _mapping(value, where)
-    _reject_unknown(obj, _COUNT_KEYS, where)
-    try:
-        return VoteCount(
-            yes=_int(obj.get("yes", 0), f"{where}.yes", minimum=0),
-            no=_int(obj.get("no", 0), f"{where}.no", minimum=0),
-            blank=_int(obj.get("blank", 0), f"{where}.blank", minimum=0),
-            invalid=_int(obj.get("invalid", 0), f"{where}.invalid", minimum=0),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"field '{where}': {exc}") from None
+    return _build(VoteCount, value, where, {}, _COUNT_FIELDS)
 
 
 def tree_from_config(value: Any) -> JurisdictionTree:
@@ -249,16 +283,12 @@ def tree_from_config(value: Any) -> JurisdictionTree:
     if not isinstance(raw_paths, list) or not raw_paths:
         raise ConfigError("field 'tree.paths' must be a non-empty list of path strings")
     paths = [_path(p, f"tree.paths[{i}]") for i, p in enumerate(raw_paths)]
-    half_votes = {}
-    for key, weight in _mapping(obj.get("half_votes", {}), "tree.half_votes").items():
-        half_votes[_path_key(key, f"tree.half_votes.{key}")] = _int(
-            weight, f"tree.half_votes.{key}", minimum=1
-        )
-    eligible = {}
-    for key, voters in _mapping(obj.get("eligible_voters", {}), "tree.eligible_voters").items():
-        eligible[_path_key(key, f"tree.eligible_voters.{key}")] = _int(
-            voters, f"tree.eligible_voters.{key}", minimum=0
-        )
+    half_votes = _keyed(
+        obj.get("half_votes", {}), "tree.half_votes", _path_key, partial(_int, minimum=1)
+    )
+    eligible = _keyed(
+        obj.get("eligible_voters", {}), "tree.eligible_voters", _path_key, partial(_int, minimum=0)
+    )
     try:
         return tree_from_paths(paths, half_votes, eligible)
     except ValueError as exc:
@@ -271,11 +301,7 @@ def _ground_truth(value: Any, nodes: _Nodes) -> dict[JurisdictionId, VoteCount]:
         _reject_unknown(obj, {"bundled_results"}, "ground_truth")
         name = _string(obj["bundled_results"], "ground_truth.bundled_results")
         return _truth_from_results(name, nodes)
-    truth: dict[JurisdictionId, VoteCount] = {}
-    for key, raw in obj.items():
-        where = f"ground_truth.{key}"
-        truth[_node(key, nodes, where)] = _counts(raw, where)
-    return truth
+    return _keyed(obj, "ground_truth", partial(_node, nodes), _counts)
 
 
 def _truth_from_results(name: str, nodes: _Nodes) -> dict[JurisdictionId, VoteCount]:
@@ -310,15 +336,15 @@ def _channel_spec(value: Any, where: str) -> ChannelSpec:
         if value not in PRESETS:
             raise ConfigError(f"field '{where}': unknown channel preset {value!r}")
         return preset(value)
-    obj = _mapping(value, where)
-    _reject_unknown(obj, {"preset", "base_latency"}, where)
-    name = _string(_required(obj, "preset", where), f"{where}.preset")
+    optional = {"base_latency": partial(_int, minimum=0)}
+    return _build(preset, value, where, {"preset": _preset_name}, optional)
+
+
+def _preset_name(value: Any, where: str) -> str:
+    name = _string(value, where)
     if name not in PRESETS:
-        raise ConfigError(f"field '{where}.preset': unknown channel preset {name!r}")
-    latency = None
-    if "base_latency" in obj:
-        latency = _int(obj["base_latency"], f"{where}.base_latency", minimum=0)
-    return preset(name, latency)
+        raise ConfigError(f"field '{where}': unknown channel preset {name!r}")
+    return name
 
 
 def _channels(
@@ -336,10 +362,10 @@ def _channels(
         if {str(kid) for kid in tree.children(tree.root)} == cantons.keys():
             channels.update((nodes[text], spec) for text, spec in cantons.items())
 
-    for key, raw in _mapping(top.get("channels", {}), "channels").items():
-        where = f"channels.{key}"
-        # A key naming the root is refused by the run, with this field's name.
-        channels[_node(key, nodes, where)] = _channel_spec(raw, where)
+    # A key naming the root is refused by the run, with this field's name.
+    channels.update(
+        _keyed(top.get("channels", {}), "channels", partial(_node, nodes), _channel_spec)
+    )
 
     if default is not None:
         for node in tree.order()[1:]:
@@ -371,88 +397,44 @@ def _apply_wrap(
             channels[node] = wrapped(channels[node])
 
 
-def _timing(
-    value: Any, nodes: _Nodes
-) -> tuple[dict[JurisdictionId, int], dict[JurisdictionId, int], int]:
-    if value is None:
-        return {}, {}, DEFAULT_FINAL_EMIT_AT
-    obj = _mapping(value, "timing")
-    _reject_unknown(obj, _TIMING_KEYS, "timing")
-    prelim: dict[JurisdictionId, int] = {}
-    final: dict[JurisdictionId, int] = {}
-    for field_name, into in (("prelim_emit", prelim), ("final_emit", final)):
-        for key, raw in _mapping(obj.get(field_name, {}), f"timing.{field_name}").items():
-            where = f"timing.{field_name}.{key}"
-            into[_node(key, nodes, where)] = _int(raw, where)
-    default = _int(obj.get("final_emit_default", DEFAULT_FINAL_EMIT_AT),
-                   "timing.final_emit_default")
-    return prelim, final, default
+def _probability(value: Any, where: str) -> float | int:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"field '{where}' must be a number")
+    # An int past float's range cannot convert; the model refuses it as it is.
+    return float(value) if 0 <= value <= 1 else value
 
 
-def _noise(value: Any) -> NoiseModel | None:
+def _noise(value: Any, where: str) -> NoiseModel | None:
     if value is None:
         return None
-    obj = _mapping(value, "noise")
-    _reject_unknown(obj, {"probability", "max_shift"}, "noise")
-    raw_p = _required(obj, "probability", "noise")
-    if isinstance(raw_p, bool) or not isinstance(raw_p, (int, float)):
-        raise ConfigError("field 'noise.probability' must be a number")
-    try:
-        return NoiseModel(
-            probability=float(raw_p),
-            max_shift=_int(_required(obj, "max_shift", "noise"), "noise.max_shift", minimum=1),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"field 'noise': {exc}") from None
+    required = {"probability": _probability, "max_shift": partial(_int, minimum=1)}
+    return _build(NoiseModel, value, where, required, {})
 
 
 def _mutation(value: Any, where: str) -> Mutation:
-    obj = _mapping(value, where)
-    _reject_unknown(obj, _MUTATION_KEYS, where)
-    kind = _choice(MutationKind, _required(obj, "kind", where), f"{where}.kind", "mutation kind")
-    counts = _counts(obj["counts"], f"{where}.counts") if "counts" in obj else None
-    try:
-        return Mutation(
-            kind=kind,
-            counts=counts,
-            shift=_int(obj.get("shift", 0), f"{where}.shift") if "shift" in obj else 0,
-            direction=_string(obj["direction"], f"{where}.direction") if "direction" in obj else "yes_to_no",
-        )
-    except ValueError as exc:
-        raise ConfigError(f"field '{where}': {exc}") from None
+    return _build(
+        Mutation, value, where, {"kind": partial(_choice, MutationKind, what="mutation kind")},
+        {"counts": _counts, "shift": _int, "direction": _string},
+    )
 
 
-def _attacks(value: Any, nodes: _Nodes) -> tuple[AttackSpec, ...]:
+def _attacks(value: Any, where: str, nodes: _Nodes) -> tuple[AttackSpec, ...]:
     if not isinstance(value, list):
-        raise ConfigError("field 'attacks' must be a list")
-    attacks: list[AttackSpec] = []
-    for i, raw in enumerate(value):
-        where = f"attacks[{i}]"
-        obj = _mapping(raw, where)
-        _reject_unknown(obj, _ATTACK_KEYS, where)
-        kind = _choice(AttackKind, _required(obj, "kind", where), f"{where}.kind", "attack kind")
-        edge = _node(_required(obj, "edge", where), nodes, f"{where}.edge")
-        report_kind = ReportKind.PRELIMINARY
-        if "report_kind" in obj:
-            report_kind = _choice(ReportKind, obj["report_kind"], f"{where}.report_kind", "kind")
-        first_n: int | None = 1
-        if "first_n" in obj:
-            first_n = None if obj["first_n"] is None else _int(obj["first_n"], f"{where}.first_n", minimum=1)
-        try:
-            attacks.append(
-                AttackSpec(
-                    kind=kind,
-                    edge_child=edge,
-                    report_kind=report_kind,
-                    first_n=first_n,
-                    mutation=_mutation(obj["mutation"], f"{where}.mutation") if "mutation" in obj else None,
-                    hold_ticks=_int(obj.get("hold_ticks", 0), f"{where}.hold_ticks") if "hold_ticks" in obj else 0,
-                    forged_counts=_counts(obj["forged_counts"], f"{where}.forged_counts") if "forged_counts" in obj else None,
-                    forged_seq=_int(obj["forged_seq"], f"{where}.forged_seq", minimum=1) if "forged_seq" in obj else None,
-                    seq_offset=_int(obj.get("seq_offset", 1000), f"{where}.seq_offset", minimum=1),
-                    omniscient=_bool(obj.get("omniscient", False), f"{where}.omniscient"),
-                )
-            )
-        except ValueError as exc:
-            raise ConfigError(f"field '{where}': {exc}") from None
-    return tuple(attacks)
+        raise ConfigError(f"field '{where}' must be a list")
+    required = {
+        "kind": partial(_choice, AttackKind, what="attack kind"),
+        "edge": partial(_node, nodes),
+    }
+    optional = {
+        "report_kind": partial(_choice, ReportKind, what="kind"),
+        "first_n": lambda raw, at: None if raw is None else _int(raw, at, minimum=1),
+        "mutation": _mutation,
+        "hold_ticks": _int,
+        "forged_counts": _counts,
+        "forged_seq": partial(_int, minimum=1),
+        "seq_offset": partial(_int, minimum=1),
+        "omniscient": _bool,
+    }
+    return tuple(
+        _build(AttackSpec, raw, f"{where}[{i}]", required, optional) for i, raw in enumerate(value)
+    )

@@ -179,12 +179,12 @@ class TrustStore:
         root_path = where / ROOT_FILENAME
         if not root_path.is_file():
             raise ParseError(f"trust store {where} has no {ROOT_FILENAME}")
-        root_cert = certificate_from_text(root_path.read_bytes().decode("utf-8"))
+        root_cert = _certificate_file(root_path)
         certs: dict[JurisdictionId, Certificate] = {root_cert.subject: root_cert}
         for path in sorted(where.glob("*.cert")):
             if path.name == ROOT_FILENAME:
                 continue
-            cert = certificate_from_text(path.read_bytes().decode("utf-8"))
+            cert = _certificate_file(path)
             expected = _cert_filename(cert.subject)
             if path.name != expected:
                 raise ParseError(
@@ -192,6 +192,13 @@ class TrustStore:
                 )
             certs[cert.subject] = cert
         return TrustStore(root_certificate=root_cert, certificates=certs)
+
+
+def _certificate_file(path: Path) -> Certificate:
+    try:
+        return certificate_from_text(path.read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -205,16 +205,6 @@ class EventTrace:
         append(f"end records={len(self.records)}\n")
         return "\n".join(lines)
 
-    def publishes(self, kind: ReportKind | None = None) -> tuple[PublishRecord, ...]:
-        return tuple(
-            r
-            for r in self.records
-            if isinstance(r, PublishRecord) and (kind is None or r.kind is kind)
-        )
-
-    def detects(self) -> tuple[DetectRecord, ...]:
-        return tuple(r for r in self.records if isinstance(r, DetectRecord))
-
     def final_publish(self) -> PublishRecord:
         """The last final publication, found by scanning from the end."""
         for record in reversed(self.records):

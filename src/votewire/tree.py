@@ -63,10 +63,6 @@ class JurisdictionId(tuple):
         return JurisdictionId(self.path[:-1])
 
     @property
-    def depth(self) -> int:
-        return len(self.path) - 1
-
-    @property
     def name(self) -> str:
         return self.path[-1]
 
@@ -107,8 +103,7 @@ class JurisdictionTree:
         # order. Every order the tree hands out is read from what it records.
         order: list[JurisdictionId] = []
         leaves: list[JurisdictionId] = []
-        parent_of: dict[JurisdictionId, JurisdictionId] = {}
-        position: dict[JurisdictionId, int] = {}
+        seen = {self.root}
         stack = [self.root]
         while stack:
             node = stack.pop()
@@ -116,15 +111,13 @@ class JurisdictionTree:
             kids = self._children.get(node, ())
             if not kids:
                 leaves.append(node)
-            for i, child in enumerate(kids):
-                if child in parent_of or child == self.root:
+            for child in kids:
+                if child in seen:
                     raise ValueError(f"{child} has more than one parent (or is the root)")
                 if child.path[:-1] != node.path:
                     raise ValueError(f"{child} is not a path-child of {node}")
-                parent_of[child] = node
-                position[child] = i
+                seen.add(child)
             stack.extend(reversed(kids))
-        seen = frozenset(order)
         for parent in self._children:
             if parent not in seen:
                 raise ValueError(f"{parent} is not reachable from the root {self.root}")
@@ -152,14 +145,9 @@ class JurisdictionTree:
         self._order = tuple(order)
         self._leaves = tuple(leaves)
         self._nodes = seen
-        self._parent_of = parent_of
-        self._position = position
 
     def __contains__(self, node: JurisdictionId) -> bool:
         return node in self._nodes
-
-    def nodes(self) -> frozenset[JurisdictionId]:
-        return self._nodes
 
     def order(self) -> tuple[JurisdictionId, ...]:
         """Every node depth first: root first, each subtree contiguous,
@@ -168,13 +156,6 @@ class JurisdictionTree:
 
     def children(self, node: JurisdictionId) -> tuple[JurisdictionId, ...]:
         return self._children.get(node, ())
-
-    def parent(self, node: JurisdictionId) -> JurisdictionId | None:
-        return self._parent_of.get(node)
-
-    def position(self, node: JurisdictionId) -> int:
-        """Index of a non-root node among its parent's children."""
-        return self._position[node]
 
     def leaves(self) -> tuple[JurisdictionId, ...]:
         """Childless nodes in ``order()``."""

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 import votewire
 from votewire.counts import VoteCount
+from votewire.reports import ReportKind
+from votewire.traces import EventTrace, PublishRecord
 from votewire.tree import JurisdictionId, JurisdictionTree
 
 
@@ -72,6 +74,14 @@ def uneven_tree_paths(draw) -> list[tuple[str, ...]]:
 
     grow(("CH",))
     return paths
+
+
+def publishes(trace: EventTrace, kind: ReportKind | None = None) -> tuple[PublishRecord, ...]:
+    """The trace's publications in trace order, or only those of ``kind``."""
+    return tuple(
+        r for r in trace.records
+        if isinstance(r, PublishRecord) and (kind is None or r.kind is kind)
+    )
 
 
 def fresh_interpreter(code: str) -> str:

@@ -59,6 +59,8 @@ from votewire.traces import (
 )
 from votewire.tree import JurisdictionId, JurisdictionTree
 
+from helpers import publishes
+
 DOUBLE = ReferendumSpec("oracle", MajorityRule.DOUBLE_MAJORITY)
 
 
@@ -323,7 +325,7 @@ def reference_detection_report(trace: EventTrace) -> DetectionSummary:
     tree = trace.tree
     root_children = tree.children(tree.root)
     divergences, gaps = [], []
-    for pub in trace.publishes(ReportKind.PRELIMINARY):
+    for pub in publishes(trace, ReportKind.PRELIMINARY):
         covered = [child for child, _, _ in pub.children]
         for child, _, counts in pub.children:
             truth = subtree_truth(trace, child)
@@ -336,7 +338,7 @@ def reference_detection_report(trace: EventTrace) -> DetectionSummary:
     return DetectionSummary(
         count_divergences=tuple(divergences),
         coverage_gaps=tuple(gaps),
-        detects=trace.detects(),
+        detects=tuple(r for r in trace.records if isinstance(r, DetectRecord)),
         final_matches_ground_truth=final.counts == subtree_truth(trace, tree.root),
         integrity_gap_ticks=max(0, final.time - divergences[0].time) if divergences else 0,
     )
@@ -357,7 +359,7 @@ def feasibility_check(
     records the sequence number in ``seq_state``.
     """
     sender = report.sender
-    if sender not in tree or tree.parent(sender) != receiver:
+    if sender not in tree or sender.parent != receiver:
         return "unknown_sender"
     eligible = tree.eligible_voters.get(sender)
     if eligible is not None and report.counts.total() > eligible:
@@ -408,7 +410,7 @@ def reference_run(sim: Simulation) -> tuple[TraceRecord, ...]:
         delivery = time + channel.base_latency
         if sim.jitter_max:
             delivery += rng.randint(0, sim.jitter_max)
-        parent = tree.parent(node)
+        parent = node.parent
         for i, attack in enumerate(sim.attacks):
             if attack.edge_child != node or attack.report_kind is not kind or fires_left[i] == 0:
                 continue
@@ -433,7 +435,7 @@ def reference_run(sim: Simulation) -> tuple[TraceRecord, ...]:
 
     def refusal(receiver: JurisdictionId, report: Report) -> str | None:
         sender = report.sender
-        if sender not in tree or tree.parent(sender) != receiver:
+        if sender not in tree or sender.parent != receiver:
             return "unknown_sender"
         eligible = tree.eligible_voters.get(sender)
         if eligible is not None and report.counts.total() > eligible:

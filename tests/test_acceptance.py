@@ -37,11 +37,11 @@ from votewire.secauth import (
 )
 from votewire.swiss import canton_id, swiss_tree
 from votewire.tally import Decision, MajorityRule, ReferendumSpec, referendum_outcome
-from votewire.traces import DeliverRecord
+from votewire.traces import DeliverRecord, DetectRecord
 from votewire.tree import JurisdictionId, tree_from_paths
 
 import oracles
-from helpers import canton_id as toy_canton_id, make_canton_tree
+from helpers import canton_id as toy_canton_id, make_canton_tree, publishes
 
 
 @contextmanager
@@ -98,7 +98,8 @@ def test_criterion_3_discrepancy_reproduction():
         summary = discrepancy_stats(load_results(bundled_results_path("discrepancy_maxima")))
         elapsed = time.perf_counter() - start
         for code, expected in (("VD", 2.24), ("JU", 2.72), ("AG", 0.83), ("CH", 0.19)):
-            got = summary.stat(code).max_relative_percent()
+            (stat,) = [s for s in summary.per_canton if s.canton == code]
+            got = stat.max_relative_percent()
             assert abs(got - expected) <= 0.01, f"{code}: {got} vs {expected}"
         assert elapsed < 1.0, f"took {elapsed:.2f} s"
 
@@ -182,7 +183,7 @@ def test_criterion_5_attack_capability_matrix():
             trace = build(attacked_channel).run()
             covered = {
                 counts
-                for pub in trace.publishes(ReportKind.PRELIMINARY)
+                for pub in publishes(trace, ReportKind.PRELIMINARY)
                 for child, _seq, counts in pub.children
                 if child == target
             }
@@ -190,7 +191,10 @@ def test_criterion_5_attack_capability_matrix():
                 assert forged in covered
             elif kind is AttackKind.FRONT_RUN:
                 assert forged in covered
-                stale = [d for d in trace.detects() if d.reason == "stale_sequence"]
+                stale = [
+                    d for d in trace.records
+                    if isinstance(d, DetectRecord) and d.reason == "stale_sequence"
+                ]
                 assert any(d.child == target for d in stale)
             else:
                 delivered = [

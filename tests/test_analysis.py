@@ -100,7 +100,7 @@ class TestDiscrepancyStats:
             ("AG", 1090, 131_179, 0.83),
             ("CH", 3843, 2_039_548, 0.19),
         ]:
-            stat = summary.stat(canton)
+            (stat,) = [s for s in summary.per_canton if s.canton == canton]
             assert stat.max_abs_discrepancy == votes
             assert stat.total_at_max == total
             assert abs(stat.max_relative_percent() - percent) <= 0.01
@@ -109,7 +109,7 @@ class TestDiscrepancyStats:
         summary = discrepancy_stats(
             [record("AI", (10, 20), (10, 20)), record("AI", (5, 5), (5, 5), ref="r2")]
         )
-        stat = summary.stat("AI")
+        (stat,) = summary.per_canton
         assert stat.max_abs_discrepancy == 0
         assert stat.max_relative_percent() == 0.0
 
@@ -131,7 +131,7 @@ class TestDiscrepancyStats:
     def test_outlier_is_reported_not_filtered(self):
         records = load_results(bundled_results_path("family_2013"))
         summary = discrepancy_stats(records)
-        stat = summary.stat("GE")
+        (stat,) = [s for s in summary.per_canton if s.canton == "GE"]
         assert stat.max_abs_discrepancy == 44_821
         assert stat.total_at_max == 109_433
         assert round(100 * float(stat.max_relative)) == 41

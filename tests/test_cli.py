@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -116,6 +117,21 @@ class TestSimulate:
         monkeypatch.setattr(Path, "read_text", _denied)
         assert main(["simulate", "--scenario", HONEST]) == 2
         assert capsys.readouterr() == ("", f"error: [Errno 13] Permission denied: {HONEST!r}\n")
+
+    def test_scenario_that_is_not_utf8_is_a_user_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"election_id": "\xff"}')
+        assert main(["simulate", "--scenario", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad} is not UTF-8 text: ")
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="integer literals have no digit limit"
+    )
+    def test_integer_literal_past_the_digit_limit_is_a_user_error(self, tmp_path, capsys):
+        bad = tmp_path / "huge.json"
+        bad.write_text('{"election_id": "x", "seed": ' + "9" * 5000 + "}")
+        assert main(["simulate", "--scenario", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid JSON: ")
 
     def test_invalid_scenario_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -461,6 +477,15 @@ class TestAnalyze:
         assert "no records" in capsys.readouterr().out
         assert out_file.read_text(encoding="utf-8").startswith("canton,")
 
+    def test_results_that_are_not_utf8_are_a_user_error(self, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes(
+            b"referendum_id,date,canton,prelim_yes,prelim_no,final_yes,final_no,final_total\n"
+            b"r1,2015-06-14,Z\xfcH,1,2,3,4,7\n"
+        )
+        assert main(["analyze", "--results", str(latin1)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {latin1} is not UTF-8 text: ")
+
     def test_malformed_row_carries_row_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text(
@@ -581,6 +606,14 @@ class TestKeys:
         assert main(swiss) == 0
         assert store_digest(out_dir) == SWISS_SEED7_STORE
         capsys.readouterr()
+
+    def test_tree_file_that_is_not_utf8_is_a_user_error(self, tmp_path, capsys):
+        tree_file = tmp_path / "tree.json"
+        tree_file.write_bytes(b'{"paths": ["CH/\xff"]}')
+        out_dir = tmp_path / "store"
+        assert main(["keys", "--tree", str(tree_file), "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {tree_file} is not UTF-8 text: ")
+        assert not out_dir.exists()
 
     def test_different_seed_different_keys(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import fresh_interpreter, uneven_tree_paths
+from helpers import fresh_interpreter, publishes, uneven_tree_paths
 from oracles import feasibility_check
 from votewire import cli
 from votewire.adversary import (
@@ -158,14 +158,14 @@ class TestHonestRun:
     def test_coverage_grows_monotonically(self):
         trace = two_leaf_sim().run()
         seen: set[JurisdictionId] = set()
-        for pub in trace.publishes(ReportKind.PRELIMINARY):
+        for pub in publishes(trace, ReportKind.PRELIMINARY):
             covered = {child for child, _, _ in pub.children}
             assert covered >= seen
             seen = covered
         assert seen == {A, B}
 
     def test_publish_totals_match_listed_children(self):
-        for pub in two_leaf_sim().run().publishes():
+        for pub in publishes(two_leaf_sim().run()):
             assert pub.counts == accumulate(c for _, _, c in pub.children)
 
     def test_clean_run_has_no_divergences_or_detects(self):
@@ -248,7 +248,7 @@ class TestDeepHierarchy:
     def test_replacement_totals_supersede_older_reports(self):
         sim, BE, X, Y, VD = self.build()
         trace = sim.run()
-        last = trace.publishes(ReportKind.PRELIMINARY)[-1]
+        last = publishes(trace, ReportKind.PRELIMINARY)[-1]
         by_child = {child: (seq, counts) for child, seq, counts in last.children}
         # BE's second report (X+Y) replaced its first (X only).
         assert by_child[BE] == (2, VoteCount(30, 20))
@@ -282,7 +282,7 @@ class TestRootPublication:
         sim = Simulation(
             election_id="toy",
             tree=tree,
-            channels={n: preset("email") for n in tree.nodes() if n != CH},
+            channels={n: preset("email") for n in tree.order() if n != CH},
             ground_truth={x: VoteCount(1, 0), y: VoteCount(2, 0), B: VoteCount(0, 3), c: VoteCount(4, 0)},
             prelim_emit={c: 0, x: 10, y: 20, B: 30},
             final_emit={c: 100, B: 110, y: 120, x: 130},
@@ -290,10 +290,10 @@ class TestRootPublication:
         trace = sim.run()
         prelims = [
             [(child, seq) for child, seq, _ in pub.children]
-            for pub in trace.publishes(ReportKind.PRELIMINARY)
+            for pub in publishes(trace, ReportKind.PRELIMINARY)
         ]
         assert prelims == [[(c, 1)], [(A, 1), (c, 1)], [(A, 2), (c, 1)], [(A, 2), (B, 1), (c, 1)]]
-        (final,) = trace.publishes(ReportKind.FINAL)
+        (final,) = publishes(trace, ReportKind.FINAL)
         assert [child for child, _, _ in final.children] == [A, B, c]
         assert final.counts == VoteCount(7, 3)
 
@@ -323,7 +323,7 @@ class TestAttacksInTheLoop:
         )
         sim = two_leaf_sim(attacks=(attack,))
         trace = sim.run()
-        last_prelim = trace.publishes(ReportKind.PRELIMINARY)[-1]
+        last_prelim = publishes(trace, ReportKind.PRELIMINARY)[-1]
         assert last_prelim.counts == VoteCount(30, 70)
         assert trace.final_publish().counts == VoteCount(40, 60)
         summary = detection_report(trace)
@@ -352,7 +352,7 @@ class TestAttacksInTheLoop:
         assert any(B in gap.missing for gap in summary.coverage_gaps)
         covered_times = [
             pub.time
-            for pub in trace.publishes(ReportKind.PRELIMINARY)
+            for pub in publishes(trace, ReportKind.PRELIMINARY)
             if any(child == B for child, _, _ in pub.children)
         ]
         assert covered_times and covered_times[0] == 53
@@ -366,7 +366,7 @@ class TestAttacksInTheLoop:
         assert isinstance(last, PublishRecord) and last.kind is ReportKind.PRELIMINARY
         final = trace.final_publish()
         assert final.kind is ReportKind.FINAL and final.time < last.time
-        assert final == trace.publishes(ReportKind.FINAL)[-1]
+        assert final == publishes(trace, ReportKind.FINAL)[-1]
         assert final.counts == VoteCount(40, 60)
 
     def test_delayed_final_postpones_publication(self):
@@ -392,7 +392,7 @@ class TestAttacksInTheLoop:
         assert [r.reason for r in rejected] == ["over_eligible"]
         assert all(
             child != A
-            for pub in trace.publishes(ReportKind.PRELIMINARY)
+            for pub in publishes(trace, ReportKind.PRELIMINARY)
             for child, _, _ in pub.children
         )
 
@@ -416,8 +416,8 @@ class TestAttacksInTheLoop:
         always = Simulation(
             attacks=(AttackSpec(AttackKind.TAMPER, BE, mutation=swap, first_n=None),), **baseline
         ).run()
-        assert once.publishes(ReportKind.PRELIMINARY)[-1].counts == VoteCount(10, 0)
-        assert always.publishes(ReportKind.PRELIMINARY)[-1].counts == VoteCount(0, 10)
+        assert publishes(once, ReportKind.PRELIMINARY)[-1].counts == VoteCount(10, 0)
+        assert publishes(always, ReportKind.PRELIMINARY)[-1].counts == VoteCount(0, 10)
 
     def test_several_attacks_on_one_edge_fire_in_configuration_order(self):
         tamper = AttackSpec(AttackKind.TAMPER, A, mutation=Mutation(MutationKind.SWAP_YES_NO))
@@ -461,7 +461,7 @@ class TestAttacksInTheLoop:
             (1, ReportKind.PRELIMINARY, 1, VoteCount(30, 20), False, REASON_STALE_SEQUENCE),
             (148, ReportKind.FINAL, 2, VoteCount(30, 20), True, None),
         ]
-        first = trace.publishes(ReportKind.PRELIMINARY)[0]
+        first = publishes(trace, ReportKind.PRELIMINARY)[0]
         assert first.children == ((A, 5, VoteCount(90, 1)),)
 
     def test_attack_on_unknown_edge_rejected_at_build(self):
@@ -596,7 +596,7 @@ class TestSimulationValidation:
         base = dict(
             election_id="toy",
             tree=tree,
-            channels={n: preset("email") for n in tree.nodes() if n != CH},
+            channels={n: preset("email") for n in tree.order() if n != CH},
             ground_truth={x: VoteCount(1, 0), y: VoteCount(2, 0), z: VoteCount(0, 3)},
         )
         with refused("field 'timing.prelim_emit.CH/A': not a leaf; only leaves emit reports"):
@@ -728,7 +728,7 @@ class TestTraceInvariants:
                         (child, latest[child]) for child in tree.children(rec.node) if child in latest
                     ]
 
-        internal = [n for n in tree.nodes() if tree.children(n)]
+        internal = [n for n in tree.order() if tree.children(n)]
         assert sorted(final_outputs, key=str) == sorted(internal, key=str)
         for node in internal:
             (out,) = final_outputs[node]

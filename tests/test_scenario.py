@@ -464,6 +464,67 @@ class TestDiagnostics:
         assert trace.final_publish().counts == VoteCount(40, 60)
 
 
+def declared_default(field: dataclasses.Field):
+    if field.default_factory is not dataclasses.MISSING:
+        return field.default_factory()
+    return field.default
+
+
+def assert_defaults(obj, given: set[str]) -> None:
+    """Every field of ``obj`` outside ``given`` holds its class's declared default."""
+    defaulted = [
+        f for f in dataclasses.fields(obj)
+        if f.name not in given
+        and (f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING)
+    ]
+    assert defaulted
+    for f in defaulted:
+        assert getattr(obj, f.name) == declared_default(f), f.name
+
+
+class TestDefaultsLiveOnTheClasses:
+    def test_a_field_left_out_takes_its_class_default(self):
+        required = {"election_id", "tree", "channels", "ground_truth"}
+        assert_defaults(parse(custom_doc()), given=required)
+        config = parse(
+            custom_doc(
+                attacks=[
+                    {"kind": "tamper", "edge": "CH/A", "mutation": {"kind": "shift", "shift": 3}},
+                    {"kind": "delay", "edge": "CH/B", "hold_ticks": 2},
+                    {"kind": "front_run", "edge": "CH/B", "forged_counts": {"yes": 1}},
+                ]
+            )
+        )
+        tamper, delay, front = config.attacks
+        assert_defaults(tamper, given={"kind", "edge_child", "mutation"})
+        assert_defaults(tamper.mutation, given={"kind", "shift"})
+        assert_defaults(delay, given={"kind", "edge_child", "hold_ticks"})
+        assert_defaults(front, given={"kind", "edge_child", "forged_counts"})
+
+
+class TestFilesTheParserCannotHold:
+    @pytest.mark.parametrize(
+        "literal", ["2", "1" + "0" * 400, "-1" + "0" * 400], ids=["2", "10**400", "-10**400"]
+    )
+    def test_probability_out_of_range_is_named(self, literal):
+        text = json.dumps(custom_doc(noise={"probability": "P", "max_shift": 1}))
+        with pytest.raises(ConfigError) as excinfo:
+            parse_scenario(text.replace('"P"', literal))
+        assert str(excinfo.value) == "field 'noise': probability must be in [0, 1]"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="integer literals have no digit limit"
+    )
+    def test_integer_literal_past_the_digit_limit_is_invalid_json(self):
+        text = json.dumps(custom_doc(seed="S")).replace('"S"', "9" * 5000)
+        with pytest.raises(ConfigError, match=r"^invalid JSON: "):
+            parse_scenario(text)
+
+    def test_nesting_past_the_recursion_limit_is_invalid_json(self):
+        with pytest.raises(ConfigError, match=r"^invalid JSON: "):
+            parse_scenario("[" * 100_000 + "]" * 100_000)
+
+
 class TestSwissScenarioEndToEnd:
     def test_full_swiss_run_covers_every_canton(self):
         config = parse(

@@ -228,8 +228,8 @@ class TestCertificates:
         tree = tree_from_paths(
             [("CH", "ZH", "Uster"), ("CH", "ZH", "Wil"), ("CH", "BE", "Bern")]
         )
-        for node in tree.nodes():
-            assert len(deep.chain(node)) == node.depth
+        for node in tree.order():
+            assert len(deep.chain(node)) == len(node.path) - 1
 
     def test_serials_are_unique(self, deep):
         serials = [cert.serial for cert in deep.certificates.values()]
@@ -299,6 +299,13 @@ class TestTrustStore:
         zh = tmp_path / "CH__ZH.cert"
         (tmp_path / "CH__IMPOSTOR.cert").write_text(zh.read_text())
         with pytest.raises(ParseError, match="belongs in"):
+            TrustStore.load(tmp_path)
+
+    def test_a_certificate_file_that_is_not_utf8_is_a_parse_error(self, deep, tmp_path):
+        deep.save(tmp_path)
+        zh = tmp_path / "CH__ZH.cert"
+        zh.write_bytes(zh.read_bytes().replace(b"CH/ZH", b"CH/Z\xfcH", 1))
+        with pytest.raises(ParseError, match=r"CH__ZH\.cert is not UTF-8 text"):
             TrustStore.load(tmp_path)
 
     def test_two_nodes_sharing_a_file_name_are_refused_before_writing(self, tmp_path):
