@@ -22,26 +22,27 @@ the signed postal channel, so the final publication always equals the sum
 of the leaf ground truths.
 
 The run is one loop with no handler per event kind. An event is (kind,
-state, what, counts): a leaf's own emit of report kind ``what`` when
-``kind`` is None, else a delivery of ``kind`` from ``state`` to its
-parent with sequence number ``what``. Each runs in the loop's own frame,
-and each that yields new totals falls through into one report-up tail:
-the root publishes; any other node emits, draws its jitter, applies its
+node, what, counts): a leaf's own emit of report kind ``what`` when
+``kind`` is None, else a delivery of ``kind`` from ``node`` to its parent
+with sequence number ``what``. Each runs in the loop's own frame, and
+each that yields new totals falls through into one report-up tail: the
+root publishes; any other node emits, draws its jitter, applies its
 edge's attacks (the one call: attacks are rare) and schedules delivery.
-Before the loop, ``run`` resolves one state per node (parent's state,
-position among siblings, channel, eligible-voter ceiling, attacks per
-report kind), so no event looks a node up by its id. Only freshness is
-keyed by the sender's id, in the ``SequenceState`` check ``verify_report``
-shares; the run owns its state, so it takes no lock.
+Only freshness is keyed by the sender's id, in the ``SequenceState``
+check ``verify_report`` shares; the run owns its state, so it takes no
+lock.
 
-Each node keeps, per report kind, one child table: each child's latest
-accepted (child, seq, counts) entry at the child's position. Beside it
-the node keeps a running total of its preliminary table, so an accept
-subtracts the superseded entry and adds the new one instead of re-summing
-every child, and a count of the child finals it still awaits: when that
-reaches zero it sums its final table. The root is the node that publishes
-instead of emitting; a publication copies its table of that kind, which
-is already in child order.
+A node is its index in ``tree.order()``, 0 being the root, and each
+per-node field is a list indexed by it: parent and slot among siblings
+(both from one pass over ``order()`` and each node's children), channel,
+eligible-voter ceiling, next sequence number, attacks per report kind.
+Records read their ids from ``order()``. Only internal nodes get, per
+report kind, a child table holding each child's latest accepted (child,
+seq, counts) entry at its slot; a running total of the preliminary
+table, so an accept subtracts the superseded entry and adds the new one
+instead of re-summing every child; and a count of the child finals still
+awaited: at zero the node sums its final table. A publication copies the
+root's table of its kind, which is already in child order.
 
 Records, counts and ids are tuples; ``run`` builds each of a large run's
 ~100k records, and each new preliminary total, with one call of tuple's
@@ -118,46 +119,6 @@ class NoiseModel:
             return VoteCount(counts.yes - moved, counts.no + moved, counts.blank, counts.invalid)
         moved = min(magnitude, counts.no)
         return VoteCount(counts.yes + moved, counts.no - moved, counts.blank, counts.invalid)
-
-
-class _NodeState:
-    """What an event needs about one node, resolved once before a run."""
-
-    __slots__ = (
-        "node", "parent", "position", "channel", "eligible", "prelim_attacks",
-        "final_attacks", "next_seq", "prelim_table", "final_table", "prelim_total",
-        "finals_pending",
-    )
-
-    def __init__(
-        self,
-        node: JurisdictionId,
-        parent: "_NodeState | None",
-        position: int,
-        channel: ChannelSpec | None,
-        eligible: int | None,
-        fanout: int,
-    ) -> None:
-        self.node = node
-        # None at the root, which publishes instead of emitting.
-        self.parent = parent
-        # Index among the parent's children: this node's slot in its tables.
-        self.position = position
-        # The preliminary channel up to the parent; finals ride the postal one.
-        self.channel = channel
-        self.eligible = eligible
-        # Indices into Simulation.attacks, in configuration order.
-        self.prelim_attacks: tuple[int, ...] = ()
-        self.final_attacks: tuple[int, ...] = ()
-        self.next_seq = 1
-        # Per report kind, the child table: each child's latest accepted
-        # (child, seq, counts) entry at the child's position, None before one.
-        self.prelim_table: list[tuple[JurisdictionId, int, VoteCount] | None] = [None] * fanout
-        self.final_table: list[tuple[JurisdictionId, int, VoteCount] | None] = [None] * fanout
-        # [yes, no, blank, invalid] summed over the preliminary table.
-        self.prelim_total = [0, 0, 0, 0]
-        # Children whose final has not arrived yet.
-        self.finals_pending = fanout
 
 
 @dataclass(frozen=True)
@@ -279,29 +240,46 @@ class Simulation:
         fires_left: list[int | None] = [a.first_n for a in attacks]
 
         # order() lists each parent before its children. The root never
-        # sends, so it needs no channel or ceiling.
-        root = tree.root
-        states = {root: _NodeState(root, None, 0, None, None, len(tree.children(root)))}
-        for node in tree.order():
-            state = states[node]
-            for position, child in enumerate(tree.children(node)):
-                states[child] = _NodeState(
-                    child, state, position, self.channels[child],
-                    tree.eligible_voters.get(child), len(tree.children(child)),
-                )
+        # sends, so its parent, slot, channel and ceiling are never read.
+        order = tree.order()
+        index = {node: i for i, node in enumerate(order)}
+        size = len(order)
+        parent, slot = [0] * size, [0] * size
+        # An internal node's child tables (an entry is None before the first
+        # accept), its [yes, no, blank, invalid] preliminary total and the
+        # child finals it still awaits; a leaf's are None, None, None and 0.
+        prelim_tables: list = [None] * size
+        final_tables: list = [None] * size
+        prelim_totals: list = [None] * size
+        finals_pending = [0] * size
+        for i, node in enumerate(order):
+            kids = tree.children(node)
+            for position, child in enumerate(kids):
+                parent[index[child]], slot[index[child]] = i, position
+            if kids:
+                prelim_tables[i], final_tables[i] = [None] * len(kids), [None] * len(kids)
+                prelim_totals[i] = [0, 0, 0, 0]
+                finals_pending[i] = len(kids)
+        # The preliminary channel up to the parent; finals ride the postal one.
+        channel = list(map(self.channels.get, order))
+        eligible = list(map(tree.eligible_voters.get, order))
+        next_seq = [1] * size
+        # Indices into Simulation.attacks, in configuration order.
+        prelim_attacks: list[tuple[int, ...]] = [()] * size
+        final_attacks: list[tuple[int, ...]] = [()] * size
         for idx, attack in enumerate(attacks):
-            state = states[attack.edge_child]
+            edge = index[attack.edge_child]
             if attack.report_kind is final:
-                state.final_attacks += (idx,)
+                final_attacks[edge] += (idx,)
             else:
-                state.prelim_attacks += (idx,)
+                prelim_attacks[edge] += (idx,)
 
         def fire(
-            time: int, state: _NodeState, seq: int, counts: VoteCount,
+            time: int, sender: int, seq: int, counts: VoteCount,
             delivery: int, kind: ReportKind, indices: tuple[int, ...],
         ) -> tuple[VoteCount, int]:
-            """Apply the attacks ``indices`` to what ``state`` sends, in configuration order."""
-            node, receiver = state.node, state.parent.node
+            """Apply the attacks ``indices`` to what ``sender`` sends, in configuration order."""
+            node, receiver = order[sender], order[parent[sender]]
             for idx in indices:
                 attack = attacks[idx]
                 left = fires_left[idx]
@@ -322,47 +300,46 @@ class Simulation:
                     # same tick, so it is processed before the genuine report it
                     # shadows.
                     forged = attack.forged_seq or seq + attack.seq_offset  # forged_seq >= 1
-                    schedule(delivery, (kind, state, forged, attack.forged_counts))
+                    schedule(delivery, (kind, sender, forged, attack.forged_counts))
                 fields = (time, attack.kind.value, node, receiver, attack.mode, attack.describe())
                 append(new(AttackRecord, fields))
             return counts, delivery
 
         # Noise draws come first and in leaf order, so the perturbed counts
         # do not depend on event interleaving.
-        leaves = [states[leaf] for leaf in tree.leaves()]
-        for state in leaves:
-            counts = self.ground_truth[state.node]
+        for leaf in tree.leaves():
+            counts = self.ground_truth[leaf]
             if self.noise:
                 counts = self.noise.perturb(counts, rng)
-            schedule(self.prelim_emit.get(state.node, 0), (None, state, prelim, counts))
-        for state in leaves:
-            at = self.final_emit.get(state.node, self.final_emit_default)
-            schedule(at, (None, state, final, self.ground_truth[state.node]))
+            schedule(self.prelim_emit.get(leaf, 0), (None, index[leaf], prelim, counts))
+        for leaf in tree.leaves():
+            at = self.final_emit.get(leaf, self.final_emit_default)
+            schedule(at, (None, index[leaf], final, self.ground_truth[leaf]))
 
         while ticks:
             time = heappop(ticks)
             # The list grows while it is read: what an event schedules for
             # this tick is appended, and runs after everything queued before.
-            for kind, state, what, counts in buckets[time]:
+            for kind, i, what, counts in buckets[time]:
                 if kind is prelim:
-                    sender, state = state, state.parent  # the receiver is ``state`` now
-                    sender_id = sender.node
-                    eligible = sender.eligible
-                    if eligible is not None and sum(counts) > eligible:
+                    sender, i = i, parent[i]  # the receiver is ``i`` now
+                    sender_id, receiver_id = order[sender], order[i]
+                    ceiling = eligible[sender]
+                    if ceiling is not None and sum(counts) > ceiling:
                         reason = REASON_OVER_ELIGIBLE
                     else:
                         reason = None if accept(sender_id, what) else REASON_STALE_SEQUENCE
                     append(new(DeliverRecord, (
-                        time, sender_id, state.node, sender.channel.name, prelim, what, counts,
+                        time, sender_id, receiver_id, channel[sender].name, prelim, what, counts,
                         reason is None, reason,
                     )))
                     if reason is not None:
-                        append(new(DetectRecord, (time, state.node, reason, sender_id, what)))
+                        append(new(DetectRecord, (time, receiver_id, reason, sender_id, what)))
                         continue
-                    table, slot = state.prelim_table, sender.position
-                    old = table[slot]
-                    table[slot] = (sender_id, what, counts)
-                    total = state.prelim_total
+                    table, position = prelim_tables[i], slot[sender]
+                    old = table[position]
+                    table[position] = (sender_id, what, counts)
+                    total = prelim_totals[i]
                     if old is not None:
                         prev = old[2]
                         total[0] -= prev[0]
@@ -380,45 +357,46 @@ class Simulation:
                     # where no attack can forge another: Simulation refuses
                     # front-run there. So each child's final arrives exactly once,
                     # and the count reaches zero exactly once: at the last one.
-                    sender, state = state, state.parent
-                    table = state.final_table
-                    table[sender.position] = (sender.node, what, counts)
+                    sender, i = i, parent[i]
+                    sender_id, receiver_id = order[sender], order[i]
+                    table = final_tables[i]
+                    table[slot[sender]] = (sender_id, what, counts)
                     append(new(DeliverRecord, (
-                        time, sender.node, state.node, postal_name, final, what, counts, True, None,
+                        time, sender_id, receiver_id, postal_name, final, what, counts, True, None,
                     )))
-                    state.finals_pending -= 1
-                    if state.finals_pending:
+                    finals_pending[i] -= 1
+                    if finals_pending[i]:
                         continue
                     counts = accumulate(c for _, _, c in table)
                 else:
                     kind = what
                 # Report up: the root publishes ``counts``, any other node emits them.
-                if state.parent is None:
-                    # A publication lists the child entries of its kind it sums.
-                    table = state.final_table if kind is final else state.prelim_table
+                if not i:
+                    # A publication lists the child entries it sums: ``table``
+                    # is the root's of this kind, as no leaf is the root.
                     entries = tuple(filter(None, table))
-                    append(new(PublishRecord, (time, state.node, kind, counts, entries)))
+                    append(new(PublishRecord, (time, order[0], kind, counts, entries)))
                     continue
-                seq = state.next_seq
-                state.next_seq = seq + 1
-                append(new(EmitRecord, (time, state.node, kind, seq, counts)))
+                seq = next_seq[i]
+                next_seq[i] = seq + 1
+                append(new(EmitRecord, (time, order[i], kind, seq, counts)))
                 if kind is final:
-                    delivery, indices = time + postal_latency, state.final_attacks
+                    delivery, indices = time + postal_latency, final_attacks[i]
                 else:
-                    delivery, indices = time + state.channel.base_latency, state.prelim_attacks
+                    delivery, indices = time + channel[i].base_latency, prelim_attacks[i]
                 if jitter_max:
                     drawn = getrandbits(jitter_bits)
                     while drawn > jitter_max:
                         drawn = getrandbits(jitter_bits)
                     delivery += drawn
                 if indices:
-                    counts, delivery = fire(time, state, seq, counts, delivery, kind, indices)
+                    counts, delivery = fire(time, i, seq, counts, delivery, kind, indices)
                 bucket = buckets.get(delivery)  # schedule(), inlined
                 if bucket is None:
-                    buckets[delivery] = [(kind, state, seq, counts)]
+                    buckets[delivery] = [(kind, i, seq, counts)]
                     heappush(ticks, delivery)
                 else:
-                    bucket.append((kind, state, seq, counts))
+                    bucket.append((kind, i, seq, counts))
             del buckets[time]
 
         return EventTrace(

@@ -199,6 +199,8 @@ def _certificate_file(path: Path) -> Certificate:
         return certificate_from_text(path.read_bytes().decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

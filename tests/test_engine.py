@@ -42,7 +42,7 @@ from votewire.traces import (
     EventTrace,
     PublishRecord,
 )
-from votewire.tree import JurisdictionId, tree_from_paths
+from votewire.tree import JurisdictionId, JurisdictionTree, tree_from_paths
 
 CH = JurisdictionId.of("CH")
 A = JurisdictionId.of("CH", "A")
@@ -643,8 +643,15 @@ class TestDeterminism:
 
 @st.composite
 def random_simulations(draw) -> Simulation:
-    """A small run on an uneven tree of 2 to 4 levels, with attacks and noise."""
+    """A small run on an uneven tree of 2 to 4 levels, with attacks and noise.
+
+    Children are listed in a drawn order, as in ``test_tree.shuffled_trees``:
+    a run that took a child's slot from sorted ids or from its rank in
+    ``order()`` would then differ from the reference.
+    """
     paths = draw(uneven_tree_paths())
+    shape = tree_from_paths(paths)
+    children = {node: draw(st.permutations(shape.children(node))) for node in shape.order()}
     leaves = [JurisdictionId(p) for p in paths]
     edges = sorted({JurisdictionId(p[:i]) for p in paths for i in range(2, len(p) + 1)}, key=str)
     small_counts = st.builds(
@@ -683,7 +690,7 @@ def random_simulations(draw) -> Simulation:
     noise = draw(st.none() | st.builds(NoiseModel, st.floats(0.0, 1.0), st.integers(1, 5)))
     return Simulation(
         election_id="prop",
-        tree=tree_from_paths(paths, eligible_voters=eligible),
+        tree=JurisdictionTree(shape.root, children, eligible_voters=eligible),
         channels=channels,
         ground_truth=truth,
         seed=draw(st.integers(0, 2**16)),

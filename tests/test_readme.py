@@ -17,7 +17,12 @@ from pathlib import Path
 import pytest
 
 from votewire import cli
+from votewire.analysis import bundled_results_path, canton_final_counts, discrepancy_stats, load_results
+from votewire.counts import accumulate
+from votewire.flips import min_flips_popular
 from votewire.scenario import build_simulation, parse_scenario
+from votewire.swiss import FEDERAL_CODE, swiss_tree
+from votewire.tally import popular_outcome
 from votewire.tree import JurisdictionId
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -54,6 +59,24 @@ def test_json_scenario_block_builds():
     assert config.channels[JurisdictionId.of("CH", "BL")].signed
     trace = build_simulation(config).run()
     assert trace.final_publish().counts.yes == 1_128_522
+
+
+def test_the_flip_and_the_discrepancy_are_compared_in_one_unit():
+    rows = [r for r in load_results(bundled_results_path("rtvg_2015")) if r.referendum_id == "rtvg-2015"]
+    national = accumulate(canton_final_counts(rows, swiss_tree()).values())
+    flips = min_flips_popular(national, popular_outcome(national).opposite()).total_flips
+    # A discrepancy is |Δyes| + |Δno|, and a flip moves each by one.
+    stats = discrepancy_stats(load_results(bundled_results_path("discrepancy_maxima")))
+    worst = max(
+        (s for s in stats.per_canton if s.canton != FEDERAL_CODE), key=lambda s: s.max_abs_discrepancy
+    )
+    assert worst.max_abs_discrepancy > 2 * flips
+    sentence = (
+        f"the {flips} flips such an attack needs read as a discrepancy of {2 * flips}. "
+        f"A single canton, {worst.canton}, has misreported by {worst.max_abs_discrepancy}, "
+        "more than that"
+    )
+    assert sentence in " ".join(README.read_text(encoding="utf-8").split())
 
 
 def cli_examples() -> list[tuple[str, list[str]]]:

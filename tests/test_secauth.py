@@ -308,6 +308,12 @@ class TestTrustStore:
         with pytest.raises(ParseError, match=r"CH__ZH\.cert is not UTF-8 text"):
             TrustStore.load(tmp_path)
 
+    def test_a_malformed_certificate_file_is_named(self, deep, tmp_path):
+        deep.save(tmp_path)
+        (tmp_path / "CH__ZH.cert").write_text("garbage\n")
+        with pytest.raises(ParseError, match=r"CH__ZH\.cert: expected 6 lines after line 0, found 1$"):
+            TrustStore.load(tmp_path)
+
     def test_two_nodes_sharing_a_file_name_are_refused_before_writing(self, tmp_path):
         # CH/a__b and CH/a/b both map to CH__a__b.cert.
         store = provision_tree(tree_from_paths([("CH", "a__b"), ("CH", "a", "b")]), seed=b"x")
