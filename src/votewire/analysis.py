@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import csv
 import datetime
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
-from .counts import VoteCount
-from .errors import DuplicateRecord, MissingCanton, ParseError
+from .counts import MAX_COUNT, VoteCount, parse_decimal
+from .errors import ArithmeticOverflow, DuplicateRecord, MissingCanton, ParseError
 from .swiss import FEDERAL_CODE
 from .tree import JurisdictionId, JurisdictionTree
 
@@ -31,6 +32,8 @@ RESULTS_HEADER = (
     "final_no",
     "final_total",
 )
+# ASCII only: date.fromisoformat alone takes other forms on Python 3.11+.
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,15 +110,19 @@ def parse_results(text: str) -> list[HistoricalRecord]:
         if not ref_id or not canton:
             raise ParseError(f"row {rowno}: referendum_id and canton must be nonempty")
         try:
+            if not _DATE_RE.fullmatch(date_text):
+                raise ValueError("not YYYY-MM-DD")
             date = datetime.date.fromisoformat(date_text)
         except ValueError as exc:
             raise ParseError(f"row {rowno}: bad date {date_text!r}") from exc
-        try:
-            p_yes, p_no, f_yes, f_no, f_total = (int(v) for v in row[3:])
-        except ValueError as exc:
-            raise ParseError(f"row {rowno}: counts must be integers") from exc
-        if min(p_yes, p_no, f_yes, f_no, f_total) < 0:
-            raise ParseError(f"row {rowno}: counts must be >= 0")
+        counts = []
+        for name, text in zip(RESULTS_HEADER[3:], row[3:]):
+            counts.append(parse_decimal(text, f"row {rowno}: {name}"))
+            if counts[-1] > MAX_COUNT:
+                raise ArithmeticOverflow(
+                    f"row {rowno}: {name}={text} exceeds the 64-bit count range"
+                )
+        p_yes, p_no, f_yes, f_no, f_total = counts
         if f_total < f_yes + f_no:
             raise ParseError(
                 f"row {rowno}: final_total {f_total} is less than final yes+no {f_yes + f_no}"

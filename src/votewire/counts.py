@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, NamedTuple
 
-from .errors import ArithmeticOverflow
+from .errors import ArithmeticOverflow, ParseError
 
 # Counts must stay representable as signed 64-bit integers so they survive
 # every wire and file format in this package unchanged.
 MAX_COUNT = 2**63 - 1
+
+# The one decimal form every count reader accepts, in files and on the wire.
+_DECIMAL_RE = re.compile(r"\A(?:0|[1-9][0-9]*)\Z")
 
 
 class _CountFields(NamedTuple):
@@ -61,6 +65,19 @@ class VoteCount(_CountFields):
         raise TypeError("VoteCount does not support + or *; accumulate() is the checked sum")
 
     __add__ = __radd__ = __mul__ = __rmul__ = _no_concatenation
+
+
+def parse_decimal(value: str, where: str, minimum: int = 0) -> int:
+    """An ASCII decimal with no sign, no padding and no leading zero."""
+    if not _DECIMAL_RE.match(value):
+        raise ParseError(f"{where}: expected a canonical decimal, found {value!r}")
+    try:
+        number = int(value)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"{where}: {len(value)} digits is too many") from None
+    if number < minimum:
+        raise ParseError(f"{where} must be >= {minimum}")
+    return number
 
 
 def accumulate(reports: Iterable[VoteCount]) -> VoteCount:

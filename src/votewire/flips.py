@@ -3,9 +3,12 @@
 A flip moves one ballot from one side to the other, so every flip changes
 the yes/no margin by two. Costs follow the tally, ties included: a tie
 rejects, so erasing a yes lead is enough to reject. The cantonal solver
-picks the cheapest set of cantons to flip by an exact dynamic program over
-half-vote units; with half-canton weights in play a greedy choice is not
-always optimal.
+picks the cheapest set of cantons to flip by one exact 0/1 knapsack over
+half-vote units, capped at the weight the target still lacks; with
+half-canton weights in play a greedy choice is not always optimal. Each
+cell holds its own selection, so nothing is traced back. Cantons enter in
+tree order and a canton takes over a cell only when strictly cheaper, so
+of equally cheap selections the one without the later canton is kept.
 """
 
 from __future__ import annotations
@@ -37,9 +40,6 @@ class FlipPlan:
             raise ValueError("per-canton flip counts must be >= 0")
         if self.total_flips != sum(self.flips_per_canton.values()):
             raise ValueError("total_flips must equal the sum of per-canton flips")
-
-    def cantons(self) -> tuple[JurisdictionId, ...]:
-        return tuple(c for c in self.flips_per_canton if c is not None)
 
 
 def flips_to_majority(counts: VoteCount, target: Decision) -> int:
@@ -92,80 +92,6 @@ def min_flips_popular(counts: VoteCount, target: Decision) -> FlipPlan:
     return FlipPlan({None: k}, k, target)
 
 
-def _canton_flip_items(
-    per_canton: Mapping[JurisdictionId, VoteCount],
-    tree: JurisdictionTree,
-    target: Decision,
-) -> tuple[int, list[tuple[JurisdictionId, int, int]]]:
-    """Half votes of cantons reading ``target``, plus (canton, half_votes, cost) for the rest.
-
-    A canton reads a target as the popular vote does: for acceptance it
-    needs a yes majority of its own, while for rejection a tie is enough,
-    since a tied canton casts no yes weight. Cantons that cannot reach
-    the target at all (no opposing ballots left to flip) are silently
-    excluded from the item list.
-    """
-    held_half = 0
-    items: list[tuple[JurisdictionId, int, int]] = []
-    for canton in tree.cantons():
-        half = tree.canton_half_votes[canton]
-        try:
-            cost = flips_to_majority(per_canton[canton], target)
-        except Infeasible:
-            continue
-        if cost:
-            items.append((canton, half, cost))
-        else:
-            held_half += half
-    return held_half, items
-
-
-def _cheapest_cover(
-    items: list[tuple[JurisdictionId, int, int]],
-    deficit_half: int,
-) -> tuple[list[tuple[JurisdictionId, int]], int] | None:
-    """Exact min-cost subset of items whose half votes total at least ``deficit_half``.
-
-    Dynamic program over half-vote units (capacity is the deficit, at most
-    the tree's total weight, 46 for the Swiss hierarchy). Returns the
-    chosen (canton, cost) list and the total cost, or None when even
-    selecting everything falls short.
-    """
-    inf = float("inf")
-    # dp[i][h]: min cost over the first i items reaching >= h half votes (h capped).
-    n = len(items)
-    dp = [[inf] * (deficit_half + 1) for _ in range(n + 1)]
-    dp[0][0] = 0
-    for i, (_, half, cost) in enumerate(items):
-        row, nxt = dp[i], dp[i + 1]
-        for h in range(deficit_half + 1):
-            if row[h] is inf:
-                continue
-            if row[h] < nxt[h]:
-                nxt[h] = row[h]
-            reach = min(deficit_half, h + half)
-            if row[h] + cost < nxt[reach]:
-                nxt[reach] = row[h] + cost
-    if dp[n][deficit_half] is inf:
-        return None
-    chosen: list[tuple[JurisdictionId, int]] = []
-    h = deficit_half
-    for i in range(n, 0, -1):
-        canton, half, cost = items[i - 1]
-        if dp[i][h] == dp[i - 1][h]:
-            continue
-        chosen.append((canton, cost))
-        # Undo the item: find the predecessor state it came from.
-        for prev in range(deficit_half + 1):
-            if min(deficit_half, prev + half) == h and dp[i - 1][prev] + cost == dp[i][h]:
-                h = prev
-                break
-        else:
-            raise AssertionError("dp backtrack lost its predecessor state")
-    chosen.reverse()
-    return chosen, int(dp[n][deficit_half])
-
-
 def min_flips_cantonal(
     per_canton: Mapping[JurisdictionId, VoteCount],
     tree: JurisdictionTree,
@@ -174,7 +100,9 @@ def min_flips_cantonal(
     """Cheapest flips after which the cantonal vote reads ``target``.
 
     Per-canton cost is the canton's own flip count (``flips_to_majority``);
-    the selection of cantons is solved exactly, not greedily.
+    cantons that already read the target hold their weight for free, and
+    cantons with no opposing ballots left cannot be flipped at all. The
+    selection of the rest is solved exactly, not greedily.
     """
     current, _, _ = cantonal_outcome(per_canton, tree)
     if current is target:
@@ -183,20 +111,39 @@ def min_flips_cantonal(
     # Acceptance needs yes cantons holding strictly more than half the
     # weight; rejection needs the other cantons to hold at least the rest.
     if target is Decision.ACCEPTED:
-        need_half = total_half // 2 + 1
+        deficit = total_half // 2 + 1
     else:
-        need_half = total_half - total_half // 2
-    held_half, items = _canton_flip_items(per_canton, tree, target)
-    deficit_half = need_half - held_half
-    if deficit_half <= 0:
-        # The weight is already there; the recount above says otherwise only
-        # if the caller's counts are inconsistent.
-        return FlipPlan({}, 0, target)
-    cover = _cheapest_cover(items, deficit_half)
-    if cover is None:
+        deficit = total_half - total_half // 2
+    costs: dict[JurisdictionId, int] = {}
+    for canton in tree.cantons():
+        try:
+            cost = flips_to_majority(per_canton[canton], target)
+        except Infeasible:
+            continue
+        if cost:
+            costs[canton] = cost
+        else:
+            deficit -= tree.canton_half_votes[canton]
+    # The recount above found the held weight short, so deficit > 0.
+    # best[h]: the cheapest (cost, chosen (canton, flips) pairs) adding h
+    # half votes, h capped at the deficit, or None while none does. A
+    # canton replaces a cell only when strictly cheaper, so on a tie the
+    # selection without it stays, then the one from the smallest h.
+    best: list[tuple[int, tuple[tuple[JurisdictionId, int], ...]] | None]
+    best = [(0, ())] + [None] * deficit
+    for canton, cost in costs.items():
+        row = best[:]
+        for h, entry in enumerate(best):
+            if entry is None:
+                continue
+            reach = min(deficit, h + tree.canton_half_votes[canton])
+            if row[reach] is None or entry[0] + cost < row[reach][0]:
+                row[reach] = (entry[0] + cost, entry[1] + ((canton, cost),))
+        best = row
+    if best[deficit] is None:
         raise Infeasible("flipping every flippable canton still leaves the target short")
-    chosen, total = cover
-    return FlipPlan({c: cost for c, cost in chosen}, total, target)
+    total, chosen = best[deficit]
+    return FlipPlan(dict(chosen), total, target)
 
 
 def min_flips_double(
@@ -216,34 +163,19 @@ def min_flips_double(
     national = accumulate(per_canton.values())
     popular_need = flips_to_majority(national, target)
 
-    current, _, _ = cantonal_outcome(per_canton, tree)
-    base: dict[JurisdictionId, int] = {}
-    if current is not target:
-        cantonal_plan = min_flips_cantonal(per_canton, tree, target)
-        base = dict(cantonal_plan.flips_per_canton)
-    structural = sum(base.values())
-
-    extra = popular_need - structural
-    if extra > 0:
-        # Pour the remaining national flips into whichever cantons still have
-        # opposing ballots, selected cantons first so their majorities widen.
-        pool = national.no if target is Decision.ACCEPTED else national.yes
-        if popular_need > pool:
-            raise Infeasible("the national pool has too few opposing ballots")
-        ordering = list(base) + [c for c in tree.cantons() if c not in base]
-        for canton in ordering:
-            if extra == 0:
-                break
-            counts = per_canton[canton]
-            opposing = counts.no if target is Decision.ACCEPTED else counts.yes
-            room = opposing - base.get(canton, 0)
-            if room <= 0:
-                continue
-            take = min(room, extra)
+    base = dict(min_flips_cantonal(per_canton, tree, target).flips_per_canton)
+    # Pour the national flips the selection leaves short into whichever
+    # cantons still have opposing ballots, selected cantons first so their
+    # majorities widen. Those ballots make up the national pool, which
+    # flips_to_majority has found large enough, so every flip finds room.
+    extra = popular_need - sum(base.values())
+    for canton in [*base, *(c for c in tree.cantons() if c not in base)]:
+        counts = per_canton[canton]
+        opposing = counts.no if target is Decision.ACCEPTED else counts.yes
+        take = min(opposing - base.get(canton, 0), extra)
+        if take > 0:
             base[canton] = base.get(canton, 0) + take
             extra -= take
-        if extra > 0:
-            raise Infeasible("the national pool has too few opposing ballots")
 
     plan = FlipPlan(base, sum(base.values()), target)
     _assert_double_plan(per_canton, tree, plan, target)

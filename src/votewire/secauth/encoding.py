@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from typing import Iterable
 
+from ..counts import parse_decimal
 from ..errors import EncodingError, ParseError
 from ..reports import Report, ReportKind
 from ..tree import JurisdictionId
@@ -30,7 +31,6 @@ CERT_FIELDS = ("subject", "issuer", "serial", "scheme", "public_key", "issuer_si
 # The signed part of a certificate, written after a ``cert-`` prefix.
 _PAYLOAD_FIELDS = ("subject", "issuer", "serial", "scheme", "public-key")
 
-_DECIMAL_RE = re.compile(r"\A(?:0|[1-9][0-9]*)\Z")
 # Each line with its line feed, then an unterminated rest, if any.
 _LINE_RE = re.compile(r"[^\n]*\n|[^\n]+\Z")
 _HEX_RE = re.compile(r"\A(?:[0-9a-f]{2})+\Z")
@@ -119,19 +119,6 @@ def parse_fields(
             raise ParseError(f"line {i}: expected '{head}...', found {body[:40]!r}")
         values[field] = body[len(head):]
     return values
-
-
-def parse_decimal(value: str, where: str, minimum: int = 0) -> int:
-    """An ASCII decimal with no sign, no padding and no leading zero."""
-    if not _DECIMAL_RE.match(value):
-        raise ParseError(f"{where}: expected a canonical decimal, found {value!r}")
-    try:
-        number = int(value)
-    except ValueError:  # more digits than int() converts
-        raise ParseError(f"{where}: {len(value)} digits is too many") from None
-    if number < minimum:
-        raise ParseError(f"{where} must be >= {minimum}")
-    return number
 
 
 def parse_hex(value: str, where: str) -> bytes:

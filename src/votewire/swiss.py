@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .channels import PRESETS
+from .counts import parse_decimal
 from .errors import ParseError
 from .tree import JurisdictionId, JurisdictionTree
 
@@ -45,20 +46,19 @@ def parse_cantons(text: str) -> tuple[CantonInfo, ...]:
     reader = csv.DictReader(text.splitlines())
     rows: list[CantonInfo] = []
     for lineno, row in enumerate(reader, start=2):
+        where = f"swiss_cantons.csv row {lineno}"
         try:
             info = CantonInfo(
                 code=row["code"],
                 name=row["name"],
-                half_votes=int(row["half_votes"]),
-                eligible_voters=int(row["eligible_voters"]),
+                half_votes=parse_decimal(row["half_votes"], f"{where}: half_votes"),
+                eligible_voters=parse_decimal(row["eligible_voters"], f"{where}: eligible_voters"),
                 channel=row["channel"],
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"swiss_cantons.csv row {lineno}: {exc}") from exc
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"{where}: {exc}") from exc
         if info.channel not in CHANNEL_TAGS:
-            raise ParseError(
-                f"swiss_cantons.csv row {lineno}: unknown channel tag {info.channel!r}"
-            )
+            raise ParseError(f"{where}: unknown channel tag {info.channel!r}")
         rows.append(info)
     codes = [r.code for r in rows]
     if len(codes) != len(set(codes)):

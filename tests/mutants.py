@@ -34,6 +34,7 @@ ROOT = Path(__file__).resolve().parents[1]
 ENGINE = "votewire/engine.py"
 TEST_ENGINE = "tests/test_engine.py"
 REFERENCE = f"{TEST_ENGINE}::TestAgainstTheReference"
+FLIPS = "votewire/flips.py"
 # A pytest run that takes longer has hung; it kills nothing.
 TIMEOUT_S = 600
 
@@ -82,6 +83,26 @@ MUTANTS = (
         "            for position, child in enumerate(kids):\n",
         "            for position, child in enumerate(sorted(kids)):\n",
         (f"{REFERENCE}::test_random_runs_match_the_reference",),
+    ),
+    Mutant(
+        "a canton extends a selection that already holds it",
+        FLIPS,
+        "        for h, entry in enumerate(best):\n",
+        "        for h, entry in enumerate(row):\n",
+        (
+            "tests/test_acceptance.py::test_criterion_2_cantonal_selection",
+            "tests/test_cli.py::TestFlip::test_double_flip_selects_cheapest_cantons",
+        ),
+    ),
+    Mutant(
+        "an equally cheap selection with the later canton replaces one without it",
+        FLIPS,
+        "entry[0] + cost < row[reach][0]",
+        "entry[0] + cost <= row[reach][0]",
+        (
+            "tests/test_flips.py::TestCantonalSolver::test_equal_cost_plans_keep_the_earlier_canton",
+            "tests/test_flips.py::TestCantonalSolver::test_three_equal_cantons_need_one_more",
+        ),
     ),
     Mutant(
         "a stale refusal lowers the last accepted sequence number",

@@ -84,7 +84,7 @@ def test_criterion_2_cantonal_selection():
         per_canton = family_final_counts()
         plan = min_flips_cantonal(per_canton, tree, Decision.ACCEPTED)
         gr, zg = canton_id("GR"), canton_id("ZG")
-        assert set(plan.cantons()) == {gr, zg}
+        assert set(plan.flips_per_canton) == {gr, zg}
         assert plan.flips_per_canton[gr] == 896
         assert plan.flips_per_canton[zg] == 934
         # Independent linear-scan oracle for each selected canton's cost.

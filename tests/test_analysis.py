@@ -16,7 +16,7 @@ from votewire.analysis import (
     parse_results,
 )
 from votewire.counts import VoteCount
-from votewire.errors import DuplicateRecord, MissingCanton, ParseError
+from votewire.errors import ArithmeticOverflow, DuplicateRecord, MissingCanton, ParseError
 from votewire.swiss import canton_id, load_cantons, swiss_tree
 
 HEADER = "referendum_id,date,canton,prelim_yes,prelim_no,final_yes,final_no,final_total"
@@ -59,6 +59,30 @@ class TestParsing:
         text = HEADER + "\nr1,2015-99-14,ZH,1,2,3,4,10\n"
         with pytest.raises(ParseError, match="row 2"):
             parse_results(text)
+
+    @pytest.mark.parametrize("count", ["1_000", " +5 ", "\u0663", "0005", "-0"])
+    def test_counts_must_be_canonical_decimals(self, count):
+        text = HEADER + f"\nr1,2015-06-14,ZH,{count},2,3,4,10\n"
+        with pytest.raises(ParseError) as exc:
+            parse_results(text)
+        assert str(exc.value) == f"row 2: prelim_yes: expected a canonical decimal, found {count!r}"
+
+    @pytest.mark.parametrize("date", ["20150614", "2015-W24-7", "2015W247"])
+    def test_dates_must_be_year_month_day(self, date):
+        # Python 3.11+ reads each of these as 2015-06-14; 3.10 refuses them.
+        text = HEADER + f"\nr1,{date},ZH,1,2,3,4,10\n"
+        with pytest.raises(ParseError) as exc:
+            parse_results(text)
+        assert str(exc.value) == f"row 2: bad date {date!r}"
+
+    def test_count_past_the_64_bit_range_names_its_row(self):
+        top = 2**63 - 1
+        (rec,) = parse_results(HEADER + f"\nr1,2015-06-14,ZH,{top},0,0,0,{top}\n")
+        assert rec.preliminary.yes == rec.final.blank == top
+        text = HEADER + f"\nr1,2015-06-14,ZH,1,2,3,4,10\nr1,2015-06-14,BE,1,2,3,4,{top + 1}\n"
+        with pytest.raises(ArithmeticOverflow) as exc:
+            parse_results(text)
+        assert str(exc.value) == f"row 3: final_total={top + 1} exceeds the 64-bit count range"
 
     def test_short_row_reports_row_number(self):
         text = HEADER + "\nr1,2015-06-14,ZH,1,2,3\n"

@@ -497,6 +497,16 @@ class TestAnalyze:
         assert "row 3" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("date, count", [("20150614", "1000"), ("2015-06-14", "1_000")])
+    def test_a_count_or_date_in_another_form_is_a_user_error(self, tmp_path, capsys, date, count):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "referendum_id,date,canton,prelim_yes,prelim_no,final_yes,final_no,final_total\n"
+            f"r1,{date},ZH,{count},2,3,4,10\n"
+        )
+        assert main(["analyze", "--results", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: row 2: ")
+
 class TestFlip:
     def test_popular_flip_total(self, capsys):
         code = main(

@@ -107,10 +107,22 @@ class TestCantonalSolver:
         }
         plan = min_flips_cantonal(per_canton, tree, ACCEPT)
         assert plan.total_flips == 2
-        assert len(plan.cantons()) == 1
-        assert plan.cantons()[0] in (canton_id("B"), canton_id("C"))
+        # B and C cost the same; the earlier canton in tree order is kept.
+        assert plan.flips_per_canton == {canton_id("B"): 2}
         decision, _, _ = cantonal_outcome(apply_plan(per_canton, plan), tree)
         assert decision is ACCEPT
+
+    def test_equal_cost_plans_keep_the_earlier_canton(self):
+        # Either canton alone rejects at one flip; a later canton enters the
+        # plan only when it is strictly cheaper.
+        tree = make_canton_tree({"A": 2, "B": 2})
+        per_canton = {
+            canton_id("A"): VoteCount(yes=4, no=2),
+            canton_id("B"): VoteCount(yes=3, no=2),
+        }
+        plan = min_flips_cantonal(per_canton, tree, REJECT)
+        assert plan.flips_per_canton == {canton_id("A"): 1}
+        assert plan.total_flips == 1
 
     def test_half_votes_defeat_greedy_selection(self):
         # One full canton at cost 3 beats two half cantons at cost 2 each.

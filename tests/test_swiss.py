@@ -55,6 +55,21 @@ def test_channel_tag_must_name_an_unsigned_preset(tag):
     assert str(exc.value) == f"swiss_cantons.csv row 2: unknown channel tag {tag!r}"
 
 
+@pytest.mark.parametrize("field", ["half_votes", "eligible_voters"])
+@pytest.mark.parametrize("value", ["+2", "2_0", "\u0662", "02", " 2"])
+def test_numbers_must_be_canonical_decimals(field, value):
+    numbers = {"half_votes": "2", "eligible_voters": "907623", field: value}
+    row = (
+        "code,name,half_votes,eligible_voters,channel\n"
+        f"ZH,Zürich,{numbers['half_votes']},{numbers['eligible_voters']},dedicated\n"
+    )
+    with pytest.raises(ParseError) as exc:
+        parse_cantons(row)
+    assert str(exc.value) == (
+        f"swiss_cantons.csv row 2: {field}: expected a canonical decimal, found {value!r}"
+    )
+
+
 def test_display_names_cover_known_cantons():
     names = {c.code: c.name for c in load_cantons()}
     assert names["GR"] == "Graubünden"
