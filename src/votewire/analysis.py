@@ -40,7 +40,6 @@ _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 class HistoricalRecord:
     referendum_id: str
     canton: str
-    date: datetime.date
     preliminary: VoteCount
     final: VoteCount
 
@@ -112,7 +111,7 @@ def parse_results(text: str) -> list[HistoricalRecord]:
         try:
             if not _DATE_RE.fullmatch(date_text):
                 raise ValueError("not YYYY-MM-DD")
-            date = datetime.date.fromisoformat(date_text)
+            datetime.date.fromisoformat(date_text)  # checked, not kept: nothing reads it
         except ValueError as exc:
             raise ParseError(f"row {rowno}: bad date {date_text!r}") from exc
         counts = []
@@ -135,7 +134,6 @@ def parse_results(text: str) -> list[HistoricalRecord]:
             HistoricalRecord(
                 referendum_id=ref_id,
                 canton=canton,
-                date=date,
                 preliminary=VoteCount(yes=p_yes, no=p_no),
                 # Whatever the final total holds beyond yes+no is blank/invalid.
                 final=VoteCount(yes=f_yes, no=f_no, blank=f_total - f_yes - f_no),

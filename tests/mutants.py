@@ -35,6 +35,9 @@ ENGINE = "votewire/engine.py"
 TEST_ENGINE = "tests/test_engine.py"
 REFERENCE = f"{TEST_ENGINE}::TestAgainstTheReference"
 FLIPS = "votewire/flips.py"
+TAIL_HIT = "        if known is not None and known[0] is child and known[1] is final:\n"
+RENDERING = f"{TEST_ENGINE}::TestRendering"
+LAZY = "tests/test_cli.py::TestLazyPackage"
 # A pytest run that takes longer has hung; it kills nothing.
 TIMEOUT_S = 600
 
@@ -120,6 +123,33 @@ MUTANTS = (
         "    with seq_state.lock:\n",
         "    if True:\n",
         ("tests/test_secauth.py::TestSequenceState::test_at_most_one_accept_under_concurrency",),
+    ),
+    Mutant(
+        "a divergence reuses a formatted tail stored for another child",
+        "votewire/adversary.py",
+        TAIL_HIT,
+        "        if known is not None and known[1] is final:\n",
+        (f"{RENDERING}::test_one_reported_count_under_two_children_and_two_finals",),
+    ),
+    Mutant(
+        "a divergence reuses a formatted tail stored for another final",
+        "votewire/adversary.py",
+        TAIL_HIT,
+        "        if known is not None and known[0] is child:\n",
+        (
+            f"{RENDERING}::test_one_reported_count_under_two_children_and_two_finals",
+            f"{RENDERING}::test_divergences_that_share_child_and_counts_keep_their_own_final",
+        ),
+    ),
+    Mutant(
+        "the package imports the flip solvers eagerly",
+        "votewire/__init__.py",
+        "from importlib import import_module\n",
+        "from importlib import import_module\n\nfrom . import flips\n",
+        (
+            f"{LAZY}::test_a_simulation_loads_neither_flips_nor_tally",
+            f"{LAZY}::test_a_bare_import_loads_no_submodule",
+        ),
     ),
     Mutant(
         "a front-run's default sequence offset is 999",

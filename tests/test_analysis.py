@@ -1,6 +1,5 @@
 """Results ingestion and discrepancy statistics."""
 
-import datetime
 from fractions import Fraction
 
 import pytest
@@ -29,7 +28,6 @@ def record(canton, prelim, final, total=None, ref="r1"):
     return HistoricalRecord(
         referendum_id=ref,
         canton=canton,
-        date=datetime.date(2015, 6, 14),
         preliminary=VoteCount(yes=p_yes, no=p_no),
         final=VoteCount(yes=f_yes, no=f_no, blank=total - f_yes - f_no),
     )

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import votewire
 from helpers import fresh_interpreter
 from votewire import cli
 from votewire.adversary import AttackKind, AttackSpec
@@ -711,6 +712,87 @@ class TestFreshInterpreter:
         )
         assert fresh_interpreter(probe).splitlines()[-1] == "False True"
         assert store_digest(out_dir) == SWISS_SEED7_STORE
+
+
+# The package's public names, by the submodule that defines each, as they
+# were when the package still imported every one of them eagerly.
+PUBLIC = {
+    "channels": (
+        "DEDICATED_SOFTWARE", "EMAIL", "FAX", "POSTAL_FINAL", "PRESETS", "TELEPHONE",
+        "ChannelSpec", "preset", "wrapped",
+    ),
+    "counts": ("VoteCount", "accumulate"),
+    "errors": (
+        "ArithmeticOverflow", "CapabilityError", "ConfigError", "DuplicateRecord",
+        "EncodingError", "HierarchyError", "Infeasible", "MissingCanton", "ParseError",
+        "StoreConflict", "SubjectMismatch", "VotewireError",
+    ),
+    "flips": (
+        "FlipPlan", "apply_flips", "apply_plan", "flips_to_majority", "min_flips_cantonal",
+        "min_flips_double", "min_flips_outcome", "min_flips_popular",
+    ),
+    "reports": ("Report", "ReportKind"),
+    "tally": (
+        "Decision", "MajorityRule", "Outcome", "ReferendumSpec", "cantonal_outcome",
+        "popular_outcome", "referendum_outcome",
+    ),
+    "tree": ("JurisdictionId", "JurisdictionTree", "tree_from_paths"),
+}
+
+
+class TestLazyPackage:
+    """The package resolves its public names on first access, so a
+    simulation loads neither the flip solvers nor the tally."""
+
+    def test_a_simulation_loads_neither_flips_nor_tally(self):
+        probe = (
+            "import sys\n"
+            "import votewire.tree, votewire.engine, votewire.adversary\n"
+            "print(sorted(m for m in ('votewire.flips', 'votewire.tally') if m in sys.modules))"
+        )
+        assert fresh_interpreter(probe).strip() == "[]"
+
+    def test_a_bare_import_loads_no_submodule(self):
+        probe = (
+            "import sys, votewire\n"
+            "print(sorted(m for m in sys.modules if m.startswith('votewire.')))"
+        )
+        assert fresh_interpreter(probe).strip() == "[]"
+
+    def test_each_public_name_is_the_object_its_submodule_defines(self):
+        assert len(votewire.__all__) == 43
+        assert votewire.__all__ == sorted(name for names in PUBLIC.values() for name in names)
+        probe = (
+            "import importlib, votewire\n"
+            "assert set(votewire.__all__) <= set(dir(votewire))\n"
+            "star = {}\n"
+            "exec('from votewire import *', star)\n"
+            f"for module, names in {PUBLIC!r}.items():\n"
+            "    defined = vars(importlib.import_module('votewire.' + module))\n"
+            "    for name in names:\n"
+            "        assert getattr(votewire, name) is defined[name] is star[name], name\n"
+            "print(sorted(set(star) - {'__builtins__'}) == votewire.__all__)"
+        )
+        assert fresh_interpreter(probe).strip() == "True"
+
+    def test_a_bare_import_reaches_each_reexporting_submodule(self):
+        probe = (
+            "import votewire\n"
+            f"for module in {tuple(PUBLIC)!r}:\n"
+            "    print(getattr(votewire, module).__name__)"
+        )
+        assert fresh_interpreter(probe).split() == [f"votewire.{m}" for m in PUBLIC]
+
+    def test_other_names_are_missing_until_imported_as_submodules(self):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            votewire.no_such_name
+        probe = (
+            "import votewire\n"
+            "print(hasattr(votewire, 'cli'))\n"
+            "from votewire import cli\n"
+            "print(cli.__name__, cli.main.__module__)"
+        )
+        assert fresh_interpreter(probe).splitlines() == ["False", "votewire.cli votewire.cli"]
 
 
 def readme_round(out: Path) -> dict[str, list[str]]:
