@@ -130,14 +130,9 @@ def check_attack_permitted(kind: AttackKind, channel: ChannelSpec) -> None:
     Raised when a ``Simulation`` is constructed, never mid-run: an
     impossible attack is a configuration error, not an event.
     """
-    if kind is AttackKind.TAMPER and channel.signed:
-        raise CapabilityError(
-            f"channel {channel.name!r} preserves integrity; tamper is impossible"
-        )
-    if kind is AttackKind.FRONT_RUN and channel.signed:
-        raise CapabilityError(
-            f"channel {channel.name!r} authenticates senders; front_run is impossible"
-        )
+    if channel.signed and kind is not AttackKind.DELAY:
+        rules_out = "preserves integrity" if kind is AttackKind.TAMPER else "authenticates senders"
+        raise CapabilityError(f"channel {channel.name!r} {rules_out}; {kind.value} is impossible")
 
 
 class CountDivergence(NamedTuple):

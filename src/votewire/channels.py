@@ -24,9 +24,6 @@ class ChannelSpec:
         if self.base_latency < 0:
             raise ValueError("base_latency must be >= 0 ticks")
 
-    def with_latency(self, base_latency: int) -> "ChannelSpec":
-        return replace(self, base_latency=base_latency)
-
 
 TELEPHONE = ChannelSpec("telephone", False, base_latency=3)
 FAX = ChannelSpec("fax", False, base_latency=2)
@@ -50,7 +47,7 @@ def preset(name: str, base_latency: int | None = None) -> ChannelSpec:
     except KeyError:
         raise KeyError(f"unknown channel preset {name!r}; known: {sorted(PRESETS)}") from None
     if base_latency is not None:
-        spec = spec.with_latency(base_latency)
+        spec = replace(spec, base_latency=base_latency)
     return spec
 
 

@@ -188,8 +188,7 @@ class Simulation:
                     raise ConfigError(
                         f"field 'timing.{name}.{node}': not a leaf; only leaves emit reports"
                     )
-                if when < 0:
-                    raise ConfigError(f"field 'timing.{name}.{node}' must be >= 0")
+                _check_nonnegative(when, f"timing.{name}.{node}")
         _check_nonnegative(self.final_emit_default, "timing.final_emit_default")
         _check_nonnegative(self.jitter_max, "jitter_max")
         # Capability gating happens here, and only here: an attack a channel
@@ -201,12 +200,8 @@ class Simulation:
             if edge == tree.root:
                 raise ConfigError(f"field 'attacks[{i}].edge': the root has no upward edge")
             final = attack.report_kind is ReportKind.FINAL
-            check_attack_permitted(attack.kind, self.postal if final else self.channels[edge])
-
-    @property
-    def postal(self) -> ChannelSpec:
-        """The signed channel every final rides."""
-        return POSTAL_FINAL.with_latency(self.postal_latency)
+            # Finals ride the signed postal channel; its latency gates nothing.
+            check_attack_permitted(attack.kind, POSTAL_FINAL if final else self.channels[edge])
 
     @nogc
     def run(self) -> EventTrace:

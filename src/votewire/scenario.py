@@ -187,9 +187,7 @@ def _string(value: Any, where: str) -> str:
 
 
 def _int(value: Any, where: str, minimum: int | None = None) -> int:
-    if type(value) is int and (minimum is None or value >= minimum):
-        return value
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int:
         raise ConfigError(f"field '{where}' must be an integer")
     if minimum is not None and value < minimum:
         raise ConfigError(f"field '{where}' must be >= {minimum}")
@@ -283,11 +281,18 @@ def tree_from_config(value: Any) -> JurisdictionTree:
     if not isinstance(raw_paths, list) or not raw_paths:
         raise ConfigError("field 'tree.paths' must be a non-empty list of path strings")
     paths = [_path(p, f"tree.paths[{i}]") for i, p in enumerate(raw_paths)]
-    half_votes = _keyed(
-        obj.get("half_votes", {}), "tree.half_votes", _path_key, partial(_int, minimum=1)
-    )
+    # One id per path text across both tables, so a node both name is one
+    # object, which tree_from_paths makes the tree's own.
+    ids: dict[str, JurisdictionId] = {}
+
+    def key(text: str, where: str) -> JurisdictionId:
+        if text not in ids:
+            ids[text] = _path_key(text, where)
+        return ids[text]
+
+    half_votes = _keyed(obj.get("half_votes", {}), "tree.half_votes", key, partial(_int, minimum=1))
     eligible = _keyed(
-        obj.get("eligible_voters", {}), "tree.eligible_voters", _path_key, partial(_int, minimum=0)
+        obj.get("eligible_voters", {}), "tree.eligible_voters", key, partial(_int, minimum=0)
     )
     try:
         return tree_from_paths(paths, half_votes, eligible)

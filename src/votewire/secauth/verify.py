@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 from ..errors import EncodingError
 from ..reports import SequenceState
@@ -77,14 +78,15 @@ class RevocationList:
 EMPTY_CRL = RevocationList()
 
 
-def _verify_link(cert: Certificate, issuer_cert: Certificate) -> bool:
-    if issuer_cert.scheme != schemes.NAME:
+def _signed_by(signer: Certificate, payload: Callable[[], bytes], signature: bytes) -> bool:
+    """Whether ``signer`` is Ed25519 and ``signature`` covers ``payload()``, which must encode."""
+    if signer.scheme != schemes.NAME:
         return False
     try:
-        payload = cert.payload()
+        message = payload()
     except EncodingError:
         return False
-    return schemes.verify(issuer_cert.public_key, payload, cert.issuer_signature)
+    return schemes.verify(signer.public_key, message, signature)
 
 
 def verify_report(
@@ -97,21 +99,18 @@ def verify_report(
     if not chain:
         return _reject(RejectReason.BROKEN_CHAIN)
 
-    # Anchor: the outermost certificate must be issued, verifiably, by the
-    # pinned root. A chain ending anywhere else is a foreign root.
-    top = chain[-1]
-    if top.issuer != trusted_root.subject or top.subject.parent != trusted_root.subject:
-        return _reject(RejectReason.UNTRUSTED_ROOT)
-    if not _verify_link(top, trusted_root):
-        return _reject(RejectReason.UNTRUSTED_ROOT)
-
-    # Each remaining link must be a parent-child step signed by the parent.
-    for i in range(len(chain) - 2, -1, -1):
-        cert, parent = chain[i], chain[i + 1]
-        if cert.issuer != parent.subject or cert.subject.parent != parent.subject:
-            return _reject(RejectReason.BROKEN_CHAIN)
-        if not _verify_link(cert, parent):
-            return _reject(RejectReason.BROKEN_CHAIN)
+    # One walk from the pinned root down: the root issues the outermost
+    # link, each link the next. A link that is not a verifiably signed
+    # parent-child step fails; past the anchor that breaks the chain.
+    issuer, reason = trusted_root, RejectReason.UNTRUSTED_ROOT
+    for cert in reversed(chain):
+        if (
+            cert.issuer != issuer.subject
+            or cert.subject.parent != issuer.subject
+            or not _signed_by(issuer, cert.payload, cert.issuer_signature)
+        ):
+            return _reject(reason)
+        issuer, reason = cert, RejectReason.BROKEN_CHAIN
 
     if any(crl.is_revoked(cert.serial) for cert in chain):
         return _reject(RejectReason.REVOKED)
@@ -120,13 +119,7 @@ def verify_report(
     if head.subject != sr.report.sender:
         return _reject(RejectReason.SENDER_MISMATCH)
 
-    if head.scheme != schemes.NAME:
-        return _reject(RejectReason.BAD_SIGNATURE)
-    try:
-        message = canonical_encode(sr.report)
-    except EncodingError:
-        return _reject(RejectReason.BAD_SIGNATURE)
-    if not schemes.verify(head.public_key, message, sr.signature):
+    if not _signed_by(head, lambda: canonical_encode(sr.report), sr.signature):
         return _reject(RejectReason.BAD_SIGNATURE)
 
     if sr.report.election_id != seq_state.election_id:

@@ -182,7 +182,8 @@ def tree_from_paths(
     Each node is built once: a node that a weight or voter key names is
     that key, any other is built here. So a parent is the very object
     listed among its own parent's children, and every weight and voter
-    entry, re-keyed to the node of its path, is found by identity.
+    key is the tree's own node when both tables name a node with one
+    object.
     """
     named = {
         node.path: node for entries in (canton_half_votes, eligible_voters) for node in entries or ()
@@ -203,13 +204,4 @@ def tree_from_paths(
     for prefix in sorted(ids):
         if len(prefix) > 1:
             children.setdefault(ids[prefix[:-1]], []).append(ids[prefix])
-    return JurisdictionTree(
-        roots[0], children, _rekeyed(canton_half_votes, ids), _rekeyed(eligible_voters, ids)
-    )
-
-
-def _rekeyed(
-    mapping: Mapping[JurisdictionId, int] | None, ids: Mapping[tuple[str, ...], JurisdictionId]
-) -> dict[JurisdictionId, int]:
-    # A key that names no node stays as it is, for the tree to refuse.
-    return {ids.get(node.path, node): value for node, value in (mapping or {}).items()}
+    return JurisdictionTree(roots[0], children, canton_half_votes, eligible_voters)

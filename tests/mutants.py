@@ -38,6 +38,9 @@ FLIPS = "votewire/flips.py"
 TAIL_HIT = "        if known is not None and known[0] is child and known[1] is final:\n"
 RENDERING = f"{TEST_ENGINE}::TestRendering"
 LAZY = "tests/test_cli.py::TestLazyPackage"
+VERIFY = "votewire/secauth/verify.py"
+SECAUTH = "tests/test_secauth.py"
+BY_POSITION = f"{SECAUTH}::TestGoldens::test_unknown_scheme_rejects_by_position"
 # A pytest run that takes longer has hung; it kills nothing.
 TIMEOUT_S = 600
 
@@ -119,10 +122,60 @@ MUTANTS = (
     ),
     Mutant(
         "verify_report checks freshness without the state's lock",
-        "votewire/secauth/verify.py",
+        VERIFY,
         "    with seq_state.lock:\n",
         "    if True:\n",
-        ("tests/test_secauth.py::TestSequenceState::test_at_most_one_accept_under_concurrency",),
+        (f"{SECAUTH}::TestSequenceState::test_at_most_one_accept_under_concurrency",),
+    ),
+    Mutant(
+        "the chain walk refuses a bad anchor as a broken chain",
+        VERIFY,
+        "    issuer, reason = trusted_root, RejectReason.UNTRUSTED_ROOT\n",
+        "    issuer, reason = trusted_root, RejectReason.BROKEN_CHAIN\n",
+        (
+            f"{BY_POSITION}[root]",
+            f"{SECAUTH}::TestVerifyReasons::test_foreign_root_is_untrusted",
+            f"{SECAUTH}::TestVerifyReasons::test_missing_middle_link_is_broken",
+        ),
+    ),
+    Mutant(
+        "a signer of another scheme is verified as Ed25519",
+        VERIFY,
+        "    if signer.scheme != schemes.NAME:\n",
+        "    if False:\n",
+        tuple(f"{BY_POSITION}[{at}]" for at in ("root", "inner-link", "chain-head")),
+    ),
+    Mutant(
+        "a payload the wire cannot encode raises out of the verifier",
+        VERIFY,
+        "    except EncodingError:\n",
+        "    except ZeroDivisionError:\n",
+        tuple(
+            f"{SECAUTH}::TestVerifyReasons::test_an_unencodable_report_is_rejected_not_raised[{at}]"
+            for at in ("equals", "line-feed")
+        ),
+    ),
+    Mutant(
+        "the tree's weight and voter keys are parsed into separate ids",
+        "votewire/scenario.py",
+        "        if text not in ids:\n",
+        "        if True:\n",
+        tuple(
+            "tests/test_scenario.py::TestParsedIdentity"
+            f"::test_every_key_is_a_node_of_the_tree[{doc}]"
+            for doc in ("custom", "deep")
+        ),
+    ),
+    Mutant(
+        "a signed channel lets a front-run through",
+        "votewire/adversary.py",
+        "    if channel.signed and kind is not AttackKind.DELAY:\n",
+        "    if channel.signed and kind is AttackKind.TAMPER:\n",
+        tuple(
+            "tests/test_adversary.py::TestCapabilityGating"
+            f"::test_front_run_blocked_by_authenticity[channel{i}]"
+            for i in range(5)
+        ),
     ),
     Mutant(
         "a divergence reuses a formatted tail stored for another child",

@@ -36,6 +36,7 @@ from votewire.adversary import (
     DetectionSummary,
     apply_mutation,
 )
+from votewire.channels import POSTAL_FINAL
 from votewire.counts import VoteCount, accumulate
 from votewire.engine import Simulation
 from votewire.errors import ConfigError
@@ -406,8 +407,10 @@ def reference_run(sim: Simulation) -> tuple[TraceRecord, ...]:
         next_seq[node] = seq + 1
         records.append(EmitRecord(time, node, kind, seq, counts))
         report = Report(sim.election_id, node, seq, counts, kind, time)
-        channel = sim.postal if kind is ReportKind.FINAL else sim.channels[node]
-        delivery = time + channel.base_latency
+        if kind is ReportKind.FINAL:
+            delivery = time + sim.postal_latency
+        else:
+            delivery = time + sim.channels[node].base_latency
         if sim.jitter_max:
             delivery += rng.randint(0, sim.jitter_max)
         parent = node.parent
@@ -448,7 +451,7 @@ def reference_run(sim: Simulation) -> tuple[TraceRecord, ...]:
         sender, seq, counts, kind = report.sender, report.sequence_no, report.counts, report.kind
         if kind is ReportKind.FINAL:
             records.append(
-                DeliverRecord(time, sender, receiver, sim.postal.name, kind, seq, counts, True)
+                DeliverRecord(time, sender, receiver, POSTAL_FINAL.name, kind, seq, counts, True)
             )
             table = finals.setdefault(receiver, {})
             table[sender] = (seq, counts)

@@ -128,7 +128,6 @@ class TestParsingHappyPath:
         assert config.noise.probability == 0.25
         assert config.jitter_max == 4
         assert config.postal_latency == 10
-        assert config.postal.base_latency == 10 and config.postal.signed
         assert config.seed == 99
 
     def test_attacks_parse_into_specs(self):
@@ -284,6 +283,45 @@ class TestDiagnostics:
         with pytest.raises(ConfigError) as excinfo:
             parse(doc)
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                {"tree": {"paths": []}},
+                "field 'tree.paths' must be a non-empty list of path strings",
+            ),
+            (
+                {"wrap": {"edges": "CH/A"}},
+                "field 'wrap.edges' must be a list of jurisdiction paths",
+            ),
+            ({"attacks": {}}, "field 'attacks' must be a list"),
+            (
+                {"noise": {"probability": "high", "max_shift": 3}},
+                "field 'noise.probability' must be a number",
+            ),
+            ({"wrap": {"all": "yes"}}, "field 'wrap.all' must be true or false"),
+            (
+                {"ground_truth": {"bundled_results": "rtvg_2015"}},
+                "field 'ground_truth.bundled_results': 'ZH' is not in the tree",
+            ),
+            (
+                {"channels": {"CH/A": {"preset": "carrier pigeon"}}},
+                "field 'channels.CH/A.preset': unknown channel preset 'carrier pigeon'",
+            ),
+        ],
+        ids=[
+            "empty-paths", "wrap-edges", "attacks", "noise-probability", "wrap-all",
+            "bundled-results", "channel-preset",
+        ],
+    )
+    def test_shape_errors_keep_their_text(self, overrides, message):
+        with pytest.raises(ConfigError) as excinfo:
+            parse(custom_doc(**overrides))
+        assert str(excinfo.value) == message
+
+    def test_null_noise_is_no_noise(self):
+        assert parse(custom_doc(noise=None)).noise is None
 
     def test_malformed_jurisdiction_keys_keep_their_text(self):
         doc = custom_doc()

@@ -372,6 +372,17 @@ class TestVerifyReasons:
         )
         assert verdict.reason is RejectReason.BAD_SIGNATURE
 
+    @pytest.mark.parametrize("election", ["ref=1", "ref\n1"], ids=["equals", "line-feed"])
+    def test_an_unencodable_report_is_rejected_not_raised(self, deep, election):
+        # A valid chain and the sender's signature over an encodable report,
+        # carrying a report the wire grammar cannot write, so nothing signs it.
+        sr = signed(deep, USTER)
+        unencodable = SignedReport(report_for(USTER, election=election), sr.signature, sr.chain)
+        verdict = verify_report(
+            unencodable, deep.root_certificate, EMPTY_CRL, fresh_state(election)
+        )
+        assert verdict.reason is RejectReason.BAD_SIGNATURE
+
     def test_replay_is_rejected(self, deep):
         sr = signed(deep, USTER)
         state = fresh_state()
