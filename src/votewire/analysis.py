@@ -34,6 +34,8 @@ RESULTS_HEADER = (
 )
 # ASCII only: date.fromisoformat alone takes other forms on Python 3.11+.
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+# The line breaks str.splitlines knows besides LF, which no row may hold.
+_OTHER_BREAK_RE = re.compile("[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,23 +86,32 @@ def bundled_results_path(name: str) -> Path:
 def load_results(source: str | Path) -> list[HistoricalRecord]:
     """Parse a results CSV; errors carry the 1-based row number."""
     try:
-        text = Path(source).read_text(encoding="utf-8")
+        # Bytes, not text mode, whose newline translation would end a row at CR.
+        text = Path(source).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{source} is not UTF-8 text: {exc}") from None
     return parse_results(text)
 
 
 def parse_results(text: str) -> list[HistoricalRecord]:
-    lines = text.splitlines()
-    if not lines:
+    """Parse results CSV text: a row ends at LF or CRLF, and at no other line break."""
+    text = text.replace("\r\n", "\n")
+    stray = _OTHER_BREAK_RE.search(text)
+    if stray:
+        rowno = text.count("\n", 0, stray.start()) + 1
+        raise ParseError(f"row {rowno}: holds line break {stray.group()!r}; rows end at LF or CRLF")
+    reader = csv.reader(text.splitlines())  # LF is the only break left
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ParseError(f"row {reader.line_num}: {exc}") from None
+    if not rows:
         raise ParseError("row 1: missing header")
-    reader = csv.reader(lines)
-    header = tuple(next(reader))
-    if header != RESULTS_HEADER:
+    if tuple(rows[0]) != RESULTS_HEADER:
         raise ParseError(f"row 1: header must be {','.join(RESULTS_HEADER)}")
     records: list[HistoricalRecord] = []
     seen: set[tuple[str, str]] = set()
-    for rowno, row in enumerate(reader, start=2):
+    for rowno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != len(RESULTS_HEADER):

@@ -60,12 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     flip.add_argument(
         "--rule", choices=[r.value for r in MajorityRule], default=MajorityRule.DOUBLE_MAJORITY.value
     )
-    flip.add_argument(
-        "--target",
-        choices=[d.value for d in Decision],
-        default=None,
-        help="desired outcome; default is the opposite of the current one",
-    )
     flip.set_defaults(func=cmd_flip)
 
     keys = sub.add_parser("keys", help="provision certificates for a jurisdiction tree")
@@ -138,7 +132,7 @@ def cmd_flip(args: argparse.Namespace) -> int:
     per_canton = canton_final_counts(rows, tree)
     spec = ReferendumSpec(args.referendum, MajorityRule(args.rule))
     outcome = referendum_outcome(spec, per_canton, tree)
-    target = Decision(args.target) if args.target else outcome.overall.opposite()
+    target = outcome.overall.opposite()
 
     if spec.majority_rule is MajorityRule.POPULAR_ONLY:
         plan = min_flips_popular(accumulate(per_canton.values()), target)

@@ -326,7 +326,7 @@ class Simulation:
                         reason = None if accept(sender_id, what) else REASON_STALE_SEQUENCE
                     append(new(DeliverRecord, (
                         time, sender_id, receiver_id, channel[sender].name, prelim, what, counts,
-                        reason is None, reason,
+                        reason,
                     )))
                     if reason is not None:
                         append(new(DetectRecord, (time, receiver_id, reason, sender_id, what)))
@@ -357,7 +357,7 @@ class Simulation:
                     table = final_tables[i]
                     table[slot[sender]] = (sender_id, what, counts)
                     append(new(DeliverRecord, (
-                        time, sender_id, receiver_id, postal_name, final, what, counts, True, None,
+                        time, sender_id, receiver_id, postal_name, final, what, counts, None,
                     )))
                     finals_pending[i] -= 1
                     if finals_pending[i]:

@@ -28,18 +28,19 @@ class FlipPlan:
 
     The ``None`` key attributes flips to the national ballot pool as a
     whole, for solvers that run on accumulated counts without canton
-    context.
+    context. ``total_flips`` is derived: the sum of ``flips_per_canton``.
     """
 
     flips_per_canton: Mapping[JurisdictionId | None, int] = field(default_factory=dict)
-    total_flips: int = 0
     achieves: Decision = Decision.ACCEPTED
 
     def __post_init__(self) -> None:
         if any(v < 0 for v in self.flips_per_canton.values()):
             raise ValueError("per-canton flip counts must be >= 0")
-        if self.total_flips != sum(self.flips_per_canton.values()):
-            raise ValueError("total_flips must equal the sum of per-canton flips")
+
+    @property
+    def total_flips(self) -> int:
+        return sum(self.flips_per_canton.values())
 
 
 def flips_to_majority(counts: VoteCount, target: Decision) -> int:
@@ -87,9 +88,7 @@ def apply_plan(
 def min_flips_popular(counts: VoteCount, target: Decision) -> FlipPlan:
     """Minimal flips after which the popular vote reads ``target``."""
     k = flips_to_majority(counts, target)
-    if k == 0:
-        return FlipPlan({}, 0, target)
-    return FlipPlan({None: k}, k, target)
+    return FlipPlan({None: k} if k else {}, target)
 
 
 def min_flips_cantonal(
@@ -106,7 +105,7 @@ def min_flips_cantonal(
     """
     current, _, _ = cantonal_outcome(per_canton, tree)
     if current is target:
-        return FlipPlan({}, 0, target)
+        return FlipPlan({}, target)
     total_half = tree.total_half_votes()
     # Acceptance needs yes cantons holding strictly more than half the
     # weight; rejection needs the other cantons to hold at least the rest.
@@ -142,8 +141,7 @@ def min_flips_cantonal(
         best = row
     if best[deficit] is None:
         raise Infeasible("flipping every flippable canton still leaves the target short")
-    total, chosen = best[deficit]
-    return FlipPlan(dict(chosen), total, target)
+    return FlipPlan(dict(best[deficit][1]), target)
 
 
 def min_flips_double(
@@ -177,7 +175,7 @@ def min_flips_double(
             base[canton] = base.get(canton, 0) + take
             extra -= take
 
-    plan = FlipPlan(base, sum(base.values()), target)
+    plan = FlipPlan(base, target)
     _assert_double_plan(per_canton, tree, plan, target)
     return plan
 

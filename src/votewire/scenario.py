@@ -207,20 +207,6 @@ def _path_key(value: Any, where: str) -> JurisdictionId:
         raise ConfigError(f"field '{where}': {exc}") from None
 
 
-def _path(value: Any, where: str) -> tuple[str, ...]:
-    """The segments of a path string, checked without building its id.
-
-    A path passes when ``JurisdictionId`` would accept it: no empty segment
-    and no newline ('/' only separates). Anything else takes ``_path_key``,
-    which raises the id's own error.
-    """
-    if isinstance(value, str) and "\n" not in value:
-        path = tuple(value.split("/"))
-        if "" not in path:
-            return path
-    return _path_key(value, where).path
-
-
 def _node(nodes: _Nodes, value: Any, where: str) -> JurisdictionId:
     """The tree's own node that ``value`` names, from the parse's table."""
     node = nodes.get(value) if isinstance(value, str) else None
@@ -280,16 +266,16 @@ def tree_from_config(value: Any) -> JurisdictionTree:
     raw_paths = obj.get("paths")
     if not isinstance(raw_paths, list) or not raw_paths:
         raise ConfigError("field 'tree.paths' must be a non-empty list of path strings")
-    paths = [_path(p, f"tree.paths[{i}]") for i, p in enumerate(raw_paths)]
-    # One id per path text across both tables, so a node both name is one
-    # object, which tree_from_paths makes the tree's own.
+    # One id per path text across the paths and both tables, so a node two
+    # of them name is one object, which tree_from_paths makes the tree's own.
     ids: dict[str, JurisdictionId] = {}
 
-    def key(text: str, where: str) -> JurisdictionId:
-        if text not in ids:
-            ids[text] = _path_key(text, where)
-        return ids[text]
+    def key(value: Any, where: str) -> JurisdictionId:
+        if not isinstance(value, str) or value not in ids:
+            ids[value] = _path_key(value, where)  # raises unless value is a str
+        return ids[value]
 
+    paths = [key(p, f"tree.paths[{i}]").path for i, p in enumerate(raw_paths)]
     half_votes = _keyed(obj.get("half_votes", {}), "tree.half_votes", key, partial(_int, minimum=1))
     eligible = _keyed(
         obj.get("eligible_voters", {}), "tree.eligible_voters", key, partial(_int, minimum=0)

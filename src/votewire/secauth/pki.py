@@ -180,6 +180,9 @@ class TrustStore:
         if not root_path.is_file():
             raise ParseError(f"trust store {where} has no {ROOT_FILENAME}")
         root_cert = _certificate_file(root_path)
+        from .verify import _signed_by  # verify builds on this module
+        if not _signed_by(root_cert, root_cert.payload, root_cert.issuer_signature):
+            raise ParseError(f"{root_path}: root certificate is not validly self-signed")
         certs: dict[JurisdictionId, Certificate] = {root_cert.subject: root_cert}
         for path in sorted(where.glob("*.cert")):
             if path.name == ROOT_FILENAME:

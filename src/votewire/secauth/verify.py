@@ -41,21 +41,16 @@ class RejectReason(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class Verdict:
-    accepted: bool
+    """A verification result: ``reason`` is None on Accept, and ``accepted`` is derived from it."""
+
     reason: RejectReason | None = None
 
-    def __post_init__(self) -> None:
-        if self.accepted and self.reason is not None:
-            raise ValueError("an accepting verdict carries no reason")
-        if not self.accepted and self.reason is None:
-            raise ValueError("a rejecting verdict needs a reason")
+    @property
+    def accepted(self) -> bool:
+        return self.reason is None
 
 
-ACCEPT = Verdict(True)
-
-
-def _reject(reason: RejectReason) -> Verdict:
-    return Verdict(False, reason)
+ACCEPT = Verdict()
 
 
 @dataclass(frozen=True)
@@ -97,7 +92,7 @@ def verify_report(
 ) -> Verdict:
     chain = sr.chain
     if not chain:
-        return _reject(RejectReason.BROKEN_CHAIN)
+        return Verdict(RejectReason.BROKEN_CHAIN)
 
     # One walk from the pinned root down: the root issues the outermost
     # link, each link the next. A link that is not a verifiably signed
@@ -109,21 +104,21 @@ def verify_report(
             or cert.subject.parent != issuer.subject
             or not _signed_by(issuer, cert.payload, cert.issuer_signature)
         ):
-            return _reject(reason)
+            return Verdict(reason)
         issuer, reason = cert, RejectReason.BROKEN_CHAIN
 
     if any(crl.is_revoked(cert.serial) for cert in chain):
-        return _reject(RejectReason.REVOKED)
+        return Verdict(RejectReason.REVOKED)
 
     head = chain[0]
     if head.subject != sr.report.sender:
-        return _reject(RejectReason.SENDER_MISMATCH)
+        return Verdict(RejectReason.SENDER_MISMATCH)
 
     if not _signed_by(head, lambda: canonical_encode(sr.report), sr.signature):
-        return _reject(RejectReason.BAD_SIGNATURE)
+        return Verdict(RejectReason.BAD_SIGNATURE)
 
     if sr.report.election_id != seq_state.election_id:
-        return _reject(RejectReason.WRONG_ELECTION)
+        return Verdict(RejectReason.WRONG_ELECTION)
     with seq_state.lock:
         fresh = seq_state.accept_if_fresh(sr.report.sender, sr.report.sequence_no)
-    return ACCEPT if fresh else _reject(RejectReason.REPLAY)
+    return ACCEPT if fresh else Verdict(RejectReason.REPLAY)

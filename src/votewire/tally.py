@@ -37,11 +37,19 @@ class ReferendumSpec:
 
 @dataclass(frozen=True, slots=True)
 class Outcome:
+    """The rule's majorities: ``cantonal`` is None under the popular-only rule.
+
+    ``overall`` is derived: accepted when ``popular`` is and ``cantonal`` is not rejected."""
+
     popular: Decision
     cantonal: Decision | None
-    overall: Decision
     yes_weight: Fraction
     no_weight: Fraction
+
+    @property
+    def overall(self) -> Decision:
+        accepted = self.popular is Decision.ACCEPTED and self.cantonal is not Decision.REJECTED
+        return Decision.ACCEPTED if accepted else Decision.REJECTED
 
 
 def popular_outcome(counts: VoteCount) -> Decision:
@@ -86,26 +94,7 @@ def referendum_outcome(
     tree: JurisdictionTree,
 ) -> Outcome:
     """Combine the national popular tally with the cantonal tally as the rule demands."""
-    national = accumulate(per_canton.values())
-    popular = popular_outcome(national)
+    popular = popular_outcome(accumulate(per_canton.values()))
     if spec.majority_rule is MajorityRule.POPULAR_ONLY:
-        return Outcome(
-            popular=popular,
-            cantonal=None,
-            overall=popular,
-            yes_weight=Fraction(0),
-            no_weight=Fraction(0),
-        )
-    cantonal, yes_weight, no_weight = cantonal_outcome(per_canton, tree)
-    overall = (
-        Decision.ACCEPTED
-        if popular is Decision.ACCEPTED and cantonal is Decision.ACCEPTED
-        else Decision.REJECTED
-    )
-    return Outcome(
-        popular=popular,
-        cantonal=cantonal,
-        overall=overall,
-        yes_weight=yes_weight,
-        no_weight=no_weight,
-    )
+        return Outcome(popular, None, Fraction(0), Fraction(0))
+    return Outcome(popular, *cantonal_outcome(per_canton, tree))

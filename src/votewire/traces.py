@@ -86,6 +86,8 @@ class EmitRecord(NamedTuple):
 
 
 class DeliverRecord(NamedTuple):
+    """A report's arrival; ``accepted`` is derived from ``reason``, None when accepted."""
+
     time: int
     sender: JurisdictionId
     receiver: JurisdictionId
@@ -93,8 +95,11 @@ class DeliverRecord(NamedTuple):
     kind: ReportKind
     seq: int
     counts: VoteCount
-    accepted: bool
     reason: str | None = None
+
+    @property
+    def accepted(self) -> bool:
+        return self.reason is None
 
 
 class AttackRecord(NamedTuple):
@@ -158,12 +163,12 @@ class EventTrace:
         for record in self.records:
             cls = type(record)
             if cls is DeliverRecord:
-                time, sender, receiver, channel, kind, seq, c, accepted, reason = record
+                time, sender, receiver, channel, kind, seq, c, reason = record
                 line = (
                     f"deliver t={time} from={sender._text} to={receiver._text} "
                     f"channel={channel} kind={prelim_text if kind is prelim else final_text} "
                     f"seq={seq} yes={c.yes} no={c.no} blank={c.blank} invalid={c.invalid} "
-                    f"accepted={'true' if accepted else 'false'}"
+                    f"accepted={'true' if reason is None else 'false'}"
                 )
                 append(line if reason is None else f"{line} reason={reason}")
             elif cls is EmitRecord:

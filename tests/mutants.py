@@ -158,12 +158,62 @@ MUTANTS = (
     Mutant(
         "the tree's weight and voter keys are parsed into separate ids",
         "votewire/scenario.py",
-        "        if text not in ids:\n",
+        "        if not isinstance(value, str) or value not in ids:\n",
         "        if True:\n",
         tuple(
             "tests/test_scenario.py::TestParsedIdentity"
             f"::test_every_key_is_a_node_of_the_tree[{doc}]"
             for doc in ("custom", "deep")
+        ),
+    ),
+    Mutant(
+        "a delivery reads as accepted whatever its reason",
+        "votewire/traces.py",
+        "        return self.reason is None\n",
+        "        return True\n",
+        (
+            f"{RENDERING}::test_shared_and_equal_entry_tuples_render_alike",
+            f"{TEST_ENGINE}::TestTraceInvariants::test_feasibility_check_replays_every_preliminary_verdict",
+        ),
+    ),
+    Mutant(
+        "the overall outcome needs a cantonal acceptance under the popular-only rule",
+        "votewire/tally.py",
+        "self.cantonal is not Decision.REJECTED",
+        "self.cantonal is Decision.ACCEPTED",
+        (
+            "tests/test_tally.py::TestReferendumOutcome::test_popular_only_rule_ignores_cantonal_split",
+            "tests/test_cli.py::TestFlip::test_popular_flip_total",
+        ),
+    ),
+    Mutant(
+        "a verdict reads as accepted whatever its reason",
+        VERIFY,
+        "        return self.reason is None\n",
+        "        return True\n",
+        (
+            f"{SECAUTH}::TestWireFormat::test_single_byte_mauls_never_verify",
+            f"{SECAUTH}::TestSequenceState::test_redelivery_in_any_order_accepts_each_seq_once",
+        ),
+    ),
+    Mutant(
+        "a plan's total is its largest canton's flips",
+        FLIPS,
+        "        return sum(self.flips_per_canton.values())\n",
+        "        return max(self.flips_per_canton.values(), default=0)\n",
+        (
+            "tests/test_cli.py::TestFlip::test_double_flip_selects_cheapest_cantons",
+            "tests/test_flips.py::TestOutcomeSolver::test_rejection_takes_the_cheaper_cantonal_plan",
+        ),
+    ),
+    Mutant(
+        "a trust store loads a root whose self-signature fails",
+        "votewire/secauth/pki.py",
+        "        if not _signed_by(root_cert, root_cert.payload, root_cert.issuer_signature):\n",
+        "        if False:\n",
+        tuple(
+            f"{SECAUTH}::TestTrustStore::test_a_root_whose_self_signature_fails_is_refused[{byte}]"
+            for byte in (0, 31, 63)
         ),
     ),
     Mutant(

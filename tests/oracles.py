@@ -237,11 +237,11 @@ def trace_line(record: TraceRecord) -> str:
         time, node, kind, seq, counts = record
         return f"emit t={time} node={node} kind={kind.value} seq={seq} {_counts_fields(counts)}"
     if isinstance(record, DeliverRecord):
-        time, sender, receiver, channel, kind, seq, counts, accepted, reason = record
+        time, sender, receiver, channel, kind, seq, counts, reason = record
         line = (
             f"deliver t={time} from={sender} to={receiver} "
             f"channel={channel} kind={kind.value} seq={seq} "
-            f"{_counts_fields(counts)} accepted={str(accepted).lower()}"
+            f"{_counts_fields(counts)} accepted={str(record.accepted).lower()}"
         )
         if reason is not None:
             line += f" reason={reason}"
@@ -451,7 +451,7 @@ def reference_run(sim: Simulation) -> tuple[TraceRecord, ...]:
         sender, seq, counts, kind = report.sender, report.sequence_no, report.counts, report.kind
         if kind is ReportKind.FINAL:
             records.append(
-                DeliverRecord(time, sender, receiver, POSTAL_FINAL.name, kind, seq, counts, True)
+                DeliverRecord(time, sender, receiver, POSTAL_FINAL.name, kind, seq, counts)
             )
             table = finals.setdefault(receiver, {})
             table[sender] = (seq, counts)
@@ -460,10 +460,7 @@ def reference_run(sim: Simulation) -> tuple[TraceRecord, ...]:
             return
         reason = refusal(receiver, report)
         channel = sim.channels[sender].name
-        accepted = reason is None
-        records.append(
-            DeliverRecord(time, sender, receiver, channel, kind, seq, counts, accepted, reason)
-        )
+        records.append(DeliverRecord(time, sender, receiver, channel, kind, seq, counts, reason))
         if reason is not None:
             records.append(DetectRecord(time, receiver, reason, sender, seq))
             return

@@ -128,6 +128,13 @@ class TestAttackSpecValidation:
                 AttackKind.FRONT_RUN, canton_id("ZH"), forged_counts=VoteCount(1, 0), forged_seq=0
             )
 
+    def test_seq_offset_must_be_positive_unless_forged_seq_is_fixed(self):
+        with pytest.raises(ValueError) as exc:
+            AttackSpec(
+                AttackKind.FRONT_RUN, canton_id("ZH"), forged_counts=VoteCount(1, 0), seq_offset=0
+            )
+        assert str(exc.value) == "seq_offset must be >= 1 when forged_seq is not fixed"
+
     def test_mode_labels(self):
         blind = AttackSpec(AttackKind.DELAY, canton_id("ZH"), hold_ticks=5)
         tuned = AttackSpec(AttackKind.DELAY, canton_id("ZH"), hold_ticks=5, omniscient=True)

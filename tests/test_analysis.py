@@ -111,6 +111,63 @@ class TestParsing:
         assert rec.final.blank == 30
         assert rec.final_total() == 100
 
+    @pytest.mark.parametrize("row", [",2015-06-14,ZH,1,2,3,4,7", "r1,2015-06-14,,1,2,3,4,7"])
+    def test_referendum_and_canton_must_be_nonempty(self, row):
+        with pytest.raises(ParseError) as exc:
+            parse_results(f"{HEADER}\n{row}\n")
+        assert str(exc.value) == "row 2: referendum_id and canton must be nonempty"
+
+    def test_a_blank_line_between_rows_is_skipped(self):
+        text = f"{HEADER}\nr1,2015-06-14,ZH,1,2,3,4,7\n\nr1,2015-06-14,BE,1,2,3,4,7\n"
+        assert [r.canton for r in parse_results(text)] == ["ZH", "BE"]
+
+
+class TestRowBreaks:
+    """A row ends at LF or CRLF; any other line break str.splitlines knows is refused."""
+
+    ZH, BE = "r,2015-06-14,ZH,1,2,3,4,7", "r,2015-06-14,BE,1,2,3,4,7"
+
+    def test_crlf_rows_read_as_lf_rows(self):
+        lf = f"{HEADER}\n{self.ZH}\n{self.BE}\n"
+        assert parse_results(lf.replace("\n", "\r\n")) == parse_results(lf)
+
+    def test_a_line_separator_does_not_split_a_row(self):
+        with pytest.raises(ParseError) as exc:
+            parse_results(f"{HEADER}\n{self.ZH}\u2028{self.BE}\n")
+        assert str(exc.value) == "row 2: holds line break '\\u2028'; rows end at LF or CRLF"
+
+    def test_a_stray_break_is_named_by_its_own_row(self):
+        # A break splitlines knows would shift every later row's number.
+        with pytest.raises(ParseError) as exc:
+            parse_results(f"{HEADER}\n{self.ZH}\u2028\nr,2015-06-14,BE,x,2,3,4,7\n")
+        assert str(exc.value) == "row 2: holds line break '\\u2028'; rows end at LF or CRLF"
+
+    @pytest.mark.parametrize(
+        "ch", "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029", ids=lambda ch: f"U+{ord(ch):04X}"
+    )
+    def test_every_other_break_is_refused(self, ch):
+        with pytest.raises(ParseError) as exc:
+            parse_results(f"{HEADER}\n{self.ZH}\n{self.BE.replace('BE', f'B{ch}E')}\n")
+        assert str(exc.value) == f"row 3: holds line break {ch!r}; rows end at LF or CRLF"
+
+    def test_a_cr_only_file_is_refused(self):
+        with pytest.raises(ParseError) as exc:
+            parse_results(f"{HEADER}\r{self.ZH}\r")
+        assert str(exc.value) == "row 1: holds line break '\\r'; rows end at LF or CRLF"
+
+    def test_a_cr_only_file_is_refused_as_read_from_disk(self, tmp_path):
+        cr_only = tmp_path / "cr.csv"
+        cr_only.write_bytes(f"{HEADER}\r{self.ZH}\r".encode("utf-8"))
+        with pytest.raises(ParseError) as exc:
+            load_results(cr_only)
+        assert str(exc.value) == "row 1: holds line break '\\r'; rows end at LF or CRLF"
+
+    def test_a_csv_module_error_is_a_parse_error(self):
+        # A field past the csv module's size limit, 131,072 characters.
+        with pytest.raises(ParseError) as exc:
+            parse_results(f"{HEADER}\n{self.ZH}\nr,2015-06-14,BE,1,2,3,4,{'7' * 200_000}\n")
+        assert str(exc.value) == "row 3: field larger than field limit (131072)"
+
 
 class TestDiscrepancyStats:
     def test_reproduces_published_percentages(self):

@@ -497,6 +497,23 @@ class TestAnalyze:
         assert main(["analyze", "--results", str(bad)]) == 2
         assert "row 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("r1,2015-06-14,ZH,1,2,3,4,7\u2028", "holds line break '\\u2028'; rows end at LF or CRLF"),
+            (f"r1,2015-06-14,ZH,1,2,3,4,{'7' * 200_000}", "field larger than field limit (131072)"),
+        ],
+        ids=["line-separator", "csv-field-limit"],
+    )
+    def test_a_row_the_csv_reader_cannot_take_is_a_user_error(self, tmp_path, capsys, row, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(
+            "referendum_id,date,canton,prelim_yes,prelim_no,final_yes,final_no,final_total\n"
+            f"{row}\n".encode("utf-8")
+        )
+        assert main(["analyze", "--results", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: row 2: {message}\n"
+
 
     @pytest.mark.parametrize("date, count", [("20150614", "1000"), ("2015-06-14", "1_000")])
     def test_a_count_or_date_in_another_form_is_a_user_error(self, tmp_path, capsys, date, count):
@@ -556,14 +573,6 @@ class TestFlip:
         out = capsys.readouterr().out
         assert out.count(": 50\n") == 12
         assert out.endswith("total_flips: 600\n")
-
-    def test_already_at_target(self, capsys):
-        code = main(
-            ["flip", "--results", RTVG, "--referendum", "rtvg-2015",
-             "--rule", "popular", "--target", "accepted"]
-        )
-        assert code == 0
-        assert "total_flips: 0" in capsys.readouterr().out
 
     def test_unknown_referendum(self, capsys):
         assert main(["flip", "--results", RTVG, "--referendum", "nope"]) == 2

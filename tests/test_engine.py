@@ -301,7 +301,7 @@ class TestRootPublication:
 class TestImmutableRecords:
     RECORDS = (
         EmitRecord(0, A, ReportKind.PRELIMINARY, 1, VoteCount(1, 0)),
-        DeliverRecord(1, A, CH, "email", ReportKind.PRELIMINARY, 1, VoteCount(1, 0), True),
+        DeliverRecord(1, A, CH, "email", ReportKind.PRELIMINARY, 1, VoteCount(1, 0)),
         AttackRecord(1, "delay", A, CH, "blind", "hold:5"),
         DetectRecord(1, CH, REASON_STALE_SEQUENCE, A, 1),
         PublishRecord(1, CH, ReportKind.PRELIMINARY, VoteCount(1, 0), ((A, 1, VoteCount(1, 0)),)),
@@ -900,7 +900,7 @@ class TestRendering:
             PublishRecord(2, CH, prelim, VoteCount(6, 2, 3, 5), (shared, other)),
             PublishRecord(3, CH, prelim, VoteCount(14, 8, 7, 7), (newer, other)),
             PublishRecord(4, CH, final, VoteCount(6, 2, 3, 5), (equal, other)),
-            DeliverRecord(4, B, CH, "email", prelim, 3, VoteCount(0, 1), False, "stale_sequence"),
+            DeliverRecord(4, B, CH, "email", prelim, 3, VoteCount(0, 1), "stale_sequence"),
         )
         trace = EventTrace("toy", 5, tree, {}, records)
         text = trace.to_text()

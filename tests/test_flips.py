@@ -31,16 +31,12 @@ REJECT = Decision.REJECTED
 
 
 class TestFlipPlan:
-    def test_total_must_match_sum(self):
-        with pytest.raises(ValueError):
-            FlipPlan({canton_id("A"): 3}, total_flips=2, achieves=ACCEPT)
-
     def test_rejects_negative_allocation(self):
         with pytest.raises(ValueError):
-            FlipPlan({canton_id("A"): -1}, total_flips=-1, achieves=ACCEPT)
+            FlipPlan({canton_id("A"): -1}, achieves=ACCEPT)
 
     def test_apply_plan_requires_canton_attribution(self):
-        plan = FlipPlan({None: 2}, 2, ACCEPT)
+        plan = FlipPlan({None: 2}, ACCEPT)
         with pytest.raises(ValueError):
             apply_plan({canton_id("A"): VoteCount(yes=1, no=5)}, plan)
 

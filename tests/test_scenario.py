@@ -85,6 +85,19 @@ class TestParsingHappyPath:
         assert (totals.yes, totals.no) == (1_128_522, 1_124_873)
         assert len(config.ground_truth) == 26
 
+    def test_bundled_ground_truth_skips_the_federal_row(self):
+        config = parse(
+            {
+                "election_id": "maxima",
+                "tree": {"preset": "swiss"},
+                "ground_truth": {"bundled_results": "discrepancy_maxima"},
+            }
+        )
+        # The file holds 27 rows: one per canton and the federal total, CH.
+        assert set(config.ground_truth) == set(config.tree.leaves())
+        assert len(config.ground_truth) == 26
+        assert JurisdictionId.of("CH") not in config.ground_truth
+
     def test_channel_overrides_and_objects(self):
         config = parse(
             custom_doc(channels={"CH/A": {"preset": "telephone", "base_latency": 9}})

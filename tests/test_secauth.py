@@ -1,8 +1,10 @@
 """Certificate chains, signing, verification, replay and revocation."""
 
+import dataclasses
 import functools
 import hashlib
 import random
+import re
 import sys
 import threading
 import time
@@ -231,6 +233,12 @@ class TestCertificates:
         for node in tree.order():
             assert len(deep.chain(node)) == len(node.path) - 1
 
+    def test_a_payload_with_serial_zero_is_refused(self, deep):
+        root = deep.root_certificate
+        with pytest.raises(EncodingError) as exc:
+            certificate_payload(CH, CH, 0, root.scheme, root.public_key)
+        assert str(exc.value) == "certificate serial must be >= 1"
+
     def test_serials_are_unique(self, deep):
         serials = [cert.serial for cert in deep.certificates.values()]
         assert len(serials) == len(set(serials))
@@ -332,6 +340,32 @@ class TestTrustStore:
         # The same store, saved again, rewrites its own files.
         deep.save(tmp_path)
         assert TrustStore.load(tmp_path).certificates == deep.certificates
+
+    @pytest.mark.parametrize("byte", [0, 31, 63])
+    def test_a_root_whose_self_signature_fails_is_refused(self, deep, tmp_path, byte):
+        deep.save(tmp_path)
+        root = deep.root_certificate
+        signature = bytearray(root.issuer_signature)
+        signature[byte] ^= 1
+        forged = dataclasses.replace(root, issuer_signature=bytes(signature))
+        (tmp_path / "root.cert").write_text(forged.to_text(), encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            TrustStore.load(tmp_path)
+        assert str(exc.value) == (
+            f"{tmp_path / 'root.cert'}: root certificate is not validly self-signed"
+        )
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"scheme": "ed448"}, {"subject": JurisdictionId.of("C=H")}],
+        ids=["other-scheme", "unencodable"],
+    )
+    def test_a_root_that_cannot_be_checked_is_refused(self, deep, tmp_path, change):
+        deep.save(tmp_path)
+        root = dataclasses.replace(deep.root_certificate, **change)
+        (tmp_path / "root.cert").write_text(root.to_text(), encoding="utf-8")
+        with pytest.raises(ParseError, match=r"root\.cert: root certificate is not validly self-signed$"):
+            TrustStore.load(tmp_path)
 
 
 class TestSignReport:
@@ -579,6 +613,24 @@ class TestWireFormat:
         text = signed_report_to_text(signed(deep, USTER))
         with pytest.raises(ParseError):
             signed_report_from_text(text.replace("chain=2", "chain=1", 1))
+
+    @pytest.mark.parametrize(
+        "pattern, replacement, message",
+        [
+            (r"^chain=\d+$", "chain=0", "chain length must be in 1..32"),
+            (r"^chain=\d+$", "chain=33", "chain length must be in 1..32"),
+            (r"^seq=\d+$", "seq=0", "seq must be >= 1"),
+            (r"^cert0\.serial=\d+$", "cert0.serial=0", "cert0 serial must be >= 1"),
+        ],
+        ids=["chain-0", "chain-33", "seq-0", "serial-0"],
+    )
+    def test_out_of_range_numbers_are_refused(self, deep, pattern, replacement, message):
+        text = signed_report_to_text(signed(deep, USTER))
+        mauled, n = re.subn(pattern, replacement, text, count=1, flags=re.MULTILINE)
+        assert n == 1
+        with pytest.raises(ParseError) as exc:
+            signed_report_from_text(mauled)
+        assert str(exc.value) == message
 
     def test_non_canonical_decimals_rejected(self, deep):
         text = signed_report_to_text(signed(deep, USTER))

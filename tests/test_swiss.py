@@ -70,6 +70,24 @@ def test_numbers_must_be_canonical_decimals(field, value):
     )
 
 
+def test_a_missing_column_names_its_row():
+    rows = "code,name,half_votes,channel\nZH,Zürich,2,dedicated\n"
+    with pytest.raises(ParseError) as exc:
+        parse_cantons(rows)
+    assert str(exc.value) == "swiss_cantons.csv row 2: 'eligible_voters'"
+
+
+def test_a_repeated_canton_code_is_refused():
+    rows = (
+        "code,name,half_votes,eligible_voters,channel\n"
+        "ZH,Zürich,2,907623,dedicated\n"
+        "ZH,Zürich,2,907623,dedicated\n"
+    )
+    with pytest.raises(ParseError) as exc:
+        parse_cantons(rows)
+    assert str(exc.value) == "swiss_cantons.csv: duplicate canton code"
+
+
 def test_display_names_cover_known_cantons():
     names = {c.code: c.name for c in load_cantons()}
     assert names["GR"] == "Graubünden"

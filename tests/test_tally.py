@@ -17,6 +17,7 @@ from votewire.tally import (
     popular_outcome,
     referendum_outcome,
 )
+from votewire.tree import tree_from_paths
 
 
 class TestPopularOutcome:
@@ -79,6 +80,12 @@ class TestCantonalOutcome:
         with pytest.raises(MissingCanton):
             cantonal_outcome({canton_id("A"): VoteCount(yes=1)}, tree)
 
+    def test_a_tree_without_weights_has_no_cantonal_vote(self):
+        tree = tree_from_paths([("CH", "A"), ("CH", "B")])
+        with pytest.raises(MissingCanton) as exc:
+            cantonal_outcome({}, tree)
+        assert str(exc.value) == "tree defines no weighted cantons"
+
     def test_unknown_jurisdiction_raises(self):
         tree = make_canton_tree({"A": 2})
         with pytest.raises(ValueError):
@@ -103,10 +110,10 @@ class TestReferendumOutcome:
         assert outcome == Outcome(
             popular=Decision.ACCEPTED,
             cantonal=None,
-            overall=Decision.ACCEPTED,
             yes_weight=Fraction(0),
             no_weight=Fraction(0),
         )
+        assert outcome.overall is Decision.ACCEPTED
 
     def test_double_majority_needs_both(self):
         tree = make_canton_tree({"A": 2, "B": 2, "C": 2})

@@ -174,6 +174,12 @@ class TestJurisdictionTree:
         with pytest.raises(ValueError):
             JurisdictionTree(root, {}, {JurisdictionId.of("CH", "ZH"): 2})
 
+    def test_rejects_eligible_voters_for_unknown_node(self):
+        root, a = JurisdictionId.of("CH"), JurisdictionId.of("CH", "A")
+        with pytest.raises(ValueError) as exc:
+            JurisdictionTree(root, {root: [a]}, eligible_voters={JurisdictionId.of("CH", "B"): 5})
+        assert str(exc.value) == "eligible-voter entry CH/B is not in the tree"
+
     def test_rejects_negative_eligible_voters(self):
         with pytest.raises(ValueError):
             make_canton_tree({"ZH": 2}, eligible={"ZH": -5})
