@@ -8,7 +8,6 @@ canton code "CH".
 
 from __future__ import annotations
 
-import csv
 import datetime
 import re
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from typing import Iterable
 
 from .counts import MAX_COUNT, VoteCount, parse_decimal
 from .errors import ArithmeticOverflow, DuplicateRecord, MissingCanton, ParseError
-from .swiss import FEDERAL_CODE
+from .swiss import FEDERAL_CODE, read_rows
 from .tree import JurisdictionId, JurisdictionTree
 
 RESULTS_HEADER = (
@@ -34,8 +33,6 @@ RESULTS_HEADER = (
 )
 # ASCII only: date.fromisoformat alone takes other forms on Python 3.11+.
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-# The line breaks str.splitlines knows besides LF, which no row may hold.
-_OTHER_BREAK_RE = re.compile("[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,53 +91,34 @@ def load_results(source: str | Path) -> list[HistoricalRecord]:
 
 
 def parse_results(text: str) -> list[HistoricalRecord]:
-    """Parse results CSV text: a row ends at LF or CRLF, and at no other line break."""
-    text = text.replace("\r\n", "\n")
-    stray = _OTHER_BREAK_RE.search(text)
-    if stray:
-        rowno = text.count("\n", 0, stray.start()) + 1
-        raise ParseError(f"row {rowno}: holds line break {stray.group()!r}; rows end at LF or CRLF")
-    reader = csv.reader(text.splitlines())  # LF is the only break left
-    try:
-        rows = list(reader)
-    except csv.Error as exc:
-        raise ParseError(f"row {reader.line_num}: {exc}") from None
-    if not rows:
-        raise ParseError("row 1: missing header")
-    if tuple(rows[0]) != RESULTS_HEADER:
-        raise ParseError(f"row 1: header must be {','.join(RESULTS_HEADER)}")
+    """Parse results CSV text in ``read_rows``'s row grammar."""
     records: list[HistoricalRecord] = []
     seen: set[tuple[str, str]] = set()
-    for rowno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(RESULTS_HEADER):
-            raise ParseError(f"row {rowno}: expected {len(RESULTS_HEADER)} fields, got {len(row)}")
+    for where, row in read_rows(text, RESULTS_HEADER, ""):
         ref_id, date_text, canton = row[0], row[1], row[2]
         if not ref_id or not canton:
-            raise ParseError(f"row {rowno}: referendum_id and canton must be nonempty")
+            raise ParseError(f"{where}: referendum_id and canton must be nonempty")
         try:
             if not _DATE_RE.fullmatch(date_text):
                 raise ValueError("not YYYY-MM-DD")
             datetime.date.fromisoformat(date_text)  # checked, not kept: nothing reads it
         except ValueError as exc:
-            raise ParseError(f"row {rowno}: bad date {date_text!r}") from exc
+            raise ParseError(f"{where}: bad date {date_text!r}") from exc
         counts = []
-        for name, text in zip(RESULTS_HEADER[3:], row[3:]):
-            counts.append(parse_decimal(text, f"row {rowno}: {name}"))
+        for name, field in zip(RESULTS_HEADER[3:], row[3:]):
+            counts.append(parse_decimal(field, f"{where}: {name}"))
             if counts[-1] > MAX_COUNT:
                 raise ArithmeticOverflow(
-                    f"row {rowno}: {name}={text} exceeds the 64-bit count range"
+                    f"{where}: {name}={field} exceeds the 64-bit count range"
                 )
         p_yes, p_no, f_yes, f_no, f_total = counts
         if f_total < f_yes + f_no:
             raise ParseError(
-                f"row {rowno}: final_total {f_total} is less than final yes+no {f_yes + f_no}"
+                f"{where}: final_total {f_total} is less than final yes+no {f_yes + f_no}"
             )
-        key = (ref_id, canton)
-        if key in seen:
-            raise DuplicateRecord(f"row {rowno}: duplicate entry for {canton} in {ref_id}")
-        seen.add(key)
+        if (ref_id, canton) in seen:
+            raise DuplicateRecord(f"{where}: duplicate entry for {canton} in {ref_id}")
+        seen.add((ref_id, canton))
         records.append(
             HistoricalRecord(
                 referendum_id=ref_id,

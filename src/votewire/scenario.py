@@ -305,7 +305,7 @@ def _truth_from_results(name: str, nodes: _Nodes) -> dict[JurisdictionId, VoteCo
 
     try:
         records = load_results(bundled_results_path(name))
-    except FileNotFoundError:
+    except (OSError, ValueError):  # no such file, or a name no file can have (a NUL)
         raise ConfigError(
             f"field 'ground_truth.bundled_results': no bundled results named {name!r}"
         ) from None

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import csv
 import functools
+import re
 from dataclasses import dataclass
 from importlib import resources
+from typing import Iterator
 
 from .channels import PRESETS
 from .counts import parse_decimal
@@ -20,8 +22,11 @@ from .tree import JurisdictionId, JurisdictionTree
 
 FEDERAL_CODE = "CH"
 
+CANTONS_HEADER = ("code", "name", "half_votes", "eligible_voters", "channel")
 # Channel tags the data file may use: the unsigned presets.
 CHANNEL_TAGS = tuple(name for name, spec in PRESETS.items() if not spec.signed)
+# The line breaks str.splitlines knows besides LF, which no row may hold.
+_OTHER_BREAK_RE = re.compile("[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,35 +38,57 @@ class CantonInfo:
     channel: str
 
 
+def read_rows(text: str, header: tuple[str, ...], prefix: str) -> Iterator[tuple[str, list[str]]]:
+    """(label, fields) of each nonempty row after ``header``; a row ends at LF or CRLF."""
+    text = text.replace("\r\n", "\n")
+    stray = _OTHER_BREAK_RE.search(text)
+    if stray:
+        rowno = text.count("\n", 0, stray.start()) + 1
+        raise ParseError(
+            f"{prefix}row {rowno}: holds line break {stray.group()!r}; rows end at LF or CRLF"
+        )
+    reader = csv.reader(text.splitlines())  # LF is the only break left
+    try:
+        for rowno, row in enumerate(reader, start=1):
+            where = f"{prefix}row {rowno}"
+            if reader.line_num != rowno:  # the row ran on past its own line
+                raise ParseError(f"{where}: a quoted field holds a line break")
+            if rowno == 1 and tuple(row) != header:
+                raise ParseError(f"{where}: header must be {','.join(header)}")
+            if rowno > 1 and row:
+                if len(row) != len(header):
+                    raise ParseError(f"{where}: expected {len(header)} fields, got {len(row)}")
+                yield where, row
+    except csv.Error as exc:
+        raise ParseError(f"{prefix}row {reader.line_num}: {exc}") from None
+    if reader.line_num == 0:
+        raise ParseError(f"{prefix}row 1: missing header")
+
+
 @functools.cache
 def load_cantons() -> tuple[CantonInfo, ...]:
     """The bundled canton table, parsed once per process; order is the
     conventional cantonal order."""
     data = resources.files("votewire.data").joinpath("swiss_cantons.csv")
-    return parse_cantons(data.read_text(encoding="utf-8"))
+    return parse_cantons(data.read_bytes().decode("utf-8"))
 
 
 def parse_cantons(text: str) -> tuple[CantonInfo, ...]:
     """Parse a canton table in the bundled file's format."""
-    reader = csv.DictReader(text.splitlines())
     rows: list[CantonInfo] = []
-    for lineno, row in enumerate(reader, start=2):
-        where = f"swiss_cantons.csv row {lineno}"
-        try:
-            info = CantonInfo(
-                code=row["code"],
-                name=row["name"],
-                half_votes=parse_decimal(row["half_votes"], f"{where}: half_votes"),
-                eligible_voters=parse_decimal(row["eligible_voters"], f"{where}: eligible_voters"),
-                channel=row["channel"],
-            )
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"{where}: {exc}") from exc
-        if info.channel not in CHANNEL_TAGS:
-            raise ParseError(f"{where}: unknown channel tag {info.channel!r}")
+    for where, row in read_rows(text, CANTONS_HEADER, "swiss_cantons.csv "):
+        code, name, half_votes, eligible, channel = row
+        info = CantonInfo(
+            code=code,
+            name=name,
+            half_votes=parse_decimal(half_votes, f"{where}: half_votes"),
+            eligible_voters=parse_decimal(eligible, f"{where}: eligible_voters"),
+            channel=channel,
+        )
+        if channel not in CHANNEL_TAGS:
+            raise ParseError(f"{where}: unknown channel tag {channel!r}")
         rows.append(info)
-    codes = [r.code for r in rows]
-    if len(codes) != len(set(codes)):
+    if len({r.code for r in rows}) != len(rows):
         raise ParseError("swiss_cantons.csv: duplicate canton code")
     return tuple(rows)
 

@@ -59,9 +59,13 @@ def cantonal_instances(draw, max_cantons: int = 5, max_side: int = 50):
 
 
 @st.composite
-def uneven_tree_paths(draw) -> list[tuple[str, ...]]:
-    """Leaf paths of an uneven tree of 2 to 4 levels, 1 to 3 children a node."""
-    max_depth = draw(st.integers(1, 3))
+def uneven_tree_paths(draw, max_depth: int | None = None) -> list[tuple[str, ...]]:
+    """Leaf paths of an uneven tree of 2 to 4 levels, 1 to 3 children a node.
+
+    ``max_depth`` 1 gives two levels: every child of the root is a leaf.
+    """
+    if max_depth is None:
+        max_depth = draw(st.integers(1, 3))
     paths: list[tuple[str, ...]] = []
 
     def grow(path: tuple[str, ...]) -> None:

@@ -41,6 +41,7 @@ LAZY = "tests/test_cli.py::TestLazyPackage"
 VERIFY = "votewire/secauth/verify.py"
 SECAUTH = "tests/test_secauth.py"
 BY_POSITION = f"{SECAUTH}::TestGoldens::test_unknown_scheme_rejects_by_position"
+ROW_BREAKS = "tests/test_analysis.py::TestRowBreaks"
 # A pytest run that takes longer has hung; it kills nothing.
 TIMEOUT_S = 600
 
@@ -260,6 +261,30 @@ MUTANTS = (
         "    seq_offset: int = 1000\n",
         "    seq_offset: int = 999\n",
         ("tests/test_adversary.py::TestAttackApplication::test_forged_report_shadows_the_genuine_sender",),
+    ),
+    Mutant(
+        "a table row may hold a line break other than LF or CRLF",
+        "votewire/swiss.py",
+        "    if stray:\n",
+        "    if False:\n",
+        (
+            f"{ROW_BREAKS}::test_a_line_separator_does_not_split_a_row",
+            f"{ROW_BREAKS}::test_a_cr_only_file_is_refused",
+            "tests/test_swiss.py::test_a_cr_only_table_is_refused",
+            "tests/test_swiss.py::test_a_line_separator_in_a_name_is_refused_by_its_row",
+        ),
+    ),
+    Mutant(
+        "a table row may hold more or fewer fields than its header",
+        "votewire/swiss.py",
+        "                if len(row) != len(header):\n",
+        "                if False:\n",
+        (
+            "tests/test_analysis.py::TestParsing::test_short_row_reports_row_number",
+            "tests/test_analysis.py::TestParsing::test_a_ninth_field_is_refused",
+            "tests/test_swiss.py::test_a_sixth_field_is_refused",
+            "tests/test_swiss.py::test_a_short_row_is_refused_by_its_field_count",
+        ),
     ),
 )
 

@@ -10,7 +10,9 @@ The trace and summary formatters render every record and summary item
 field by field, with no table shared between lines: they pin the text that
 ``EventTrace.to_text`` and ``DetectionSummary.to_text`` produce from their
 per-call tables. ``reference_detection_report`` audits a trace against
-subtree truths summed leaf by leaf.
+subtree truths summed leaf by leaf; ``covered_truth_report`` against the
+truth of only the leaves each published value covers, found by replaying
+the trace.
 
 ``feasibility_check`` applies the engine's acceptance checks to one
 preliminary report over a ``SequenceState``; the feasibility tests
@@ -320,16 +322,18 @@ def subtree_truth(trace: EventTrace, node: JurisdictionId) -> VoteCount:
     )
 
 
-def reference_detection_report(trace: EventTrace) -> DetectionSummary:
-    """The summary ``detection_report`` must return, with each truth it
-    compares summed by ``subtree_truth`` from the leaves."""
+def _audit(trace: EventTrace, truth_of) -> DetectionSummary:
+    """The summary of ``trace`` when ``truth_of(at, child)`` is the truth that
+    the entry for ``child`` of the publication at ``trace.records[at]`` must read."""
     tree = trace.tree
     root_children = tree.children(tree.root)
     divergences, gaps = [], []
-    for pub in publishes(trace, ReportKind.PRELIMINARY):
+    for at, pub in enumerate(trace.records):
+        if not isinstance(pub, PublishRecord) or pub.kind is not ReportKind.PRELIMINARY:
+            continue
         covered = [child for child, _, _ in pub.children]
         for child, _, counts in pub.children:
-            truth = subtree_truth(trace, child)
+            truth = truth_of(at, child)
             if counts != truth:
                 divergences.append(CountDivergence(pub.time, child, counts, truth))
         missing = tuple(child for child in root_children if child not in covered)
@@ -342,6 +346,53 @@ def reference_detection_report(trace: EventTrace) -> DetectionSummary:
         detects=tuple(r for r in trace.records if isinstance(r, DetectRecord)),
         final_matches_ground_truth=final.counts == subtree_truth(trace, tree.root),
         integrity_gap_ticks=max(0, final.time - divergences[0].time) if divergences else 0,
+    )
+
+
+def reference_detection_report(trace: EventTrace) -> DetectionSummary:
+    """The summary ``detection_report`` must return, with each truth it
+    compares summed by ``subtree_truth`` from the leaves."""
+    return _audit(trace, lambda at, child: subtree_truth(trace, child))
+
+
+def covered_leaves(trace: EventTrace) -> dict[tuple[int, JurisdictionId], frozenset]:
+    """The leaves behind each entry of each preliminary publication, keyed by
+    (record index, child), from a replay of the trace in record order.
+
+    A leaf's emit covers the leaf. An internal node's emit covers the union
+    of what its latest accepted report from each child covers, kept per
+    report kind. An accepted delivery resolves its (sender, seq) to the emit
+    behind it; a seq that no emit carries, a forgery, is charged with the
+    sender's latest emit. A publication reads the root's accepted entries.
+    """
+    tree = trace.tree
+    emitted: dict[tuple[JurisdictionId, int], frozenset] = {}
+    latest: dict[JurisdictionId, frozenset] = {}
+    accepted: dict[tuple[JurisdictionId, ReportKind], dict[JurisdictionId, frozenset]] = {}
+    out: dict[tuple[int, JurisdictionId], frozenset] = {}
+    for at, rec in enumerate(trace.records):
+        if isinstance(rec, EmitRecord):
+            if tree.children(rec.node):
+                leaves = frozenset().union(*accepted[rec.node, rec.kind].values())
+            else:
+                leaves = frozenset([rec.node])
+            emitted[rec.node, rec.seq] = latest[rec.node] = leaves
+        elif isinstance(rec, DeliverRecord) and rec.accepted:
+            leaves = emitted.get((rec.sender, rec.seq), latest[rec.sender])
+            accepted.setdefault((rec.receiver, rec.kind), {})[rec.sender] = leaves
+        elif isinstance(rec, PublishRecord) and rec.kind is ReportKind.PRELIMINARY:
+            for child, _, _ in rec.children:
+                out[at, child] = accepted[rec.node, rec.kind][child]
+    return out
+
+
+def covered_truth_report(trace: EventTrace) -> DetectionSummary:
+    """The summary with each published value compared with the summed truth
+    of the leaves ``covered_leaves`` finds behind it, not of its whole subtree."""
+    covered = covered_leaves(trace)
+    return _audit(
+        trace,
+        lambda at, child: accumulate(trace.ground_truth[leaf] for leaf in covered[at, child]),
     )
 
 

@@ -87,6 +87,11 @@ class TestParsing:
         with pytest.raises(ParseError, match="row 2"):
             parse_results(text)
 
+    def test_a_ninth_field_is_refused(self):
+        with pytest.raises(ParseError) as exc:
+            parse_results(HEADER + "\nr1,2015-06-14,ZH,1,2,3,4,7,8\n")
+        assert str(exc.value) == "row 2: expected 8 fields, got 9"
+
     def test_total_smaller_than_yes_plus_no_rejected(self):
         text = HEADER + "\nr1,2015-06-14,ZH,1,2,30,40,50\n"
         with pytest.raises(ParseError, match="row 2"):
@@ -161,6 +166,19 @@ class TestRowBreaks:
         with pytest.raises(ParseError) as exc:
             load_results(cr_only)
         assert str(exc.value) == "row 1: holds line break '\\r'; rows end at LF or CRLF"
+
+    def test_a_quoted_line_feed_is_refused_not_joined(self):
+        # csv.reader over split lines would read "r\n1" as the id r1.
+        with pytest.raises(ParseError) as exc:
+            parse_results(f'{HEADER}\n"r\n1",2015-06-14,ZH,1,2,3,4,7\n')
+        assert str(exc.value) == "row 2: a quoted field holds a line break"
+
+    def test_rows_after_a_quoted_line_feed_keep_their_physical_numbers(self):
+        # The bad count sits on line 5; joining lines 3 and 4 would call it row 4.
+        text = f'{HEADER}\n{self.ZH}\n"r\n",2015-06-14,BE,1,2,3,4,7\nr,2015-06-14,GE,x,2,3,4,7\n'
+        with pytest.raises(ParseError) as exc:
+            parse_results(text)
+        assert str(exc.value) == "row 3: a quoted field holds a line break"
 
     def test_a_csv_module_error_is_a_parse_error(self):
         # A field past the csv module's size limit, 131,072 characters.

@@ -641,14 +641,14 @@ class TestDeterminism:
 
 
 @st.composite
-def random_simulations(draw) -> Simulation:
+def random_simulations(draw, max_depth: int | None = None) -> Simulation:
     """A small run on an uneven tree of 2 to 4 levels, with attacks and noise.
 
     Children are listed in a drawn order, as in ``test_tree.shuffled_trees``:
     a run that took a child's slot from sorted ids or from its rank in
     ``order()`` would then differ from the reference.
     """
-    paths = draw(uneven_tree_paths())
+    paths = draw(uneven_tree_paths(max_depth))
     shape = tree_from_paths(paths)
     children = {node: draw(st.permutations(shape.children(node))) for node in shape.order()}
     leaves = [JurisdictionId(p) for p in paths]
@@ -852,6 +852,63 @@ class TestAuditAgainstTheReference:
         assert detection_report(trace) == oracles.reference_detection_report(trace)
 
 
+class TestCoveredTruthOracle:
+    """``oracles.covered_truth_report`` compares each published value with
+    the truth of the leaves its emit covers."""
+
+    @settings(max_examples=150)
+    @given(sim=random_simulations(max_depth=1))
+    def test_equals_the_subtree_reference_when_each_root_child_is_a_leaf(self, sim):
+        trace = sim.run()
+        assert oracles.covered_truth_report(trace) == oracles.reference_detection_report(trace)
+
+    def test_an_honest_partial_preliminary_does_not_diverge(self):
+        trace = partial_preliminary_simulation().run()
+        assert oracles.covered_truth_report(trace).count_divergences == ()
+        # The subtree reference charges CH/K's partial 10:5 with M2's 7:9 too.
+        assert len(oracles.reference_detection_report(trace).count_divergences) == 2
+
+    def test_a_forged_seq_is_charged_with_the_senders_latest_emit(self):
+        # CH/K's forgery carries seq 1001, which no emit carries; CH/K's
+        # latest emit then covers M1 alone, and M2 reports only at t=50.
+        k = JurisdictionId.from_text("CH/K")
+        forgery = AttackSpec(AttackKind.FRONT_RUN, k, forged_counts=VoteCount(1, 1))
+        sim = dataclasses.replace(
+            partial_preliminary_simulation(),
+            prelim_emit={JurisdictionId.from_text("CH/K/M2"): 50},
+            attacks=(forgery,),
+        )
+        trace = sim.run()
+        leaves = oracles.covered_leaves(trace)
+        forged = [key for key, pub in published_entries(trace) if pub == (k, 1001)]
+        assert forged
+        assert {leaves[key] for key in forged} == {frozenset([JurisdictionId.from_text("CH/K/M1")])}
+        assert oracles.covered_truth_report(trace).count_divergences[0].final == VoteCount(10, 5)
+
+
+def published_entries(trace):
+    """((record index, child), (child, seq)) of each preliminary publication entry."""
+    for at, rec in enumerate(trace.records):
+        if isinstance(rec, PublishRecord) and rec.kind is ReportKind.PRELIMINARY:
+            for child, seq, _ in rec.children:
+                yield (at, child), (child, seq)
+
+
+def partial_preliminary_simulation() -> Simulation:
+    """CH/K/{M1,M2} and CH/L/M3, honest, where M2 reports at t=5: CH/K
+    first forwards M1's 10:5 alone."""
+    m1, m2, m3 = (JurisdictionId.from_text(t) for t in ("CH/K/M1", "CH/K/M2", "CH/L/M3"))
+    tree = tree_from_paths([m1.path, m2.path, m3.path])
+    return Simulation(
+        election_id="depth3",
+        tree=tree,
+        channels={node: preset("fax") for node in tree.order()[1:]},
+        ground_truth={m1: VoteCount(10, 5), m2: VoteCount(7, 9), m3: VoteCount(4, 4)},
+        seed=1,
+        prelim_emit={m2: 5},
+    )
+
+
 class TestAuditOnDeepTrees:
     @pytest.mark.xfail(
         strict=True,
@@ -859,17 +916,7 @@ class TestAuditOnDeepTrees:
         "aggregate with the truth of its whole subtree",
     )
     def test_an_honest_partial_preliminary_does_not_diverge(self):
-        m1, m2, m3 = (JurisdictionId.from_text(t) for t in ("CH/K/M1", "CH/K/M2", "CH/L/M3"))
-        tree = tree_from_paths([m1.path, m2.path, m3.path])
-        sim = Simulation(
-            election_id="depth3",
-            tree=tree,
-            channels={node: preset("fax") for node in tree.order()[1:]},
-            ground_truth={m1: VoteCount(10, 5), m2: VoteCount(7, 9), m3: VoteCount(4, 4)},
-            seed=1,
-            prelim_emit={m2: 5},
-        )
-        summary = detection_report(sim.run())
+        summary = detection_report(partial_preliminary_simulation().run())
         assert len(summary.count_divergences) == 0
         assert summary.integrity_gap_ticks == 0
         assert summary.clean()

@@ -453,6 +453,18 @@ class TestDiagnostics:
         with pytest.raises(ConfigError, match="atlantis_1999"):
             parse(doc)
 
+    @pytest.mark.parametrize(
+        "name", ["rtvg\x002015", "rtvg_2015.csv/", "x" * 300], ids=["nul", "not-a-dir", "long"]
+    )
+    def test_a_name_no_bundled_file_can_have_is_unknown(self, name):
+        # Each raised ValueError or OSError out of the parser: exit 1 for a NUL.
+        doc = custom_doc(ground_truth={"bundled_results": name})
+        with pytest.raises(ConfigError) as exc:
+            parse(doc)
+        assert str(exc.value) == (
+            f"field 'ground_truth.bundled_results': no bundled results named {name!r}"
+        )
+
     def test_timing_rejects_unknown_nodes_and_negatives(self):
         with pytest.raises(ConfigError, match="timing.prelim_emit.CH/Z"):
             parse(custom_doc(timing={"prelim_emit": {"CH/Z": 1}}))

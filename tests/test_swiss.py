@@ -70,11 +70,63 @@ def test_numbers_must_be_canonical_decimals(field, value):
     )
 
 
+HEADER = "code,name,half_votes,eligible_voters,channel"
+ZH = "ZH,Zürich,2,907623,dedicated"
+
+
+def refusal(text):
+    with pytest.raises(ParseError) as exc:
+        parse_cantons(text)
+    return str(exc.value)
+
+
 def test_a_missing_column_names_its_row():
     rows = "code,name,half_votes,channel\nZH,Zürich,2,dedicated\n"
-    with pytest.raises(ParseError) as exc:
-        parse_cantons(rows)
-    assert str(exc.value) == "swiss_cantons.csv row 2: 'eligible_voters'"
+    assert refusal(rows) == f"swiss_cantons.csv row 1: header must be {HEADER}"
+
+
+def test_a_reordered_header_is_refused():
+    rows = "name,code,half_votes,eligible_voters,channel\nZürich,ZH,2,907623,dedicated\n"
+    assert refusal(rows) == f"swiss_cantons.csv row 1: header must be {HEADER}"
+
+
+def test_a_sixth_field_is_refused():
+    assert refusal(f"{HEADER}\n{ZH},extra\n") == "swiss_cantons.csv row 2: expected 5 fields, got 6"
+
+
+def test_a_short_row_is_refused_by_its_field_count():
+    rows = f"{HEADER}\n{ZH}\nBE,Bern,2,740000\n"
+    assert refusal(rows) == "swiss_cantons.csv row 3: expected 5 fields, got 4"
+
+
+def test_a_cr_only_table_is_refused():
+    assert refusal(f"{HEADER}\r{ZH}\r") == (
+        "swiss_cantons.csv row 1: holds line break '\\r'; rows end at LF or CRLF"
+    )
+
+
+def test_a_line_separator_in_a_name_is_refused_by_its_row():
+    name = "Zü\u2028rich"
+    rows = f"{HEADER}\n{ZH.replace('Zürich', name)}\n"
+    assert refusal(rows) == (
+        "swiss_cantons.csv row 2: holds line break '\\u2028'; rows end at LF or CRLF"
+    )
+
+
+def test_a_field_past_the_csv_size_limit_is_a_parse_error():
+    # The csv module refuses a field over 131,072 characters.
+    rows = f"{HEADER}\n{ZH.replace('Zürich', 'Z' * 131_073)}\n"
+    assert refusal(rows) == "swiss_cantons.csv row 2: field larger than field limit (131072)"
+
+
+def test_a_quoted_line_feed_is_refused_where_it_opens():
+    rows = f'{HEADER}\n{ZH}\nBE,"Be\nrn",2,740000,telephone\n'
+    assert refusal(rows) == "swiss_cantons.csv row 3: a quoted field holds a line break"
+
+
+def test_crlf_rows_read_as_lf_rows():
+    lf = f"{HEADER}\n{ZH}\n"
+    assert parse_cantons(lf.replace("\n", "\r\n")) == parse_cantons(lf)
 
 
 def test_a_repeated_canton_code_is_refused():
