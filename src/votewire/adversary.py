@@ -22,7 +22,7 @@ from .channels import ChannelSpec
 from .counts import VoteCount, accumulate
 from .errors import CapabilityError
 from .reports import ReportKind
-from .traces import DetectRecord, EventTrace, PublishRecord, nogc
+from .traces import DeliverRecord, EventTrace, PublishRecord, nogc
 from .tree import JurisdictionId
 
 
@@ -156,7 +156,8 @@ class CoverageGap:
 class DetectionSummary:
     count_divergences: tuple[CountDivergence, ...]
     coverage_gaps: tuple[CoverageGap, ...]
-    detects: tuple[DetectRecord, ...]
+    # The refused deliveries, in trace order: each is its receiver's detect event.
+    detects: tuple[DeliverRecord, ...]
     final_matches_ground_truth: bool
     # Ticks from the first count-divergent publication to the final one:
     # how long a wrong running total stood uncorrected.
@@ -215,10 +216,10 @@ def _gap_lines(gaps: Sequence[CoverageGap]) -> list[str]:
     return [f"  t={g.time} missing={','.join(m._text for m in g.missing)}" for g in gaps]
 
 
-def _detect_lines(detects: Sequence[DetectRecord]) -> list[str]:
+def _detect_lines(detects: Sequence[DeliverRecord]) -> list[str]:
     return [
-        f"  t={time} node={node._text} reason={reason} child={child._text} seq={seq}"
-        for time, node, reason, child, seq in detects
+        f"  t={time} node={receiver._text} reason={reason} child={sender._text} seq={seq}"
+        for time, sender, receiver, _channel, _kind, seq, _counts, reason in detects
     ]
 
 
@@ -241,9 +242,10 @@ def detection_report(trace: EventTrace) -> DetectionSummary:
     Preliminary publications are compared child by child against the final
     ground truth for that child's subtree. A child covered with wrong
     counts is a count divergence; a child not covered at all is a coverage
-    gap. Detect events are collected verbatim. The comparison baseline is
-    the ground truth, so honest miscount noise shows up exactly like
-    tampering: this reports what differed, not who is to blame.
+    gap. Each refused delivery is collected as its receiver's detect event.
+    The comparison baseline is the ground truth, so honest miscount noise
+    shows up exactly like tampering: this reports what differed, not who is
+    to blame.
 
     Only the root children's truths are summed, from the leaves: a run's
     ground truth is keyed by leaves, each naming its root child second.
@@ -258,13 +260,14 @@ def detection_report(trace: EventTrace) -> DetectionSummary:
 
     divergences: list[CountDivergence] = []
     gaps: list[CoverageGap] = []
-    detects: list[DetectRecord] = []
+    detects: list[DeliverRecord] = []
     first_divergent_time: int | None = None
-    # One pass over the records collects both detects and publications.
+    # One pass over the records collects both refusals and publications.
     for record in trace.records:
         cls = type(record)
-        if cls is DetectRecord:
-            detects.append(record)
+        if cls is DeliverRecord:
+            if record.reason is not None:
+                detects.append(record)
             continue
         if cls is not PublishRecord or record.kind is not prelim:
             continue

@@ -139,9 +139,9 @@ def cmd_flip(args: argparse.Namespace) -> int:
     elif target is Decision.ACCEPTED:
         # The plan min_flips_outcome would return; called by this module's
         # name so bench/workloads.py can time the double solver by rebinding it.
-        plan = min_flips_double(per_canton, tree, spec, target)
+        plan = min_flips_double(per_canton, tree, target)
     else:
-        plan = min_flips_outcome(per_canton, tree, spec, target)
+        plan = min_flips_outcome(per_canton, tree, target)
 
     print(f"referendum: {args.referendum}")
     print(f"rule: {spec.majority_rule.value}")

@@ -71,7 +71,6 @@ from .reports import ReportKind, SequenceState
 from .traces import (
     AttackRecord,
     DeliverRecord,
-    DetectRecord,
     EmitRecord,
     EventTrace,
     PublishRecord,
@@ -328,8 +327,7 @@ class Simulation:
                         time, sender_id, receiver_id, channel[sender].name, prelim, what, counts,
                         reason,
                     )))
-                    if reason is not None:
-                        append(new(DetectRecord, (time, receiver_id, reason, sender_id, what)))
+                    if reason is not None:  # the refused delivery is the detect event
                         continue
                     table, position = prelim_tables[i], slot[sender]
                     old = table[position]

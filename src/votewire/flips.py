@@ -18,7 +18,7 @@ from typing import Mapping
 
 from .counts import VoteCount, accumulate
 from .errors import Infeasible
-from .tally import Decision, MajorityRule, ReferendumSpec, cantonal_outcome, popular_outcome
+from .tally import Decision, cantonal_outcome, popular_outcome
 from .tree import JurisdictionId, JurisdictionTree
 
 
@@ -147,7 +147,6 @@ def min_flips_cantonal(
 def min_flips_double(
     per_canton: Mapping[JurisdictionId, VoteCount],
     tree: JurisdictionTree,
-    spec: ReferendumSpec,
     target: Decision,
 ) -> FlipPlan:
     """Minimal flips after which both the popular and the cantonal majority read ``target``.
@@ -156,8 +155,6 @@ def min_flips_double(
     selection may already cover the national margin; any shortfall is made
     up by extra flips wherever opposing ballots remain.
     """
-    if spec.majority_rule is not MajorityRule.DOUBLE_MAJORITY:
-        raise ValueError("double-majority solver called for a popular-only referendum")
     national = accumulate(per_canton.values())
     popular_need = flips_to_majority(national, target)
 
@@ -183,7 +180,6 @@ def min_flips_double(
 def min_flips_outcome(
     per_canton: Mapping[JurisdictionId, VoteCount],
     tree: JurisdictionTree,
-    spec: ReferendumSpec,
     target: Decision,
 ) -> FlipPlan:
     """Minimal flips after which the double-majority outcome reads ``target``.
@@ -193,10 +189,8 @@ def min_flips_outcome(
     the popular plan (national pool) and the cantonal plan, the popular
     one on a tie. Ties reject, as in the solvers above.
     """
-    if spec.majority_rule is not MajorityRule.DOUBLE_MAJORITY:
-        raise ValueError("outcome solver called for a popular-only referendum")
     if target is Decision.ACCEPTED:
-        return min_flips_double(per_canton, tree, spec, target)
+        return min_flips_double(per_canton, tree, target)
     # Neither raises Infeasible: a majority that accepts has yes ballots
     # (or yes-majority cantons) enough to drain.
     popular = min_flips_popular(accumulate(per_canton.values()), target)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
-from ..errors import HierarchyError, ParseError, StoreConflict, SubjectMismatch
+from ..errors import EncodingError, HierarchyError, ParseError, StoreConflict, SubjectMismatch
 from ..tree import JurisdictionId, JurisdictionTree
 from . import schemes
 from .encoding import (
@@ -72,6 +72,17 @@ class Certificate:
     def to_text(self, prefix: str = "") -> str:
         """``field=value`` lines in CERT_FIELDS order, each name after ``prefix``."""
         return format_fields(CERT_FIELDS, (getattr(self, f) for f in CERT_FIELDS), prefix)
+
+
+def _signed_by(signer: Certificate, payload: Callable[[], bytes], signature: bytes) -> bool:
+    """Whether ``signer`` is Ed25519 and ``signature`` covers ``payload()``, which must encode."""
+    if signer.scheme != schemes.NAME:
+        return False
+    try:
+        message = payload()
+    except EncodingError:
+        return False
+    return schemes.verify(signer.public_key, message, signature)
 
 
 def certificate_from_text(text: str) -> Certificate:
@@ -180,7 +191,6 @@ class TrustStore:
         if not root_path.is_file():
             raise ParseError(f"trust store {where} has no {ROOT_FILENAME}")
         root_cert = _certificate_file(root_path)
-        from .verify import _signed_by  # verify builds on this module
         if not _signed_by(root_cert, root_cert.payload, root_cert.issuer_signature):
             raise ParseError(f"{root_path}: root certificate is not validly self-signed")
         certs: dict[JurisdictionId, Certificate] = {root_cert.subject: root_cert}

@@ -19,13 +19,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
 
-from ..errors import EncodingError
 from ..reports import SequenceState
-from . import schemes
 from .encoding import canonical_encode
-from .pki import Certificate
+from .pki import Certificate, _signed_by
 from .signing import SignedReport
 
 
@@ -71,17 +68,6 @@ class RevocationList:
 
 
 EMPTY_CRL = RevocationList()
-
-
-def _signed_by(signer: Certificate, payload: Callable[[], bytes], signature: bytes) -> bool:
-    """Whether ``signer`` is Ed25519 and ``signature`` covers ``payload()``, which must encode."""
-    if signer.scheme != schemes.NAME:
-        return False
-    try:
-        message = payload()
-    except EncodingError:
-        return False
-    return schemes.verify(signer.public_key, message, signature)
 
 
 def verify_report(

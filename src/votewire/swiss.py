@@ -47,7 +47,10 @@ def read_rows(text: str, header: tuple[str, ...], prefix: str) -> Iterator[tuple
         raise ParseError(
             f"{prefix}row {rowno}: holds line break {stray.group()!r}; rows end at LF or CRLF"
         )
-    reader = csv.reader(text.splitlines())  # LF is the only break left
+    # LF is the only break left. Strict: a quote must close, and only a
+    # separator or the row's end may follow it.
+    reader = csv.reader(text.splitlines(), strict=True)
+    rowno = 0
     try:
         for rowno, row in enumerate(reader, start=1):
             where = f"{prefix}row {rowno}"
@@ -60,7 +63,9 @@ def read_rows(text: str, header: tuple[str, ...], prefix: str) -> Iterator[tuple
                     raise ParseError(f"{where}: expected {len(header)} fields, got {len(row)}")
                 yield where, row
     except csv.Error as exc:
-        raise ParseError(f"{prefix}row {reader.line_num}: {exc}") from None
+        rowno += 1  # the row being read, named where it opens
+        why = exc if reader.line_num == rowno else "a quoted field holds a line break"
+        raise ParseError(f"{prefix}row {rowno}: {why}") from None
     if reader.line_num == 0:
         raise ParseError(f"{prefix}row 1: missing header")
 

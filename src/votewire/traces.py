@@ -1,9 +1,11 @@
 """Simulation trace records and the trace container.
 
 Every observable step of a run becomes exactly one record, and each record
-renders to one stable text line of space-separated key=value fields. Two
-runs with the same configuration and seed produce byte-identical text,
-which makes traces diffable and suitable as golden files.
+renders to one stable text line of space-separated key=value fields,
+except a refused delivery: its line is followed by the receiver's
+``detect`` line, derived from the same record. Two runs with the same
+configuration and seed produce byte-identical text, which makes traces
+diffable and suitable as golden files.
 
 Records carry no rendering of their own: ``EventTrace.to_text`` renders
 them all in one loop, one f-string per line, reading each id's and kind's
@@ -111,14 +113,6 @@ class AttackRecord(NamedTuple):
     detail: str
 
 
-class DetectRecord(NamedTuple):
-    time: int
-    node: JurisdictionId
-    reason: str
-    child: JurisdictionId
-    seq: int
-
-
 class PublishRecord(NamedTuple):
     """A running total released by the root.
 
@@ -133,7 +127,7 @@ class PublishRecord(NamedTuple):
     children: tuple[tuple[JurisdictionId, int, VoteCount], ...]
 
 
-TraceRecord = EmitRecord | DeliverRecord | AttackRecord | DetectRecord | PublishRecord
+TraceRecord = EmitRecord | DeliverRecord | AttackRecord | PublishRecord
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,7 +139,8 @@ class EventTrace:
     records: tuple[TraceRecord, ...]
 
     def to_text(self) -> str:
-        """The header, one line per record, and the footer, each ending in a newline.
+        """The header, one line per record, a refused delivery's detect line
+        after it, and the footer, each ending in a newline.
 
         Each line is one f-string over the record's unpacked fields, ids
         and kinds read from their stored text: no Python-level call per
@@ -170,19 +165,20 @@ class EventTrace:
                     f"seq={seq} yes={c.yes} no={c.no} blank={c.blank} invalid={c.invalid} "
                     f"accepted={'true' if reason is None else 'false'}"
                 )
-                append(line if reason is None else f"{line} reason={reason}")
+                if reason is None:
+                    append(line)
+                else:
+                    append(f"{line} reason={reason}")
+                    append(
+                        f"detect t={time} node={receiver._text} reason={reason} "
+                        f"child={sender._text} seq={seq}"
+                    )
             elif cls is EmitRecord:
                 time, node, kind, seq, c = record
                 append(
                     f"emit t={time} node={node._text} "
                     f"kind={prelim_text if kind is prelim else final_text} seq={seq} "
                     f"yes={c.yes} no={c.no} blank={c.blank} invalid={c.invalid}"
-                )
-            elif cls is DetectRecord:
-                time, node, reason, child, seq = record
-                append(
-                    f"detect t={time} node={node._text} reason={reason} "
-                    f"child={child._text} seq={seq}"
                 )
             elif cls is PublishRecord:
                 time, node, kind, c, children = record
@@ -206,8 +202,10 @@ class EventTrace:
                     f"attack t={time} kind={kind} from={sender._text} "
                     f"to={receiver._text} mode={mode} detail={detail}"
                 )
-        # The last line carries the final newline, so the text is joined once.
-        append(f"end records={len(self.records)}\n")
+        # The footer counts the lines above it but the header: a refused
+        # delivery wrote two. It carries the final newline, so the text is
+        # joined once.
+        append(f"end records={len(lines) - 1}\n")
         return "\n".join(lines)
 
     def final_publish(self) -> PublishRecord:

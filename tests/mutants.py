@@ -37,8 +37,10 @@ REFERENCE = f"{TEST_ENGINE}::TestAgainstTheReference"
 FLIPS = "votewire/flips.py"
 TAIL_HIT = "        if known is not None and known[0] is child and known[1] is final:\n"
 RENDERING = f"{TEST_ENGINE}::TestRendering"
+REFUSALS = f"{TEST_ENGINE}::TestRefusals"
 LAZY = "tests/test_cli.py::TestLazyPackage"
 VERIFY = "votewire/secauth/verify.py"
+PKI = "votewire/secauth/pki.py"
 SECAUTH = "tests/test_secauth.py"
 BY_POSITION = f"{SECAUTH}::TestGoldens::test_unknown_scheme_rejects_by_position"
 ROW_BREAKS = "tests/test_analysis.py::TestRowBreaks"
@@ -141,14 +143,14 @@ MUTANTS = (
     ),
     Mutant(
         "a signer of another scheme is verified as Ed25519",
-        VERIFY,
+        PKI,
         "    if signer.scheme != schemes.NAME:\n",
         "    if False:\n",
         tuple(f"{BY_POSITION}[{at}]" for at in ("root", "inner-link", "chain-head")),
     ),
     Mutant(
         "a payload the wire cannot encode raises out of the verifier",
-        VERIFY,
+        PKI,
         "    except EncodingError:\n",
         "    except ZeroDivisionError:\n",
         tuple(
@@ -209,7 +211,7 @@ MUTANTS = (
     ),
     Mutant(
         "a trust store loads a root whose self-signature fails",
-        "votewire/secauth/pki.py",
+        PKI,
         "        if not _signed_by(root_cert, root_cert.payload, root_cert.issuer_signature):\n",
         "        if False:\n",
         tuple(
@@ -284,6 +286,42 @@ MUTANTS = (
             "tests/test_analysis.py::TestParsing::test_a_ninth_field_is_refused",
             "tests/test_swiss.py::test_a_sixth_field_is_refused",
             "tests/test_swiss.py::test_a_short_row_is_refused_by_its_field_count",
+        ),
+    ),
+    Mutant(
+        "a table row may leave a quote open or follow it with text",
+        "votewire/swiss.py",
+        "    reader = csv.reader(text.splitlines(), strict=True)\n",
+        "    reader = csv.reader(text.splitlines(), strict=False)\n",
+        (
+            f"{ROW_BREAKS}::test_a_quote_that_never_closes_is_refused",
+            f"{ROW_BREAKS}::test_text_after_a_closing_quote_is_refused",
+            "tests/test_swiss.py::test_a_quote_that_never_closes_is_refused",
+            "tests/test_swiss.py::test_text_after_a_closing_quote_is_refused",
+        ),
+    ),
+    Mutant(
+        "the renderer drops a refused delivery's detect line",
+        "votewire/traces.py",
+        "                    append(\n"
+        "                        f\"detect t=",
+        "                    (\n"
+        "                        f\"detect t=",
+        (
+            f"{REFUSALS}::test_the_refusal_run_keeps_its_pinned_text",
+            f"{REFUSALS}::test_a_refusal_appends_one_record_and_renders_two_lines",
+            f"{REFERENCE}::test_a_deep_uneven_tree_matches_the_reference",
+        ),
+    ),
+    Mutant(
+        "the audit takes accepted deliveries as detect events",
+        "votewire/adversary.py",
+        "            if record.reason is not None:\n",
+        "            if record.reason is None:\n",
+        (
+            f"{REFUSALS}::test_the_refusal_run_keeps_its_pinned_text",
+            f"{TEST_ENGINE}::TestAttacksInTheLoop::test_front_run_wins_and_genuine_is_stale",
+            f"{TEST_ENGINE}::TestAuditAgainstTheReference::test_audit_matches_the_reference",
         ),
     ),
 )

@@ -9,10 +9,12 @@ majority or tie rule, so none can share a solver's mistake about one.
 The trace and summary formatters render every record and summary item
 field by field, with no table shared between lines: they pin the text that
 ``EventTrace.to_text`` and ``DetectionSummary.to_text`` produce from their
-per-call tables. ``reference_detection_report`` audits a trace against
-subtree truths summed leaf by leaf; ``covered_truth_report`` against the
-truth of only the leaves each published value covers, found by replaying
-the trace.
+per-call tables. ``trace_text`` renders the records it is given, one line
+each; the reference run's own ``DetectRecord``s give it the detect lines
+that ``EventTrace.to_text`` derives from refused deliveries.
+``reference_detection_report`` audits a trace against subtree truths
+summed leaf by leaf; ``covered_truth_report`` against the truth of only
+the leaves each published value covers, found by replaying the trace.
 
 ``feasibility_check`` applies the engine's acceptance checks to one
 preliminary report over a ``SequenceState``; the feasibility tests
@@ -21,7 +23,9 @@ from the rules in the engine's module docstring alone, the slow and literal
 way: events on a (time, insertion counter) heap, a ``Report`` per emit,
 dicts keyed by id, every child re-summed on every accept, and each
 acceptance check spelled out. It shares no code with the engine's event
-loop, nor with the sequence tracking the engine uses for replay protection.
+loop, nor with the sequence tracking the engine uses for replay protection,
+and it records each refusal twice, as the delivery and as a ``DetectRecord``
+of its own, which the engine's records do not hold.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from votewire.adversary import (
     AttackKind,
@@ -54,7 +58,6 @@ from votewire.tally import (
 from votewire.traces import (
     AttackRecord,
     DeliverRecord,
-    DetectRecord,
     EmitRecord,
     EventTrace,
     PublishRecord,
@@ -65,6 +68,16 @@ from votewire.tree import JurisdictionId, JurisdictionTree
 from helpers import publishes
 
 DOUBLE = ReferendumSpec("oracle", MajorityRule.DOUBLE_MAJORITY)
+
+
+class DetectRecord(NamedTuple):
+    """A receiver's refusal of a preliminary, as ``reference_run`` records it."""
+
+    time: int
+    node: JurisdictionId
+    reason: str
+    child: JurisdictionId
+    seq: int
 
 
 def flip(counts: VoteCount, n: int, target: Decision) -> VoteCount:
@@ -233,7 +246,7 @@ def _counts_fields(counts: VoteCount) -> str:
     )
 
 
-def trace_line(record: TraceRecord) -> str:
+def trace_line(record: TraceRecord | DetectRecord) -> str:
     """One record's trace line, each field formatted on its own."""
     if isinstance(record, EmitRecord):
         time, node, kind, seq, counts = record
@@ -269,7 +282,10 @@ def trace_line(record: TraceRecord) -> str:
 
 
 def trace_text(trace: EventTrace) -> str:
-    """The header, one ``trace_line`` per record, and the footer."""
+    """The header, one ``trace_line`` per record, and the footer.
+
+    A trace holds no ``DetectRecord``: to render a run in full, give it the
+    records of ``reference_run``."""
     lines = [f"trace election={trace.election_id} seed={trace.seed}"]
     lines.extend(trace_line(record) for record in trace.records)
     lines.append(f"end records={len(trace.records)}")
@@ -288,8 +304,10 @@ def _gap_line(g: CoverageGap) -> str:
     return f"  t={g.time} missing={','.join(str(m) for m in g.missing)}"
 
 
-def _detect_line(rec: DetectRecord) -> str:
-    return f"  t={rec.time} node={rec.node} reason={rec.reason} child={rec.child} seq={rec.seq}"
+def _detect_line(rec: DeliverRecord) -> str:
+    return (
+        f"  t={rec.time} node={rec.receiver} reason={rec.reason} child={rec.sender} seq={rec.seq}"
+    )
 
 
 def _capped(items, line, max_items: int) -> list[str]:
@@ -343,7 +361,9 @@ def _audit(trace: EventTrace, truth_of) -> DetectionSummary:
     return DetectionSummary(
         count_divergences=tuple(divergences),
         coverage_gaps=tuple(gaps),
-        detects=tuple(r for r in trace.records if isinstance(r, DetectRecord)),
+        detects=tuple(
+            r for r in trace.records if isinstance(r, DeliverRecord) and r.reason is not None
+        ),
         final_matches_ground_truth=final.counts == subtree_truth(trace, tree.root),
         integrity_gap_ticks=max(0, final.time - divergences[0].time) if divergences else 0,
     )
@@ -421,8 +441,9 @@ def feasibility_check(
     return None
 
 
-def reference_run(sim: Simulation) -> tuple[TraceRecord, ...]:
-    """The records ``sim.run()`` must produce, derived from the rules alone.
+def reference_run(sim: Simulation) -> tuple[TraceRecord | DetectRecord, ...]:
+    """The records ``sim.run()`` must produce, derived from the rules alone,
+    with a ``DetectRecord`` after each refused delivery.
 
     Noise is drawn first, once per leaf in leaf order. Every leaf then
     schedules its preliminary, and after that every leaf its final. Ties on
@@ -432,7 +453,7 @@ def reference_run(sim: Simulation) -> tuple[TraceRecord, ...]:
     """
     tree = sim.tree
     rng = random.Random(sim.seed)
-    records: list[TraceRecord] = []
+    records: list[TraceRecord | DetectRecord] = []
     counter = itertools.count()
     heap: list[tuple] = []
     next_seq: dict[JurisdictionId, int] = {}

@@ -37,7 +37,7 @@ from votewire.secauth import (
 )
 from votewire.swiss import canton_id, swiss_tree
 from votewire.tally import Decision, MajorityRule, ReferendumSpec, referendum_outcome
-from votewire.traces import DeliverRecord, DetectRecord
+from votewire.traces import DeliverRecord
 from votewire.tree import JurisdictionId, tree_from_paths
 
 import oracles
@@ -193,9 +193,9 @@ def test_criterion_5_attack_capability_matrix():
                 assert forged in covered
                 stale = [
                     d for d in trace.records
-                    if isinstance(d, DetectRecord) and d.reason == "stale_sequence"
+                    if isinstance(d, DeliverRecord) and d.reason == "stale_sequence"
                 ]
-                assert any(d.child == target for d in stale)
+                assert any(d.sender == target for d in stale)
             else:
                 delivered = [
                     r.time for r in trace.records
@@ -303,9 +303,8 @@ def test_criterion_7_solver_optimality():
             assert got == expected, f"cantonal: {got} vs {expected} on {per_canton}"
 
             expected = oracles.double_flips_subsets(per_canton, tree, target)
-            spec = ReferendumSpec("optimality", MajorityRule.DOUBLE_MAJORITY)
             try:
-                got = min_flips_double(per_canton, tree, spec, target).total_flips
+                got = min_flips_double(per_canton, tree, target).total_flips
             except Infeasible:
                 got = None
             assert got == expected, f"double: {got} vs {expected} on {per_canton}"

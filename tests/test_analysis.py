@@ -180,6 +180,23 @@ class TestRowBreaks:
             parse_results(text)
         assert str(exc.value) == "row 3: a quoted field holds a line break"
 
+    def test_a_quote_that_never_closes_is_refused(self):
+        # Non-strict csv read the last field as 7.
+        with pytest.raises(ParseError) as exc:
+            parse_results(f'{HEADER}\n{self.ZH}\nr,2015-06-14,BE,1,2,3,4,"7')
+        assert str(exc.value) == "row 3: unexpected end of data"
+
+    def test_text_after_a_closing_quote_is_refused(self):
+        # Non-strict csv read "r"1 as the id r1.
+        with pytest.raises(ParseError) as exc:
+            parse_results(f'{HEADER}\n"r"1,2015-06-14,ZH,1,2,3,4,7\n')
+        assert str(exc.value) == "row 2: ',' expected after '\"'"
+
+    def test_a_quote_left_open_is_refused_where_it_opens(self):
+        with pytest.raises(ParseError) as exc:
+            parse_results(f'{HEADER}\nr,2015-06-14,ZH,1,2,3,4,"7\n{self.BE}\n')
+        assert str(exc.value) == "row 2: a quoted field holds a line break"
+
     def test_a_csv_module_error_is_a_parse_error(self):
         # A field past the csv module's size limit, 131,072 characters.
         with pytest.raises(ParseError) as exc:

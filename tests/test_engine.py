@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import hashlib
 import random
 import re
 
@@ -37,7 +38,6 @@ from votewire.scenario import bundled_scenario_path, load_scenario
 from votewire.traces import (
     AttackRecord,
     DeliverRecord,
-    DetectRecord,
     EmitRecord,
     EventTrace,
     PublishRecord,
@@ -303,7 +303,6 @@ class TestImmutableRecords:
         EmitRecord(0, A, ReportKind.PRELIMINARY, 1, VoteCount(1, 0)),
         DeliverRecord(1, A, CH, "email", ReportKind.PRELIMINARY, 1, VoteCount(1, 0)),
         AttackRecord(1, "delay", A, CH, "blind", "hold:5"),
-        DetectRecord(1, CH, REASON_STALE_SEQUENCE, A, 1),
         PublishRecord(1, CH, ReportKind.PRELIMINARY, VoteCount(1, 0), ((A, 1, VoteCount(1, 0)),)),
     )
 
@@ -341,8 +340,8 @@ class TestAttacksInTheLoop:
         assert [d.accepted for d in deliveries] == [True, False]
         assert deliveries[0].seq == 1001 and deliveries[1].seq == 1
         assert deliveries[1].reason == "stale_sequence"
-        detects = detection_report(trace).detects
-        assert [(d.reason, d.child) for d in detects] == [("stale_sequence", B)]
+        # The refused delivery is the detect event.
+        assert detection_report(trace).detects == (deliveries[1],)
 
     def test_delay_leaves_counts_alone(self):
         attack = AttackSpec(AttackKind.DELAY, B, hold_ticks=50)
@@ -806,34 +805,102 @@ def deep_uneven_simulation() -> Simulation:
     )
 
 
+def refusal_simulation() -> Simulation:
+    """``deep_uneven_simulation`` with both refusal reasons: its four stale
+    genuine reports, and a front-run on CH/A/A2 whose forged 30:20 exceeds
+    the edge's 40 eligible voters."""
+    sim = deep_uneven_simulation()
+    a2 = JurisdictionId.from_text("CH/A/A2")
+    tree = tree_from_paths([leaf.path for leaf in sim.tree.leaves()], eligible_voters={a2: 40})
+    forgery = AttackSpec(AttackKind.FRONT_RUN, a2, forged_counts=VoteCount(30, 20))
+    return dataclasses.replace(
+        sim,
+        tree=tree,
+        ground_truth={leaf: sim.ground_truth[leaf] for leaf in tree.leaves()},
+        attacks=(*sim.attacks, forgery),
+    )
+
+
+class TestRefusals:
+    """A refused preliminary is one ``DeliverRecord``. Its trace's detect
+    line and its summary's detect event are both derived from it."""
+
+    @pytest.mark.parametrize("name", ["swiss_honest", "swiss_tamper", "swiss_delay_noise"])
+    def test_no_bundled_trace_holds_a_detect_line(self, name):
+        text = load_scenario(bundled_scenario_path(name)).run().to_text()
+        assert "\ndetect " not in text
+
+    def test_a_refusal_appends_one_record_and_renders_two_lines(self):
+        sim = refusal_simulation()
+        trace = sim.run()
+        refused = [r for r in trace.records if type(r) is DeliverRecord and not r.accepted]
+        reasons = sorted(r.reason for r in refused)
+        assert reasons == [REASON_OVER_ELIGIBLE, *[REASON_STALE_SEQUENCE] * 4]
+        assert len(oracles.reference_run(sim)) == len(trace.records) + len(refused)
+        lines = trace.to_text().splitlines()
+        assert len(lines) == 1 + len(trace.records) + len(refused) + 1
+        assert lines[-1] == f"end records={len(lines) - 2}"
+        for r in refused:
+            at = lines.index(oracles.trace_line(r))
+            assert lines[at + 1] == (
+                f"detect t={r.time} node={r.receiver} reason={r.reason} child={r.sender} seq={r.seq}"
+            )
+
+    def test_the_refusal_run_keeps_its_pinned_text(self):
+        # The trace and the full summary. No bundled scenario refuses a
+        # report, so only these digests cover the detect lines.
+        trace = refusal_simulation().run()
+        summary = detection_report(trace)
+        assert len(summary.detects) == 5
+        digests = [
+            hashlib.sha256(text.encode("utf-8")).hexdigest()
+            for text in (trace.to_text(), summary.to_text(0))
+        ]
+        assert digests == [
+            "33dfec940c95691da28976a781790324547e8dbb0afbdaca059e277105665dd6",
+            "8feb95c0607588c16add6176f72948eb409f50d3baeaa46058743f483a0a3cfc",
+        ]
+
+
+def assert_matches_the_reference(sim: Simulation) -> EventTrace:
+    """``sim.run()``'s records equal ``oracles.reference_run``'s but its
+    detect events, and its text the oracle's rendering of all of them."""
+    trace = sim.run()
+    reference = oracles.reference_run(sim)
+    assert trace.records == tuple(r for r in reference if type(r) is not oracles.DetectRecord)
+    assert trace.to_text() == oracles.trace_text(dataclasses.replace(trace, records=reference))
+    return trace
+
+
 class TestAgainstTheReference:
     """Every record of a run equals what ``oracles.reference_run`` derives
     from the engine's rules alone: times, order, sequence numbers, attacks,
-    jitter and noise draws."""
+    jitter and noise draws. The reference also records each refusal as a
+    detect event of its own, and the run's text must render them all."""
 
     @settings(max_examples=300)
     @given(sim=random_simulations())
     def test_random_runs_match_the_reference(self, sim):
-        assert sim.run().records == oracles.reference_run(sim)
+        assert_matches_the_reference(sim)
 
     @pytest.mark.parametrize("name", ["swiss_honest", "swiss_tamper", "swiss_delay_noise"])
     def test_bundled_scenarios_match_the_reference(self, name):
-        sim = load_scenario(bundled_scenario_path(name))
-        assert sim.run().records == oracles.reference_run(sim)
+        assert_matches_the_reference(load_scenario(bundled_scenario_path(name)))
 
     def test_a_deep_uneven_tree_matches_the_reference(self):
         sim = deep_uneven_simulation()
-        records = sim.run().records
+        records = assert_matches_the_reference(sim).records
         assert {type(r).__name__ for r in records} == {
-            "EmitRecord", "DeliverRecord", "AttackRecord", "DetectRecord", "PublishRecord"
+            "EmitRecord", "DeliverRecord", "AttackRecord", "PublishRecord"
         }
-        assert records == oracles.reference_run(sim)
+        assert any(type(r) is oracles.DetectRecord for r in oracles.reference_run(sim))
 
     @pytest.mark.parametrize("jitter_max", [1, 7, 8, 63, 64, 1000])
     def test_wide_jitter_draws_match_the_reference(self, jitter_max):
         # The run draws jitter by randrange's own rule; the reference calls randint.
-        sim = dataclasses.replace(deep_uneven_simulation(), jitter_max=jitter_max)
-        assert sim.run().records == oracles.reference_run(sim)
+        assert_matches_the_reference(
+            dataclasses.replace(deep_uneven_simulation(), jitter_max=jitter_max)
+        )
 
 
 class TestAuditAgainstTheReference:
@@ -929,7 +996,8 @@ class TestRendering:
     @given(sim=random_simulations(), max_items=st.sampled_from([0, 1, 3, 10]))
     def test_text_matches_the_reference(self, sim, max_items):
         trace = sim.run()
-        assert trace.to_text() == oracles.trace_text(trace)
+        reference = dataclasses.replace(trace, records=oracles.reference_run(sim))
+        assert trace.to_text() == oracles.trace_text(reference)
         summary = detection_report(trace)
         assert summary.to_text(max_items) == oracles.summary_text(summary, max_items)
 
@@ -951,7 +1019,12 @@ class TestRendering:
         )
         trace = EventTrace("toy", 5, tree, {}, records)
         text = trace.to_text()
-        assert text == oracles.trace_text(trace)
+        detect = oracles.DetectRecord(4, CH, "stale_sequence", B, 3)
+        assert text == oracles.trace_text(dataclasses.replace(trace, records=(*records, detect)))
+        assert text.splitlines()[-2:] == [
+            "detect t=4 node=CH reason=stale_sequence child=CH/B seq=3",
+            "end records=6",
+        ]
         assert text.splitlines()[2:5] == [
             "publish t=2 node=CH kind=preliminary yes=6 no=2 blank=3 invalid=5 "
             "children=CH/A:1:1:2:3:4,CH/B:2:5:0:0:1",
@@ -1087,7 +1160,8 @@ class TestGcPause:
         gc.collect()
         trace = sim.run()
         assert gc.collect() == 0
-        assert {type(r) for r in trace.records} >= {AttackRecord, DetectRecord, PublishRecord}
+        assert {type(r) for r in trace.records} >= {AttackRecord, PublishRecord}
+        assert any(type(r) is DeliverRecord and not r.accepted for r in trace.records)
 
     def test_audit_and_renders_leave_no_reference_cycle(self):
         # simulate pauses the collector over all of these at once and relies

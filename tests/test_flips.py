@@ -204,21 +204,13 @@ class TestDoubleSolver:
             canton_id("B"): VoteCount(yes=4, no=6),
             canton_id("C"): VoteCount(yes=4, no=6),
         }
-        spec = ReferendumSpec("toy", MajorityRule.DOUBLE_MAJORITY)
-        return tree, per_canton, spec
+        return tree, per_canton
 
     def test_three_canton_toy_instance(self):
-        tree, per_canton, spec = self._toy()
-        plan = min_flips_double(per_canton, tree, spec, ACCEPT)
+        tree, per_canton = self._toy()
+        plan = min_flips_double(per_canton, tree, ACCEPT)
         assert plan.total_flips == 2
         assert plan.total_flips == oracles.double_flips_vectors(per_canton, tree, ACCEPT)
-
-    def test_popular_only_rule_is_rejected(self):
-        tree, per_canton, _ = self._toy()
-        with pytest.raises(ValueError):
-            min_flips_double(
-                per_canton, tree, ReferendumSpec("law", MajorityRule.POPULAR_ONLY), ACCEPT
-            )
 
     def test_equals_popular_solver_when_cantons_already_agree(self):
         tree = make_canton_tree({"A": 2, "B": 1})
@@ -226,8 +218,7 @@ class TestDoubleSolver:
             canton_id("A"): VoteCount(yes=10, no=0),
             canton_id("B"): VoteCount(yes=0, no=30),
         }
-        spec = ReferendumSpec("x", MajorityRule.DOUBLE_MAJORITY)
-        plan = min_flips_double(per_canton, tree, spec, ACCEPT)
+        plan = min_flips_double(per_canton, tree, ACCEPT)
         national = accumulate(per_canton.values())
         assert plan.total_flips == min_flips_popular(national, ACCEPT).total_flips == 11
 
@@ -238,8 +229,7 @@ class TestDoubleSolver:
             canton_id("B"): VoteCount(yes=40, no=60),
             canton_id("C"): VoteCount(yes=40, no=60),
         }
-        spec = ReferendumSpec("x", MajorityRule.DOUBLE_MAJORITY)
-        plan = min_flips_double(per_canton, tree, spec, ACCEPT)
+        plan = min_flips_double(per_canton, tree, ACCEPT)
         assert plan.total_flips == min_flips_cantonal(per_canton, tree, ACCEPT).total_flips == 11
 
     def test_nothing_to_do_when_both_majorities_agree(self):
@@ -248,39 +238,35 @@ class TestDoubleSolver:
             canton_id("A"): VoteCount(yes=10, no=0),
             canton_id("B"): VoteCount(yes=3, no=0),
         }
-        spec = ReferendumSpec("x", MajorityRule.DOUBLE_MAJORITY)
-        assert min_flips_double(per_canton, tree, spec, ACCEPT).total_flips == 0
+        assert min_flips_double(per_canton, tree, ACCEPT).total_flips == 0
 
     def test_infeasible_with_empty_ballot_boxes(self):
         tree = make_canton_tree({"A": 2, "B": 1})
         per_canton = {canton_id("A"): VoteCount(), canton_id("B"): VoteCount()}
-        spec = ReferendumSpec("x", MajorityRule.DOUBLE_MAJORITY)
         with pytest.raises(Infeasible):
-            min_flips_double(per_canton, tree, spec, ACCEPT)
+            min_flips_double(per_canton, tree, ACCEPT)
 
     @settings(max_examples=40)
     @given(instance=cantonal_instances(max_cantons=3, max_side=6))
     @pytest.mark.parametrize("target", [ACCEPT, REJECT])
     def test_matches_exhaustive_vector_oracle_on_tiny_instances(self, instance, target):
         tree, per_canton = instance
-        spec = ReferendumSpec("x", MajorityRule.DOUBLE_MAJORITY)
         expected = oracles.double_flips_vectors(per_canton, tree, target)
-        self._check_against(expected, per_canton, tree, spec, target)
+        self._check_against(expected, per_canton, tree, target)
 
     @given(instance=cantonal_instances())
     @pytest.mark.parametrize("target", [ACCEPT, REJECT])
     def test_matches_subset_oracle(self, instance, target):
         tree, per_canton = instance
-        spec = ReferendumSpec("x", MajorityRule.DOUBLE_MAJORITY)
         expected = oracles.double_flips_subsets(per_canton, tree, target)
-        self._check_against(expected, per_canton, tree, spec, target)
+        self._check_against(expected, per_canton, tree, target)
 
-    def _check_against(self, expected, per_canton, tree, spec, target):
+    def _check_against(self, expected, per_canton, tree, target):
         if expected is None:
             with pytest.raises(Infeasible):
-                min_flips_double(per_canton, tree, spec, target)
+                min_flips_double(per_canton, tree, target)
             return
-        plan = min_flips_double(per_canton, tree, spec, target)
+        plan = min_flips_double(per_canton, tree, target)
         assert plan.total_flips == expected
         flipped = apply_plan(per_canton, plan)
         assert popular_outcome(accumulate(flipped.values())) is target
@@ -298,10 +284,10 @@ class TestOutcomeSolver:
         # leaves yes without a cantonal majority for 600.
         tree = swiss_tree()
         per_canton = {c: VoteCount(yes=1000, no=900) for c in tree.cantons()}
-        plan = min_flips_outcome(per_canton, tree, self.SPEC, REJECT)
+        plan = min_flips_outcome(per_canton, tree, REJECT)
         assert plan.total_flips == 600
         assert set(plan.flips_per_canton.values()) == {50}
-        assert min_flips_double(per_canton, tree, self.SPEC, REJECT).total_flips == 1300
+        assert min_flips_double(per_canton, tree, REJECT).total_flips == 1300
         flipped = apply_plan(per_canton, plan)
         assert referendum_outcome(self.SPEC, flipped, tree).overall is REJECT
 
@@ -316,7 +302,7 @@ class TestOutcomeSolver:
             canton_id("C"): VoteCount(yes=0, no=no_in_c),
         }
         assert min_flips_cantonal(per_canton, tree, REJECT).total_flips == 2
-        plan = min_flips_outcome(per_canton, tree, self.SPEC, REJECT)
+        plan = min_flips_outcome(per_canton, tree, REJECT)
         assert plan.flips_per_canton == {None: popular_cost}
 
     def test_acceptance_is_the_double_solver(self):
@@ -326,22 +312,14 @@ class TestOutcomeSolver:
             canton_id("B"): VoteCount(yes=40, no=60),
             canton_id("C"): VoteCount(yes=40, no=60),
         }
-        assert min_flips_outcome(per_canton, tree, self.SPEC, ACCEPT) == min_flips_double(
-            per_canton, tree, self.SPEC, ACCEPT
+        assert min_flips_outcome(per_canton, tree, ACCEPT) == min_flips_double(
+            per_canton, tree, ACCEPT
         )
 
     def test_already_rejected_costs_nothing(self):
         tree = make_canton_tree({"A": 2, "B": 1})
         per_canton = {canton_id("A"): VoteCount(yes=10, no=0), canton_id("B"): VoteCount(yes=0, no=30)}
-        assert min_flips_outcome(per_canton, tree, self.SPEC, REJECT).total_flips == 0
-
-    def test_popular_only_rule_is_rejected(self):
-        tree = make_canton_tree({"A": 2})
-        with pytest.raises(ValueError):
-            min_flips_outcome(
-                {canton_id("A"): VoteCount(yes=2, no=1)}, tree,
-                ReferendumSpec("law", MajorityRule.POPULAR_ONLY), REJECT,
-            )
+        assert min_flips_outcome(per_canton, tree, REJECT).total_flips == 0
 
     @settings(max_examples=60)
     @given(instance=cantonal_instances(max_cantons=3, max_side=6))
@@ -351,9 +329,9 @@ class TestOutcomeSolver:
         expected = oracles.outcome_flips_vectors(per_canton, tree, target)
         if expected is None:
             with pytest.raises(Infeasible):
-                min_flips_outcome(per_canton, tree, self.SPEC, target)
+                min_flips_outcome(per_canton, tree, target)
             return
-        plan = min_flips_outcome(per_canton, tree, self.SPEC, target)
+        plan = min_flips_outcome(per_canton, tree, target)
         assert plan.total_flips == expected
         if None in plan.flips_per_canton:
             national = apply_flips(accumulate(per_canton.values()), plan.total_flips, target)

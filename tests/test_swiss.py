@@ -10,6 +10,7 @@ from votewire.swiss import (
     federal_id,
     load_cantons,
     parse_cantons,
+    read_rows,
     swiss_tree,
 )
 
@@ -122,6 +123,23 @@ def test_a_field_past_the_csv_size_limit_is_a_parse_error():
 def test_a_quoted_line_feed_is_refused_where_it_opens():
     rows = f'{HEADER}\n{ZH}\nBE,"Be\nrn",2,740000,telephone\n'
     assert refusal(rows) == "swiss_cantons.csv row 3: a quoted field holds a line break"
+
+
+def test_a_quote_that_never_closes_is_refused():
+    # Non-strict csv read the last field as dedicated.
+    rows = f'{HEADER}\nZH,Zürich,2,907623,"dedicated'
+    assert refusal(rows) == "swiss_cantons.csv row 2: unexpected end of data"
+
+
+def test_text_after_a_closing_quote_is_refused():
+    # Non-strict csv read "Zür"ich as Zürich.
+    rows = f'{HEADER}\nZH,"Zür"ich,2,907623,dedicated\n'
+    assert refusal(rows) == "swiss_cantons.csv row 2: ',' expected after '\"'"
+
+
+def test_a_quote_inside_a_field_and_an_empty_quoted_field_still_parse():
+    rows = read_rows('h1,h2,h3\na"b,"",""""\n', ("h1", "h2", "h3"), "")
+    assert list(rows) == [("row 2", ['a"b', "", '"'])]
 
 
 def test_crlf_rows_read_as_lf_rows():
