@@ -15,6 +15,7 @@ which affects interpretation but not mechanics.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
@@ -22,7 +23,7 @@ from .channels import ChannelSpec
 from .counts import VoteCount, accumulate
 from .errors import CapabilityError
 from .reports import ReportKind
-from .traces import DeliverRecord, EventTrace, PublishRecord, nogc
+from .traces import FINAL, PUBLISH, REFUSE, STRIDE, EventTrace, nogc
 from .tree import JurisdictionId
 
 
@@ -152,12 +153,22 @@ class CoverageGap:
     missing: tuple[JurisdictionId, ...]
 
 
+class DetectEvent(NamedTuple):
+    """A receiver's refusal of a child's report: one refused delivery."""
+
+    time: int
+    node: JurisdictionId
+    reason: str
+    child: JurisdictionId
+    seq: int
+
+
 @dataclass(frozen=True, slots=True)
 class DetectionSummary:
     count_divergences: tuple[CountDivergence, ...]
     coverage_gaps: tuple[CoverageGap, ...]
-    # The refused deliveries, in trace order: each is its receiver's detect event.
-    detects: tuple[DeliverRecord, ...]
+    # One per refused delivery, in trace order.
+    detects: tuple[DetectEvent, ...]
     final_matches_ground_truth: bool
     # Ticks from the first count-divergent publication to the final one:
     # how long a wrong running total stood uncorrected.
@@ -216,10 +227,10 @@ def _gap_lines(gaps: Sequence[CoverageGap]) -> list[str]:
     return [f"  t={g.time} missing={','.join(m._text for m in g.missing)}" for g in gaps]
 
 
-def _detect_lines(detects: Sequence[DeliverRecord]) -> list[str]:
+def _detect_lines(detects: Sequence[DetectEvent]) -> list[str]:
     return [
-        f"  t={time} node={receiver._text} reason={reason} child={sender._text} seq={seq}"
-        for time, sender, receiver, _channel, _kind, seq, _counts, reason in detects
+        f"  t={time} node={node._text} reason={reason} child={child._text} seq={seq}"
+        for time, node, reason, child, seq in detects
     ]
 
 
@@ -249,51 +260,76 @@ def detection_report(trace: EventTrace) -> DetectionSummary:
 
     Only the root children's truths are summed, from the leaves: a run's
     ground truth is keyed by leaves, each naming its root child second.
+    The scan reads the tag column alone, and decodes only publications
+    and refusals. A publication's entries are delivery rows, shared with
+    the publications before it, so each is compared with its truth once.
     """
-    final_pub = trace.final_publish()
-    root_children = trace.tree.children(trace.tree.root)
+    tree = trace.tree
+    order, parents, rows, entries = tree.order(), trace.parents, trace.rows, trace.entries
+    reasons = trace.reasons
+    root_children = tree.children(tree.root)
     leaf_counts: dict[str, list[VoteCount]] = {child.path[1]: [] for child in root_children}
     for leaf, counts in trace.ground_truth.items():
         leaf_counts[leaf.path[1]].append(counts)
     truths = {child: accumulate(leaf_counts[child.path[1]]) for child in root_children}
-    prelim = ReportKind.PRELIMINARY
+    new = tuple.__new__  # builds a named tuple from all its fields, in C
 
     divergences: list[CountDivergence] = []
+    append = divergences.append
     gaps: list[CoverageGap] = []
-    detects: list[DeliverRecord] = []
-    first_divergent_time: int | None = None
-    # One pass over the records collects both refusals and publications.
-    for record in trace.records:
-        cls = type(record)
-        if cls is DeliverRecord:
-            if record.reason is not None:
-                detects.append(record)
+    detects: list[DetectEvent] = []
+    # Per row, once a publication lists it: its (child, counts, truth)
+    # when they differ, else False.
+    judged: list[tuple | bool | None] = [None] * (len(rows) // STRIDE)
+    final = None
+    # The tag column as bytes, each tag being its row's low byte: each search
+    # for the next refusal or publication skips the rows between in C.
+    low = 0 if sys.byteorder == "little" else rows.itemsize - 1
+    tags = rows.cast("B")[low::STRIDE * rows.itemsize].tobytes()
+    row = tags.find(REFUSE)
+    while row >= 0:
+        at = row * STRIDE
+        time, child, seq, reason = rows[at + 1], rows[at + 2], rows[at + 4], rows[at + 9]
+        event = (time, order[parents[child]], reasons[reason], order[child], seq)
+        detects.append(new(DetectEvent, event))
+        row = tags.find(REFUSE, row + 1)
+    row = tags.find(PUBLISH)
+    while row >= 0:
+        at = row * STRIDE
+        row = tags.find(PUBLISH, row + 1)
+        time, count, start = rows[at + 1], rows[at + 4], rows[at + 9]
+        if rows[at + 3] == FINAL:
+            final = time, rows[at + 5:at + 9].tolist()
             continue
-        if cls is not PublishRecord or record.kind is not prelim:
-            continue
-        time, children = record.time, record.children
-        for child, _seq, counts in children:
-            expected = truths[child]
-            if counts != expected:
-                # Built by tuple's C constructor, like the run's records.
-                divergences.append(tuple.__new__(CountDivergence, (time, child, counts, expected)))
-                if first_divergent_time is None:
-                    first_divergent_time = time
+        listed = entries[start:start + count].tolist()
+        for entry in listed:
+            verdict = judged[entry]
+            if verdict is None:
+                at = entry * STRIDE
+                child = order[rows[at + 2]]
+                counts = new(VoteCount, rows[at + 5:at + 9])
+                expected = truths[child]
+                verdict = judged[entry] = counts != expected and (child, counts, expected)
+            if verdict:
+                child, counts, expected = verdict
+                append(new(CountDivergence, (time, child, counts, expected)))
         # A publication lists each root child at most once, so only a short
         # one can miss some.
-        if len(children) != len(root_children):
-            covered = {child for child, _seq, _counts in children}
+        if count != len(root_children):
+            covered = {order[rows[entry * STRIDE + 2]] for entry in listed}
             missing = tuple(c for c in root_children if c not in covered)
             gaps.append(CoverageGap(time, missing))
+    if final is None:
+        raise ValueError("trace holds no final publication")
+    final_time, final_counts = final
 
-    gap_ticks = 0
-    if first_divergent_time is not None:
-        gap_ticks = max(0, final_pub.time - first_divergent_time)
+    # Publications run in time order, so the first divergence is the earliest.
+    gap_ticks = max(0, final_time - divergences[0].time) if divergences else 0
 
     return DetectionSummary(
         count_divergences=tuple(divergences),
         coverage_gaps=tuple(gaps),
         detects=tuple(detects),
-        final_matches_ground_truth=final_pub.counts == accumulate(truths.values()),
+        final_matches_ground_truth=final_counts == list(accumulate(truths.values())),
         integrity_gap_ticks=gap_ticks,
     )

@@ -22,65 +22,62 @@ the signed postal channel, so the final publication always equals the sum
 of the leaf ground truths.
 
 The run is one loop with no handler per event kind. An event is (kind,
-node, what, counts): a leaf's own emit of report kind ``what`` when
-``kind`` is None, else a delivery of ``kind`` from ``node`` to its parent
-with sequence number ``what``. Each runs in the loop's own frame, and
-each that yields new totals falls through into one report-up tail: the
-root publishes; any other node emits, draws its jitter, applies its
-edge's attacks (the one call: attacks are rare) and schedules delivery.
-Only freshness is keyed by the sender's id, in the ``SequenceState``
-check ``verify_report`` shares; the run owns its state, so it takes no
-lock.
+node, what, yes, no, blank, invalid): a leaf's own emit of report kind
+``what`` when ``kind`` is OWN, else a delivery of report kind ``kind``
+from ``node`` to its parent with sequence number ``what``. Each runs in
+the loop's own frame, and each that yields new totals falls through into
+one report-up tail: the root publishes; any other node emits, draws its
+jitter, applies its edge's attacks (the one call: attacks are rare) and
+schedules delivery. Only freshness is keyed by the sender's id, in the
+``SequenceState`` check ``verify_report`` shares; the run owns its state,
+so it takes no lock.
 
 A node is its index in ``tree.order()``, 0 being the root, and each
 per-node field is a list indexed by it: parent and slot among siblings
-(both from one pass over ``order()`` and each node's children), channel,
-eligible-voter ceiling, next sequence number, attacks per report kind.
-Records read their ids from ``order()``. Only internal nodes get, per
-report kind, a child table holding each child's latest accepted (child,
-seq, counts) entry at its slot; a running total of the preliminary
-table, so an accept subtracts the superseded entry and adds the new one
-instead of re-summing every child; and a count of the child finals still
-awaited: at zero the node sums its final table. A publication copies the
-root's table of its kind, which is already in child order.
+(both from one pass over ``order()`` and each node's children), channel
+latency, eligible-voter ceiling, next sequence number, attacks per report
+kind. Only internal nodes get, per report kind, a child table holding at
+each child's slot the event of its latest accepted delivery; a running
+total of the preliminary table, so an accept subtracts the superseded
+event's counts and adds the new ones instead of re-summing every child;
+and a count of the child finals still awaited: at zero the node sums its
+final table. The root also keeps the row numbers of those deliveries: a
+publication lists them, already in child order.
 
-Records, counts and ids are tuples; ``run`` builds each of a large run's
-~100k records, and each new preliminary total, with one call of tuple's
-C constructor. The cyclic garbage collector is paused meanwhile
-(``traces.nogc``): left on, it rescans the young tuples hundreds of times
-per large run, although reference counting frees them all: however a run
-ends, it leaves no reference cycle behind. The pause defers one scan of
-whatever the run leaves alive to the first allocation after it.
-``simulate`` pays none: its own pause spans parse, run, audit, rendering
-and writes, and it drops the trace before the pause ends. A library
-caller that keeps the trace pays that one pass.
+Each record is one row of ``traces.COLUMNS``, appended to a list of ints
+with one ``extend`` call and moved into the trace's array in chunks, so
+the ~90k records of a large run leave no object behind. The cyclic
+garbage collector is paused meanwhile (``traces.nogc``): left on, it
+would rescan the young event tuples hundreds of times per large run,
+although reference counting frees them all: however a run ends, it leaves
+no reference cycle behind.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Mapping, Sequence
 
 from .adversary import AttackKind, AttackSpec, apply_mutation, check_attack_permitted
 from .channels import POSTAL_FINAL, ChannelSpec
-from .counts import MAX_COUNT, VoteCount, accumulate
-from .errors import ConfigError
+from .counts import MAX_COUNT, VoteCount
+from .errors import ArithmeticOverflow, ConfigError
 from .reports import ReportKind, SequenceState
 from .traces import (
-    AttackRecord,
-    DeliverRecord,
-    EmitRecord,
-    EventTrace,
-    PublishRecord,
-    TraceRecord,
-    nogc,
+    ATTACK, COLUMNS, DELIVER, EMIT, FINAL, PRELIM, PUBLISH, REFUSE, STRIDE, EventTrace, nogc,
 )
 from .tree import JurisdictionId, JurisdictionTree
 
 REASON_OVER_ELIGIBLE = "over_eligible"
 REASON_STALE_SEQUENCE = "stale_sequence"
+# A refused delivery's code is its reason's index here.
+REASONS = (REASON_OVER_ELIGIBLE, REASON_STALE_SEQUENCE)
+OVER_ELIGIBLE, STALE_SEQUENCE = range(len(REASONS))
+# The kind of a leaf's own emit event; a delivery's is PRELIM or FINAL.
+OWN = 2
 
 DEFAULT_FINAL_EMIT_AT = 100
 
@@ -108,16 +105,6 @@ class NoiseModel:
             raise ValueError("probability must be in [0, 1]")
         if self.max_shift < 1:
             raise ValueError("max_shift must be >= 1")
-
-    def perturb(self, counts: VoteCount, rng: random.Random) -> VoteCount:
-        if rng.random() >= self.probability:
-            return counts
-        magnitude = rng.randint(1, self.max_shift)
-        if rng.random() < 0.5:
-            moved = min(magnitude, counts.yes)
-            return VoteCount(counts.yes - moved, counts.no + moved, counts.blank, counts.invalid)
-        moved = min(magnitude, counts.no)
-        return VoteCount(counts.yes + moved, counts.no - moved, counts.blank, counts.invalid)
 
 
 @dataclass(frozen=True)
@@ -205,9 +192,11 @@ class Simulation:
     @nogc
     def run(self) -> EventTrace:
         rng = random.Random(self.seed)
-        records: list[TraceRecord] = []
-        append = records.append
-        new = tuple.__new__  # builds a record from all its fields, in C
+        # Rows gather as ints in ``out``, since appending to a list is cheaper
+        # than to an array, and move into ``rows`` once a tick ends with 2**16.
+        rows, out, stored = array("q"), [], 0  # ``stored``: the rows moved so far
+        extend = out.extend
+        listed_rows: list[int] = []
         # ``buckets`` holds each pending tick's events in scheduling order,
         # ``ticks`` those ticks as a heap.
         buckets: dict[int, list[tuple]] = {}
@@ -227,8 +216,7 @@ class Simulation:
         jitter_bits = (jitter_max + 1).bit_length()
         getrandbits = rng.getrandbits
         attacks = self.attacks
-        postal_latency, postal_name = self.postal_latency, POSTAL_FINAL.name
-        prelim, final = ReportKind.PRELIMINARY, ReportKind.FINAL
+        postal_latency = self.postal_latency
         # One state serves every receiver: a sender has exactly one, its parent.
         accept = SequenceState(self.election_id).accept_if_fresh
         fires_left: list[int | None] = [a.first_n for a in attacks]
@@ -240,8 +228,9 @@ class Simulation:
         size = len(order)
         parent, slot = [0] * size, [0] * size
         # An internal node's child tables (an entry is None before the first
-        # accept), its [yes, no, blank, invalid] preliminary total and the
-        # child finals it still awaits; a leaf's are None, None, None and 0.
+        # accept, else the accepted delivery's event), its [yes, no, blank,
+        # invalid] preliminary total and the child finals it still awaits; a
+        # leaf's are None, None, None and 0.
         prelim_tables: list = [None] * size
         final_tables: list = [None] * size
         prelim_totals: list = [None] * size
@@ -254,8 +243,11 @@ class Simulation:
                 prelim_tables[i], final_tables[i] = [None] * len(kids), [None] * len(kids)
                 prelim_totals[i] = [0, 0, 0, 0]
                 finals_pending[i] = len(kids)
+        # The row numbers of the root's latest accepted deliveries, per report kind.
+        root_rows = [[None] * len(prelim_tables[0]), [None] * len(prelim_tables[0])]
         # The preliminary channel up to the parent; finals ride the postal one.
         channel = list(map(self.channels.get, order))
+        latency = [0 if spec is None else spec.base_latency for spec in channel]
         eligible = list(map(tree.eligible_voters.get, order))
         next_seq = [1] * size
         # Indices into Simulation.attacks, in configuration order.
@@ -263,17 +255,16 @@ class Simulation:
         final_attacks: list[tuple[int, ...]] = [()] * size
         for idx, attack in enumerate(attacks):
             edge = index[attack.edge_child]
-            if attack.report_kind is final:
+            if attack.report_kind is ReportKind.FINAL:
                 final_attacks[edge] += (idx,)
             else:
                 prelim_attacks[edge] += (idx,)
 
         def fire(
-            time: int, sender: int, seq: int, counts: VoteCount,
-            delivery: int, kind: ReportKind, indices: tuple[int, ...],
-        ) -> tuple[VoteCount, int]:
-            """Apply the attacks ``indices`` to what ``sender`` sends, in configuration order."""
-            node, receiver = order[sender], order[parent[sender]]
+            time: int, sender: int, seq: int, counts: tuple[int, int, int, int],
+            delivery: int, kind: int, indices: tuple[int, ...],
+        ) -> tuple[int, ...]:
+            """What ``sender`` sends, counts then tick, after the attacks ``indices``."""
             for idx in indices:
                 attack = attacks[idx]
                 left = fires_left[idx]
@@ -284,9 +275,9 @@ class Simulation:
                 if attack.kind is AttackKind.TAMPER:
                     assert attack.mutation is not None
                     try:
-                        counts = apply_mutation(counts, attack.mutation)
+                        counts = apply_mutation(VoteCount(*counts), attack.mutation)
                     except ValueError as exc:
-                        raise ConfigError(f"tamper on edge {node}: {exc}") from None
+                        raise ConfigError(f"tamper on edge {order[sender]}: {exc}") from None
                 elif attack.kind is AttackKind.DELAY:
                     delivery += attack.hold_ticks
                 else:
@@ -294,108 +285,154 @@ class Simulation:
                     # same tick, so it is processed before the genuine report it
                     # shadows.
                     forged = attack.forged_seq or seq + attack.seq_offset  # forged_seq >= 1
-                    schedule(delivery, (kind, sender, forged, attack.forged_counts))
-                fields = (time, attack.kind.value, node, receiver, attack.mode, attack.describe())
-                append(new(AttackRecord, fields))
-            return counts, delivery
+                    schedule(delivery, (kind, sender, forged, *attack.forged_counts))
+                extend((ATTACK, time, sender, kind, seq, 0, 0, 0, 0, idx))
+            return (*counts, delivery)
 
         # Noise draws come first and in leaf order, so the perturbed counts
-        # do not depend on event interleaving.
+        # do not depend on event interleaving. Each is NoiseModel's rule,
+        # randint(1, max_shift) drawn as randrange draws it: the shift's bit
+        # count, redrawn until below the shift, plus one.
+        noise = self.noise
+        if noise:
+            probability, max_shift = noise.probability, noise.max_shift
+            shift_bits, draw = max_shift.bit_length(), rng.random
         for leaf in tree.leaves():
-            counts = self.ground_truth[leaf]
-            if self.noise:
-                counts = self.noise.perturb(counts, rng)
-            schedule(self.prelim_emit.get(leaf, 0), (None, index[leaf], prelim, counts))
+            yes, no, blank, invalid = self.ground_truth[leaf]
+            if noise and draw() < probability:
+                drawn = getrandbits(shift_bits)
+                while drawn >= max_shift:
+                    drawn = getrandbits(shift_bits)
+                if draw() < 0.5:
+                    moved = min(drawn + 1, yes)
+                    yes, no = yes - moved, no + moved
+                else:
+                    moved = min(drawn + 1, no)
+                    yes, no = yes + moved, no - moved
+            at = self.prelim_emit.get(leaf, 0)
+            schedule(at, (OWN, index[leaf], PRELIM, yes, no, blank, invalid))
         for leaf in tree.leaves():
             at = self.final_emit.get(leaf, self.final_emit_default)
-            schedule(at, (None, index[leaf], final, self.ground_truth[leaf]))
+            schedule(at, (OWN, index[leaf], FINAL, *self.ground_truth[leaf]))
 
         while ticks:
             time = heappop(ticks)
             # The list grows while it is read: what an event schedules for
             # this tick is appended, and runs after everything queued before.
-            for kind, i, what, counts in buckets[time]:
-                if kind is prelim:
+            # An event is a delivery of report kind ``kind`` from ``i`` with
+            # sequence number ``what``, or, when ``kind`` is OWN, a leaf's own
+            # emit of report kind ``what``; its four counts follow.
+            for event in buckets[time]:
+                kind, i, what, yes, no, blank, invalid = event
+                if kind == PRELIM:
                     sender, i = i, parent[i]  # the receiver is ``i`` now
-                    sender_id, receiver_id = order[sender], order[i]
                     ceiling = eligible[sender]
-                    if ceiling is not None and sum(counts) > ceiling:
-                        reason = REASON_OVER_ELIGIBLE
+                    if ceiling is not None and yes + no + blank + invalid > ceiling:
+                        refusal = OVER_ELIGIBLE
+                    elif accept(order[sender], what):
+                        refusal = None
                     else:
-                        reason = None if accept(sender_id, what) else REASON_STALE_SEQUENCE
-                    append(new(DeliverRecord, (
-                        time, sender_id, receiver_id, channel[sender].name, prelim, what, counts,
-                        reason,
-                    )))
-                    if reason is not None:  # the refused delivery is the detect event
+                        refusal = STALE_SEQUENCE
+                    if refusal is not None:  # the refused delivery is the detect event
+                        extend((REFUSE, time, sender, PRELIM, what, yes, no, blank, invalid, refusal))
                         continue
                     table, position = prelim_tables[i], slot[sender]
                     old = table[position]
-                    table[position] = (sender_id, what, counts)
+                    table[position] = event
+                    if not i:
+                        root_rows[PRELIM][position] = stored + len(out) // STRIDE
+                    extend((DELIVER, time, sender, PRELIM, what, yes, no, blank, invalid, 0))
                     total = prelim_totals[i]
                     if old is not None:
-                        prev = old[2]
-                        total[0] -= prev[0]
-                        total[1] -= prev[1]
-                        total[2] -= prev[2]
-                        total[3] -= prev[3]
-                    total[0] += counts[0]
-                    total[1] += counts[1]
-                    total[2] += counts[2]
-                    total[3] += counts[3]
-                    # Only the sum can be out of range: the checked constructor names the field.
-                    counts = new(VoteCount, total) if max(total) <= MAX_COUNT else VoteCount(*total)
-                elif kind is final:
+                        total[0] -= old[3]
+                        total[1] -= old[4]
+                        total[2] -= old[5]
+                        total[3] -= old[6]
+                    total[0] += yes
+                    total[1] += no
+                    total[2] += blank
+                    total[3] += invalid
+                    yes, no, blank, invalid = total
+                elif kind == FINAL:
                     # Each child sends one final, over the signed postal channel,
                     # where no attack can forge another: Simulation refuses
                     # front-run there. So each child's final arrives exactly once,
                     # and the count reaches zero exactly once: at the last one.
                     sender, i = i, parent[i]
-                    sender_id, receiver_id = order[sender], order[i]
-                    table = final_tables[i]
-                    table[slot[sender]] = (sender_id, what, counts)
-                    append(new(DeliverRecord, (
-                        time, sender_id, receiver_id, postal_name, final, what, counts, None,
-                    )))
+                    table, position = final_tables[i], slot[sender]
+                    table[position] = event
+                    if not i:
+                        root_rows[FINAL][position] = stored + len(out) // STRIDE
+                    extend((DELIVER, time, sender, FINAL, what, yes, no, blank, invalid, 0))
                     finals_pending[i] -= 1
                     if finals_pending[i]:
                         continue
-                    counts = accumulate(c for _, _, c in table)
+                    yes, no, blank, invalid = map(sum, zip(*(e[3:] for e in table)))
                 else:
                     kind = what
-                # Report up: the root publishes ``counts``, any other node emits them.
+                # Report up: the root publishes the counts, any other node emits them.
                 if not i:
-                    # A publication lists the child entries it sums: ``table``
-                    # is the root's of this kind, as no leaf is the root.
-                    entries = tuple(filter(None, table))
-                    append(new(PublishRecord, (time, order[0], kind, counts, entries)))
+                    # A publication lists the deliveries it sums, as no leaf is the root.
+                    listed = [row for row in root_rows[kind] if row is not None]
+                    start = len(listed_rows)
+                    extend((PUBLISH, time, 0, kind, len(listed), yes, no, blank, invalid, start))
+                    listed_rows += listed
                     continue
                 seq = next_seq[i]
                 next_seq[i] = seq + 1
-                append(new(EmitRecord, (time, order[i], kind, seq, counts)))
-                if kind is final:
+                extend((EMIT, time, i, kind, seq, yes, no, blank, invalid, 0))
+                if kind == FINAL:
                     delivery, indices = time + postal_latency, final_attacks[i]
                 else:
-                    delivery, indices = time + channel[i].base_latency, prelim_attacks[i]
+                    delivery, indices = time + latency[i], prelim_attacks[i]
                 if jitter_max:
                     drawn = getrandbits(jitter_bits)
                     while drawn > jitter_max:
                         drawn = getrandbits(jitter_bits)
                     delivery += drawn
                 if indices:
-                    counts, delivery = fire(time, i, seq, counts, delivery, kind, indices)
+                    yes, no, blank, invalid, delivery = fire(
+                        time, i, seq, (yes, no, blank, invalid), delivery, kind, indices
+                    )
+                event = (kind, i, seq, yes, no, blank, invalid)
                 bucket = buckets.get(delivery)  # schedule(), inlined
                 if bucket is None:
-                    buckets[delivery] = [(kind, i, seq, counts)]
+                    buckets[delivery] = [event]
                     heappush(ticks, delivery)
                 else:
-                    bucket.append((kind, i, seq, counts))
+                    bucket.append(event)
             del buckets[time]
+            if len(out) >= 1 << 16:
+                stored += _store(rows, out)
 
+        _store(rows, out)
         return EventTrace(
             election_id=self.election_id,
             seed=self.seed,
             tree=self.tree,
             ground_truth=dict(self.ground_truth),
-            records=tuple(records),
+            rows=memoryview(rows).toreadonly(),
+            entries=memoryview(array("q", listed_rows)).toreadonly(),
+            parents=tuple(parent),
+            channels=tuple("" if spec is None else spec.name for spec in channel),
+            reasons=REASONS,
+            attacks=tuple((a.kind.value, a.mode, a.describe()) for a in attacks),
         )
+
+
+def _store(rows: array, values: list[int]) -> int:
+    """Move ``values`` to the end of ``rows``; the number of rows moved.
+
+    Only a sum of counts, a tick or a sequence number can leave the signed
+    64-bit range of ``rows``; the error names the first by its column.
+    """
+    try:
+        rows.fromlist(values)
+    except OverflowError:
+        at = next(at for at, value in enumerate(values) if value > MAX_COUNT)
+        raise ArithmeticOverflow(
+            f"{COLUMNS[at % STRIDE]}={values[at]} exceeds the 64-bit range of a trace"
+        ) from None
+    moved = len(values) // STRIDE
+    values.clear()
+    return moved

@@ -1,17 +1,18 @@
-"""Simulation trace records and the trace container.
+"""The trace of a run: one row of integer columns per record.
 
 Every observable step of a run becomes exactly one record, and each record
 renders to one stable text line of space-separated key=value fields,
 except a refused delivery: its line is followed by the receiver's
-``detect`` line, derived from the same record. Two runs with the same
+``detect`` line, derived from the same row. Two runs with the same
 configuration and seed produce byte-identical text, which makes traces
 diffable and suitable as golden files.
 
-Records carry no rendering of their own: ``EventTrace.to_text`` renders
-them all in one loop, one f-string per line, reading each id's and kind's
-text instead of calling ``str`` or ``Enum.value`` per field. A large run
-publishes the same child entries over and over, so each entry tuple is
-rendered once per call.
+A record is a fixed-stride row of integers in one ``array('q')``, not an
+object: ids, kinds and strings are indices into small per-trace tables. A
+large run's ~90k records then hold no object the cyclic collector scans,
+so a caller that keeps a trace pays no collector pass over it.
+``EventTrace.to_text`` renders every row in one loop, one f-string per
+line.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from __future__ import annotations
 import functools
 import gc
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, TypeVar
+from typing import Callable, TypeVar
 
+from .channels import POSTAL_FINAL
 from .counts import VoteCount
 from .reports import ReportKind
 from .tree import JurisdictionId, JurisdictionTree
@@ -32,9 +34,10 @@ _T = TypeVar("_T")
 def nogc(build: Callable[..., _T]) -> Callable[..., _T]:
     """Run ``build`` with the cyclic garbage collector paused.
 
-    A large run and its audit each allocate ~100k tuples, and the collector
-    would rescan them over and over while they are young, although none
-    takes part in a reference cycle: reference counting frees them all.
+    A large run allocates ~100k event tuples and its audit ~90k summary
+    items, and the collector would rescan them over and over while they
+    are young, although none takes part in a reference cycle: reference
+    counting frees them all.
     Whatever ``build`` does, ``gc.isenabled()`` is restored afterwards. A
     pause inside another pause is a no-op, so the pauses on
     ``Simulation.run`` and ``detection_report`` serve library callers and
@@ -46,9 +49,11 @@ def nogc(build: Callable[..., _T]) -> Callable[..., _T]:
     call left alive. A caller that drops its output before the pause ends
     pays none of that scan, because reference counting has already freed
     it: ``simulate`` pauses around the whole command for that reason. A
-    caller that keeps the output pays one pass over it, ~100 ms per
-    federation-lib benchmark operation (a run of 10,400 leaves, audited
-    and rendered); only fewer surviving objects will shrink it.
+    caller that keeps the output pays one pass over it. A trace is a few
+    arrays, so that pass is over the audit's summary: one generation-1
+    collection of 16-26 ms of CPU after a federation-lib benchmark
+    operation (a run of 10,400 leaves, audited and rendered), against
+    54-73 ms when each trace record was an object (Python 3.11, 2 vCPUs).
 
     Survivors are not promoted with ``gc.freeze(); gc.unfreeze()``, which
     would skip that pass: unfreezing puts every object then alive, such
@@ -73,144 +78,112 @@ def nogc(build: Callable[..., _T]) -> Callable[..., _T]:
     return paused
 
 
-# Records are immutable NamedTuples, which ``Simulation.run`` builds with
-# tuple's C constructor, not their generated ``__new__``. Like any tuple, a
-# record equals a plain tuple of the same values. Rendering unpacks a record
-# once: that is cheaper than reading its fields one by one.
-
-
-class EmitRecord(NamedTuple):
-    time: int
-    node: JurisdictionId
-    kind: ReportKind
-    seq: int
-    counts: VoteCount
-
-
-class DeliverRecord(NamedTuple):
-    """A report's arrival; ``accepted`` is derived from ``reason``, None when accepted."""
-
-    time: int
-    sender: JurisdictionId
-    receiver: JurisdictionId
-    channel: str
-    kind: ReportKind
-    seq: int
-    counts: VoteCount
-    reason: str | None = None
-
-    @property
-    def accepted(self) -> bool:
-        return self.reason is None
-
-
-class AttackRecord(NamedTuple):
-    time: int
-    kind: str
-    sender: JurisdictionId
-    receiver: JurisdictionId
-    mode: str
-    detail: str
-
-
-class PublishRecord(NamedTuple):
-    """A running total released by the root.
-
-    ``children`` pins the exact inputs: (child, sequence number, child
-    subtree counts) for every child covered so far, in tree child order.
-    """
-
-    time: int
-    node: JurisdictionId
-    kind: ReportKind
-    counts: VoteCount
-    children: tuple[tuple[JurisdictionId, int, VoteCount], ...]
-
-
-TraceRecord = EmitRecord | DeliverRecord | AttackRecord | PublishRecord
+# A row's columns, in order. ``tag`` says what the row records, and
+# ``node`` is an index into ``tree.order()``: the emitter, a delivery's or
+# an attack's sender (the receiver is its parent), or the root. ``kind``
+# is PRELIM or FINAL. A publication's ``seq`` holds how many entries it
+# lists. ``code`` is a refusal's index into ``reasons``, a publication's
+# offset into ``entries``, or an attack's index into ``attacks``; else 0.
+# A row number times STRIDE is the row's offset in ``rows``.
+COLUMNS = ("tag", "time", "node", "kind", "seq", "yes", "no", "blank", "invalid", "code")
+STRIDE = len(COLUMNS)
+EMIT, DELIVER, REFUSE, PUBLISH, ATTACK = range(5)
+PRELIM, FINAL = 0, 1
+KIND_TEXTS = (ReportKind.PRELIMINARY.value, ReportKind.FINAL.value)
 
 
 @dataclass(frozen=True, slots=True)
 class EventTrace:
+    """A finished run: its rows, and the tables they index.
+
+    ``rows`` holds ``STRIDE`` integers per record, laid out as ``COLUMNS``
+    says, in read-only signed 64-bit columns. A publication lists the
+    root's latest accepted delivery from each covered child, in tree child
+    order: its entries are the row numbers of those deliveries, so
+    consecutive publications share the rows they list. ``parents`` gives
+    each node's parent index (the root's is 0), ``channels`` each node's
+    preliminary channel (finals ride the postal one), ``reasons`` each
+    refusal's text, and ``attacks`` each configured attack's kind, mode
+    and detail.
+    """
+
     election_id: str
     seed: int
     tree: JurisdictionTree
     ground_truth: dict[JurisdictionId, VoteCount]
-    records: tuple[TraceRecord, ...]
+    rows: memoryview
+    entries: memoryview
+    parents: tuple[int, ...]
+    channels: tuple[str, ...]
+    reasons: tuple[str, ...]
+    attacks: tuple[tuple[str, str, str], ...]
 
     def to_text(self) -> str:
         """The header, one line per record, a refused delivery's detect line
         after it, and the footer, each ending in a newline.
 
-        Each line is one f-string over the record's unpacked fields, ids
-        and kinds read from their stored text: no Python-level call per
-        field. Consecutive publications share most of their entry tuples
-        (the root publishes copies of one child table), so each entry
-        tuple is rendered once, in a table keyed by its identity that
-        lives for this call. The trace keeps every entry alive meanwhile,
-        so no identity is reused while the table is in use.
+        Each line is one f-string over one row's unpacked columns, node and
+        kind texts read by index from tuples built once per call. A
+        publication's entry text is rendered once per delivery row it
+        names, in a table that lives for this call.
         """
-        prelim = ReportKind.PRELIMINARY
-        prelim_text, final_text = prelim.value, ReportKind.FINAL.value
+        rows = self.rows
+        texts = tuple(node._text for node in self.tree.order())
+        # Each node's parent text: the receiver of what the node sends.
+        ups = tuple(texts[up] for up in self.parents)
+        channels, postal = self.channels, POSTAL_FINAL.name
+        reasons, attacks, entries = self.reasons, self.attacks, self.entries
         entry_texts: dict[int, str] = {}
         lines = [f"trace election={self.election_id} seed={self.seed}"]
         append = lines.append
-        for record in self.records:
-            cls = type(record)
-            if cls is DeliverRecord:
-                time, sender, receiver, channel, kind, seq, c, reason = record
-                line = (
-                    f"deliver t={time} from={sender._text} to={receiver._text} "
-                    f"channel={channel} kind={prelim_text if kind is prelim else final_text} "
-                    f"seq={seq} yes={c.yes} no={c.no} blank={c.blank} invalid={c.invalid} "
-                    f"accepted={'true' if reason is None else 'false'}"
-                )
-                if reason is None:
-                    append(line)
-                else:
-                    append(f"{line} reason={reason}")
-                    append(
-                        f"detect t={time} node={receiver._text} reason={reason} "
-                        f"child={sender._text} seq={seq}"
-                    )
-            elif cls is EmitRecord:
-                time, node, kind, seq, c = record
+        # One tuple per row: STRIDE references to one iterator.
+        for tag, time, node, kind, seq, yes, no, blank, invalid, code in zip(
+            *[iter(rows)] * STRIDE
+        ):
+            if tag == EMIT:
                 append(
-                    f"emit t={time} node={node._text} "
-                    f"kind={prelim_text if kind is prelim else final_text} seq={seq} "
-                    f"yes={c.yes} no={c.no} blank={c.blank} invalid={c.invalid}"
+                    f"emit t={time} node={texts[node]} kind={KIND_TEXTS[kind]} seq={seq} "
+                    f"yes={yes} no={no} blank={blank} invalid={invalid}"
                 )
-            elif cls is PublishRecord:
-                time, node, kind, c, children = record
+            elif tag == DELIVER or tag == REFUSE:
+                line = (
+                    f"deliver t={time} from={texts[node]} to={ups[node]} "
+                    f"channel={postal if kind else channels[node]} kind={KIND_TEXTS[kind]} "
+                    f"seq={seq} yes={yes} no={no} blank={blank} invalid={invalid} "
+                )
+                if tag == DELIVER:
+                    append(f"{line}accepted=true")
+                else:
+                    reason = reasons[code]
+                    append(f"{line}accepted=false reason={reason}")
+                    append(
+                        f"detect t={time} node={ups[node]} reason={reason} "
+                        f"child={texts[node]} seq={seq}"
+                    )
+            elif tag == PUBLISH:
                 parts = []
-                for entry in children:
-                    text = entry_texts.get(id(entry))
+                for row in entries[code:code + seq]:
+                    text = entry_texts.get(row)
                     if text is None:
-                        child, seq, e = entry
-                        text = f"{child._text}:{seq}:{e.yes}:{e.no}:{e.blank}:{e.invalid}"
-                        entry_texts[id(entry)] = text
+                        at = row * STRIDE
+                        child_seq, e_yes, e_no, e_blank, e_invalid = rows[at + 4:at + 9]
+                        text = entry_texts[row] = (
+                            f"{texts[rows[at + 2]]}:{child_seq}:{e_yes}:{e_no}:{e_blank}:{e_invalid}"
+                        )
                     parts.append(text)
                 append(
-                    f"publish t={time} node={node._text} "
-                    f"kind={prelim_text if kind is prelim else final_text} "
-                    f"yes={c.yes} no={c.no} blank={c.blank} invalid={c.invalid} "
+                    f"publish t={time} node={texts[node]} kind={KIND_TEXTS[kind]} "
+                    f"yes={yes} no={no} blank={blank} invalid={invalid} "
                     f"children={','.join(parts)}"
                 )
             else:
-                time, kind, sender, receiver, mode, detail = record
+                attack, mode, detail = attacks[code]
                 append(
-                    f"attack t={time} kind={kind} from={sender._text} "
-                    f"to={receiver._text} mode={mode} detail={detail}"
+                    f"attack t={time} kind={attack} from={texts[node]} "
+                    f"to={ups[node]} mode={mode} detail={detail}"
                 )
         # The footer counts the lines above it but the header: a refused
         # delivery wrote two. It carries the final newline, so the text is
         # joined once.
         append(f"end records={len(lines) - 1}\n")
         return "\n".join(lines)
-
-    def final_publish(self) -> PublishRecord:
-        """The last final publication, found by scanning from the end."""
-        for record in reversed(self.records):
-            if isinstance(record, PublishRecord) and record.kind is ReportKind.FINAL:
-                return record
-        raise ValueError("trace holds no final publication")

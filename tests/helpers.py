@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 
 import votewire
 from votewire.counts import VoteCount
-from votewire.reports import ReportKind
-from votewire.traces import EventTrace, PublishRecord
 from votewire.tree import JurisdictionId, JurisdictionTree
 
 
@@ -78,14 +76,6 @@ def uneven_tree_paths(draw, max_depth: int | None = None) -> list[tuple[str, ...
 
     grow(("CH",))
     return paths
-
-
-def publishes(trace: EventTrace, kind: ReportKind | None = None) -> tuple[PublishRecord, ...]:
-    """The trace's publications in trace order, or only those of ``kind``."""
-    return tuple(
-        r for r in trace.records
-        if isinstance(r, PublishRecord) and (kind is None or r.kind is kind)
-    )
 
 
 def fresh_interpreter(code: str) -> str:

@@ -70,8 +70,8 @@ MUTANTS = (
     Mutant(
         "events of one tick run last scheduled first",
         ENGINE,
-        "            for kind, i, what, counts in buckets[time]:\n",
-        "            for kind, i, what, counts in iter(\n"
+        "            for event in buckets[time]:\n",
+        "            for event in iter(\n"
         "                lambda: buckets[time].pop() if buckets[time] else None, None\n"
         "            ):\n",
         (f"{TEST_ENGINE}::TestEventOrder::test_same_tick_events_run_in_scheduling_order",),
@@ -84,6 +84,16 @@ MUTANTS = (
         tuple(
             f"{REFERENCE}::test_wide_jitter_draws_match_the_reference[{ceiling}]"
             for ceiling in (1, 7, 8, 63)
+        ),
+    ),
+    Mutant(
+        "a noise shift is redrawn above the maximum, so the maximum plus one is drawn",
+        ENGINE,
+        "                while drawn >= max_shift:\n",
+        "                while drawn > max_shift:\n",
+        tuple(
+            f"{TEST_ENGINE}::TestNoise::test_the_inlined_draws_equal_randints[{shift}]"
+            for shift in (1, 2, 3, 7)
         ),
     ),
     Mutant(
@@ -170,13 +180,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "a delivery reads as accepted whatever its reason",
+        "a delivery's receiver is read from the sender's index",
         "votewire/traces.py",
-        "        return self.reason is None\n",
-        "        return True\n",
+        'f"deliver t={time} from={texts[node]} to={ups[node]} "',
+        'f"deliver t={time} from={texts[node]} to={texts[node]} "',
         (
             f"{RENDERING}::test_shared_and_equal_entry_tuples_render_alike",
-            f"{TEST_ENGINE}::TestTraceInvariants::test_feasibility_check_replays_every_preliminary_verdict",
+            f"{REFERENCE}::test_a_deep_uneven_tree_matches_the_reference",
         ),
     ),
     Mutant(
@@ -314,10 +324,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "the audit takes accepted deliveries as detect events",
+        "the audit's scan skips the refused rows",
         "votewire/adversary.py",
-        "            if record.reason is not None:\n",
-        "            if record.reason is None:\n",
+        "    row = tags.find(REFUSE)\n",
+        "    row = -1\n",
         (
             f"{REFUSALS}::test_the_refusal_run_keeps_its_pinned_text",
             f"{TEST_ENGINE}::TestAttacksInTheLoop::test_front_run_wins_and_genuine_is_stale",

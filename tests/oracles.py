@@ -6,6 +6,13 @@ by applying its flips and asking the tally itself (``popular_outcome``,
 ``cantonal_outcome``, ``referendum_outcome``). No oracle restates a
 majority or tie rule, so none can share a solver's mistake about one.
 
+A trace stores each record as one row of integer columns. ``records``
+reads those rows back as the NamedTuple records below, one column at a
+time, a receiver as its sender's ``JurisdictionId.parent``. ``reference_run``
+derives the same records from the rules, and the tests that check a run
+record by record read these. ``perturb`` is the noise rule drawn with
+``randint``, as the engine draws it inline.
+
 The trace and summary formatters render every record and summary item
 field by field, with no table shared between lines: they pin the text that
 ``EventTrace.to_text`` and ``DetectionSummary.to_text`` produce from their
@@ -25,7 +32,7 @@ dicts keyed by id, every child re-summed on every accept, and each
 acceptance check spelled out. It shares no code with the engine's event
 loop, nor with the sequence tracking the engine uses for replay protection,
 and it records each refusal twice, as the delivery and as a ``DetectRecord``
-of its own, which the engine's records do not hold.
+of its own, which the engine's rows do not hold.
 """
 
 from __future__ import annotations
@@ -39,12 +46,13 @@ from votewire.adversary import (
     AttackKind,
     CountDivergence,
     CoverageGap,
+    DetectEvent,
     DetectionSummary,
     apply_mutation,
 )
 from votewire.channels import POSTAL_FINAL
 from votewire.counts import VoteCount, accumulate
-from votewire.engine import Simulation
+from votewire.engine import NoiseModel, Simulation
 from votewire.errors import ConfigError
 from votewire.reports import Report, ReportKind, SequenceState
 from votewire.tally import (
@@ -55,19 +63,55 @@ from votewire.tally import (
     popular_outcome,
     referendum_outcome,
 )
-from votewire.traces import (
-    AttackRecord,
-    DeliverRecord,
-    EmitRecord,
-    EventTrace,
-    PublishRecord,
-    TraceRecord,
-)
+from votewire.traces import ATTACK, DELIVER, EMIT, PUBLISH, REFUSE, STRIDE, EventTrace
 from votewire.tree import JurisdictionId, JurisdictionTree
 
-from helpers import publishes
-
 DOUBLE = ReferendumSpec("oracle", MajorityRule.DOUBLE_MAJORITY)
+
+
+class EmitRecord(NamedTuple):
+    time: int
+    node: JurisdictionId
+    kind: ReportKind
+    seq: int
+    counts: VoteCount
+
+
+class DeliverRecord(NamedTuple):
+    """A report's arrival; ``reason`` is None when it was accepted."""
+
+    time: int
+    sender: JurisdictionId
+    receiver: JurisdictionId
+    channel: str
+    kind: ReportKind
+    seq: int
+    counts: VoteCount
+    reason: str | None = None
+
+    @property
+    def accepted(self) -> bool:
+        return self.reason is None
+
+
+class AttackRecord(NamedTuple):
+    time: int
+    kind: str
+    sender: JurisdictionId
+    receiver: JurisdictionId
+    mode: str
+    detail: str
+
+
+class PublishRecord(NamedTuple):
+    """A running total released by the root, with the (child, seq, counts)
+    entry of every child covered so far, in tree child order."""
+
+    time: int
+    node: JurisdictionId
+    kind: ReportKind
+    counts: VoteCount
+    children: tuple[tuple[JurisdictionId, int, VoteCount], ...]
 
 
 class DetectRecord(NamedTuple):
@@ -78,6 +122,67 @@ class DetectRecord(NamedTuple):
     reason: str
     child: JurisdictionId
     seq: int
+
+
+TraceRecord = EmitRecord | DeliverRecord | AttackRecord | PublishRecord
+
+
+def records(trace: EventTrace) -> tuple[TraceRecord, ...]:
+    """The trace's rows as records, one per row, each column looked up on
+    its own: ids from ``tree.order()``, a receiver as its sender's parent id."""
+    order = trace.tree.order()
+    rows = trace.rows.tolist()
+    out: list[TraceRecord] = []
+    for at in range(0, len(rows), STRIDE):
+        tag, time, node, kind_code, seq, *counts, code = rows[at:at + STRIDE]
+        kind = (ReportKind.PRELIMINARY, ReportKind.FINAL)[kind_code]
+        sender = order[node]
+        if tag == EMIT:
+            out.append(EmitRecord(time, sender, kind, seq, VoteCount(*counts)))
+        elif tag in (DELIVER, REFUSE):
+            channel = POSTAL_FINAL.name if kind is ReportKind.FINAL else trace.channels[node]
+            reason = trace.reasons[code] if tag == REFUSE else None
+            out.append(
+                DeliverRecord(
+                    time, sender, sender.parent, channel, kind, seq, VoteCount(*counts), reason
+                )
+            )
+        elif tag == PUBLISH:
+            entries = tuple(
+                (order[rows[e + 2]], rows[e + 4], VoteCount(*rows[e + 5:e + 9]))
+                for e in (row * STRIDE for row in trace.entries[code:code + seq])
+            )
+            out.append(PublishRecord(time, sender, kind, VoteCount(*counts), entries))
+        else:
+            assert tag == ATTACK
+            attack, mode, detail = trace.attacks[code]
+            out.append(AttackRecord(time, attack, sender, sender.parent, mode, detail))
+    return tuple(out)
+
+
+def publishes(trace: EventTrace, kind: ReportKind | None = None) -> tuple[PublishRecord, ...]:
+    """The trace's publications in trace order, or only those of ``kind``."""
+    return tuple(
+        r for r in records(trace)
+        if isinstance(r, PublishRecord) and (kind is None or r.kind is kind)
+    )
+
+
+def final_publish(trace: EventTrace) -> PublishRecord:
+    """The last final publication."""
+    return publishes(trace, ReportKind.FINAL)[-1]
+
+
+def perturb(noise: NoiseModel, counts: VoteCount, rng: random.Random) -> VoteCount:
+    """``counts`` after ``noise``'s honest miscount, drawn with ``randint``."""
+    if rng.random() >= noise.probability:
+        return counts
+    magnitude = rng.randint(1, noise.max_shift)
+    if rng.random() < 0.5:
+        moved = min(magnitude, counts.yes)
+        return VoteCount(counts.yes - moved, counts.no + moved, counts.blank, counts.invalid)
+    moved = min(magnitude, counts.no)
+    return VoteCount(counts.yes + moved, counts.no - moved, counts.blank, counts.invalid)
 
 
 def flip(counts: VoteCount, n: int, target: Decision) -> VoteCount:
@@ -281,14 +386,15 @@ def trace_line(record: TraceRecord | DetectRecord) -> str:
     )
 
 
-def trace_text(trace: EventTrace) -> str:
-    """The header, one ``trace_line`` per record, and the footer.
+def trace_text(trace: EventTrace, lines_of: tuple[TraceRecord | DetectRecord, ...]) -> str:
+    """``trace``'s header, one ``trace_line`` per record of ``lines_of``,
+    and the footer.
 
     A trace holds no ``DetectRecord``: to render a run in full, give it the
     records of ``reference_run``."""
     lines = [f"trace election={trace.election_id} seed={trace.seed}"]
-    lines.extend(trace_line(record) for record in trace.records)
-    lines.append(f"end records={len(trace.records)}")
+    lines.extend(trace_line(record) for record in lines_of)
+    lines.append(f"end records={len(lines_of)}")
     return "\n".join(lines) + "\n"
 
 
@@ -304,9 +410,10 @@ def _gap_line(g: CoverageGap) -> str:
     return f"  t={g.time} missing={','.join(str(m) for m in g.missing)}"
 
 
-def _detect_line(rec: DeliverRecord) -> str:
+def _detect_line(event: DetectEvent) -> str:
     return (
-        f"  t={rec.time} node={rec.receiver} reason={rec.reason} child={rec.sender} seq={rec.seq}"
+        f"  t={event.time} node={event.node} reason={event.reason} child={event.child}"
+        f" seq={event.seq}"
     )
 
 
@@ -342,11 +449,12 @@ def subtree_truth(trace: EventTrace, node: JurisdictionId) -> VoteCount:
 
 def _audit(trace: EventTrace, truth_of) -> DetectionSummary:
     """The summary of ``trace`` when ``truth_of(at, child)`` is the truth that
-    the entry for ``child`` of the publication at ``trace.records[at]`` must read."""
+    the entry for ``child`` of the publication at ``records(trace)[at]`` must read."""
     tree = trace.tree
     root_children = tree.children(tree.root)
     divergences, gaps = [], []
-    for at, pub in enumerate(trace.records):
+    listed = records(trace)
+    for at, pub in enumerate(listed):
         if not isinstance(pub, PublishRecord) or pub.kind is not ReportKind.PRELIMINARY:
             continue
         covered = [child for child, _, _ in pub.children]
@@ -357,12 +465,13 @@ def _audit(trace: EventTrace, truth_of) -> DetectionSummary:
         missing = tuple(child for child in root_children if child not in covered)
         if missing:
             gaps.append(CoverageGap(pub.time, missing))
-    final = trace.final_publish()
+    final = final_publish(trace)
     return DetectionSummary(
         count_divergences=tuple(divergences),
         coverage_gaps=tuple(gaps),
         detects=tuple(
-            r for r in trace.records if isinstance(r, DeliverRecord) and r.reason is not None
+            DetectRecord(r.time, r.receiver, r.reason, r.sender, r.seq)
+            for r in listed if isinstance(r, DeliverRecord) and r.reason is not None
         ),
         final_matches_ground_truth=final.counts == subtree_truth(trace, tree.root),
         integrity_gap_ticks=max(0, final.time - divergences[0].time) if divergences else 0,
@@ -390,7 +499,7 @@ def covered_leaves(trace: EventTrace) -> dict[tuple[int, JurisdictionId], frozen
     latest: dict[JurisdictionId, frozenset] = {}
     accepted: dict[tuple[JurisdictionId, ReportKind], dict[JurisdictionId, frozenset]] = {}
     out: dict[tuple[int, JurisdictionId], frozenset] = {}
-    for at, rec in enumerate(trace.records):
+    for at, rec in enumerate(records(trace)):
         if isinstance(rec, EmitRecord):
             if tree.children(rec.node):
                 leaves = frozenset().union(*accepted[rec.node, rec.kind].values())
@@ -545,7 +654,7 @@ def reference_run(sim: Simulation) -> tuple[TraceRecord | DetectRecord, ...]:
     prelims = {}
     for leaf in leaves:
         counts = sim.ground_truth[leaf]
-        prelims[leaf] = sim.noise.perturb(counts, rng) if sim.noise else counts
+        prelims[leaf] = perturb(sim.noise, counts, rng) if sim.noise else counts
     for leaf in leaves:
         at = sim.prelim_emit.get(leaf, 0)
         schedule(at, report_up, leaf, ReportKind.PRELIMINARY, prelims[leaf])

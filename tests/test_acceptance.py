@@ -37,11 +37,11 @@ from votewire.secauth import (
 )
 from votewire.swiss import canton_id, swiss_tree
 from votewire.tally import Decision, MajorityRule, ReferendumSpec, referendum_outcome
-from votewire.traces import DeliverRecord
 from votewire.tree import JurisdictionId, tree_from_paths
 
 import oracles
-from helpers import canton_id as toy_canton_id, make_canton_tree, publishes
+from helpers import canton_id as toy_canton_id, make_canton_tree
+from oracles import DeliverRecord, final_publish, publishes, records
 
 
 @contextmanager
@@ -164,12 +164,12 @@ def test_criterion_5_attack_capability_matrix():
             if kind is AttackKind.DELAY:
                 trace = build(wrapped(attacked_channel)).run()
                 delivered = [
-                    r.time for r in trace.records
+                    r.time for r in records(trace)
                     if isinstance(r, DeliverRecord)
                     and r.sender == target and r.kind is ReportKind.PRELIMINARY
                 ]
                 assert delivered == [attacked_channel.base_latency + hold]
-                assert trace.final_publish().counts == truth_sum
+                assert final_publish(trace).counts == truth_sum
             else:
                 try:
                     build(wrapped(attacked_channel))
@@ -192,18 +192,18 @@ def test_criterion_5_attack_capability_matrix():
             elif kind is AttackKind.FRONT_RUN:
                 assert forged in covered
                 stale = [
-                    d for d in trace.records
+                    d for d in records(trace)
                     if isinstance(d, DeliverRecord) and d.reason == "stale_sequence"
                 ]
                 assert any(d.sender == target for d in stale)
             else:
                 delivered = [
-                    r.time for r in trace.records
+                    r.time for r in records(trace)
                     if isinstance(r, DeliverRecord)
                     and r.sender == target and r.kind is ReportKind.PRELIMINARY
                 ]
                 assert delivered == [attacked_channel.base_latency + hold]
-            assert trace.final_publish().counts == truth_sum
+            assert final_publish(trace).counts == truth_sum
             runs += 1
         elapsed = time.perf_counter() - start
         assert runs >= 1000

@@ -24,9 +24,9 @@ from votewire.counts import VoteCount
 from votewire.engine import Simulation
 from votewire.errors import CapabilityError
 from votewire.reports import Report, ReportKind
-from votewire.traces import DeliverRecord
 
 from helpers import canton_id, make_canton_tree
+from oracles import DeliverRecord, records
 
 INSECURE = (TELEPHONE, FAX, EMAIL, DEDICATED_SOFTWARE)
 SEALED = (POSTAL_FINAL,) + tuple(wrapped(c) for c in INSECURE)
@@ -178,7 +178,7 @@ def one_edge_sim(attack: AttackSpec, channel=EMAIL) -> Simulation:
 def preliminaries(attack: AttackSpec) -> list[DeliverRecord]:
     """The preliminary reports the root receives from ZH, in delivery order."""
     return [
-        r for r in one_edge_sim(attack).run().records
+        r for r in records(one_edge_sim(attack).run())
         if isinstance(r, DeliverRecord) and r.kind is ReportKind.PRELIMINARY
     ]
 

@@ -5,19 +5,31 @@ import gc
 import hashlib
 import random
 import re
+import sys
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import fresh_interpreter, publishes, uneven_tree_paths
-from oracles import feasibility_check
+from helpers import fresh_interpreter, uneven_tree_paths
+from oracles import (
+    AttackRecord,
+    DeliverRecord,
+    EmitRecord,
+    PublishRecord,
+    feasibility_check,
+    final_publish,
+    publishes,
+    records,
+)
 from votewire import cli
 from votewire.adversary import (
     AttackKind,
     AttackSpec,
     CountDivergence,
+    DetectEvent,
     DetectionSummary,
     Mutation,
     MutationKind,
@@ -29,19 +41,14 @@ from votewire.engine import (
     DEFAULT_FINAL_EMIT_AT,
     REASON_OVER_ELIGIBLE,
     REASON_STALE_SEQUENCE,
+    REASONS,
     NoiseModel,
     Simulation,
 )
 from votewire.errors import ArithmeticOverflow, CapabilityError, ConfigError
 from votewire.reports import Report, ReportKind, SequenceState
 from votewire.scenario import bundled_scenario_path, load_scenario
-from votewire.traces import (
-    AttackRecord,
-    DeliverRecord,
-    EmitRecord,
-    EventTrace,
-    PublishRecord,
-)
+from votewire.traces import ATTACK, DELIVER, EMIT, PUBLISH, REFUSE, STRIDE, EventTrace
 from votewire.tree import JurisdictionId, JurisdictionTree, tree_from_paths
 
 CH = JurisdictionId.of("CH")
@@ -151,7 +158,7 @@ class TestHonestRun:
     def test_final_publication_equals_ground_truth_sum(self):
         sim = two_leaf_sim()
         trace = sim.run()
-        final = trace.final_publish()
+        final = final_publish(trace)
         assert final.counts == accumulate(sim.ground_truth.values())
         assert final.counts == VoteCount(40, 60)
 
@@ -176,7 +183,7 @@ class TestHonestRun:
 
     def test_emit_times_respect_configuration(self):
         trace = two_leaf_sim(prelim_emit={A: 4}, final_emit={B: 60}).run()
-        emits = {(r.node, r.kind): r.time for r in trace.records if isinstance(r, EmitRecord)}
+        emits = {(r.node, r.kind): r.time for r in records(trace) if isinstance(r, EmitRecord)}
         assert emits[(A, ReportKind.PRELIMINARY)] == 4
         assert emits[(B, ReportKind.PRELIMINARY)] == 0
         assert emits[(B, ReportKind.FINAL)] == 60
@@ -190,7 +197,7 @@ class TestEventOrder:
         # emits first, then A's delivery and publication, then B's.
         instant = preset("email", 0)
         trace = two_leaf_sim(channels={A: instant, B: instant}).run()
-        assert [oracles.trace_line(r) for r in trace.records if r.time == 0] == [
+        assert [oracles.trace_line(r) for r in records(trace) if r.time == 0] == [
             "emit t=0 node=CH/A kind=preliminary seq=1 yes=30 no=20 blank=0 invalid=0",
             "emit t=0 node=CH/B kind=preliminary seq=1 yes=10 no=40 blank=0 invalid=0",
             "deliver t=0 from=CH/A to=CH channel=email kind=preliminary seq=1"
@@ -233,12 +240,12 @@ class TestDeepHierarchy:
         sim, BE, X, Y, VD = self.build()
         trace = sim.run()
         accepted_at_be = [
-            r for r in trace.records
+            r for r in records(trace)
             if isinstance(r, DeliverRecord)
             and r.receiver == BE and r.accepted and r.kind is ReportKind.PRELIMINARY
         ]
         be_emits = [
-            r for r in trace.records
+            r for r in records(trace)
             if isinstance(r, EmitRecord) and r.node == BE and r.kind is ReportKind.PRELIMINARY
         ]
         # One upward emission per accepted report, at the acceptance tick.
@@ -258,11 +265,11 @@ class TestDeepHierarchy:
         sim, BE, X, Y, VD = self.build()
         trace = sim.run()
         be_final_emits = [
-            r for r in trace.records
+            r for r in records(trace)
             if isinstance(r, EmitRecord) and r.node == BE and r.kind is ReportKind.FINAL
         ]
         assert len(be_final_emits) == 1
-        assert trace.final_publish().counts == VoteCount(60, 60)
+        assert final_publish(trace).counts == VoteCount(60, 60)
 
     def test_subtree_ground_truth_helper(self):
         sim, BE, X, Y, VD = self.build()
@@ -299,20 +306,31 @@ class TestRootPublication:
 
 
 class TestImmutableRecords:
-    RECORDS = (
-        EmitRecord(0, A, ReportKind.PRELIMINARY, 1, VoteCount(1, 0)),
-        DeliverRecord(1, A, CH, "email", ReportKind.PRELIMINARY, 1, VoteCount(1, 0)),
-        AttackRecord(1, "delay", A, CH, "blind", "hold:5"),
-        PublishRecord(1, CH, ReportKind.PRELIMINARY, VoteCount(1, 0), ((A, 1, VoteCount(1, 0)),)),
-    )
+    """A trace's columns are read-only, and its fields are fixed."""
 
-    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    TAGS = {
+        "EmitRecord": EMIT,
+        "DeliverRecord": DELIVER,
+        "AttackRecord": ATTACK,
+        "PublishRecord": PUBLISH,
+    }
+
+    @pytest.mark.parametrize("record", TAGS)
     def test_fields_cannot_be_reassigned_or_added(self, record):
-        for name in type(record).__match_args__:
+        trace = attack_heavy_sim().run()
+        at = trace.rows[::STRIDE].tolist().index(self.TAGS[record]) * STRIDE
+        for column in range(at, at + STRIDE):
+            with pytest.raises(TypeError):
+                trace.rows[column] = 0
+        with pytest.raises(TypeError):
+            trace.entries[0] = 0
+        for name in ("rows", "entries"):
             with pytest.raises(AttributeError):
-                setattr(record, name, None)
-        with pytest.raises(AttributeError):
-            record.note = "extra"
+                setattr(trace, name, None)
+        # CPython 3.11 to 3.13 raise TypeError here: a frozen dataclass with
+        # slots calls super() on the class that slots replaced.
+        with pytest.raises((AttributeError, TypeError)):
+            trace.note = "extra"
 
 
 class TestAttacksInTheLoop:
@@ -324,7 +342,7 @@ class TestAttacksInTheLoop:
         trace = sim.run()
         last_prelim = publishes(trace, ReportKind.PRELIMINARY)[-1]
         assert last_prelim.counts == VoteCount(30, 70)
-        assert trace.final_publish().counts == VoteCount(40, 60)
+        assert final_publish(trace).counts == VoteCount(40, 60)
         summary = detection_report(trace)
         assert [d.child for d in summary.count_divergences] == [A, A]
         assert summary.final_matches_ground_truth
@@ -334,14 +352,15 @@ class TestAttacksInTheLoop:
         attack = AttackSpec(AttackKind.FRONT_RUN, B, forged_counts=VoteCount(90, 1))
         trace = two_leaf_sim(attacks=(attack,)).run()
         deliveries = [
-            r for r in trace.records
+            r for r in records(trace)
             if isinstance(r, DeliverRecord) and r.sender == B and r.kind is ReportKind.PRELIMINARY
         ]
         assert [d.accepted for d in deliveries] == [True, False]
         assert deliveries[0].seq == 1001 and deliveries[1].seq == 1
         assert deliveries[1].reason == "stale_sequence"
         # The refused delivery is the detect event.
-        assert detection_report(trace).detects == (deliveries[1],)
+        assert detection_report(trace).detects == (DetectEvent(3, CH, "stale_sequence", B, 1),)
+        assert deliveries[1].time == 3
 
     def test_delay_leaves_counts_alone(self):
         attack = AttackSpec(AttackKind.DELAY, B, hold_ticks=50)
@@ -361,9 +380,9 @@ class TestAttacksInTheLoop:
         # the root publishes it last; the final publication is still found.
         attack = AttackSpec(AttackKind.DELAY, A, hold_ticks=1000)
         trace = two_leaf_sim(attacks=(attack,)).run()
-        last = trace.records[-1]
+        last = records(trace)[-1]
         assert isinstance(last, PublishRecord) and last.kind is ReportKind.PRELIMINARY
-        final = trace.final_publish()
+        final = final_publish(trace)
         assert final.kind is ReportKind.FINAL and final.time < last.time
         assert final == publishes(trace, ReportKind.FINAL)[-1]
         assert final.counts == VoteCount(40, 60)
@@ -373,8 +392,8 @@ class TestAttacksInTheLoop:
             AttackKind.DELAY, A, report_kind=ReportKind.FINAL, hold_ticks=500
         )
         trace = two_leaf_sim(attacks=(attack,)).run()
-        assert trace.final_publish().time == 648
-        assert trace.final_publish().counts == VoteCount(40, 60)
+        assert final_publish(trace).time == 648
+        assert final_publish(trace).counts == VoteCount(40, 60)
 
     def test_absurd_tamper_is_caught_by_feasibility(self):
         # The eligibility ceiling stops tampered totals that claim more
@@ -385,7 +404,7 @@ class TestAttacksInTheLoop:
         )
         trace = two_leaf_sim(attacks=(attack,)).run()
         rejected = [
-            r for r in trace.records
+            r for r in records(trace)
             if isinstance(r, DeliverRecord) and not r.accepted
         ]
         assert [r.reason for r in rejected] == ["over_eligible"]
@@ -423,13 +442,13 @@ class TestAttacksInTheLoop:
         front_run = AttackSpec(AttackKind.FRONT_RUN, A, forged_counts=VoteCount(90, 1))
         hold_final = AttackSpec(AttackKind.DELAY, A, report_kind=ReportKind.FINAL, hold_ticks=30)
         trace = two_leaf_sim(attacks=(tamper, front_run, hold_final)).run()
-        attacks = [r for r in trace.records if isinstance(r, AttackRecord)]
+        attacks = [r for r in records(trace) if isinstance(r, AttackRecord)]
         assert attacks == [
             AttackRecord(0, "tamper", A, CH, "blind", "swap_yes_no"),
             AttackRecord(0, "front_run", A, CH, "blind", "forged_seq_offset:1000"),
             AttackRecord(100, "delay", A, CH, "blind", "hold:30"),
         ]
-        from_a = [r for r in trace.records if isinstance(r, DeliverRecord) and r.sender == A]
+        from_a = [r for r in records(trace) if isinstance(r, DeliverRecord) and r.sender == A]
         assert [(r.time, r.kind, r.seq, r.counts, r.accepted) for r in from_a] == [
             # The forgery arrives first; the genuine report behind it carries
             # the tampered counts and is refused as stale.
@@ -438,23 +457,23 @@ class TestAttacksInTheLoop:
             # Only the final is held: 100 + 48 postal ticks + 30.
             (178, ReportKind.FINAL, 2, VoteCount(30, 20), True),
         ]
-        assert trace.final_publish().time == 178
+        assert final_publish(trace).time == 178
 
         swapped = two_leaf_sim(attacks=(front_run, tamper, hold_final)).run()
-        assert [r.kind for r in swapped.records if isinstance(r, AttackRecord)] == [
+        assert [r.kind for r in records(swapped) if isinstance(r, AttackRecord)] == [
             "front_run", "tamper", "delay",
         ]
-        assert [r for r in swapped.records if isinstance(r, DeliverRecord)] == [
-            r for r in trace.records if isinstance(r, DeliverRecord)
+        assert [r for r in records(swapped) if isinstance(r, DeliverRecord)] == [
+            r for r in records(trace) if isinstance(r, DeliverRecord)
         ]
 
     def test_pinned_forged_seq_reaches_the_receiver(self):
         pinned = AttackSpec(AttackKind.FRONT_RUN, A, forged_counts=VoteCount(90, 1), forged_seq=5)
         trace = two_leaf_sim(attacks=(pinned,)).run()
-        assert [r for r in trace.records if isinstance(r, AttackRecord)] == [
+        assert [r for r in records(trace) if isinstance(r, AttackRecord)] == [
             AttackRecord(0, "front_run", A, CH, "blind", "forged_seq:5"),
         ]
-        from_a = [r for r in trace.records if isinstance(r, DeliverRecord) and r.sender == A]
+        from_a = [r for r in records(trace) if isinstance(r, DeliverRecord) and r.sender == A]
         assert [(r.time, r.kind, r.seq, r.counts, r.accepted, r.reason) for r in from_a] == [
             (1, ReportKind.PRELIMINARY, 5, VoteCount(90, 1), True, None),
             (1, ReportKind.PRELIMINARY, 1, VoteCount(30, 20), False, REASON_STALE_SEQUENCE),
@@ -483,30 +502,60 @@ class TestNoise:
         trace = sim.run()
         first_emits = {
             r.node: r.counts
-            for r in trace.records
+            for r in records(trace)
             if isinstance(r, EmitRecord) and r.kind is ReportKind.PRELIMINARY
         }
         for leaf, counts in first_emits.items():
             assert counts.total() == sim.ground_truth[leaf].total()
-        assert trace.final_publish().counts == VoteCount(40, 60)
+        assert final_publish(trace).counts == VoteCount(40, 60)
 
     def test_zero_probability_is_a_no_op(self):
         quiet = NoiseModel(probability=0.0, max_shift=5)
-        rng = random.Random(0)
-        assert quiet.perturb(VoteCount(10, 10), rng) == VoteCount(10, 10)
+        sim = two_leaf_sim(noise=quiet)
+        assert prelim_emits(sim) == prelim_emits(two_leaf_sim())
+        assert prelim_emits(sim) == dict(sim.ground_truth)
 
     def test_shift_clamps_to_the_source_side(self):
         loud = NoiseModel(probability=1.0, max_shift=50)
+        truth = {A: VoteCount(3, 2), B: VoteCount(0, 1, 2, 3)}
+        moved = set()
         for seed in range(20):
-            out = loud.perturb(VoteCount(3, 2), random.Random(seed))
-            assert out.total() == 5
-            assert out.yes >= 0 and out.no >= 0
+            sim = two_leaf_sim(noise=loud, seed=seed, ground_truth=truth)
+            for leaf, counts in prelim_emits(sim).items():
+                assert counts.total() == truth[leaf].total()
+                assert counts[2:] == truth[leaf][2:]
+                moved.add(counts)
+        # Each side is emptied onto the other: the shift is clamped, never wrapped.
+        assert {VoteCount(0, 5), VoteCount(5, 0), VoteCount(1, 0, 2, 3)} <= moved
+
+    @pytest.mark.parametrize("max_shift", [1, 2, 3, 7, 8, 63, 64, 1000, 2**40])
+    def test_the_inlined_draws_equal_randints(self, max_shift):
+        # The run draws each shift by randrange's own rule; the oracle calls
+        # randint. Counts wide enough that no shift is clamped.
+        noise = NoiseModel(probability=0.5, max_shift=max_shift)
+        wide = {A: VoteCount(2**41, 2**41), B: VoteCount(2**41 + 1, 2**41 + 2)}
+        tree = tree_from_paths([A.path, B.path])
+        for seed in range(200):
+            sim = two_leaf_sim(noise=noise, seed=seed, tree=tree, ground_truth=wide)
+            rng = random.Random(seed)
+            expected = {leaf: oracles.perturb(noise, wide[leaf], rng) for leaf in (A, B)}
+            assert prelim_emits(sim) == expected
 
     def test_validation(self):
         with pytest.raises(ValueError):
             NoiseModel(probability=1.5, max_shift=1)
         with pytest.raises(ValueError):
             NoiseModel(probability=0.5, max_shift=0)
+
+
+def prelim_emits(sim: Simulation) -> dict[JurisdictionId, VoteCount]:
+    """Each leaf's preliminary counts, as the run emits them."""
+    leaves = set(sim.tree.leaves())
+    return {
+        r.node: r.counts
+        for r in records(sim.run())
+        if isinstance(r, EmitRecord) and r.kind is ReportKind.PRELIMINARY and r.node in leaves
+    }
 
 
 class TestSimulationValidation:
@@ -581,7 +630,7 @@ class TestSimulationValidation:
         sim = two_leaf_sim(postal_latency=10)
         assert sim.postal_latency == 10
         finals = [
-            r for r in sim.run().records
+            r for r in records(sim.run())
             if isinstance(r, DeliverRecord) and r.kind is ReportKind.FINAL
         ]
         assert {(r.sender, r.channel) for r in finals} == {(A, "postal_final"), (B, "postal_final")}
@@ -636,7 +685,7 @@ class TestDeterminism:
         sim = two_leaf_sim(
             seed=seed, jitter_max=6, noise=NoiseModel(probability=0.7, max_shift=25)
         )
-        assert sim.run().final_publish().counts == VoteCount(40, 60)
+        assert final_publish(sim.run()).counts == VoteCount(40, 60)
 
 
 @st.composite
@@ -712,7 +761,7 @@ class TestTraceInvariants:
         latest_prelim: dict[JurisdictionId, dict[JurisdictionId, VoteCount]] = {}
         child_finals: dict[JurisdictionId, list[DeliverRecord]] = {}
         final_outputs: dict[JurisdictionId, list] = {}
-        for rec in trace.records:
+        for rec in records(trace):
             if isinstance(rec, DeliverRecord) and rec.accepted and rec.reason is None:
                 if rec.kind is ReportKind.PRELIMINARY:
                     latest_prelim.setdefault(rec.receiver, {})[rec.sender] = rec.counts
@@ -750,7 +799,7 @@ class TestTraceInvariants:
         # feasibility_check spells out the engine's acceptance rules; one
         # fresh state serves every receiver, as in the engine.
         state = SequenceState(sim.election_id)
-        for rec in sim.run().records:
+        for rec in records(sim.run()):
             if isinstance(rec, DeliverRecord) and rec.kind is ReportKind.PRELIMINARY:
                 report = Report(sim.election_id, rec.sender, rec.seq, rec.counts, rec.kind, 0)
                 reason = feasibility_check(report, rec.receiver, sim.tree, state)
@@ -762,8 +811,16 @@ class TestTraceInvariants:
             channels={A: preset("email"), B: preset("email")},
             ground_truth={A: VoteCount(yes=MAX_COUNT), B: VoteCount(yes=MAX_COUNT)},
         )
-        with pytest.raises(ArithmeticOverflow):
+        with pytest.raises(ArithmeticOverflow, match=f"^yes={2 * MAX_COUNT} exceeds"):
             sim.run()
+
+    def test_a_tick_or_seq_past_the_trace_range_is_refused_by_name(self):
+        late = two_leaf_sim(prelim_emit={A: MAX_COUNT + 1})
+        with pytest.raises(ArithmeticOverflow, match=f"^time={MAX_COUNT + 1} exceeds"):
+            late.run()
+        forged = AttackSpec(AttackKind.FRONT_RUN, A, forged_counts=VoteCount(1), forged_seq=2**64)
+        with pytest.raises(ArithmeticOverflow, match=f"^seq={2**64} exceeds"):
+            two_leaf_sim(attacks=(forged,)).run()
 
 
 def deep_uneven_simulation() -> Simulation:
@@ -833,12 +890,12 @@ class TestRefusals:
     def test_a_refusal_appends_one_record_and_renders_two_lines(self):
         sim = refusal_simulation()
         trace = sim.run()
-        refused = [r for r in trace.records if type(r) is DeliverRecord and not r.accepted]
+        refused = [r for r in records(trace) if type(r) is DeliverRecord and not r.accepted]
         reasons = sorted(r.reason for r in refused)
         assert reasons == [REASON_OVER_ELIGIBLE, *[REASON_STALE_SEQUENCE] * 4]
-        assert len(oracles.reference_run(sim)) == len(trace.records) + len(refused)
+        assert len(oracles.reference_run(sim)) == len(records(trace)) + len(refused)
         lines = trace.to_text().splitlines()
-        assert len(lines) == 1 + len(trace.records) + len(refused) + 1
+        assert len(lines) == 1 + len(records(trace)) + len(refused) + 1
         assert lines[-1] == f"end records={len(lines) - 2}"
         for r in refused:
             at = lines.index(oracles.trace_line(r))
@@ -867,8 +924,8 @@ def assert_matches_the_reference(sim: Simulation) -> EventTrace:
     detect events, and its text the oracle's rendering of all of them."""
     trace = sim.run()
     reference = oracles.reference_run(sim)
-    assert trace.records == tuple(r for r in reference if type(r) is not oracles.DetectRecord)
-    assert trace.to_text() == oracles.trace_text(dataclasses.replace(trace, records=reference))
+    assert records(trace) == tuple(r for r in reference if type(r) is not oracles.DetectRecord)
+    assert trace.to_text() == oracles.trace_text(trace, reference)
     return trace
 
 
@@ -889,8 +946,8 @@ class TestAgainstTheReference:
 
     def test_a_deep_uneven_tree_matches_the_reference(self):
         sim = deep_uneven_simulation()
-        records = assert_matches_the_reference(sim).records
-        assert {type(r).__name__ for r in records} == {
+        matched = records(assert_matches_the_reference(sim))
+        assert {type(r).__name__ for r in matched} == {
             "EmitRecord", "DeliverRecord", "AttackRecord", "PublishRecord"
         }
         assert any(type(r) is oracles.DetectRecord for r in oracles.reference_run(sim))
@@ -955,7 +1012,7 @@ class TestCoveredTruthOracle:
 
 def published_entries(trace):
     """((record index, child), (child, seq)) of each preliminary publication entry."""
-    for at, rec in enumerate(trace.records):
+    for at, rec in enumerate(records(trace)):
         if isinstance(rec, PublishRecord) and rec.kind is ReportKind.PRELIMINARY:
             for child, seq, _ in rec.children:
                 yield (at, child), (child, seq)
@@ -996,36 +1053,39 @@ class TestRendering:
     @given(sim=random_simulations(), max_items=st.sampled_from([0, 1, 3, 10]))
     def test_text_matches_the_reference(self, sim, max_items):
         trace = sim.run()
-        reference = dataclasses.replace(trace, records=oracles.reference_run(sim))
-        assert trace.to_text() == oracles.trace_text(reference)
+        assert trace.to_text() == oracles.trace_text(trace, oracles.reference_run(sim))
         summary = detection_report(trace)
         assert summary.to_text(max_items) == oracles.summary_text(summary, max_items)
 
     def test_shared_and_equal_entry_tuples_render_alike(self):
-        tree = tree_from_paths([A.path, B.path])
-        shared = (A, 1, VoteCount(1, 2, 3, 4))
-        # Equal to ``shared`` in value, but a distinct tuple holding distinct counts.
-        equal = tuple([A, 1, VoteCount(1, 2, 3, 4)])
-        other = (B, 2, VoteCount(5, 0, 0, 1))
-        newer = (A, 2, VoteCount(9, 8, 7, 6))
-        assert equal == shared and equal is not shared and equal[2] is not shared[2]
-        prelim, final = ReportKind.PRELIMINARY, ReportKind.FINAL
-        records = (
-            PublishRecord(1, CH, prelim, VoteCount(1, 2, 3, 4), (shared,)),
-            PublishRecord(2, CH, prelim, VoteCount(6, 2, 3, 5), (shared, other)),
-            PublishRecord(3, CH, prelim, VoteCount(14, 8, 7, 7), (newer, other)),
-            PublishRecord(4, CH, final, VoteCount(6, 2, 3, 5), (equal, other)),
-            DeliverRecord(4, B, CH, "email", prelim, 3, VoteCount(0, 1), "stale_sequence"),
+        # A publication names its entries by delivery row: one row listed
+        # by several publications, and a distinct row with equal values.
+        prelim, final = 0, 1
+        rows = [
+            DELIVER, 1, 1, prelim, 1, 1, 2, 3, 4, 0,
+            PUBLISH, 1, 0, prelim, 1, 1, 2, 3, 4, 0,
+            DELIVER, 2, 2, prelim, 2, 5, 0, 0, 1, 0,
+            PUBLISH, 2, 0, prelim, 2, 6, 2, 3, 5, 1,
+            DELIVER, 3, 1, prelim, 2, 9, 8, 7, 6, 0,
+            PUBLISH, 3, 0, prelim, 2, 14, 8, 7, 7, 3,
+            DELIVER, 4, 1, final, 1, 1, 2, 3, 4, 0,
+            PUBLISH, 4, 0, final, 2, 6, 2, 3, 5, 5,
+            REFUSE, 4, 2, prelim, 3, 0, 1, 0, 0, REASONS.index("stale_sequence"),
+        ]
+        entries = [0, 0, 2, 4, 2, 6, 2]
+        trace = EventTrace(
+            "toy", 5, tree_from_paths([A.path, B.path]), {},
+            memoryview(array("q", rows)).toreadonly(), memoryview(array("q", entries)).toreadonly(),
+            (0, 0, 0), ("", "email", "email"), REASONS, (),
         )
-        trace = EventTrace("toy", 5, tree, {}, records)
         text = trace.to_text()
         detect = oracles.DetectRecord(4, CH, "stale_sequence", B, 3)
-        assert text == oracles.trace_text(dataclasses.replace(trace, records=(*records, detect)))
+        assert text == oracles.trace_text(trace, (*records(trace), detect))
         assert text.splitlines()[-2:] == [
             "detect t=4 node=CH reason=stale_sequence child=CH/B seq=3",
-            "end records=6",
+            "end records=10",
         ]
-        assert text.splitlines()[2:5] == [
+        assert text.splitlines()[4:9:2] == [
             "publish t=2 node=CH kind=preliminary yes=6 no=2 blank=3 invalid=5 "
             "children=CH/A:1:1:2:3:4,CH/B:2:5:0:0:1",
             "publish t=3 node=CH kind=preliminary yes=14 no=8 blank=7 invalid=7 "
@@ -1108,14 +1168,86 @@ def attack_heavy_sim() -> Simulation:
     )
 
 
-class _WatchedNoise(NoiseModel):
-    """Noise that records whether the cyclic GC ran while it was drawn."""
+def collections_during(function, call) -> int:
+    """How many collections the cyclic GC starts while a frame of
+    ``function`` runs, over ``call()``, with the collector's first
+    threshold at 1, so that almost any tracked allocation starts one."""
+    starts = []
 
-    seen: list[bool] = []
+    def probe(phase, _info):
+        if phase == "start":
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not function.__code__:
+                frame = frame.f_back
+            starts.append(frame is not None)
 
-    def perturb(self, counts, rng):
-        self.seen.append(gc.isenabled())
-        return counts
+    thresholds = gc.get_threshold()
+    gc.callbacks.append(probe)
+    gc.set_threshold(1, *thresholds[1:])
+    try:
+        call()
+    finally:
+        gc.set_threshold(*thresholds)
+        gc.callbacks.remove(probe)
+    return sum(starts)
+
+
+def federation_sim(cantons: int, leaves: int) -> Simulation:
+    """A three-level run of ``cantons`` times ``leaves`` stations, with
+    every attack kind, jitter and noise."""
+    paths = [("CH", f"K{k}", f"M{m}") for k in range(cantons) for m in range(leaves)]
+    tree = tree_from_paths(paths)
+    k0, k1 = JurisdictionId.of("CH", "K0"), JurisdictionId.of("CH", "K1", "M0")
+    return Simulation(
+        election_id="fed",
+        tree=tree,
+        channels={node: preset("fax") for node in tree.order()[1:]},
+        ground_truth={JurisdictionId(p): VoteCount(10 + len(p[2]), 20, 1) for p in paths},
+        seed=3,
+        prelim_emit={JurisdictionId(p): int(p[2][1:]) % 7 for p in paths},
+        jitter_max=2,
+        noise=NoiseModel(probability=0.5, max_shift=3),
+        attacks=(
+            AttackSpec(
+                AttackKind.TAMPER, k0, first_n=None, mutation=Mutation(MutationKind.SWAP_YES_NO)
+            ),
+            AttackSpec(AttackKind.FRONT_RUN, k1, forged_counts=VoteCount(5, 5)),
+            AttackSpec(AttackKind.DELAY, k1, report_kind=ReportKind.FINAL, hold_ticks=9),
+        ),
+    )
+
+
+def tracked_objects_held(trace: EventTrace) -> int:
+    """The objects the cyclic collector tracks that ``trace`` reaches, but
+    its tree, its ground truth, and types, once a collection has untracked
+    every tuple that holds no tracked object."""
+    gc.collect()
+    skip = {id(trace.tree), id(trace.ground_truth)}
+    seen: set[int] = set()
+    stack: list = [trace]
+    count = 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or id(obj) in skip or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if gc.is_tracked(obj):
+            count += 1
+            stack.extend(gc.get_referents(obj))
+    return count
+
+
+class TestTraceColumns:
+    def test_the_trace_holds_no_tracked_object_per_record(self):
+        # Whatever a run's size, its trace leaves the collector the same
+        # few objects to scan: its columns and tables, not one per record.
+        small, large = federation_sim(3, 4).run(), federation_sim(8, 40).run()
+        assert len(records(large)) > 10 * len(records(small))
+        assert {type(r) for r in records(small)} == {
+            EmitRecord, DeliverRecord, AttackRecord, PublishRecord
+        }
+        assert any(not r.accepted for r in records(small) if type(r) is DeliverRecord)
+        assert tracked_objects_held(small) == tracked_objects_held(large) < 20
 
 
 class TestGcPause:
@@ -1132,11 +1264,14 @@ class TestGcPause:
 
     def test_enabled_gc_is_paused_then_enabled_again(self):
         gc.enable()
-        _WatchedNoise.seen = []
-        trace = two_leaf_sim(noise=_WatchedNoise(probability=1.0, max_shift=1)).run()
-        assert _WatchedNoise.seen == [False, False]
+        sim = attack_heavy_sim()
+        run, audit = Simulation.run.__wrapped__, detection_report.__wrapped__
+        # The probe sees the collections of a run without the pause.
+        assert collections_during(run, lambda: run(sim)) > 0
+        traces = []
+        assert collections_during(run, lambda: traces.append(sim.run())) == 0
         assert gc.isenabled()
-        detection_report(trace)
+        assert collections_during(audit, lambda: detection_report(traces[0])) == 0
         assert gc.isenabled()
 
     def test_disabled_gc_stays_disabled(self):
@@ -1160,8 +1295,8 @@ class TestGcPause:
         gc.collect()
         trace = sim.run()
         assert gc.collect() == 0
-        assert {type(r) for r in trace.records} >= {AttackRecord, PublishRecord}
-        assert any(type(r) is DeliverRecord and not r.accepted for r in trace.records)
+        assert {type(r) for r in records(trace)} >= {AttackRecord, PublishRecord}
+        assert any(type(r) is DeliverRecord and not r.accepted for r in records(trace))
 
     def test_audit_and_renders_leave_no_reference_cycle(self):
         # simulate pauses the collector over all of these at once and relies
@@ -1202,9 +1337,13 @@ class TestGcPause:
     def test_gc_is_enabled_again_after_an_audit_raises(self):
         gc.enable()
         trace = two_leaf_sim().run()
-        unfinished = dataclasses.replace(
-            trace, records=tuple(r for r in trace.records if not isinstance(r, PublishRecord))
-        )
+        rows = trace.rows.tolist()
+        kept = [
+            value
+            for at in range(0, len(rows), STRIDE) if rows[at] != PUBLISH
+            for value in rows[at:at + STRIDE]
+        ]
+        unfinished = dataclasses.replace(trace, rows=memoryview(array("q", kept)))
         with pytest.raises(ValueError, match="no final publication"):
             detection_report(unfinished)
         assert gc.isenabled()

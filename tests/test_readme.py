@@ -25,6 +25,8 @@ from votewire.swiss import FEDERAL_CODE, swiss_tree
 from votewire.tally import popular_outcome
 from votewire.tree import JurisdictionId
 
+from oracles import final_publish
+
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 # Paths the README's commands write to, and where the test puts them.
@@ -58,7 +60,7 @@ def test_json_scenario_block_builds():
     config = parse_scenario(text)
     assert config.channels[JurisdictionId.of("CH", "BL")].signed
     trace = build_simulation(config).run()
-    assert trace.final_publish().counts.yes == 1_128_522
+    assert final_publish(trace).counts.yes == 1_128_522
 
 
 def test_the_flip_and_the_discrepancy_are_compared_in_one_unit():

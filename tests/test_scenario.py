@@ -22,6 +22,8 @@ from votewire.swiss import canton_id, load_cantons
 from votewire.tally import MajorityRule
 from votewire.tree import JurisdictionId
 
+from oracles import final_publish
+
 
 def custom_doc(**overrides):
     doc = {
@@ -53,7 +55,7 @@ class TestParsingHappyPath:
         assert sim.seed == 0
         assert build_simulation(sim) is sim
         trace = sim.run()
-        assert trace.final_publish().counts == VoteCount(40, 60)
+        assert final_publish(trace).counts == VoteCount(40, 60)
 
     def test_swiss_preset_uses_bundled_channel_assignments(self, monkeypatch):
         reads = []
@@ -524,7 +526,7 @@ class TestDiagnostics:
             )
         )
         trace = build_simulation(config).run()
-        assert trace.final_publish().counts == VoteCount(40, 60)
+        assert final_publish(trace).counts == VoteCount(40, 60)
 
 
 def declared_default(field: dataclasses.Field):
@@ -599,6 +601,6 @@ class TestSwissScenarioEndToEnd:
             }
         )
         trace = build_simulation(config).run()
-        final = trace.final_publish()
+        final = final_publish(trace)
         assert len(final.children) == len(load_cantons())
         assert (final.counts.yes, final.counts.no) == (1_128_522, 1_124_873)
