@@ -42,7 +42,7 @@ class MutationKind(enum.Enum):
 _DIRECTIONS = ("yes_to_no", "no_to_yes")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Mutation:
     kind: MutationKind
     counts: VoteCount | None = None
@@ -83,7 +83,7 @@ def apply_mutation(counts: VoteCount, mutation: Mutation) -> VoteCount:
     return VoteCount(counts.yes - delta, counts.no + delta, counts.blank, counts.invalid)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class AttackSpec:
     kind: AttackKind
     edge_child: JurisdictionId
@@ -145,7 +145,7 @@ class CountDivergence(NamedTuple):
     final: VoteCount
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class CoverageGap:
     """A preliminary publication missing some root children entirely."""
 
@@ -163,7 +163,7 @@ class DetectEvent(NamedTuple):
     seq: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class DetectionSummary:
     count_divergences: tuple[CountDivergence, ...]
     coverage_gaps: tuple[CoverageGap, ...]

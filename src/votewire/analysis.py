@@ -35,7 +35,7 @@ RESULTS_HEADER = (
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class HistoricalRecord:
     referendum_id: str
     canton: str
@@ -57,7 +57,7 @@ class HistoricalRecord:
         return Fraction(self.discrepancy(), total)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class DiscrepancyStat:
     canton: str
     max_abs_discrepancy: int
@@ -68,7 +68,7 @@ class DiscrepancyStat:
         return round(100 * float(self.max_relative), 2)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class DiscrepancySummary:
     per_canton: tuple[DiscrepancyStat, ...]
     federal_average_discrepancy: Fraction

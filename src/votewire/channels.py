@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ChannelSpec:
     name: str
     signed: bool

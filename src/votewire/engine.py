@@ -27,22 +27,23 @@ node, what, yes, no, blank, invalid): a leaf's own emit of report kind
 from ``node`` to its parent with sequence number ``what``. Each runs in
 the loop's own frame, and each that yields new totals falls through into
 one report-up tail: the root publishes; any other node emits, draws its
-jitter, applies its edge's attacks (the one call: attacks are rare) and
-schedules delivery. Only freshness is keyed by the sender's id, in the
-``SequenceState`` check ``verify_report`` shares; the run owns its state,
-so it takes no lock.
+jitter, applies its edge's attacks, if any, and schedules delivery. Only
+freshness is keyed by the sender's id, in the ``SequenceState`` check
+``verify_report`` shares; the run owns its state, so it takes no lock.
 
 A node is its index in ``tree.order()``, 0 being the root, and each
 per-node field is a list indexed by it: parent and slot among siblings
-(both from one pass over ``order()`` and each node's children), channel
-latency, eligible-voter ceiling, next sequence number, attacks per report
-kind. Only internal nodes get, per report kind, a child table holding at
-each child's slot the event of its latest accepted delivery; a running
-total of the preliminary table, so an accept subtracts the superseded
-event's counts and adds the new ones instead of re-summing every child;
-and a count of the child finals still awaited: at zero the node sums its
-final table. The root also keeps the row numbers of those deliveries: a
-publication lists them, already in child order.
+(both from one pass over ``order()`` and each node's children),
+eligible-voter ceiling, next sequence number; latency and attacks per
+report kind. Only internal nodes get, per report kind, one child table
+holding at each child's slot the event of its latest accepted delivery,
+and one running total of that table: an accept subtracts the superseded
+event's counts and adds the new ones instead of re-summing every child.
+Both kinds of delivery take one path: only a preliminary can be refused,
+and a final also waits for ``finals_pending``, the count of child finals
+still awaited, to reach zero before its total goes up. The root also
+keeps the row numbers of those deliveries: a publication lists them,
+already in child order.
 
 Each record is one row of ``traces.COLUMNS``, appended to a list of ints
 with one ``extend`` call and moved into the trace's array in chunks, so
@@ -87,7 +88,7 @@ def _check_nonnegative(value: int, where: str) -> None:
         raise ConfigError(f"field '{where}' must be >= 0")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class NoiseModel:
     """Honest miscounts: each leaf's preliminary may shift some ballots.
 
@@ -216,7 +217,6 @@ class Simulation:
         jitter_bits = (jitter_max + 1).bit_length()
         getrandbits = rng.getrandbits
         attacks = self.attacks
-        postal_latency = self.postal_latency
         # One state serves every receiver: a sender has exactly one, its parent.
         accept = SequenceState(self.election_id).accept_if_fresh
         fires_left: list[int | None] = [a.first_n for a in attacks]
@@ -227,38 +227,37 @@ class Simulation:
         index = {node: i for i, node in enumerate(order)}
         size = len(order)
         parent, slot = [0] * size, [0] * size
-        # An internal node's child tables (an entry is None before the first
-        # accept, else the accepted delivery's event), its [yes, no, blank,
-        # invalid] preliminary total and the child finals it still awaits; a
-        # leaf's are None, None, None and 0.
-        prelim_tables: list = [None] * size
-        final_tables: list = [None] * size
-        prelim_totals: list = [None] * size
+        # Per report kind, an internal node's child table (an entry is None
+        # before the first accept, else the accepted delivery's event) and its
+        # [yes, no, blank, invalid] running total; a leaf's are None. Beside
+        # them, the child finals a node still awaits: a leaf's is 0.
+        tables: tuple[list, list] = ([None] * size, [None] * size)
+        totals: tuple[list, list] = ([None] * size, [None] * size)
         finals_pending = [0] * size
         for i, node in enumerate(order):
             kids = tree.children(node)
             for position, child in enumerate(kids):
                 parent[index[child]], slot[index[child]] = i, position
             if kids:
-                prelim_tables[i], final_tables[i] = [None] * len(kids), [None] * len(kids)
-                prelim_totals[i] = [0, 0, 0, 0]
+                for kind in (PRELIM, FINAL):
+                    tables[kind][i], totals[kind][i] = [None] * len(kids), [0, 0, 0, 0]
                 finals_pending[i] = len(kids)
         # The row numbers of the root's latest accepted deliveries, per report kind.
-        root_rows = [[None] * len(prelim_tables[0]), [None] * len(prelim_tables[0])]
+        root_rows = tuple([None] * len(table[0]) for table in tables)
         # The preliminary channel up to the parent; finals ride the postal one.
         channel = list(map(self.channels.get, order))
-        latency = [0 if spec is None else spec.base_latency for spec in channel]
+        latency = (
+            [0 if spec is None else spec.base_latency for spec in channel],
+            [self.postal_latency] * size,
+        )
         eligible = list(map(tree.eligible_voters.get, order))
         next_seq = [1] * size
-        # Indices into Simulation.attacks, in configuration order.
-        prelim_attacks: list[tuple[int, ...]] = [()] * size
-        final_attacks: list[tuple[int, ...]] = [()] * size
+        # Per report kind, each edge's indices into Simulation.attacks, in
+        # configuration order.
+        attacks_on: tuple[list[tuple[int, ...]], ...] = ([()] * size, [()] * size)
         for idx, attack in enumerate(attacks):
-            edge = index[attack.edge_child]
-            if attack.report_kind is ReportKind.FINAL:
-                final_attacks[edge] += (idx,)
-            else:
-                prelim_attacks[edge] += (idx,)
+            kind = FINAL if attack.report_kind is ReportKind.FINAL else PRELIM
+            attacks_on[kind][index[attack.edge_child]] += (idx,)
 
         def fire(
             time: int, sender: int, seq: int, counts: tuple[int, int, int, int],
@@ -324,25 +323,30 @@ class Simulation:
             # emit of report kind ``what``; its four counts follow.
             for event in buckets[time]:
                 kind, i, what, yes, no, blank, invalid = event
-                if kind == PRELIM:
+                if kind == OWN:
+                    kind = what
+                else:
                     sender, i = i, parent[i]  # the receiver is ``i`` now
-                    ceiling = eligible[sender]
-                    if ceiling is not None and yes + no + blank + invalid > ceiling:
-                        refusal = OVER_ELIGIBLE
-                    elif accept(order[sender], what):
-                        refusal = None
-                    else:
-                        refusal = STALE_SEQUENCE
-                    if refusal is not None:  # the refused delivery is the detect event
-                        extend((REFUSE, time, sender, PRELIM, what, yes, no, blank, invalid, refusal))
-                        continue
-                    table, position = prelim_tables[i], slot[sender]
+                    if kind == PRELIM:
+                        ceiling = eligible[sender]
+                        if ceiling is not None and yes + no + blank + invalid > ceiling:
+                            refusal = OVER_ELIGIBLE
+                        elif accept(order[sender], what):
+                            refusal = None
+                        else:
+                            refusal = STALE_SEQUENCE
+                        if refusal is not None:  # the refused delivery is the detect event
+                            extend((
+                                REFUSE, time, sender, kind, what, yes, no, blank, invalid, refusal
+                            ))
+                            continue
+                    table, position = tables[kind][i], slot[sender]
                     old = table[position]
                     table[position] = event
                     if not i:
-                        root_rows[PRELIM][position] = stored + len(out) // STRIDE
-                    extend((DELIVER, time, sender, PRELIM, what, yes, no, blank, invalid, 0))
-                    total = prelim_totals[i]
+                        root_rows[kind][position] = stored + len(out) // STRIDE
+                    extend((DELIVER, time, sender, kind, what, yes, no, blank, invalid, 0))
+                    total = totals[kind][i]
                     if old is not None:
                         total[0] -= old[3]
                         total[1] -= old[4]
@@ -352,24 +356,14 @@ class Simulation:
                     total[1] += no
                     total[2] += blank
                     total[3] += invalid
+                    if kind == FINAL:
+                        # No attack forges a final (Simulation refuses front-run
+                        # on the postal channel), so each child's arrives exactly
+                        # once and the count reaches zero once: at the last one.
+                        finals_pending[i] -= 1
+                        if finals_pending[i]:
+                            continue
                     yes, no, blank, invalid = total
-                elif kind == FINAL:
-                    # Each child sends one final, over the signed postal channel,
-                    # where no attack can forge another: Simulation refuses
-                    # front-run there. So each child's final arrives exactly once,
-                    # and the count reaches zero exactly once: at the last one.
-                    sender, i = i, parent[i]
-                    table, position = final_tables[i], slot[sender]
-                    table[position] = event
-                    if not i:
-                        root_rows[FINAL][position] = stored + len(out) // STRIDE
-                    extend((DELIVER, time, sender, FINAL, what, yes, no, blank, invalid, 0))
-                    finals_pending[i] -= 1
-                    if finals_pending[i]:
-                        continue
-                    yes, no, blank, invalid = map(sum, zip(*(e[3:] for e in table)))
-                else:
-                    kind = what
                 # Report up: the root publishes the counts, any other node emits them.
                 if not i:
                     # A publication lists the deliveries it sums, as no leaf is the root.
@@ -381,10 +375,7 @@ class Simulation:
                 seq = next_seq[i]
                 next_seq[i] = seq + 1
                 extend((EMIT, time, i, kind, seq, yes, no, blank, invalid, 0))
-                if kind == FINAL:
-                    delivery, indices = time + postal_latency, final_attacks[i]
-                else:
-                    delivery, indices = time + latency[i], prelim_attacks[i]
+                delivery, indices = time + latency[kind][i], attacks_on[kind][i]
                 if jitter_max:
                     drawn = getrandbits(jitter_bits)
                     while drawn > jitter_max:
@@ -394,13 +385,7 @@ class Simulation:
                     yes, no, blank, invalid, delivery = fire(
                         time, i, seq, (yes, no, blank, invalid), delivery, kind, indices
                     )
-                event = (kind, i, seq, yes, no, blank, invalid)
-                bucket = buckets.get(delivery)  # schedule(), inlined
-                if bucket is None:
-                    buckets[delivery] = [event]
-                    heappush(ticks, delivery)
-                else:
-                    bucket.append(event)
+                schedule(delivery, (kind, i, seq, yes, no, blank, invalid))
             del buckets[time]
             if len(out) >= 1 << 16:
                 stored += _store(rows, out)

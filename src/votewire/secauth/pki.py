@@ -55,7 +55,7 @@ def make_key(subject: JurisdictionId, seed: bytes | None = None) -> tuple[KeyHan
     return KeyHandle(subject, sign), public
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Certificate:
     subject: JurisdictionId
     issuer: JurisdictionId

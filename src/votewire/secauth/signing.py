@@ -33,7 +33,7 @@ from .pki import Certificate, KeyHandle, build_certificate
 MAX_CHAIN_LENGTH = 32
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SignedReport:
     report: Report
     signature: bytes

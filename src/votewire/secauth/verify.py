@@ -36,7 +36,7 @@ class RejectReason(enum.Enum):
     REPLAY = "replay"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Verdict:
     """A verification result: ``reason`` is None on Accept, and ``accepted`` is derived from it."""
 

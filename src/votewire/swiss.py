@@ -29,7 +29,7 @@ CHANNEL_TAGS = tuple(name for name, spec in PRESETS.items() if not spec.signed)
 _OTHER_BREAK_RE = re.compile("[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class CantonInfo:
     code: str
     name: str

@@ -29,13 +29,13 @@ class MajorityRule(enum.Enum):
     DOUBLE_MAJORITY = "double"  # constitutional changes
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ReferendumSpec:
     election_id: str
     majority_rule: MajorityRule
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Outcome:
     """The rule's majorities: ``cantonal`` is None under the popular-only rule.
 

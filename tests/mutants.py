@@ -34,6 +34,7 @@ ROOT = Path(__file__).resolve().parents[1]
 ENGINE = "votewire/engine.py"
 TEST_ENGINE = "tests/test_engine.py"
 REFERENCE = f"{TEST_ENGINE}::TestAgainstTheReference"
+INVARIANTS = f"{TEST_ENGINE}::TestTraceInvariants::test_aggregation_invariants"
 FLIPS = "votewire/flips.py"
 TAIL_HIT = "        if known is not None and known[0] is child and known[1] is final:\n"
 RENDERING = f"{TEST_ENGINE}::TestRendering"
@@ -64,6 +65,28 @@ MUTANTS = (
         "                    if False:\n",
         (
             f"{TEST_ENGINE}::TestDeepHierarchy::test_replacement_totals_supersede_older_reports",
+            f"{REFERENCE}::test_a_deep_uneven_tree_matches_the_reference",
+        ),
+    ),
+    Mutant(
+        "a node forwards its final before its last child's final",
+        ENGINE,
+        "                        if finals_pending[i]:\n",
+        "                        if finals_pending[i] > 1:\n",
+        (
+            f"{TEST_ENGINE}::TestDeepHierarchy::test_final_cascades_once_children_complete",
+            INVARIANTS,
+            f"{REFERENCE}::test_a_deep_uneven_tree_matches_the_reference",
+        ),
+    ),
+    Mutant(
+        "a final's attacks are looked up among the preliminary ones",
+        ENGINE,
+        "attacks_on[kind][i]",
+        "attacks_on[PRELIM][i]",
+        (
+            f"{TEST_ENGINE}::TestAttacksInTheLoop::test_delayed_final_postpones_publication",
+            INVARIANTS,
             f"{REFERENCE}::test_a_deep_uneven_tree_matches_the_reference",
         ),
     ),

@@ -3,6 +3,8 @@
 import dataclasses
 import gc
 import hashlib
+import importlib
+import pkgutil
 import random
 import re
 import sys
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import votewire
 from helpers import fresh_interpreter, uneven_tree_paths
 from oracles import (
     AttackRecord,
@@ -54,6 +57,22 @@ from votewire.tree import JurisdictionId, JurisdictionTree, tree_from_paths
 CH = JurisdictionId.of("CH")
 A = JurisdictionId.of("CH", "A")
 B = JurisdictionId.of("CH", "B")
+
+
+def frozen_dataclasses() -> list[type]:
+    """Every frozen dataclass that a module of the package defines."""
+    found = []
+    for module in pkgutil.walk_packages(votewire.__path__, "votewire."):
+        for value in vars(importlib.import_module(module.name)).values():
+            if (
+                dataclasses.is_dataclass(value) and isinstance(value, type)
+                and value.__module__ == module.name and value.__dataclass_params__.frozen
+            ):
+                found.append(value)
+    return found
+
+
+FROZEN = frozen_dataclasses()
 
 
 def two_leaf_tree(eligible_a: int = 100, eligible_b: int = 100):
@@ -306,7 +325,7 @@ class TestRootPublication:
 
 
 class TestImmutableRecords:
-    """A trace's columns are read-only, and its fields are fixed."""
+    """A trace's columns are read-only, and no frozen dataclass takes a new field."""
 
     TAGS = {
         "EmitRecord": EMIT,
@@ -324,13 +343,16 @@ class TestImmutableRecords:
                 trace.rows[column] = 0
         with pytest.raises(TypeError):
             trace.entries[0] = 0
-        for name in ("rows", "entries"):
-            with pytest.raises(AttributeError):
+        for name in ("rows", "entries", "note"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(trace, name, None)
-        # CPython 3.11 to 3.13 raise TypeError here: a frozen dataclass with
-        # slots calls super() on the class that slots replaced.
-        with pytest.raises((AttributeError, TypeError)):
-            trace.note = "extra"
+
+    @pytest.mark.parametrize("frozen", FROZEN, ids=lambda cls: f"{cls.__module__}.{cls.__name__}")
+    def test_no_frozen_dataclass_takes_a_new_attribute(self, frozen):
+        # A frozen dataclass refuses in __setattr__, before it reads any
+        # field, so an instance made without __init__ serves.
+        with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot assign to field 'note'$"):
+            setattr(object.__new__(frozen), "note", 1)
 
 
 class TestAttacksInTheLoop:
@@ -810,6 +832,21 @@ class TestTraceInvariants:
             tree=tree_from_paths([("CH", "A"), ("CH", "B")]),
             channels={A: preset("email"), B: preset("email")},
             ground_truth={A: VoteCount(yes=MAX_COUNT), B: VoteCount(yes=MAX_COUNT)},
+        )
+        with pytest.raises(ArithmeticOverflow, match=f"^yes={2 * MAX_COUNT} exceeds"):
+            sim.run()
+
+    def test_an_overflowing_final_sum_raises_from_run(self):
+        # Tampered preliminaries sum to 2, so only the finals' sum overflows.
+        tamper = Mutation(MutationKind.SET_COUNTS, counts=VoteCount(1))
+        sim = two_leaf_sim(
+            tree=tree_from_paths([("CH", "A"), ("CH", "B")]),
+            channels={A: preset("email"), B: preset("email")},
+            ground_truth={A: VoteCount(yes=MAX_COUNT), B: VoteCount(yes=MAX_COUNT)},
+            attacks=tuple(
+                AttackSpec(AttackKind.TAMPER, leaf, first_n=None, mutation=tamper)
+                for leaf in (A, B)
+            ),
         )
         with pytest.raises(ArithmeticOverflow, match=f"^yes={2 * MAX_COUNT} exceeds"):
             sim.run()
