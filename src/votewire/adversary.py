@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import sys
+from array import array
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
@@ -136,15 +137,6 @@ def check_attack_permitted(kind: AttackKind, channel: ChannelSpec) -> None:
         raise CapabilityError(f"channel {channel.name!r} {rules_out}; {kind.value} is impossible")
 
 
-class CountDivergence(NamedTuple):
-    """A covered child whose published preliminary disagrees with truth."""
-
-    time: int
-    child: JurisdictionId
-    reported: VoteCount
-    final: VoteCount
-
-
 @dataclass(frozen=True)
 class CoverageGap:
     """A preliminary publication missing some root children entirely."""
@@ -165,7 +157,19 @@ class DetectEvent(NamedTuple):
 
 @dataclass(frozen=True)
 class DetectionSummary:
-    count_divergences: tuple[CountDivergence, ...]
+    """What an audit found; each count divergence is two integers.
+
+    ``divergent`` holds each root delivery whose counts differ from its
+    child's truth once, as (child, reported, final), in the order the
+    publications first list them. ``divergences`` is a read-only signed
+    64-bit column of (tick, index into ``divergent``) pairs, one each time
+    a preliminary publication lists a divergent delivery, in publication
+    order. Publications list a delivery until its child reports again, so
+    the ticks of one index are one child's stretch of one wrong value.
+    """
+
+    divergent: tuple[tuple[JurisdictionId, VoteCount, VoteCount], ...]
+    divergences: memoryview
     coverage_gaps: tuple[CoverageGap, ...]
     # One per refused delivery, in trace order.
     detects: tuple[DetectEvent, ...]
@@ -175,15 +179,15 @@ class DetectionSummary:
     integrity_gap_ticks: int
 
     def clean(self) -> bool:
-        return not self.count_divergences and not self.detects
+        return not self.divergences and not self.detects
 
     def to_text(self, max_items: int = 10) -> str:
         """The summary; each section lists at most ``max_items`` items, all when 0."""
         lines = [
             "detection summary",
             f"final matches ground truth: {str(self.final_matches_ground_truth).lower()}",
-            f"count divergences: {len(self.count_divergences)}",
-            *_capped(self.count_divergences, _divergence_lines, max_items),
+            f"count divergences: {len(self.divergences) // 2}",
+            *self._divergence_lines(max_items),
             f"coverage gaps: {len(self.coverage_gaps)}",
             *_capped(self.coverage_gaps, _gap_lines, max_items),
             f"detect events: {len(self.detects)}",
@@ -193,34 +197,22 @@ class DetectionSummary:
         ]
         return "\n".join(lines)
 
-
-def _divergence_lines(divergences: Sequence[CountDivergence]) -> list[str]:
-    """One line per divergence, each distinct tail formatted once.
-
-    A child's entry stays in the root's table until the child reports
-    again, so consecutive publications repeat the same (child, reported,
-    final) objects. Tails are kept in a table that lives for this call,
-    keyed by the identity of the reported counts alone; a hit counts only
-    when the stored child and final are the very objects of this line,
-    else the tail is formatted again and replaces the stored one. The
-    divergences keep every object alive meanwhile.
-    """
-    tails: dict[int, tuple[JurisdictionId, VoteCount, str]] = {}
-    lines: list[str] = []
-    append = lines.append
-    for time, child, reported, final in divergences:
-        known = tails.get(id(reported))
-        if known is not None and known[0] is child and known[1] is final:
-            tail = known[2]
-        else:
-            r, f = reported, final
-            tail = (
-                f" child={child._text} reported={r.yes}:{r.no}:{r.blank}:{r.invalid}"
-                f" final={f.yes}:{f.no}:{f.blank}:{f.invalid}"
-            )
-            tails[id(reported)] = (child, final, tail)
-        append(f"  t={time}{tail}")
-    return lines
+    def _divergence_lines(self, max_items: int) -> list[str]:
+        """The lines of at most ``max_items`` divergences (all when 0), each
+        delivery's tail formatted once. Deliveries are numbered as first
+        listed, so the lines shown use exactly those up to their highest index."""
+        column = self.divergences
+        shown = column if max_items <= 0 else column[:2 * max_items]
+        ticks, indices = shown[::2].tolist(), shown[1::2].tolist()
+        tails = [
+            f" child={child._text} reported={r.yes}:{r.no}:{r.blank}:{r.invalid}"
+            f" final={f.yes}:{f.no}:{f.blank}:{f.invalid}"
+            for child, r, f in self.divergent[:max(indices, default=-1) + 1]
+        ]
+        lines = [f"  t={tick}{tails[index]}" for tick, index in zip(ticks, indices)]
+        if len(shown) < len(column):
+            lines.append(f"  ... {(len(column) - len(shown)) // 2} more")
+        return lines
 
 
 def _gap_lines(gaps: Sequence[CoverageGap]) -> list[str]:
@@ -263,6 +255,8 @@ def detection_report(trace: EventTrace) -> DetectionSummary:
     The scan reads the tag column alone, and decodes only publications
     and refusals. A publication's entries are delivery rows, shared with
     the publications before it, so each is compared with its truth once.
+    A row that diverges becomes one ``divergent`` item; each listing of it
+    adds only its (tick, index) pair to the ``divergences`` column.
     """
     tree = trace.tree
     order, parents, rows, entries = tree.order(), trace.parents, trace.rows, trace.entries
@@ -274,13 +268,15 @@ def detection_report(trace: EventTrace) -> DetectionSummary:
     truths = {child: accumulate(leaf_counts[child.path[1]]) for child in root_children}
     new = tuple.__new__  # builds a named tuple from all its fields, in C
 
-    divergences: list[CountDivergence] = []
+    divergent: list[tuple[JurisdictionId, VoteCount, VoteCount]] = []
+    # (tick, index) pairs, flat: moved into an array once the scan is done.
+    divergences: list[int] = []
     append = divergences.append
     gaps: list[CoverageGap] = []
     detects: list[DetectEvent] = []
-    # Per row, once a publication lists it: its (child, counts, truth)
-    # when they differ, else False.
-    judged: list[tuple | bool | None] = [None] * (len(rows) // STRIDE)
+    # Per row, once a publication lists it: its index into divergent when
+    # its counts differ from its child's truth, else -1.
+    judged: list[int | None] = [None] * (len(rows) // STRIDE)
     final = None
     # The tag column as bytes, each tag being its row's low byte: each search
     # for the next refusal or publication skips the rows between in C.
@@ -303,16 +299,19 @@ def detection_report(trace: EventTrace) -> DetectionSummary:
             continue
         listed = entries[start:start + count].tolist()
         for entry in listed:
-            verdict = judged[entry]
-            if verdict is None:
+            index = judged[entry]
+            if index is None:
                 at = entry * STRIDE
                 child = order[rows[at + 2]]
-                counts = new(VoteCount, rows[at + 5:at + 9])
-                expected = truths[child]
-                verdict = judged[entry] = counts != expected and (child, counts, expected)
-            if verdict:
-                child, counts, expected = verdict
-                append(new(CountDivergence, (time, child, counts, expected)))
+                counts, expected = new(VoteCount, rows[at + 5:at + 9]), truths[child]
+                index = -1
+                if counts != expected:
+                    index = len(divergent)
+                    divergent.append((child, counts, expected))
+                judged[entry] = index
+            if index >= 0:
+                append(time)
+                append(index)
         # A publication lists each root child at most once, so only a short
         # one can miss some.
         if count != len(root_children):
@@ -324,10 +323,11 @@ def detection_report(trace: EventTrace) -> DetectionSummary:
     final_time, final_counts = final
 
     # Publications run in time order, so the first divergence is the earliest.
-    gap_ticks = max(0, final_time - divergences[0].time) if divergences else 0
+    gap_ticks = max(0, final_time - divergences[0]) if divergences else 0
 
     return DetectionSummary(
-        count_divergences=tuple(divergences),
+        divergent=tuple(divergent),
+        divergences=memoryview(array("q", divergences)).toreadonly(),
         coverage_gaps=tuple(gaps),
         detects=tuple(detects),
         final_matches_ground_truth=final_counts == list(accumulate(truths.values())),

@@ -34,13 +34,13 @@ _T = TypeVar("_T")
 def nogc(build: Callable[..., _T]) -> Callable[..., _T]:
     """Run ``build`` with the cyclic garbage collector paused.
 
-    A large run allocates ~100k event tuples and its audit ~90k summary
-    items, and the collector would rescan them over and over while they
-    are young, although none takes part in a reference cycle: reference
-    counting frees them all. The pauses still pay: without them a
-    federation-lib benchmark operation took 765-865 ms against 674-753 ms,
-    as the collector ran ~93 ms of each audit and ~46 ms of each run
-    (Python 3.11, 2 vCPUs, six alternating pairs).
+    A large run allocates ~100k short-lived event tuples, and the collector
+    would rescan the young ones over and over, although none takes part in
+    a reference cycle: reference counting frees them all. Without the
+    pauses the collector ran ~35 ms of each federation-lib run and ~15 ms
+    of each audit, but a benchmark operation took 692 ms (median) against
+    685 ms with them, faster with them in 4 of 6 alternating pairs: within
+    noise, now that the audit keeps ~10k objects (Python 3.11, 2 vCPUs).
     Whatever ``build`` does, ``gc.isenabled()`` is restored afterwards. A
     pause inside another pause is a no-op, so the pauses on
     ``Simulation.run`` and ``detection_report`` serve library callers and
@@ -52,11 +52,11 @@ def nogc(build: Callable[..., _T]) -> Callable[..., _T]:
     call left alive. A caller that drops its output before the pause ends
     pays none of that scan, because reference counting has already freed
     it: ``simulate`` pauses around the whole command for that reason. A
-    caller that keeps the output pays one pass over it. A trace is a few
-    arrays, so that pass is over the audit's summary: one generation-1
-    collection of 16-26 ms of CPU after a federation-lib benchmark
-    operation (a run of 10,400 leaves, audited and rendered), against
-    54-73 ms when each trace record was an object (Python 3.11, 2 vCPUs).
+    caller that keeps the output pays one pass over it. A trace and the
+    summary's divergences are arrays, so that pass is over ~7k refusals and
+    ~3.5k divergent deliveries: 5-6 ms of CPU after a federation-lib
+    benchmark operation (a run of 10,400 leaves, audited and rendered),
+    against ~35 ms when each divergence was an object (Python 3.11).
 
     Survivors are not promoted with ``gc.freeze(); gc.unfreeze()``, which
     would skip that pass: unfreezing puts every object then alive, such

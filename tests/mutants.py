@@ -36,7 +36,6 @@ TEST_ENGINE = "tests/test_engine.py"
 REFERENCE = f"{TEST_ENGINE}::TestAgainstTheReference"
 INVARIANTS = f"{TEST_ENGINE}::TestTraceInvariants::test_aggregation_invariants"
 FLIPS = "votewire/flips.py"
-TAIL_HIT = "        if known is not None and known[0] is child and known[1] is final:\n"
 RENDERING = f"{TEST_ENGINE}::TestRendering"
 REFUSALS = f"{TEST_ENGINE}::TestRefusals"
 LAZY = "tests/test_cli.py::TestLazyPackage"
@@ -45,6 +44,7 @@ PKI = "votewire/secauth/pki.py"
 SECAUTH = "tests/test_secauth.py"
 BY_POSITION = f"{SECAUTH}::TestGoldens::test_unknown_scheme_rejects_by_position"
 ROW_BREAKS = "tests/test_analysis.py::TestRowBreaks"
+AT_SCALE = "tests/test_determinism.py::test_a_federation_summary_keeps_its_pinned_bytes"
 # A pytest run that takes longer has hung; it kills nothing.
 TIMEOUT_S = 600
 
@@ -264,20 +264,26 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "a divergence reuses a formatted tail stored for another child",
+        "a divergent delivery is listed only by the first publication that lists it",
         "votewire/adversary.py",
-        TAIL_HIT,
-        "        if known is not None and known[1] is final:\n",
-        (f"{RENDERING}::test_one_reported_count_under_two_children_and_two_finals",),
+        "                judged[entry] = index\n",
+        "                judged[entry] = -1\n",
+        (
+            f"{TEST_ENGINE}::TestAttacksInTheLoop::test_tamper_changes_prelim_but_never_final",
+            f"{TEST_ENGINE}::TestAuditAgainstTheReference::test_audit_matches_the_reference",
+            AT_SCALE,
+        ),
     ),
     Mutant(
-        "a divergence reuses a formatted tail stored for another final",
+        "a line takes the tail of the previous divergent delivery",
         "votewire/adversary.py",
-        TAIL_HIT,
-        "        if known is not None and known[0] is child:\n",
+        "{tails[index]}",
+        "{tails[index - 1]}",
         (
+            f"{RENDERING}::test_text_matches_the_reference",
             f"{RENDERING}::test_one_reported_count_under_two_children_and_two_finals",
             f"{RENDERING}::test_divergences_that_share_child_and_counts_keep_their_own_final",
+            AT_SCALE,
         ),
     ),
     Mutant(

@@ -16,9 +16,11 @@ record by record read these. ``perturb`` is the noise rule drawn with
 The trace and summary formatters render every record and summary item
 field by field, with no table shared between lines: they pin the text that
 ``EventTrace.to_text`` and ``DetectionSummary.to_text`` produce from their
-per-call tables. ``trace_text`` renders the records it is given, one line
-each; the reference run's own ``DetectRecord``s give it the detect lines
-that ``EventTrace.to_text`` derives from refused deliveries.
+per-call tables. ``count_divergences`` expands a summary's divergence
+column into one ``CountDivergence`` per line. ``trace_text`` renders the
+records it is given, one line each; the reference run's own
+``DetectRecord``s give it the detect lines that ``EventTrace.to_text``
+derives from refused deliveries.
 ``reference_detection_report`` audits a trace against subtree truths
 summed leaf by leaf; ``covered_truth_report`` against the truth of only
 the leaves each published value covers, found by replaying the trace.
@@ -40,11 +42,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from array import array
 from typing import Mapping, NamedTuple
 
 from votewire.adversary import (
     AttackKind,
-    CountDivergence,
     CoverageGap,
     DetectEvent,
     DetectionSummary,
@@ -125,6 +127,26 @@ class DetectRecord(NamedTuple):
 
 
 TraceRecord = EmitRecord | DeliverRecord | AttackRecord | PublishRecord
+
+
+class CountDivergence(NamedTuple):
+    """A covered child whose published preliminary disagrees with truth:
+    one line of a summary's count divergences."""
+
+    time: int
+    child: JurisdictionId
+    reported: VoteCount
+    final: VoteCount
+
+
+def count_divergences(summary: DetectionSummary) -> tuple[CountDivergence, ...]:
+    """The summary's divergences, one per (publication, divergent child),
+    each pair of its column resolved through ``divergent``."""
+    column = summary.divergences.tolist()
+    return tuple(
+        CountDivergence(time, *summary.divergent[index])
+        for time, index in zip(column[::2], column[1::2])
+    )
 
 
 def records(trace: EventTrace) -> tuple[TraceRecord, ...]:
@@ -425,11 +447,12 @@ def _capped(items, line, max_items: int) -> list[str]:
 
 
 def summary_text(summary: DetectionSummary, max_items: int = 10) -> str:
+    divergences = count_divergences(summary)
     lines = [
         "detection summary",
         f"final matches ground truth: {str(summary.final_matches_ground_truth).lower()}",
-        f"count divergences: {len(summary.count_divergences)}",
-        *_capped(summary.count_divergences, divergence_line, max_items),
+        f"count divergences: {len(divergences)}",
+        *_capped(divergences, divergence_line, max_items),
         f"coverage gaps: {len(summary.coverage_gaps)}",
         *_capped(summary.coverage_gaps, _gap_line, max_items),
         f"detect events: {len(summary.detects)}",
@@ -449,32 +472,43 @@ def subtree_truth(trace: EventTrace, node: JurisdictionId) -> VoteCount:
 
 def _audit(trace: EventTrace, truth_of) -> DetectionSummary:
     """The summary of ``trace`` when ``truth_of(at, child)`` is the truth that
-    the entry for ``child`` of the publication at ``records(trace)[at]`` must read."""
+    the entry for ``child`` of the publication at ``records(trace)[at]`` must read.
+
+    Each (child, seq) names one accepted delivery to the root, since the
+    root accepts only a fresher seq from a child: it is numbered in
+    ``divergent`` when a publication first lists it with counts that differ
+    from its truth."""
     tree = trace.tree
     root_children = tree.children(tree.root)
-    divergences, gaps = [], []
+    index_of: dict[tuple[JurisdictionId, int], int] = {}
+    divergent, divergences, gaps = [], [], []
     listed = records(trace)
     for at, pub in enumerate(listed):
         if not isinstance(pub, PublishRecord) or pub.kind is not ReportKind.PRELIMINARY:
             continue
         covered = [child for child, _, _ in pub.children]
-        for child, _, counts in pub.children:
+        for child, seq, counts in pub.children:
             truth = truth_of(at, child)
             if counts != truth:
-                divergences.append(CountDivergence(pub.time, child, counts, truth))
+                index = index_of.setdefault((child, seq), len(divergent))
+                if index == len(divergent):
+                    divergent.append((child, counts, truth))
+                assert divergent[index] == (child, counts, truth)
+                divergences += [pub.time, index]
         missing = tuple(child for child in root_children if child not in covered)
         if missing:
             gaps.append(CoverageGap(pub.time, missing))
     final = final_publish(trace)
     return DetectionSummary(
-        count_divergences=tuple(divergences),
+        divergent=tuple(divergent),
+        divergences=memoryview(array("q", divergences)).toreadonly(),
         coverage_gaps=tuple(gaps),
         detects=tuple(
             DetectRecord(r.time, r.receiver, r.reason, r.sender, r.seq)
             for r in listed if isinstance(r, DeliverRecord) and r.reason is not None
         ),
         final_matches_ground_truth=final.counts == subtree_truth(trace, tree.root),
-        integrity_gap_ticks=max(0, final.time - divergences[0].time) if divergences else 0,
+        integrity_gap_ticks=max(0, final.time - divergences[0]) if divergences else 0,
     )
 
 

@@ -5,9 +5,15 @@ or dict iteration order over jurisdiction ids would differ between
 interpreters even though two runs inside one process agree. Each
 ``PYTHONHASHSEED`` below gets a fresh interpreter, and every trace and
 summary it writes must match the digests pinned in ``bench/digests.json``.
+
+The full summary of one generated 2,600-leaf federation, ~35k lines, is
+pinned as well: no bundled scenario lists more than a few divergences.
 """
 
+import contextlib
 import hashlib
+import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -17,8 +23,10 @@ from pathlib import Path
 import pytest
 
 import votewire
+from votewire import cli
 
-DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+DIGESTS = BENCH / "digests.json"
 SCENARIOS = ("swiss_honest", "swiss_tamper", "swiss_delay_noise")
 
 _SIMULATE_ALL = """
@@ -54,3 +62,36 @@ def test_bundled_outputs_match_pinned_digests(hash_seed, tmp_path):
             assert hashlib.sha256(data).hexdigest() == pinned[f"{name}.{suffix}"], (
                 f"{name}.{suffix} under PYTHONHASHSEED={hash_seed}"
             )
+
+
+def _bench_gen():
+    """``bench/gen.py``, loaded from its file: the bench is no package."""
+    spec = importlib.util.spec_from_file_location("bench_gen", BENCH / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    # A dataclass looks its module up in sys.modules while it is built.
+    sys.modules[spec.name] = gen
+    try:
+        spec.loader.exec_module(gen)
+    finally:
+        del sys.modules[spec.name]
+    return gen
+
+
+def test_a_federation_summary_keeps_its_pinned_bytes(tmp_path):
+    gen = _bench_gen()
+    fed = gen.federation(5, gen.Shape(26, 25))
+    scenario, summary = tmp_path / "federation.json", tmp_path / "federation.summary"
+    scenario.write_text(fed.scenario_text(), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["simulate", "--scenario", str(scenario), "--summary-out", str(summary)])
+    assert code == 0
+    data = summary.read_bytes()
+    assert data.startswith(b"detection summary\nfinal matches ground truth: true\ncount divergences: 34349\n")
+    assert len(data.splitlines()) == 35692
+    assert hashlib.sha256(data).hexdigest() == (
+        "9fafc5ae411d731fd2d25000a8a10c353e377b0595226ff39479cab1b4e517b4"
+    )
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == (
+        "138a681b1b4aef200cf10e6642804e9a9e4adeb950b637eaed5c33fcf40a20d0"
+    )

@@ -31,7 +31,6 @@ from votewire import cli
 from votewire.adversary import (
     AttackKind,
     AttackSpec,
-    CountDivergence,
     DetectEvent,
     DetectionSummary,
     Mutation,
@@ -325,7 +324,8 @@ class TestRootPublication:
 
 
 class TestImmutableRecords:
-    """A trace's columns are read-only, and no frozen dataclass takes a new field."""
+    """A trace's and a summary's columns are read-only, and no frozen
+    dataclass takes a new field."""
 
     TAGS = {
         "EmitRecord": EMIT,
@@ -347,6 +347,12 @@ class TestImmutableRecords:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(trace, name, None)
 
+    def test_a_summarys_divergence_column_is_read_only(self):
+        summary = detection_report(attack_heavy_sim().run())
+        assert summary.divergences.format == "q" and len(summary.divergences) % 2 == 0
+        with pytest.raises(TypeError):
+            summary.divergences[0] = 0
+
     @pytest.mark.parametrize("frozen", FROZEN, ids=lambda cls: f"{cls.__module__}.{cls.__name__}")
     def test_no_frozen_dataclass_takes_a_new_attribute(self, frozen):
         # A frozen dataclass refuses in __setattr__, before it reads any
@@ -366,7 +372,7 @@ class TestAttacksInTheLoop:
         assert last_prelim.counts == VoteCount(30, 70)
         assert final_publish(trace).counts == VoteCount(40, 60)
         summary = detection_report(trace)
-        assert [d.child for d in summary.count_divergences] == [A, A]
+        assert [d.child for d in oracles.count_divergences(summary)] == [A, A]
         assert summary.final_matches_ground_truth
         assert summary.integrity_gap_ticks > 0
 
@@ -388,7 +394,7 @@ class TestAttacksInTheLoop:
         attack = AttackSpec(AttackKind.DELAY, B, hold_ticks=50)
         trace = two_leaf_sim(attacks=(attack,)).run()
         summary = detection_report(trace)
-        assert not summary.count_divergences
+        assert not summary.divergences
         assert any(B in gap.missing for gap in summary.coverage_gaps)
         covered_times = [
             pub.time
@@ -1025,9 +1031,9 @@ class TestCoveredTruthOracle:
 
     def test_an_honest_partial_preliminary_does_not_diverge(self):
         trace = partial_preliminary_simulation().run()
-        assert oracles.covered_truth_report(trace).count_divergences == ()
+        assert oracles.count_divergences(oracles.covered_truth_report(trace)) == ()
         # The subtree reference charges CH/K's partial 10:5 with M2's 7:9 too.
-        assert len(oracles.reference_detection_report(trace).count_divergences) == 2
+        assert len(oracles.count_divergences(oracles.reference_detection_report(trace))) == 2
 
     def test_a_forged_seq_is_charged_with_the_senders_latest_emit(self):
         # CH/K's forgery carries seq 1001, which no emit carries; CH/K's
@@ -1044,7 +1050,7 @@ class TestCoveredTruthOracle:
         forged = [key for key, pub in published_entries(trace) if pub == (k, 1001)]
         assert forged
         assert {leaves[key] for key in forged} == {frozenset([JurisdictionId.from_text("CH/K/M1")])}
-        assert oracles.covered_truth_report(trace).count_divergences[0].final == VoteCount(10, 5)
+        assert oracles.count_divergences(oracles.covered_truth_report(trace))[0].final == VoteCount(10, 5)
 
 
 def published_entries(trace):
@@ -1078,7 +1084,7 @@ class TestAuditOnDeepTrees:
     )
     def test_an_honest_partial_preliminary_does_not_diverge(self):
         summary = detection_report(partial_preliminary_simulation().run())
-        assert len(summary.count_divergences) == 0
+        assert len(oracles.count_divergences(summary)) == 0
         assert summary.integrity_gap_ticks == 0
         assert summary.clean()
 
@@ -1132,28 +1138,21 @@ class TestRendering:
         ]
 
     def test_one_reported_count_under_two_children_and_two_finals(self):
-        # detection_report gives each divergence its own (child, final)
-        # pair, so only a hand-built summary reaches the listing's identity
-        # checks: the same reported object under another child or against
-        # another final, and equal counts that are distinct objects.
+        # Deliveries that share one reported count under another child or
+        # against another final, and a delivery equal to the first: each
+        # line takes its own delivery's tail.
         reported, final, other_final = VoteCount(10, 20), VoteCount(11, 19), VoteCount(12, 18)
-        twin, twin_final = VoteCount(*reported), VoteCount(*final)
-        assert twin == reported and twin is not reported
-        assert twin_final == final and twin_final is not final
-        divergences = (
-            CountDivergence(1, A, reported, final),
-            CountDivergence(2, B, reported, final),
-            CountDivergence(3, B, reported, other_final),
-            CountDivergence(4, A, reported, final),
-            CountDivergence(5, A, twin, twin_final),
-            CountDivergence(6, B, twin, final),
-            CountDivergence(7, A, reported, twin_final),
-            CountDivergence(8, A, reported, final),
+        divergent = (
+            (A, reported, final),
+            (B, reported, final),
+            (B, reported, other_final),
+            (A, VoteCount(10, 20), VoteCount(11, 19)),
         )
-        summary = DetectionSummary(divergences, (), (), False, 7)
+        summary = hand_built_summary(divergent, [1, 0, 2, 1, 3, 2, 4, 0, 5, 3, 6, 1, 7, 3, 8, 0], 7)
         text = summary.to_text(0)
         assert text == oracles.summary_text(summary, 0)
-        assert text.splitlines()[3:11] == [
+        assert text.splitlines()[2:11] == [
+            "count divergences: 8",
             "  t=1 child=CH/A reported=10:20:0:0 final=11:19:0:0",
             "  t=2 child=CH/B reported=10:20:0:0 final=11:19:0:0",
             "  t=3 child=CH/B reported=10:20:0:0 final=12:18:0:0",
@@ -1163,16 +1162,16 @@ class TestRendering:
             "  t=7 child=CH/A reported=10:20:0:0 final=11:19:0:0",
             "  t=8 child=CH/A reported=10:20:0:0 final=11:19:0:0",
         ]
+        assert summary.to_text(3).splitlines()[2:7] == [*text.splitlines()[2:6], "  ... 5 more"]
 
     def test_divergences_that_share_child_and_counts_keep_their_own_final(self):
         reported = VoteCount(10, 20)
-        divergences = (
-            CountDivergence(1, A, reported, VoteCount(11, 19)),
-            CountDivergence(2, A, reported, VoteCount(12, 18)),
-            CountDivergence(3, A, reported, VoteCount(11, 19)),
-            CountDivergence(4, B, reported, VoteCount(11, 19)),
+        divergent = (
+            (A, reported, VoteCount(11, 19)),
+            (A, reported, VoteCount(12, 18)),
+            (B, reported, VoteCount(11, 19)),
         )
-        summary = DetectionSummary(divergences, (), (), False, 3)
+        summary = hand_built_summary(divergent, [1, 0, 2, 1, 3, 0, 4, 2], 3)
         text = summary.to_text(max_items=0)
         assert text == oracles.summary_text(summary, max_items=0)
         assert text.splitlines()[3:7] == [
@@ -1181,6 +1180,13 @@ class TestRendering:
             "  t=3 child=CH/A reported=10:20:0:0 final=11:19:0:0",
             "  t=4 child=CH/B reported=10:20:0:0 final=11:19:0:0",
         ]
+
+
+def hand_built_summary(divergent, column, gap_ticks) -> DetectionSummary:
+    """A summary of count divergences alone: ``column`` holds a (tick,
+    index into ``divergent``) pair per line."""
+    divergences = memoryview(array("q", column)).toreadonly()
+    return DetectionSummary(divergent, divergences, (), (), False, gap_ticks)
 
 
 def test_simulating_does_not_load_the_crypto_library():
@@ -1342,7 +1348,7 @@ class TestGcPause:
         gc.collect()
         summary = detection_report(trace)
         assert gc.collect() == 0
-        assert summary.count_divergences and summary.detects
+        assert summary.divergences and summary.detects
         trace.to_text()
         assert gc.collect() == 0
         summary.to_text(0)
