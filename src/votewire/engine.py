@@ -27,18 +27,21 @@ node, what, yes, no, blank, invalid): a leaf's own emit of report kind
 from ``node`` to its parent with sequence number ``what``. Each runs in
 the loop's own frame, and each that yields new totals falls through into
 one report-up tail: the root publishes; any other node emits, draws its
-jitter, applies its edge's attacks, if any, and schedules delivery. Only
-freshness is keyed by the sender's id, in the ``SequenceState`` check
-``verify_report`` shares; the run owns its state, so it takes no lock.
+jitter, applies its edge's attacks, if any, and schedules delivery. The
+``SequenceState`` check ``verify_report`` shares keys freshness here by
+the sender's index, not its id; the run owns its state, so takes no lock.
 
 A node is its index in ``tree.order()``, 0 being the root, and each
-per-node field is a list indexed by it: parent and slot among siblings
-(both from one pass over ``order()`` and each node's children),
+per-node field is a list indexed by it: parent and slot among siblings,
 eligible-voter ceiling, next sequence number; latency and attacks per
-report kind. Only internal nodes get, per report kind, one child table
-holding at each child's slot the event of its latest accepted delivery,
-and one running total of that table: an accept subtracts the superseded
-event's counts and adds the new ones instead of re-summing every child.
+report kind. Parent and slot come from one pass over ``order()``, which
+lists each subtree whole: a node's parent is the innermost open node
+(one with a child still to place), its slot the children placed so far;
+the pass also lists the leaves. Only internal nodes get, per report kind,
+one child table holding at each child's slot the event of its latest
+accepted delivery, and one running total of that table: an accept
+subtracts the superseded event's counts and adds the new ones instead of
+re-summing every child.
 Both kinds of delivery take one path: only a preliminary can be refused,
 and a final also waits for ``finals_pending``, the count of child finals
 still awaited, to reach zero before its total goes up. The root also
@@ -46,7 +49,7 @@ keeps the row numbers of those deliveries: a publication lists them,
 already in child order.
 
 Each record is one row of ``traces.COLUMNS``, appended to a list of ints
-with one ``extend`` call and moved into the trace's array in chunks, so
+with one ``extend`` call and packed into the trace's array in chunks, so
 the ~90k records of a large run leave no object behind. The cyclic
 garbage collector is paused meanwhile (``traces.nogc``): left on, it
 would rescan the young event tuples hundreds of times per large run,
@@ -57,6 +60,7 @@ no reference cycle behind.
 from __future__ import annotations
 
 import random
+import struct
 from array import array
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -175,7 +179,8 @@ class Simulation:
                     raise ConfigError(
                         f"field 'timing.{name}.{node}': not a leaf; only leaves emit reports"
                     )
-                _check_nonnegative(when, f"timing.{name}.{node}")
+                if when < 0:  # the field's name is formatted for the error alone
+                    _check_nonnegative(when, f"timing.{name}.{node}")
         _check_nonnegative(self.final_emit_default, "timing.final_emit_default")
         _check_nonnegative(self.jitter_max, "jitter_max")
         # Capability gating happens here, and only here: an attack a channel
@@ -218,30 +223,38 @@ class Simulation:
         getrandbits = rng.getrandbits
         attacks = self.attacks
         # One state serves every receiver: a sender has exactly one, its parent.
+        # It is keyed by the sender's index, which hashes faster than its id.
         accept = SequenceState(self.election_id).accept_if_fresh
         fires_left: list[int | None] = [a.first_n for a in attacks]
 
         # order() lists each parent before its children. The root never
         # sends, so its parent, slot, channel and ceiling are never read.
         order = tree.order()
-        index = {node: i for i, node in enumerate(order)}
         size = len(order)
-        parent, slot = [0] * size, [0] * size
+        # Each node's child count, which is also the count of child finals it
+        # still awaits: a leaf's is 0.
+        finals_pending = [len(tree.children(node)) for node in order]
         # Per report kind, an internal node's child table (an entry is None
         # before the first accept, else the accepted delivery's event) and its
-        # [yes, no, blank, invalid] running total; a leaf's are None. Beside
-        # them, the child finals a node still awaits: a leaf's is 0.
+        # [yes, no, blank, invalid] running total; a leaf's are None.
         tables: tuple[list, list] = ([None] * size, [None] * size)
         totals: tuple[list, list] = ([None] * size, [None] * size)
-        finals_pending = [0] * size
-        for i, node in enumerate(order):
-            kids = tree.children(node)
-            for position, child in enumerate(kids):
-                parent[index[child]], slot[index[child]] = i, position
+        # ``opened`` holds the open nodes, innermost last.
+        parent, slot, placed, leaves = [0] * size, [0] * size, [0] * size, []
+        opened: list[int] = []
+        for i, kids in enumerate(finals_pending):
+            if opened:
+                up = opened[-1]
+                parent[i], slot[i] = up, placed[up]
+                placed[up] += 1
+                if placed[up] == finals_pending[up]:
+                    opened.pop()  # its last child is placed
             if kids:
+                opened.append(i)
                 for kind in (PRELIM, FINAL):
-                    tables[kind][i], totals[kind][i] = [None] * len(kids), [0, 0, 0, 0]
-                finals_pending[i] = len(kids)
+                    tables[kind][i], totals[kind][i] = [None] * kids, [0, 0, 0, 0]
+            else:
+                leaves.append(i)
         # The row numbers of the root's latest accepted deliveries, per report kind.
         root_rows = tuple([None] * len(table[0]) for table in tables)
         # The preliminary channel up to the parent; finals ride the postal one.
@@ -255,6 +268,7 @@ class Simulation:
         # Per report kind, each edge's indices into Simulation.attacks, in
         # configuration order.
         attacks_on: tuple[list[tuple[int, ...]], ...] = ([()] * size, [()] * size)
+        index = dict(zip(order, range(size)))
         for idx, attack in enumerate(attacks):
             kind = FINAL if attack.report_kind is ReportKind.FINAL else PRELIM
             attacks_on[kind][index[attack.edge_child]] += (idx,)
@@ -296,8 +310,9 @@ class Simulation:
         if noise:
             probability, max_shift = noise.probability, noise.max_shift
             shift_bits, draw = max_shift.bit_length(), rng.random
-        for leaf in tree.leaves():
-            yes, no, blank, invalid = self.ground_truth[leaf]
+        leaf_ids = tree.leaves()
+        truths = list(map(self.ground_truth.__getitem__, leaf_ids))
+        for i, leaf, (yes, no, blank, invalid) in zip(leaves, leaf_ids, truths):
             if noise and draw() < probability:
                 drawn = getrandbits(shift_bits)
                 while drawn >= max_shift:
@@ -309,10 +324,10 @@ class Simulation:
                     moved = min(drawn + 1, no)
                     yes, no = yes + moved, no - moved
             at = self.prelim_emit.get(leaf, 0)
-            schedule(at, (OWN, index[leaf], PRELIM, yes, no, blank, invalid))
-        for leaf in tree.leaves():
+            schedule(at, (OWN, i, PRELIM, yes, no, blank, invalid))
+        for i, leaf, counts in zip(leaves, leaf_ids, truths):
             at = self.final_emit.get(leaf, self.final_emit_default)
-            schedule(at, (OWN, index[leaf], FINAL, *self.ground_truth[leaf]))
+            schedule(at, (OWN, i, FINAL, *counts))
 
         while ticks:
             time = heappop(ticks)
@@ -331,7 +346,7 @@ class Simulation:
                         ceiling = eligible[sender]
                         if ceiling is not None and yes + no + blank + invalid > ceiling:
                             refusal = OVER_ELIGIBLE
-                        elif accept(order[sender], what):
+                        elif accept(sender, what):
                             refusal = None
                         else:
                             refusal = STALE_SEQUENCE
@@ -408,12 +423,14 @@ class Simulation:
 def _store(rows: array, values: list[int]) -> int:
     """Move ``values`` to the end of ``rows``; the number of rows moved.
 
-    Only a sum of counts, a tick or a sequence number can leave the signed
-    64-bit range of ``rows``; the error names the first by its column.
+    One ``struct.pack`` packs them as ``rows`` lays them out, native signed
+    64-bit ints, cheaper than ``fromlist``'s ``PyArg_Parse`` per int. Only
+    a sum of counts, a tick or a sequence number can leave that range; the
+    error names the first by its column.
     """
     try:
-        rows.fromlist(values)
-    except OverflowError:
+        rows.frombytes(struct.pack(f"{len(values)}q", *values))
+    except struct.error:
         at = next(at for at, value in enumerate(values) if value > MAX_COUNT)
         raise ArithmeticOverflow(
             f"{COLUMNS[at % STRIDE]}={values[at]} exceeds the 64-bit range of a trace"

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import enum
 import threading
-from typing import Iterable, NamedTuple
+from typing import Hashable, Iterable, NamedTuple
 
 from .counts import VoteCount
 from .tree import JurisdictionId
@@ -63,17 +63,19 @@ class Report(_ReportFields):
 class SequenceState:
     """Last accepted sequence number per sender, for one election.
 
-    ``accept_if_fresh`` alone is not atomic: a caller sharing the state
-    between threads holds ``lock`` around it, as ``verify_report`` does, so
-    one (sender, sequence_no) is accepted at most once. A run takes no lock.
+    ``verify_report`` keys a sender by its id, a run by its index in
+    ``tree.order()``, which hashes faster. ``accept_if_fresh`` alone is not
+    atomic: a caller sharing the state between threads holds ``lock``
+    around it, as ``verify_report`` does, so one (sender, sequence_no) is
+    accepted at most once. A run takes no lock.
     """
 
     def __init__(self, election_id: str) -> None:
         self.election_id = election_id
         self.lock = threading.Lock()
-        self._last: dict[JurisdictionId, int] = {}
+        self._last: dict[Hashable, int] = {}
 
-    def accept_if_fresh(self, sender: JurisdictionId, sequence_no: int) -> bool:
+    def accept_if_fresh(self, sender: Hashable, sequence_no: int) -> bool:
         if sequence_no <= self._last.get(sender, 0):
             return False
         self._last[sender] = sequence_no

@@ -35,6 +35,8 @@ ENGINE = "votewire/engine.py"
 TEST_ENGINE = "tests/test_engine.py"
 REFERENCE = f"{TEST_ENGINE}::TestAgainstTheReference"
 INVARIANTS = f"{TEST_ENGINE}::TestTraceInvariants::test_aggregation_invariants"
+REPLAYED = f"{TEST_ENGINE}::TestTraceInvariants::test_feasibility_check_replays_every_preliminary_verdict"
+PARENTS = f"{TEST_ENGINE}::TestTraceInvariants::test_parents_name_each_nodes_parent"
 FLIPS = "votewire/flips.py"
 RENDERING = f"{TEST_ENGINE}::TestRendering"
 REFUSALS = f"{TEST_ENGINE}::TestRefusals"
@@ -122,9 +124,27 @@ MUTANTS = (
     Mutant(
         "a child's slot is its rank among its siblings' sorted ids",
         ENGINE,
-        "            for position, child in enumerate(kids):\n",
-        "            for position, child in enumerate(sorted(kids)):\n",
+        "parent[i], slot[i] = up, placed[up]\n",
+        "parent[i], slot[i] = up, sorted(tree.children(order[up])).index(order[i])\n",
         (f"{REFERENCE}::test_random_runs_match_the_reference",),
+    ),
+    Mutant(
+        "the set-up pass never closes a node once its last child is placed",
+        ENGINE,
+        "                    opened.pop()  # its last child is placed\n",
+        "                    pass\n",
+        (PARENTS, INVARIANTS, f"{REFERENCE}::test_random_runs_match_the_reference"),
+    ),
+    Mutant(
+        "freshness is keyed by the receiver, so siblings share sequence numbers",
+        ENGINE,
+        "elif accept(sender, what):",
+        "elif accept(i, what):",
+        (
+            REPLAYED,
+            f"{REFERENCE}::test_random_runs_match_the_reference",
+            f"{REFERENCE}::test_a_deep_uneven_tree_matches_the_reference",
+        ),
     ),
     Mutant(
         "a canton extends a selection that already holds it",

@@ -833,6 +833,15 @@ class TestTraceInvariants:
                 reason = feasibility_check(report, rec.receiver, sim.tree, state)
                 assert (reason is None, reason) == (rec.accepted, rec.reason)
 
+    @settings(max_examples=150)
+    @given(sim=random_simulations())
+    def test_parents_name_each_nodes_parent(self, sim):
+        # Every node but the root has a parent, whose index the trace keeps.
+        trace, order = sim.run(), sim.tree.order()
+        assert len(trace.parents) == len(order)
+        for i in range(1, len(order)):
+            assert order[trace.parents[i]] == order[i].parent
+
     def test_overflowing_sibling_totals_raise_from_run(self):
         sim = two_leaf_sim(
             tree=tree_from_paths([("CH", "A"), ("CH", "B")]),
