@@ -24,7 +24,7 @@ from .channels import ChannelSpec
 from .counts import VoteCount, accumulate
 from .errors import CapabilityError
 from .reports import ReportKind
-from .traces import FINAL, PUBLISH, REFUSE, STRIDE, EventTrace, nogc
+from .traces import FINAL, PUBLISH, REFUSE, STRIDE, EventTrace
 from .tree import JurisdictionId
 
 
@@ -238,7 +238,6 @@ def _capped(
     return [*lines(items[:max_items]), f"  ... {len(items) - max_items} more"]
 
 
-@nogc
 def detection_report(trace: EventTrace) -> DetectionSummary:
     """Audit a finished run using only its trace.
 

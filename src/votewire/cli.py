@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import sys
 from pathlib import Path
 
@@ -27,7 +28,6 @@ from .scenario import build_simulation, load_scenario, load_tree
 from .secauth import provision_tree
 from .swiss import canton_names, swiss_tree
 from .tally import Decision, MajorityRule, ReferendumSpec, referendum_outcome
-from .traces import nogc
 
 SUMMARY_HEADER = ("canton", "max_abs_discrepancy", "final_total_at_max", "max_relative_percent")
 
@@ -72,25 +72,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@nogc
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Parse, run, audit, render and write with the cyclic collector paused.
 
     The command drops everything it builds before it returns, and none of
     it takes part in a reference cycle, so reference counting frees it all
-    inside the pause and the collector has nothing left to scan afterwards.
+    inside the pause and the collector has nothing left to scan afterwards:
+    a federation-cli operation took 209 ms (median) with the pause against
+    214 ms without, slower without it in 5 of 6 pairs (Python 3.11, 2
+    vCPUs). Promoting survivors with ``gc.freeze(); gc.unfreeze()`` instead
+    strands them in the oldest generation: a 25 s cli-small run then peaked
+    at 74 MB resident instead of 36 MB.
     """
-    config = load_scenario(args.scenario)
-    simulation = build_simulation(config, seed=args.seed)
-    trace = simulation.run()
-    summary = detection_report(trace)
-    if args.trace_out:
-        Path(args.trace_out).write_text(trace.to_text(), encoding="utf-8")
-    if args.summary_out:
-        # The file gets the untruncated listing; stdout stays skimmable.
-        Path(args.summary_out).write_text(summary.to_text(max_items=0), encoding="utf-8")
-    sys.stdout.write(summary.to_text())
-    return 0
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        config = load_scenario(args.scenario)
+        simulation = build_simulation(config, seed=args.seed)
+        trace = simulation.run()
+        summary = detection_report(trace)
+        if args.trace_out:
+            Path(args.trace_out).write_text(trace.to_text(), encoding="utf-8")
+        if args.summary_out:
+            # The file gets the untruncated listing; stdout stays skimmable.
+            Path(args.summary_out).write_text(summary.to_text(max_items=0), encoding="utf-8")
+        sys.stdout.write(summary.to_text())
+        return 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

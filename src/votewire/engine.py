@@ -50,11 +50,10 @@ already in child order.
 
 Each record is one row of ``traces.COLUMNS``, appended to a list of ints
 with one ``extend`` call and packed into the trace's array in chunks, so
-the ~90k records of a large run leave no object behind. The cyclic
-garbage collector is paused meanwhile (``traces.nogc``): left on, it
-would rescan the young event tuples hundreds of times per large run,
-although reference counting frees them all: however a run ends, it leaves
-no reference cycle behind.
+the ~90k records of a large run leave no object behind. However a run
+ends, it leaves no reference cycle behind either: reference counting frees
+every event tuple, so whether to pause the cyclic garbage collector over a
+run is its caller's decision (``votewire simulate`` pauses it).
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ from .counts import MAX_COUNT, VoteCount
 from .errors import ArithmeticOverflow, ConfigError
 from .reports import ReportKind, SequenceState
 from .traces import (
-    ATTACK, COLUMNS, DELIVER, EMIT, FINAL, PRELIM, PUBLISH, REFUSE, STRIDE, EventTrace, nogc,
+    ATTACK, COLUMNS, DELIVER, EMIT, FINAL, PRELIM, PUBLISH, REFUSE, STRIDE, EventTrace,
 )
 from .tree import JurisdictionId, JurisdictionTree
 
@@ -195,7 +194,6 @@ class Simulation:
             # Finals ride the signed postal channel; its latency gates nothing.
             check_attack_permitted(attack.kind, POSTAL_FINAL if final else self.channels[edge])
 
-    @nogc
     def run(self) -> EventTrace:
         rng = random.Random(self.seed)
         # Rows gather as ints in ``out``, since appending to a list is cheaper

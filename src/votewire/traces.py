@@ -17,68 +17,12 @@ line.
 
 from __future__ import annotations
 
-import functools
-import gc
 from dataclasses import dataclass
-from typing import Callable, TypeVar
 
 from .channels import POSTAL_FINAL
 from .counts import VoteCount
 from .reports import ReportKind
 from .tree import JurisdictionId, JurisdictionTree
-
-
-_T = TypeVar("_T")
-
-
-def nogc(build: Callable[..., _T]) -> Callable[..., _T]:
-    """Run ``build`` with the cyclic garbage collector paused.
-
-    A large run allocates ~100k short-lived event tuples, and the collector
-    would rescan the young ones over and over, although none takes part in
-    a reference cycle: reference counting frees them all. Without the
-    pauses the collector ran ~35 ms of each federation-lib run and ~15 ms
-    of each audit, but a benchmark operation took 692 ms (median) against
-    685 ms with them, faster with them in 4 of 6 alternating pairs: within
-    noise, now that the audit keeps ~10k objects (Python 3.11, 2 vCPUs).
-    Whatever ``build`` does, ``gc.isenabled()`` is restored afterwards. A
-    pause inside another pause is a no-op, so the pauses on
-    ``Simulation.run`` and ``detection_report`` serve library callers and
-    change nothing under ``simulate``'s own pause.
-
-    The pause moves one scan, it does not remove it: what the paused call
-    allocates still counts towards the next collection, so the first
-    tracked allocation after the outermost pause ends scans everything the
-    call left alive. A caller that drops its output before the pause ends
-    pays none of that scan, because reference counting has already freed
-    it: ``simulate`` pauses around the whole command for that reason. A
-    caller that keeps the output pays one pass over it. A trace and the
-    summary's divergences are arrays, so that pass is over ~7k refusals and
-    ~3.5k divergent deliveries: 5-6 ms of CPU after a federation-lib
-    benchmark operation (a run of 10,400 leaves, audited and rendered),
-    against ~35 ms when each divergence was an object (Python 3.11).
-
-    Survivors are not promoted with ``gc.freeze(); gc.unfreeze()``, which
-    would skip that pass: unfreezing puts every object then alive, such
-    as the CLI's argument parser, in the oldest generation, and freezing
-    zeroes the counts that would start the full collection that frees it.
-    Measured on Python 3.11: after 300 ``simulate`` commands in one
-    process ~58k garbage objects were waiting against ~2k without it, and
-    a 25 s run of the benchmark's cli-small workload (the README's seven
-    commands, repeated) peaked at 74 MB resident instead of 36 MB.
-    """
-
-    @functools.wraps(build)
-    def paused(*args, **kwargs):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return build(*args, **kwargs)
-        finally:
-            if enabled:
-                gc.enable()
-
-    return paused
 
 
 # A row's columns, in order. ``tag`` says what the row records, and

@@ -41,6 +41,18 @@ FLIPS = "votewire/flips.py"
 RENDERING = f"{TEST_ENGINE}::TestRendering"
 REFUSALS = f"{TEST_ENGINE}::TestRefusals"
 LAZY = "tests/test_cli.py::TestLazyPackage"
+CLI = "votewire/cli.py"
+# The simulate tests that start with the collector on: each checks it is off
+# at the parse and on again once the command ends.
+GC_PAUSE = tuple(
+    f"tests/test_cli.py::TestSimulateGcPause::{test}"
+    for test in (
+        "test_collector_is_off_from_parse_to_last_write",
+        "test_unknown_scenario_field_gives_the_collector_back",
+        "test_unwritable_trace_out_gives_the_collector_back",
+        "test_internal_error_gives_the_collector_back",
+    )
+)
 VERIFY = "votewire/secauth/verify.py"
 PKI = "votewire/secauth/pki.py"
 SECAUTH = "tests/test_secauth.py"
@@ -382,6 +394,20 @@ MUTANTS = (
             f"{TEST_ENGINE}::TestAttacksInTheLoop::test_front_run_wins_and_genuine_is_stale",
             f"{TEST_ENGINE}::TestAuditAgainstTheReference::test_audit_matches_the_reference",
         ),
+    ),
+    Mutant(
+        "simulate leaves the collector off when it returns",
+        CLI,
+        "            gc.enable()\n",
+        "            pass\n",
+        GC_PAUSE,
+    ),
+    Mutant(
+        "simulate pauses the collector only after the scenario is parsed",
+        CLI,
+        "    gc.disable()\n    try:\n        config = load_scenario(args.scenario)\n",
+        "    try:\n        config = load_scenario(args.scenario)\n        gc.disable()\n",
+        GC_PAUSE,
     ),
 )
 

@@ -25,6 +25,9 @@ derives from refused deliveries.
 summed leaf by leaf; ``covered_truth_report`` against the truth of only
 the leaves each published value covers, found by replaying the trace.
 
+``flip_attacks`` turns a canton-level flip plan into the tamper attacks
+that inject it, so a test can run a solver's plan through the engine.
+
 ``feasibility_check`` applies the engine's acceptance checks to one
 preliminary report over a ``SequenceState``; the feasibility tests
 exercise it. ``reference_run`` at the end replays a ``Simulation``
@@ -47,15 +50,19 @@ from typing import Mapping, NamedTuple
 
 from votewire.adversary import (
     AttackKind,
+    AttackSpec,
     CoverageGap,
     DetectEvent,
     DetectionSummary,
+    Mutation,
+    MutationKind,
     apply_mutation,
 )
 from votewire.channels import POSTAL_FINAL
 from votewire.counts import VoteCount, accumulate
 from votewire.engine import NoiseModel, Simulation
 from votewire.errors import ConfigError
+from votewire.flips import FlipPlan
 from votewire.reports import Report, ReportKind, SequenceState
 from votewire.tally import (
     Decision,
@@ -224,6 +231,20 @@ def scan_flips(counts: VoteCount, target: Decision) -> int | None:
         if popular_outcome(flip(counts, k, target)) is target:
             return k
     return None
+
+
+def flip_attacks(plan: FlipPlan) -> tuple[AttackSpec, ...]:
+    """One omniscient ``shift`` tamper per planned canton, on the canton's
+    uplink and its first preliminary only, moving the planned flips towards
+    ``plan.achieves``. The plan must attribute every flip to a canton."""
+    direction = "no_to_yes" if plan.achieves is Decision.ACCEPTED else "yes_to_no"
+    return tuple(
+        AttackSpec(
+            AttackKind.TAMPER, canton, first_n=1, omniscient=True,
+            mutation=Mutation(MutationKind.SHIFT, shift=flips, direction=direction),
+        )
+        for canton, flips in plan.flips_per_canton.items() if flips
+    )
 
 
 def popular_flips_scan(counts: VoteCount, target: Decision) -> int | None:

@@ -1302,8 +1302,10 @@ class TestTraceColumns:
         assert tracked_objects_held(small) == tracked_objects_held(large) < 20
 
 
-class TestGcPause:
-    """run() and detection_report() pause the cyclic GC, then restore it."""
+class TestNoReferenceCycles:
+    """A run, an audit and the renders leave no reference cycle, however
+    they end: ``cmd_simulate`` pauses the collector over all of them and
+    relies on reference counting alone to free what they build."""
 
     @pytest.fixture(autouse=True)
     def restore_gc(self):
@@ -1314,32 +1316,15 @@ class TestGcPause:
         else:
             gc.disable()
 
-    def test_enabled_gc_is_paused_then_enabled_again(self):
+    def test_library_calls_leave_the_collector_to_their_caller(self):
+        # Only simulate pauses the collector: a library run and audit are
+        # collected like any other code and leave its state as they found it.
         gc.enable()
-        sim = attack_heavy_sim()
-        run, audit = Simulation.run.__wrapped__, detection_report.__wrapped__
-        # The probe sees the collections of a run without the pause.
-        assert collections_during(run, lambda: run(sim)) > 0
         traces = []
-        assert collections_during(run, lambda: traces.append(sim.run())) == 0
+        sim = attack_heavy_sim()
+        assert collections_during(Simulation.run, lambda: traces.append(sim.run())) > 0
         assert gc.isenabled()
-        assert collections_during(audit, lambda: detection_report(traces[0])) == 0
-        assert gc.isenabled()
-
-    def test_disabled_gc_stays_disabled(self):
-        trace = two_leaf_sim().run()
-        gc.disable()
-        two_leaf_sim().run()
-        assert not gc.isenabled()
-        detection_report(trace)
-        assert not gc.isenabled()
-
-    def test_gc_is_enabled_again_after_a_run_raises(self):
-        gc.enable()
-        shift = Mutation(MutationKind.SHIFT, shift=1000)
-        sim = two_leaf_sim(attacks=(AttackSpec(AttackKind.TAMPER, A, mutation=shift),))
-        with pytest.raises(ConfigError, match="cannot shift 1000 ballots"):
-            sim.run()
+        assert collections_during(detection_report, lambda: detection_report(traces[0])) > 0
         assert gc.isenabled()
 
     def test_a_run_leaves_no_reference_cycle(self):
@@ -1351,8 +1336,6 @@ class TestGcPause:
         assert any(type(r) is DeliverRecord and not r.accepted for r in records(trace))
 
     def test_audit_and_renders_leave_no_reference_cycle(self):
-        # simulate pauses the collector over all of these at once and relies
-        # on reference counting alone to free what they build.
         trace = attack_heavy_sim().run()
         gc.collect()
         summary = detection_report(trace)
@@ -1375,6 +1358,8 @@ class TestGcPause:
         assert capsys.readouterr().out.startswith("detection summary\n")
 
     def test_a_run_that_raises_leaves_no_reference_cycle(self):
+        # simulate exits 2 on such a run and frees what it built by reference
+        # counting alone.
         shift = Mutation(MutationKind.SHIFT, shift=1000)
         sim = two_leaf_sim(attacks=(AttackSpec(AttackKind.TAMPER, A, mutation=shift),))
         gc.collect()
@@ -1386,8 +1371,7 @@ class TestGcPause:
             pytest.fail("the oversized shift was applied")
         assert gc.collect() == 0
 
-    def test_gc_is_enabled_again_after_an_audit_raises(self):
-        gc.enable()
+    def test_an_audit_that_raises_leaves_no_reference_cycle(self):
         trace = two_leaf_sim().run()
         rows = trace.rows.tolist()
         kept = [
@@ -1396,6 +1380,11 @@ class TestGcPause:
             for value in rows[at:at + STRIDE]
         ]
         unfinished = dataclasses.replace(trace, rows=memoryview(array("q", kept)))
-        with pytest.raises(ValueError, match="no final publication"):
+        gc.collect()
+        try:
             detection_report(unfinished)
-        assert gc.isenabled()
+        except ValueError as error:
+            assert str(error) == "trace holds no final publication"
+        else:
+            pytest.fail("a trace with no final publication was audited")
+        assert gc.collect() == 0

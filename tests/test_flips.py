@@ -1,10 +1,15 @@
 """Minimum-flip solvers against brute-force references."""
 
+import dataclasses
+import json
+
 import pytest
 from hypothesis import given, settings
 
 import oracles
 from helpers import canton_id, cantonal_instances, counts_strategy, make_canton_tree
+from votewire import swiss
+from votewire.analysis import bundled_results_path, canton_final_counts, load_results
 from votewire.counts import VoteCount, accumulate
 from votewire.errors import Infeasible
 from votewire.flips import (
@@ -24,6 +29,8 @@ from votewire.tally import (
     popular_outcome,
     referendum_outcome,
 )
+from votewire.reports import ReportKind
+from votewire.scenario import parse_scenario
 from votewire.swiss import swiss_tree
 
 ACCEPT = Decision.ACCEPTED
@@ -339,3 +346,46 @@ class TestOutcomeSolver:
         else:
             flipped = apply_plan(per_canton, plan)
             assert referendum_outcome(self.SPEC, flipped, tree).overall is target
+
+
+class TestPlansThroughTheEngine:
+    """A double-majority plan for a bundled referendum, injected as one
+    tamper per planned canton on the Swiss tree, turns the last preliminary
+    publication; the final one restores the truth."""
+
+    PLANS = {
+        "family-2013": ("family_2013", ACCEPT, {"GR": 896, "ZG": 934}),
+        "rtvg-2015": ("rtvg_2015", REJECT, {
+            "UR": 32, "SZ": 102, "OW": 26, "NW": 30, "GL": 26, "ZG": 74, "SO": 177,
+            "SH": 51, "AR": 38, "AI": 12, "GR": 137, "NE": 111, "JU": 52,
+        }),
+    }
+
+    @staticmethod
+    def published(referendum: str, results: str, plan: FlipPlan):
+        """(tick, double-majority outcome) of the last preliminary and of
+        the final publication of a run with ``plan`` injected, and no noise."""
+        doc = {"election_id": referendum, "tree": {"preset": "swiss"},
+               "ground_truth": {"bundled_results": results}}
+        sim = parse_scenario(json.dumps(doc))
+        trace = dataclasses.replace(sim, attacks=oracles.flip_attacks(plan)).run()
+        spec = ReferendumSpec(referendum, MajorityRule.DOUBLE_MAJORITY)
+        outcomes = []
+        for kind in (ReportKind.PRELIMINARY, ReportKind.FINAL):
+            last = oracles.publishes(trace, kind)[-1]
+            per_canton = {child: counts for child, _, counts in last.children}
+            outcomes.append((last.time, referendum_outcome(spec, per_canton, sim.tree).overall))
+        return outcomes
+
+    @pytest.mark.parametrize("referendum", PLANS)
+    def test_the_plan_turns_the_preliminary_and_one_flip_less_does_not(self, referendum):
+        results, target, cantons = self.PLANS[referendum]
+        tree = swiss_tree()
+        per_canton = canton_final_counts(load_results(bundled_results_path(results)), tree)
+        plan = min_flips_outcome(per_canton, tree, target)
+        assert plan.flips_per_canton == {swiss.canton_id(c): n for c, n in cantons.items()}
+        truth = target.opposite()
+        assert self.published(referendum, results, plan) == [(3, target), (148, truth)]
+        for canton, flips in plan.flips_per_canton.items():
+            fewer = FlipPlan({**plan.flips_per_canton, canton: flips - 1}, target)
+            assert self.published(referendum, results, fewer)[0] == (3, truth), canton
