@@ -24,7 +24,7 @@ from .channels import ChannelSpec
 from .counts import VoteCount, accumulate
 from .errors import CapabilityError
 from .reports import ReportKind
-from .traces import FINAL, PUBLISH, REFUSE, STRIDE, EventTrace
+from .traces import FINAL, PUBLISH, REASONS, REFUSE, STRIDE, EventTrace
 from .tree import JurisdictionId
 
 
@@ -257,12 +257,11 @@ def detection_report(trace: EventTrace) -> DetectionSummary:
     A row that diverges becomes one ``divergent`` item; each listing of it
     adds only its (tick, index) pair to the ``divergences`` column.
     """
-    tree = trace.tree
-    order, parents, rows, entries = tree.order(), trace.parents, trace.rows, trace.entries
-    reasons = trace.reasons
+    tree, rows, entries = trace.simulation.tree, trace.rows, trace.entries
+    order, parents = tree.order(), tree.parents()
     root_children = tree.children(tree.root)
     leaf_counts: dict[str, list[VoteCount]] = {child.path[1]: [] for child in root_children}
-    for leaf, counts in trace.ground_truth.items():
+    for leaf, counts in trace.simulation.ground_truth.items():
         leaf_counts[leaf.path[1]].append(counts)
     truths = {child: accumulate(leaf_counts[child.path[1]]) for child in root_children}
     new = tuple.__new__  # builds a named tuple from all its fields, in C
@@ -285,7 +284,7 @@ def detection_report(trace: EventTrace) -> DetectionSummary:
     while row >= 0:
         at = row * STRIDE
         time, child, seq, reason = rows[at + 1], rows[at + 2], rows[at + 4], rows[at + 9]
-        event = (time, order[parents[child]], reasons[reason], order[child], seq)
+        event = (time, order[parents[child]], REASONS[reason], order[child], seq)
         detects.append(new(DetectEvent, event))
         row = tags.find(REFUSE, row + 1)
     row = tags.find(PUBLISH)

@@ -32,16 +32,15 @@ jitter, applies its edge's attacks, if any, and schedules delivery. The
 the sender's index, not its id; the run owns its state, so takes no lock.
 
 A node is its index in ``tree.order()``, 0 being the root, and each
-per-node field is a list indexed by it: parent and slot among siblings,
-eligible-voter ceiling, next sequence number; latency and attacks per
-report kind. Parent and slot come from one pass over ``order()``, which
-lists each subtree whole: a node's parent is the innermost open node
-(one with a child still to place), its slot the children placed so far;
-the pass also lists the leaves. Only internal nodes get, per report kind,
-one child table holding at each child's slot the event of its latest
-accepted delivery, and one running total of that table: an accept
-subtracts the superseded event's counts and adds the new ones instead of
-re-summing every child.
+per-node field is indexed by it: parent (``tree.parents()``) and slot
+among siblings, eligible-voter ceiling, next sequence number; latency and
+attacks per report kind. One pass over the parents counts each node's
+children: a child's slot is the count of its siblings before it, and the
+final count is the node's child count. Only internal nodes get, per
+report kind, one child table holding at each child's slot the event of
+its latest accepted delivery, and one running total of that table: an
+accept subtracts the superseded event's counts and adds the new ones
+instead of re-summing every child.
 Both kinds of delivery take one path: only a preliminary can be refused,
 and a final also waits for ``finals_pending``, the count of child finals
 still awaited, to reach zero before its total goes up. The root also
@@ -63,6 +62,7 @@ import struct
 from array import array
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .adversary import AttackKind, AttackSpec, apply_mutation, check_attack_permitted
@@ -71,14 +71,11 @@ from .counts import MAX_COUNT, VoteCount
 from .errors import ArithmeticOverflow, ConfigError
 from .reports import ReportKind, SequenceState
 from .traces import (
-    ATTACK, COLUMNS, DELIVER, EMIT, FINAL, PRELIM, PUBLISH, REFUSE, STRIDE, EventTrace,
+    ATTACK, COLUMNS, DELIVER, EMIT, FINAL, PRELIM, PUBLISH, REASONS, REFUSE, STRIDE, EventTrace,
 )
 from .tree import JurisdictionId, JurisdictionTree
 
-REASON_OVER_ELIGIBLE = "over_eligible"
-REASON_STALE_SEQUENCE = "stale_sequence"
-# A refused delivery's code is its reason's index here.
-REASONS = (REASON_OVER_ELIGIBLE, REASON_STALE_SEQUENCE)
+REASON_OVER_ELIGIBLE, REASON_STALE_SEQUENCE = REASONS
 OVER_ELIGIBLE, STALE_SEQUENCE = range(len(REASONS))
 # The kind of a leaf's own emit event; a delivery's is PRELIM or FINAL.
 OWN = 2
@@ -135,6 +132,11 @@ class Simulation:
     postal_latency: int = POSTAL_FINAL.base_latency
 
     def __post_init__(self) -> None:
+        # The run and its trace read copies taken here, so a caller's later
+        # edit to what it passed can neither skip these checks nor change a trace.
+        for name in ("channels", "ground_truth", "prelim_emit", "final_emit"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        object.__setattr__(self, "attacks", tuple(self.attacks))
         if not self.election_id:
             raise ConfigError("field 'election_id' must be a non-empty string")
         _check_nonnegative(self.seed, "seed")
@@ -227,38 +229,33 @@ class Simulation:
 
         # order() lists each parent before its children. The root never
         # sends, so its parent, slot, channel and ceiling are never read.
-        order = tree.order()
+        order, parent = tree.order(), tree.parents()
         size = len(order)
-        # Each node's child count, which is also the count of child finals it
-        # still awaits: a leaf's is 0.
-        finals_pending = [len(tree.children(node)) for node in order]
+        # Each node's slot among its siblings, and its child count, which is
+        # also the count of child finals it still awaits: a leaf's is 0.
+        slot, finals_pending = [0] * size, [0] * size
+        for i in range(1, size):
+            up = parent[i]
+            slot[i] = finals_pending[up]
+            finals_pending[up] += 1
         # Per report kind, an internal node's child table (an entry is None
         # before the first accept, else the accepted delivery's event) and its
         # [yes, no, blank, invalid] running total; a leaf's are None.
         tables: tuple[list, list] = ([None] * size, [None] * size)
         totals: tuple[list, list] = ([None] * size, [None] * size)
-        # ``opened`` holds the open nodes, innermost last.
-        parent, slot, placed, leaves = [0] * size, [0] * size, [0] * size, []
-        opened: list[int] = []
+        leaves = []
         for i, kids in enumerate(finals_pending):
-            if opened:
-                up = opened[-1]
-                parent[i], slot[i] = up, placed[up]
-                placed[up] += 1
-                if placed[up] == finals_pending[up]:
-                    opened.pop()  # its last child is placed
             if kids:
-                opened.append(i)
                 for kind in (PRELIM, FINAL):
                     tables[kind][i], totals[kind][i] = [None] * kids, [0, 0, 0, 0]
             else:
                 leaves.append(i)
         # The row numbers of the root's latest accepted deliveries, per report kind.
         root_rows = tuple([None] * len(table[0]) for table in tables)
-        # The preliminary channel up to the parent; finals ride the postal one.
-        channel = list(map(self.channels.get, order))
+        # Latency up to the parent over the preliminary channel; finals ride
+        # the postal one.
         latency = (
-            [0 if spec is None else spec.base_latency for spec in channel],
+            [0 if spec is None else spec.base_latency for spec in map(self.channels.get, order)],
             [self.postal_latency] * size,
         )
         eligible = list(map(tree.eligible_voters.get, order))
@@ -405,16 +402,9 @@ class Simulation:
 
         _store(rows, out)
         return EventTrace(
-            election_id=self.election_id,
-            seed=self.seed,
-            tree=self.tree,
-            ground_truth=dict(self.ground_truth),
+            self,
             rows=memoryview(rows).toreadonly(),
             entries=memoryview(array("q", listed_rows)).toreadonly(),
-            parents=tuple(parent),
-            channels=tuple("" if spec is None else spec.name for spec in channel),
-            reasons=REASONS,
-            attacks=tuple((a.kind.value, a.mode, a.describe()) for a in attacks),
         )
 
 

@@ -8,62 +8,55 @@ configuration and seed produce byte-identical text, which makes traces
 diffable and suitable as golden files.
 
 A record is a fixed-stride row of integers in one ``array('q')``, not an
-object: ids, kinds and strings are indices into small per-trace tables. A
-large run's ~90k records then hold no object the cyclic collector scans,
-so a caller that keeps a trace pays no collector pass over it.
-``EventTrace.to_text`` renders every row in one loop, one f-string per
-line.
+object: nodes, reasons and attacks are indices, into tables of the trace's
+``Simulation`` or into ``REASONS``. A large run's ~90k records then hold
+no object the cyclic collector scans, so a caller that keeps a trace pays
+no collector pass over it. ``EventTrace.to_text`` renders every row in
+one loop, one f-string per line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .channels import POSTAL_FINAL
-from .counts import VoteCount
 from .reports import ReportKind
-from .tree import JurisdictionId, JurisdictionTree
+
+if TYPE_CHECKING:
+    from .engine import Simulation
 
 
 # A row's columns, in order. ``tag`` says what the row records, and
 # ``node`` is an index into ``tree.order()``: the emitter, a delivery's or
 # an attack's sender (the receiver is its parent), or the root. ``kind``
 # is PRELIM or FINAL. A publication's ``seq`` holds how many entries it
-# lists. ``code`` is a refusal's index into ``reasons``, a publication's
-# offset into ``entries``, or an attack's index into ``attacks``; else 0.
-# A row number times STRIDE is the row's offset in ``rows``.
+# lists. ``code`` is a refusal's index into ``REASONS``, a publication's
+# offset into ``entries``, or an attack's index into ``Simulation.attacks``;
+# else 0. A row number times STRIDE is the row's offset in ``rows``.
 COLUMNS = ("tag", "time", "node", "kind", "seq", "yes", "no", "blank", "invalid", "code")
 STRIDE = len(COLUMNS)
 EMIT, DELIVER, REFUSE, PUBLISH, ATTACK = range(5)
 PRELIM, FINAL = 0, 1
 KIND_TEXTS = (ReportKind.PRELIMINARY.value, ReportKind.FINAL.value)
+# A refused delivery's reason, by its code.
+REASONS = ("over_eligible", "stale_sequence")
 
 
 @dataclass(frozen=True)
 class EventTrace:
-    """A finished run: its rows, and the tables they index.
+    """A finished run: the ``Simulation`` that ran, and its rows.
 
     ``rows`` holds ``STRIDE`` integers per record, laid out as ``COLUMNS``
     says, in read-only signed 64-bit columns. A publication lists the
     root's latest accepted delivery from each covered child, in tree child
     order: its entries are the row numbers of those deliveries, so
-    consecutive publications share the rows they list. ``parents`` gives
-    each node's parent index (the root's is 0), ``channels`` each node's
-    preliminary channel (finals ride the postal one), ``reasons`` each
-    refusal's text, and ``attacks`` each configured attack's kind, mode
-    and detail.
+    consecutive publications share the rows they list.
     """
 
-    election_id: str
-    seed: int
-    tree: JurisdictionTree
-    ground_truth: dict[JurisdictionId, VoteCount]
+    simulation: Simulation
     rows: memoryview
     entries: memoryview
-    parents: tuple[int, ...]
-    channels: tuple[str, ...]
-    reasons: tuple[str, ...]
-    attacks: tuple[tuple[str, str, str], ...]
 
     def to_text(self) -> str:
         """The header, one line per record, a refused delivery's detect line
@@ -74,14 +67,17 @@ class EventTrace:
         publication's entry text is rendered once per delivery row it
         names, in a table that lives for this call.
         """
-        rows = self.rows
-        texts = tuple(node._text for node in self.tree.order())
+        rows, entries, sim = self.rows, self.entries, self.simulation
+        order = sim.tree.order()
+        texts = tuple(node._text for node in order)
         # Each node's parent text: the receiver of what the node sends.
-        ups = tuple(texts[up] for up in self.parents)
-        channels, postal = self.channels, POSTAL_FINAL.name
-        reasons, attacks, entries = self.reasons, self.attacks, self.entries
+        ups = tuple(texts[up] for up in sim.tree.parents())
+        # Each node's preliminary channel; the root sends nothing.
+        channels = ("", *(spec.name for spec in map(sim.channels.__getitem__, order[1:])))
+        postal = POSTAL_FINAL.name
+        attacks = tuple((a.kind.value, a.mode, a.describe()) for a in sim.attacks)
         entry_texts: dict[int, str] = {}
-        lines = [f"trace election={self.election_id} seed={self.seed}"]
+        lines = [f"trace election={sim.election_id} seed={sim.seed}"]
         append = lines.append
         # One tuple per row: STRIDE references to one iterator.
         for tag, time, node, kind, seq, yes, no, blank, invalid, code in zip(
@@ -101,7 +97,7 @@ class EventTrace:
                 if tag == DELIVER:
                     append(f"{line}accepted=true")
                 else:
-                    reason = reasons[code]
+                    reason = REASONS[code]
                     append(f"{line}accepted=false reason={reason}")
                     append(
                         f"detect t={time} node={ups[node]} reason={reason} "

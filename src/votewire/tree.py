@@ -101,12 +101,15 @@ class JurisdictionTree:
     def _validate(self) -> None:
         # The tree's one walk: depth first, root first, children in listed
         # order. Every order the tree hands out is read from what it records.
+        # ``ups`` holds, for each node on ``stack``, its parent's index.
         order: list[JurisdictionId] = []
         leaves: list[JurisdictionId] = []
+        parents: list[int] = []
         seen = {self.root}
-        stack = [self.root]
+        stack, ups = [self.root], [0]
         while stack:
             node = stack.pop()
+            parents.append(ups.pop())
             order.append(node)
             kids = self._children.get(node, ())
             if not kids:
@@ -118,6 +121,7 @@ class JurisdictionTree:
                     raise ValueError(f"{child} is not a path-child of {node}")
                 seen.add(child)
             stack.extend(reversed(kids))
+            ups.extend([len(order) - 1] * len(kids))
         for parent in self._children:
             if parent not in seen:
                 raise ValueError(f"{parent} is not reachable from the root {self.root}")
@@ -143,6 +147,7 @@ class JurisdictionTree:
                         f"is less than the sum over its children ({sum(child_values)})"
                     )
         self._order = tuple(order)
+        self._parents = tuple(parents)
         self._leaves = tuple(leaves)
         self._nodes = seen
 
@@ -153,6 +158,10 @@ class JurisdictionTree:
         """Every node depth first: root first, each subtree contiguous,
         children in listed order."""
         return self._order
+
+    def parents(self) -> tuple[int, ...]:
+        """Each node's parent, as its index in ``order()``; the root's is 0."""
+        return self._parents
 
     def children(self, node: JurisdictionId) -> tuple[JurisdictionId, ...]:
         return self._children.get(node, ())

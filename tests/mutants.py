@@ -36,8 +36,12 @@ TEST_ENGINE = "tests/test_engine.py"
 REFERENCE = f"{TEST_ENGINE}::TestAgainstTheReference"
 INVARIANTS = f"{TEST_ENGINE}::TestTraceInvariants::test_aggregation_invariants"
 REPLAYED = f"{TEST_ENGINE}::TestTraceInvariants::test_feasibility_check_replays_every_preliminary_verdict"
-PARENTS = f"{TEST_ENGINE}::TestTraceInvariants::test_parents_name_each_nodes_parent"
+PARENTS = "tests/test_tree.py::TestTreeOrder::test_parents_name_each_nodes_parent"
 FLIPS = "votewire/flips.py"
+THROUGH_THE_ENGINE = (
+    "tests/test_flips.py::TestPlansThroughTheEngine"
+    "::test_any_canton_level_plan_turns_the_preliminary"
+)
 RENDERING = f"{TEST_ENGINE}::TestRendering"
 REFUSALS = f"{TEST_ENGINE}::TestRefusals"
 LAZY = "tests/test_cli.py::TestLazyPackage"
@@ -136,15 +140,15 @@ MUTANTS = (
     Mutant(
         "a child's slot is its rank among its siblings' sorted ids",
         ENGINE,
-        "parent[i], slot[i] = up, placed[up]\n",
-        "parent[i], slot[i] = up, sorted(tree.children(order[up])).index(order[i])\n",
+        "            slot[i] = finals_pending[up]\n",
+        "            slot[i] = sorted(tree.children(order[up])).index(order[i])\n",
         (f"{REFERENCE}::test_random_runs_match_the_reference",),
     ),
     Mutant(
-        "the set-up pass never closes a node once its last child is placed",
-        ENGINE,
-        "                    opened.pop()  # its last child is placed\n",
-        "                    pass\n",
+        "a node's parent index is that of the node listed before its parent",
+        "votewire/tree.py",
+        "            ups.extend([len(order) - 1] * len(kids))\n",
+        "            ups.extend([len(order) - 2] * len(kids))\n",
         (PARENTS, INVARIANTS, f"{REFERENCE}::test_random_runs_match_the_reference"),
     ),
     Mutant(
@@ -263,6 +267,20 @@ MUTANTS = (
             f"{SECAUTH}::TestWireFormat::test_single_byte_mauls_never_verify",
             f"{SECAUTH}::TestSequenceState::test_redelivery_in_any_order_accepts_each_seq_once",
         ),
+    ),
+    Mutant(
+        "a canton's flips to accept under-count by one",
+        FLIPS,
+        "        k = (counts.no - counts.yes) // 2 + 1\n",
+        "        k = (counts.no - counts.yes) // 2\n",
+        (f"{THROUGH_THE_ENGINE}[Decision.ACCEPTED]",),
+    ),
+    Mutant(
+        "a canton's flips to reject under-count by one",
+        FLIPS,
+        "    return (counts.yes - counts.no + 1) // 2\n",
+        "    return (counts.yes - counts.no) // 2\n",
+        (f"{THROUGH_THE_ENGINE}[Decision.REJECTED]",),
     ),
     Mutant(
         "a plan's total is its largest canton's flips",

@@ -72,7 +72,7 @@ from votewire.tally import (
     popular_outcome,
     referendum_outcome,
 )
-from votewire.traces import ATTACK, DELIVER, EMIT, PUBLISH, REFUSE, STRIDE, EventTrace
+from votewire.traces import ATTACK, DELIVER, EMIT, PUBLISH, REASONS, REFUSE, STRIDE, EventTrace
 from votewire.tree import JurisdictionId, JurisdictionTree
 
 DOUBLE = ReferendumSpec("oracle", MajorityRule.DOUBLE_MAJORITY)
@@ -158,8 +158,11 @@ def count_divergences(summary: DetectionSummary) -> tuple[CountDivergence, ...]:
 
 def records(trace: EventTrace) -> tuple[TraceRecord, ...]:
     """The trace's rows as records, one per row, each column looked up on
-    its own: ids from ``tree.order()``, a receiver as its sender's parent id."""
-    order = trace.tree.order()
+    its own: ids from ``tree.order()``, a receiver as its sender's parent id,
+    a channel and an attack from the simulation's own fields by id and index,
+    a reason from ``REASONS``."""
+    sim = trace.simulation
+    order = sim.tree.order()
     rows = trace.rows.tolist()
     out: list[TraceRecord] = []
     for at in range(0, len(rows), STRIDE):
@@ -169,8 +172,8 @@ def records(trace: EventTrace) -> tuple[TraceRecord, ...]:
         if tag == EMIT:
             out.append(EmitRecord(time, sender, kind, seq, VoteCount(*counts)))
         elif tag in (DELIVER, REFUSE):
-            channel = POSTAL_FINAL.name if kind is ReportKind.FINAL else trace.channels[node]
-            reason = trace.reasons[code] if tag == REFUSE else None
+            channel = POSTAL_FINAL.name if kind is ReportKind.FINAL else sim.channels[sender].name
+            reason = REASONS[code] if tag == REFUSE else None
             out.append(
                 DeliverRecord(
                     time, sender, sender.parent, channel, kind, seq, VoteCount(*counts), reason
@@ -184,8 +187,12 @@ def records(trace: EventTrace) -> tuple[TraceRecord, ...]:
             out.append(PublishRecord(time, sender, kind, VoteCount(*counts), entries))
         else:
             assert tag == ATTACK
-            attack, mode, detail = trace.attacks[code]
-            out.append(AttackRecord(time, attack, sender, sender.parent, mode, detail))
+            attack = sim.attacks[code]
+            out.append(
+                AttackRecord(
+                    time, attack.kind.value, sender, sender.parent, attack.mode, attack.describe()
+                )
+            )
     return tuple(out)
 
 
@@ -435,7 +442,7 @@ def trace_text(trace: EventTrace, lines_of: tuple[TraceRecord | DetectRecord, ..
 
     A trace holds no ``DetectRecord``: to render a run in full, give it the
     records of ``reference_run``."""
-    lines = [f"trace election={trace.election_id} seed={trace.seed}"]
+    lines = [f"trace election={trace.simulation.election_id} seed={trace.simulation.seed}"]
     lines.extend(trace_line(record) for record in lines_of)
     lines.append(f"end records={len(lines_of)}")
     return "\n".join(lines) + "\n"
@@ -485,9 +492,9 @@ def summary_text(summary: DetectionSummary, max_items: int = 10) -> str:
 
 def subtree_truth(trace: EventTrace, node: JurisdictionId) -> VoteCount:
     """Ground truth of ``node``'s subtree: every leaf under it, summed directly."""
-    depth = len(node.path)
+    depth, sim = len(node.path), trace.simulation
     return accumulate(
-        trace.ground_truth[leaf] for leaf in trace.tree.leaves() if leaf.path[:depth] == node.path
+        sim.ground_truth[leaf] for leaf in sim.tree.leaves() if leaf.path[:depth] == node.path
     )
 
 
@@ -499,7 +506,7 @@ def _audit(trace: EventTrace, truth_of) -> DetectionSummary:
     root accepts only a fresher seq from a child: it is numbered in
     ``divergent`` when a publication first lists it with counts that differ
     from its truth."""
-    tree = trace.tree
+    tree = trace.simulation.tree
     root_children = tree.children(tree.root)
     index_of: dict[tuple[JurisdictionId, int], int] = {}
     divergent, divergences, gaps = [], [], []
@@ -549,7 +556,7 @@ def covered_leaves(trace: EventTrace) -> dict[tuple[int, JurisdictionId], frozen
     behind it; a seq that no emit carries, a forgery, is charged with the
     sender's latest emit. A publication reads the root's accepted entries.
     """
-    tree = trace.tree
+    tree = trace.simulation.tree
     emitted: dict[tuple[JurisdictionId, int], frozenset] = {}
     latest: dict[JurisdictionId, frozenset] = {}
     accepted: dict[tuple[JurisdictionId, ReportKind], dict[JurisdictionId, frozenset]] = {}
@@ -576,7 +583,9 @@ def covered_truth_report(trace: EventTrace) -> DetectionSummary:
     covered = covered_leaves(trace)
     return _audit(
         trace,
-        lambda at, child: accumulate(trace.ground_truth[leaf] for leaf in covered[at, child]),
+        lambda at, child: accumulate(
+            trace.simulation.ground_truth[leaf] for leaf in covered[at, child]
+        ),
     )
 
 

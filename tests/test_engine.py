@@ -654,6 +654,21 @@ class TestSimulationValidation:
         with refused("field 'postal_latency' must be >= 0"):
             two_leaf_sim(postal_latency=-1)
 
+    def test_inputs_edited_after_construction_do_not_reach_the_run(self):
+        # Used to run what the caller edited after the checks: a preliminary
+        # at t=-5, a truth over A's 100 voters, an attack never checked.
+        truth, prelim_emit, attacks = {A: VoteCount(30, 20), B: VoteCount(10, 40)}, {}, []
+        sim = two_leaf_sim(ground_truth=truth, prelim_emit=prelim_emit, attacks=attacks)
+        first = sim.run()
+        text, summary = first.to_text(), detection_report(first).to_text()
+        truth[A] = VoteCount(10**6, 0)
+        prelim_emit[B] = -5
+        attacks.append(AttackSpec(AttackKind.DELAY, A, hold_ticks=3))
+        assert first.to_text() == sim.run().to_text() == text
+        assert detection_report(first).to_text() == summary
+        with pytest.raises(TypeError):
+            sim.ground_truth[A] = VoteCount(10**6, 0)
+
     def test_finals_ride_the_signed_postal_channel(self):
         sim = two_leaf_sim(postal_latency=10)
         assert sim.postal_latency == 10
@@ -832,15 +847,6 @@ class TestTraceInvariants:
                 report = Report(sim.election_id, rec.sender, rec.seq, rec.counts, rec.kind, 0)
                 reason = feasibility_check(report, rec.receiver, sim.tree, state)
                 assert (reason is None, reason) == (rec.accepted, rec.reason)
-
-    @settings(max_examples=150)
-    @given(sim=random_simulations())
-    def test_parents_name_each_nodes_parent(self, sim):
-        # Every node but the root has a parent, whose index the trace keeps.
-        trace, order = sim.run(), sim.tree.order()
-        assert len(trace.parents) == len(order)
-        for i in range(1, len(order)):
-            assert order[trace.parents[i]] == order[i].parent
 
     def test_overflowing_sibling_totals_raise_from_run(self):
         sim = two_leaf_sim(
@@ -1125,10 +1131,10 @@ class TestRendering:
             REFUSE, 4, 2, prelim, 3, 0, 1, 0, 0, REASONS.index("stale_sequence"),
         ]
         entries = [0, 0, 2, 4, 2, 6, 2]
+        sim = two_leaf_sim(channels={A: preset("email"), B: preset("email")}, seed=5)
         trace = EventTrace(
-            "toy", 5, tree_from_paths([A.path, B.path]), {},
-            memoryview(array("q", rows)).toreadonly(), memoryview(array("q", entries)).toreadonly(),
-            (0, 0, 0), ("", "email", "email"), REASONS, (),
+            sim, memoryview(array("q", rows)).toreadonly(),
+            memoryview(array("q", entries)).toreadonly(),
         )
         text = trace.to_text()
         detect = oracles.DetectRecord(4, CH, "stale_sequence", B, 3)
@@ -1271,10 +1277,10 @@ def federation_sim(cantons: int, leaves: int) -> Simulation:
 
 def tracked_objects_held(trace: EventTrace) -> int:
     """The objects the cyclic collector tracks that ``trace`` reaches, but
-    its tree, its ground truth, and types, once a collection has untracked
-    every tuple that holds no tracked object."""
+    its simulation, the run's input, and types, once a collection has
+    untracked every tuple that holds no tracked object."""
     gc.collect()
-    skip = {id(trace.tree), id(trace.ground_truth)}
+    skip = {id(trace.simulation)}
     seen: set[int] = set()
     stack: list = [trace]
     count = 0

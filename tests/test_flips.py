@@ -4,13 +4,15 @@ import dataclasses
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 import oracles
 from helpers import canton_id, cantonal_instances, counts_strategy, make_canton_tree
 from votewire import swiss
 from votewire.analysis import bundled_results_path, canton_final_counts, load_results
+from votewire.channels import preset
 from votewire.counts import VoteCount, accumulate
+from votewire.engine import Simulation
 from votewire.errors import Infeasible
 from votewire.flips import (
     FlipPlan,
@@ -349,9 +351,12 @@ class TestOutcomeSolver:
 
 
 class TestPlansThroughTheEngine:
-    """A double-majority plan for a bundled referendum, injected as one
-    tamper per planned canton on the Swiss tree, turns the last preliminary
-    publication; the final one restores the truth."""
+    """A canton-level double-majority plan, injected as one tamper per
+    planned canton on its uplink, turns the last preliminary publication,
+    and one flip fewer in any planned canton does not; the final one
+    restores the truth."""
+
+    SPEC = ReferendumSpec("x", MajorityRule.DOUBLE_MAJORITY)
 
     PLANS = {
         "family-2013": ("family_2013", ACCEPT, {"GR": 896, "ZG": 934}),
@@ -361,20 +366,16 @@ class TestPlansThroughTheEngine:
         }),
     }
 
-    @staticmethod
-    def published(referendum: str, results: str, plan: FlipPlan):
+    @classmethod
+    def published(cls, sim: Simulation, plan: FlipPlan):
         """(tick, double-majority outcome) of the last preliminary and of
-        the final publication of a run with ``plan`` injected, and no noise."""
-        doc = {"election_id": referendum, "tree": {"preset": "swiss"},
-               "ground_truth": {"bundled_results": results}}
-        sim = parse_scenario(json.dumps(doc))
+        the final publication of ``sim`` with ``plan`` injected."""
         trace = dataclasses.replace(sim, attacks=oracles.flip_attacks(plan)).run()
-        spec = ReferendumSpec(referendum, MajorityRule.DOUBLE_MAJORITY)
         outcomes = []
         for kind in (ReportKind.PRELIMINARY, ReportKind.FINAL):
             last = oracles.publishes(trace, kind)[-1]
             per_canton = {child: counts for child, _, counts in last.children}
-            outcomes.append((last.time, referendum_outcome(spec, per_canton, sim.tree).overall))
+            outcomes.append((last.time, referendum_outcome(cls.SPEC, per_canton, sim.tree).overall))
         return outcomes
 
     @pytest.mark.parametrize("referendum", PLANS)
@@ -384,8 +385,34 @@ class TestPlansThroughTheEngine:
         per_canton = canton_final_counts(load_results(bundled_results_path(results)), tree)
         plan = min_flips_outcome(per_canton, tree, target)
         assert plan.flips_per_canton == {swiss.canton_id(c): n for c, n in cantons.items()}
+        doc = {"election_id": referendum, "tree": {"preset": "swiss"},
+               "ground_truth": {"bundled_results": results}}
+        sim = parse_scenario(json.dumps(doc))
         truth = target.opposite()
-        assert self.published(referendum, results, plan) == [(3, target), (148, truth)]
+        assert self.published(sim, plan) == [(3, target), (148, truth)]
         for canton, flips in plan.flips_per_canton.items():
             fewer = FlipPlan({**plan.flips_per_canton, canton: flips - 1}, target)
-            assert self.published(referendum, results, fewer)[0] == (3, truth), canton
+            assert self.published(sim, fewer)[0] == (3, truth), canton
+
+    @settings(max_examples=60)
+    @given(instance=cantonal_instances(max_cantons=4, max_side=40))
+    @pytest.mark.parametrize("target", [ACCEPT, REJECT])
+    def test_any_canton_level_plan_turns_the_preliminary(self, instance, target):
+        # Weighted two-level trees; a plan on the national pool has no uplink.
+        tree, per_canton = instance
+        try:
+            plan = min_flips_outcome(per_canton, tree, target)
+        except Infeasible:
+            assume(False)
+        assume(None not in plan.flips_per_canton)
+        sim = Simulation(
+            election_id="flip",
+            tree=tree,
+            channels={canton: preset("email") for canton in per_canton},
+            ground_truth=per_canton,
+        )
+        truth = referendum_outcome(self.SPEC, per_canton, tree).overall
+        assert [outcome for _, outcome in self.published(sim, plan)] == [target, truth]
+        for canton, flips in plan.flips_per_canton.items():
+            fewer = FlipPlan({**plan.flips_per_canton, canton: flips - 1}, target)
+            assert self.published(sim, fewer)[0][1] is not target, canton

@@ -269,6 +269,14 @@ class TestTreeOrder:
             assert sorted(kids, key=index.__getitem__) == list(kids)
 
     @given(tree=shuffled_trees())
+    def test_parents_name_each_nodes_parent(self, tree):
+        # The root's entry is 0; every other names its parent's index.
+        order, parents = tree.order(), tree.parents()
+        assert len(parents) == len(order) and parents[0] == 0
+        for i in range(1, len(order)):
+            assert order[parents[i]] == order[i].parent
+
+    @given(tree=shuffled_trees())
     def test_leaves_are_order_without_internal_nodes(self, tree):
         assert tree.leaves() == tuple(n for n in tree.order() if not tree.children(n))
 
