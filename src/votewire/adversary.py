@@ -24,7 +24,7 @@ from .channels import ChannelSpec
 from .counts import VoteCount, accumulate
 from .errors import CapabilityError
 from .reports import ReportKind
-from .traces import FINAL, PUBLISH, REASONS, REFUSE, STRIDE, EventTrace
+from .traces import DELIVER, FINAL, PRELIM, PUBLISH, REASONS, REFUSE, STRIDE, EventTrace
 from .tree import JurisdictionId
 
 
@@ -251,13 +251,15 @@ def detection_report(trace: EventTrace) -> DetectionSummary:
 
     Only the root children's truths are summed, from the leaves: a run's
     ground truth is keyed by leaves, each naming its root child second.
-    The scan reads the tag column alone, and decodes only publications
-    and refusals. A publication's entries are delivery rows, shared with
-    the publications before it, so each is compared with its truth once.
-    A row that diverges becomes one ``divergent`` item; each listing of it
-    adds only its (tick, index) pair to the ``divergences`` column.
+    The scan reads the tag column alone, and decodes only publications,
+    refusals and the row before a preliminary publication: the delivery
+    from a root child that triggered it, compared with its truth once. A
+    delivery that diverges becomes one ``divergent`` item; each listing of
+    it adds only its (tick, index) pair to the ``divergences`` column.
+    Raises ValueError if the trace has no final publication, or if the row
+    before a preliminary one is no such delivery.
     """
-    tree, rows, entries = trace.simulation.tree, trace.rows, trace.entries
+    tree, rows = trace.simulation.tree, trace.rows
     order, parents = tree.order(), tree.parents()
     root_children = tree.children(tree.root)
     leaf_counts: dict[str, list[VoteCount]] = {child.path[1]: [] for child in root_children}
@@ -272,9 +274,9 @@ def detection_report(trace: EventTrace) -> DetectionSummary:
     append = divergences.append
     gaps: list[CoverageGap] = []
     detects: list[DetectEvent] = []
-    # Per row, once a publication lists it: its index into divergent when
-    # its counts differ from its child's truth, else -1.
-    judged: list[int | None] = [None] * (len(rows) // STRIDE)
+    # Per root child, in child order, as publications list them: its latest
+    # delivery's index into divergent, or -1; None before its first.
+    latest = dict.fromkeys(i for i, up in enumerate(parents) if i and not up)
     final = None
     # The tag column as bytes, each tag being its row's low byte: each search
     # for the next refusal or publication skips the rows between in C.
@@ -290,32 +292,33 @@ def detection_report(trace: EventTrace) -> DetectionSummary:
     row = tags.find(PUBLISH)
     while row >= 0:
         at = row * STRIDE
-        row = tags.find(PUBLISH, row + 1)
-        time, count, start = rows[at + 1], rows[at + 4], rows[at + 9]
+        time = rows[at + 1]
         if rows[at + 3] == FINAL:
             final = time, rows[at + 5:at + 9].tolist()
-            continue
-        listed = entries[start:start + count].tolist()
-        for entry in listed:
-            index = judged[entry]
-            if index is None:
-                at = entry * STRIDE
-                child = order[rows[at + 2]]
-                counts, expected = new(VoteCount, rows[at + 5:at + 9]), truths[child]
-                index = -1
-                if counts != expected:
-                    index = len(divergent)
-                    divergent.append((child, counts, expected))
-                judged[entry] = index
-            if index >= 0:
-                append(time)
-                append(index)
-        # A publication lists each root child at most once, so only a short
-        # one can miss some.
-        if count != len(root_children):
-            covered = {order[rows[entry * STRIDE + 2]] for entry in listed}
-            missing = tuple(c for c in root_children if c not in covered)
-            gaps.append(CoverageGap(time, missing))
+        else:
+            # The row before is the delivery that triggered the publication.
+            at -= STRIDE
+            sender = rows[at + 2] if row else 0
+            if sender not in latest or rows[at] != DELIVER or rows[at + 3] != PRELIM:
+                raise ValueError(
+                    f"row {row}: a preliminary publication not right after a root child's "
+                    "preliminary delivery"
+                )
+            child = order[sender]
+            counts, expected = new(VoteCount, rows[at + 5:at + 9]), truths[child]
+            index = -1
+            if counts != expected:
+                index = len(divergent)
+                divergent.append((child, counts, expected))
+            latest[sender] = index
+            for index in latest.values():
+                if index is not None and index >= 0:
+                    append(time)
+                    append(index)
+            if None in latest.values():
+                missing = tuple(order[i] for i, index in latest.items() if index is None)
+                gaps.append(CoverageGap(time, missing))
+        row = tags.find(PUBLISH, row + 1)
     if final is None:
         raise ValueError("trace holds no final publication")
     final_time, final_counts = final

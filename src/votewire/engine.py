@@ -43,9 +43,11 @@ accept subtracts the superseded event's counts and adds the new ones
 instead of re-summing every child.
 Both kinds of delivery take one path: only a preliminary can be refused,
 and a final also waits for ``finals_pending``, the count of child finals
-still awaited, to reach zero before its total goes up. The root also
-keeps the row numbers of those deliveries: a publication lists them,
-already in child order.
+still awaited, to reach zero before its total goes up. A delivery's row
+is written before the report-up tail runs, so the row before a
+preliminary publication is the delivery that triggered it, and the row
+before the final one the last child final: what a publication sums is
+the root's latest accepted delivery from each child before it.
 
 Each record is one row of ``traces.COLUMNS``, appended to a list of ints
 with one ``extend`` call and packed into the trace's array in chunks, so
@@ -200,9 +202,8 @@ class Simulation:
         rng = random.Random(self.seed)
         # Rows gather as ints in ``out``, since appending to a list is cheaper
         # than to an array, and move into ``rows`` once a tick ends with 2**16.
-        rows, out, stored = array("q"), [], 0  # ``stored``: the rows moved so far
+        rows, out = array("q"), []
         extend = out.extend
-        listed_rows: list[int] = []
         # ``buckets`` holds each pending tick's events in scheduling order,
         # ``ticks`` those ticks as a heap.
         buckets: dict[int, list[tuple]] = {}
@@ -250,8 +251,6 @@ class Simulation:
                     tables[kind][i], totals[kind][i] = [None] * kids, [0, 0, 0, 0]
             else:
                 leaves.append(i)
-        # The row numbers of the root's latest accepted deliveries, per report kind.
-        root_rows = tuple([None] * len(table[0]) for table in tables)
         # Latency up to the parent over the preliminary channel; finals ride
         # the postal one.
         latency = (
@@ -353,8 +352,6 @@ class Simulation:
                     table, position = tables[kind][i], slot[sender]
                     old = table[position]
                     table[position] = event
-                    if not i:
-                        root_rows[kind][position] = stored + len(out) // STRIDE
                     extend((DELIVER, time, sender, kind, what, yes, no, blank, invalid, 0))
                     total = totals[kind][i]
                     if old is not None:
@@ -376,11 +373,7 @@ class Simulation:
                     yes, no, blank, invalid = total
                 # Report up: the root publishes the counts, any other node emits them.
                 if not i:
-                    # A publication lists the deliveries it sums, as no leaf is the root.
-                    listed = [row for row in root_rows[kind] if row is not None]
-                    start = len(listed_rows)
-                    extend((PUBLISH, time, 0, kind, len(listed), yes, no, blank, invalid, start))
-                    listed_rows += listed
+                    extend((PUBLISH, time, 0, kind, 0, yes, no, blank, invalid, 0))
                     continue
                 seq = next_seq[i]
                 next_seq[i] = seq + 1
@@ -398,18 +391,14 @@ class Simulation:
                 schedule(delivery, (kind, i, seq, yes, no, blank, invalid))
             del buckets[time]
             if len(out) >= 1 << 16:
-                stored += _store(rows, out)
+                _store(rows, out)
 
         _store(rows, out)
-        return EventTrace(
-            self,
-            rows=memoryview(rows).toreadonly(),
-            entries=memoryview(array("q", listed_rows)).toreadonly(),
-        )
+        return EventTrace(self, memoryview(rows).toreadonly())
 
 
-def _store(rows: array, values: list[int]) -> int:
-    """Move ``values`` to the end of ``rows``; the number of rows moved.
+def _store(rows: array, values: list[int]) -> None:
+    """Move ``values`` to the end of ``rows``.
 
     One ``struct.pack`` packs them as ``rows`` lays them out, native signed
     64-bit ints, cheaper than ``fromlist``'s ``PyArg_Parse`` per int. Only
@@ -423,6 +412,4 @@ def _store(rows: array, values: list[int]) -> int:
         raise ArithmeticOverflow(
             f"{COLUMNS[at % STRIDE]}={values[at]} exceeds the 64-bit range of a trace"
         ) from None
-    moved = len(values) // STRIDE
     values.clear()
-    return moved

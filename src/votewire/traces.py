@@ -30,10 +30,10 @@ if TYPE_CHECKING:
 # A row's columns, in order. ``tag`` says what the row records, and
 # ``node`` is an index into ``tree.order()``: the emitter, a delivery's or
 # an attack's sender (the receiver is its parent), or the root. ``kind``
-# is PRELIM or FINAL. A publication's ``seq`` holds how many entries it
-# lists. ``code`` is a refusal's index into ``REASONS``, a publication's
-# offset into ``entries``, or an attack's index into ``Simulation.attacks``;
-# else 0. A row number times STRIDE is the row's offset in ``rows``.
+# is PRELIM or FINAL. A publication's ``seq`` is 0. ``code`` is a
+# refusal's index into ``REASONS`` or an attack's index into
+# ``Simulation.attacks``; else 0. A row number times STRIDE is the row's
+# offset in ``rows``.
 COLUMNS = ("tag", "time", "node", "kind", "seq", "yes", "no", "blank", "invalid", "code")
 STRIDE = len(COLUMNS)
 EMIT, DELIVER, REFUSE, PUBLISH, ATTACK = range(5)
@@ -49,39 +49,39 @@ class EventTrace:
 
     ``rows`` holds ``STRIDE`` integers per record, laid out as ``COLUMNS``
     says, in read-only signed 64-bit columns. A publication lists the
-    root's latest accepted delivery from each covered child, in tree child
-    order: its entries are the row numbers of those deliveries, so
-    consecutive publications share the rows they list.
+    root's latest accepted delivery from each child before it, in tree
+    child order; no row stores that list, so a reader rebuilds it in row order.
     """
 
     simulation: Simulation
     rows: memoryview
-    entries: memoryview
 
     def to_text(self) -> str:
         """The header, one line per record, a refused delivery's detect line
         after it, and the footer, each ending in a newline.
 
         Each line is one f-string over one row's unpacked columns, node and
-        kind texts read by index from tuples built once per call. A
-        publication's entry text is rendered once per delivery row it
-        names, in a table that lives for this call.
+        kind texts read by index from tuples built once per call. An
+        accepted delivery to the root renders its entry text once, into its
+        child's slot of its kind's table; a publication joins the slots set.
         """
-        rows, entries, sim = self.rows, self.entries, self.simulation
-        order = sim.tree.order()
+        sim = self.simulation
+        order, parents = sim.tree.order(), sim.tree.parents()
         texts = tuple(node._text for node in order)
         # Each node's parent text: the receiver of what the node sends.
-        ups = tuple(texts[up] for up in sim.tree.parents())
+        ups = tuple(texts[up] for up in parents)
+        # Per report kind, each root child's latest entry text, in child order.
+        kids = [i for i, up in enumerate(parents) if i and not up]
+        latest = (dict.fromkeys(kids), dict.fromkeys(kids))
         # Each node's preliminary channel; the root sends nothing.
         channels = ("", *(spec.name for spec in map(sim.channels.__getitem__, order[1:])))
         postal = POSTAL_FINAL.name
         attacks = tuple((a.kind.value, a.mode, a.describe()) for a in sim.attacks)
-        entry_texts: dict[int, str] = {}
         lines = [f"trace election={sim.election_id} seed={sim.seed}"]
         append = lines.append
         # One tuple per row: STRIDE references to one iterator.
         for tag, time, node, kind, seq, yes, no, blank, invalid, code in zip(
-            *[iter(rows)] * STRIDE
+            *[iter(self.rows)] * STRIDE
         ):
             if tag == EMIT:
                 append(
@@ -96,6 +96,8 @@ class EventTrace:
                 )
                 if tag == DELIVER:
                     append(f"{line}accepted=true")
+                    if not parents[node]:
+                        latest[kind][node] = f"{texts[node]}:{seq}:{yes}:{no}:{blank}:{invalid}"
                 else:
                     reason = REASONS[code]
                     append(f"{line}accepted=false reason={reason}")
@@ -104,20 +106,10 @@ class EventTrace:
                         f"child={texts[node]} seq={seq}"
                     )
             elif tag == PUBLISH:
-                parts = []
-                for row in entries[code:code + seq]:
-                    text = entry_texts.get(row)
-                    if text is None:
-                        at = row * STRIDE
-                        child_seq, e_yes, e_no, e_blank, e_invalid = rows[at + 4:at + 9]
-                        text = entry_texts[row] = (
-                            f"{texts[rows[at + 2]]}:{child_seq}:{e_yes}:{e_no}:{e_blank}:{e_invalid}"
-                        )
-                    parts.append(text)
                 append(
                     f"publish t={time} node={texts[node]} kind={KIND_TEXTS[kind]} "
                     f"yes={yes} no={no} blank={blank} invalid={invalid} "
-                    f"children={','.join(parts)}"
+                    f"children={','.join(filter(None, latest[kind].values()))}"
                 )
             else:
                 attack, mode, detail = attacks[code]

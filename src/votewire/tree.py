@@ -1,11 +1,12 @@
 """Jurisdiction identifiers and the aggregation hierarchy.
 
-Cantonal vote weights are stored in half-vote units (a full canton holds 2,
+Cantonal vote weights are kept in half-vote units (a full canton holds 2,
 a half canton 1) so majority comparisons stay exact integer arithmetic.
 """
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 _IdFields = NamedTuple("_IdFields", [("path", tuple[str, ...]), ("text", str)])
@@ -16,7 +17,7 @@ class JurisdictionId(tuple):
 
     A tuple ``(path, text)`` checked in its constructor, because every engine
     and audit dict is keyed by ids: ``==`` and ``hash`` run in C. The text
-    is stored because every trace line renders ids. It is the path joined
+    is kept because every trace line renders ids. It is the path joined
     by '/', which no segment may contain, so text and path determine each
     other. An id never equals a bare path tuple or a string.
     """
@@ -80,7 +81,9 @@ class JurisdictionTree:
 
     ``canton_half_votes`` maps canton-level nodes to their weight in
     half-vote units; ``eligible_voters`` is optional per node and feeds the
-    plausibility checks on incoming reports.
+    plausibility checks on incoming reports. Both are read-only views of
+    copies taken at construction, so what ``_validate`` checked is what
+    every later run reads.
     """
 
     def __init__(
@@ -94,8 +97,8 @@ class JurisdictionTree:
         self._children: dict[JurisdictionId, tuple[JurisdictionId, ...]] = {
             parent: tuple(kids) for parent, kids in children.items()
         }
-        self.canton_half_votes: dict[JurisdictionId, int] = dict(canton_half_votes or {})
-        self.eligible_voters: dict[JurisdictionId, int] = dict(eligible_voters or {})
+        self.canton_half_votes = MappingProxyType(dict(canton_half_votes or {}))
+        self.eligible_voters = MappingProxyType(dict(eligible_voters or {}))
         self._validate()
 
     def _validate(self) -> None:
@@ -195,7 +198,7 @@ def tree_from_paths(
     object.
     """
     named = {
-        node.path: node for entries in (canton_half_votes, eligible_voters) for node in entries or ()
+        node.path: node for table in (canton_half_votes, eligible_voters) for node in table or ()
     }
     ids: dict[tuple[str, ...], JurisdictionId] = {}
     for p in paths:

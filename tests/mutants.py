@@ -138,11 +138,11 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "a child's slot is its rank among its siblings' sorted ids",
+        "a node's second child takes its first child's slot",
         ENGINE,
         "            slot[i] = finals_pending[up]\n",
-        "            slot[i] = sorted(tree.children(order[up])).index(order[i])\n",
-        (f"{REFERENCE}::test_random_runs_match_the_reference",),
+        "            slot[i] = max(finals_pending[up] - 1, 0)\n",
+        (f"{REFERENCE}::test_random_runs_match_the_reference", INVARIANTS),
     ),
     Mutant(
         "a node's parent index is that of the node listed before its parent",
@@ -239,6 +239,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "a final publication lists the root's latest preliminaries",
+        "votewire/traces.py",
+        "latest[kind].values()",
+        "latest[PRELIM].values()",
+        (
+            f"{RENDERING}::test_shared_and_equal_entry_tuples_render_alike",
+            f"{REFERENCE}::test_a_deep_uneven_tree_matches_the_reference",
+        ),
+    ),
+    Mutant(
         "a delivery's receiver is read from the sender's index",
         "votewire/traces.py",
         'f"deliver t={time} from={texts[node]} to={ups[node]} "',
@@ -316,8 +326,11 @@ MUTANTS = (
     Mutant(
         "a divergent delivery is listed only by the first publication that lists it",
         "votewire/adversary.py",
-        "                judged[entry] = index\n",
-        "                judged[entry] = -1\n",
+        "            latest[sender] = index\n",
+        "            latest[sender] = -1\n"
+        "            if index >= 0:\n"
+        "                append(time)\n"
+        "                append(index)\n",
         (
             f"{TEST_ENGINE}::TestAttacksInTheLoop::test_tamper_changes_prelim_but_never_final",
             f"{TEST_ENGINE}::TestAuditAgainstTheReference::test_audit_matches_the_reference",

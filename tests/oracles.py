@@ -8,10 +8,12 @@ majority or tie rule, so none can share a solver's mistake about one.
 
 A trace stores each record as one row of integer columns. ``records``
 reads those rows back as the NamedTuple records below, one column at a
-time, a receiver as its sender's ``JurisdictionId.parent``. ``reference_run``
-derives the same records from the rules, and the tests that check a run
-record by record read these. ``perturb`` is the noise rule drawn with
-``randint``, as the engine draws it inline.
+time, a receiver as its sender's ``JurisdictionId.parent``, a
+publication's children as the latest accepted delivery from each root
+child before it. ``reference_run`` derives the same records from the
+rules, and the tests that check a run record by record read these.
+``perturb`` is the noise rule drawn with ``randint``, as the engine draws
+it inline.
 
 The trace and summary formatters render every record and summary item
 field by field, with no table shared between lines: they pin the text that
@@ -160,10 +162,13 @@ def records(trace: EventTrace) -> tuple[TraceRecord, ...]:
     """The trace's rows as records, one per row, each column looked up on
     its own: ids from ``tree.order()``, a receiver as its sender's parent id,
     a channel and an attack from the simulation's own fields by id and index,
-    a reason from ``REASONS``."""
+    a reason from ``REASONS``, a publication's children replayed from the
+    deliveries to the root before it."""
     sim = trace.simulation
-    order = sim.tree.order()
+    order, root = sim.tree.order(), sim.tree.root
     rows = trace.rows.tolist()
+    # Per report kind, each root child's latest accepted delivery, in child order.
+    latest = [dict.fromkeys(sim.tree.children(root)) for _ in range(2)]
     out: list[TraceRecord] = []
     for at in range(0, len(rows), STRIDE):
         tag, time, node, kind_code, seq, *counts, code = rows[at:at + STRIDE]
@@ -174,16 +179,15 @@ def records(trace: EventTrace) -> tuple[TraceRecord, ...]:
         elif tag in (DELIVER, REFUSE):
             channel = POSTAL_FINAL.name if kind is ReportKind.FINAL else sim.channels[sender].name
             reason = REASONS[code] if tag == REFUSE else None
+            if tag == DELIVER and sender.parent == root:
+                latest[kind_code][sender] = (sender, seq, VoteCount(*counts))
             out.append(
                 DeliverRecord(
                     time, sender, sender.parent, channel, kind, seq, VoteCount(*counts), reason
                 )
             )
         elif tag == PUBLISH:
-            entries = tuple(
-                (order[rows[e + 2]], rows[e + 4], VoteCount(*rows[e + 5:e + 9]))
-                for e in (row * STRIDE for row in trace.entries[code:code + seq])
-            )
+            entries = tuple(entry for entry in latest[kind_code].values() if entry is not None)
             out.append(PublishRecord(time, sender, kind, VoteCount(*counts), entries))
         else:
             assert tag == ATTACK

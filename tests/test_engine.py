@@ -50,7 +50,7 @@ from votewire.engine import (
 from votewire.errors import ArithmeticOverflow, CapabilityError, ConfigError
 from votewire.reports import Report, ReportKind, SequenceState
 from votewire.scenario import bundled_scenario_path, load_scenario
-from votewire.traces import ATTACK, DELIVER, EMIT, PUBLISH, REFUSE, STRIDE, EventTrace
+from votewire.traces import ATTACK, DELIVER, EMIT, FINAL, PUBLISH, REFUSE, STRIDE, EventTrace
 from votewire.tree import JurisdictionId, JurisdictionTree, tree_from_paths
 
 CH = JurisdictionId.of("CH")
@@ -341,9 +341,7 @@ class TestImmutableRecords:
         for column in range(at, at + STRIDE):
             with pytest.raises(TypeError):
                 trace.rows[column] = 0
-        with pytest.raises(TypeError):
-            trace.entries[0] = 0
-        for name in ("rows", "entries", "note"):
+        for name in ("rows", "note"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(trace, name, None)
 
@@ -838,6 +836,18 @@ class TestTraceInvariants:
 
     @settings(max_examples=150)
     @given(sim=random_simulations())
+    def test_each_publication_follows_a_delivery_of_its_kind_to_the_root(self, sim):
+        # The audit judges a preliminary publication's children by this
+        # row: the delivery that triggered it.
+        recs = records(sim.run())
+        assert not isinstance(recs[0], PublishRecord)
+        for before, rec in zip(recs, recs[1:]):
+            if isinstance(rec, PublishRecord):
+                assert isinstance(before, DeliverRecord) and before.accepted
+                assert (before.kind, before.receiver) == (rec.kind, sim.tree.root)
+
+    @settings(max_examples=150)
+    @given(sim=random_simulations())
     def test_feasibility_check_replays_every_preliminary_verdict(self, sim):
         # feasibility_check spells out the engine's acceptance rules; one
         # fresh state serves every receiver, as in the engine.
@@ -1104,6 +1114,38 @@ class TestAuditOnDeepTrees:
         assert summary.clean()
 
 
+class TestAuditInput:
+    """The audit judges a preliminary publication's children by the row
+    before it, and refuses a trace whose row there is not a preliminary
+    delivery from a root child."""
+
+    @pytest.mark.parametrize("edit", ["dropped", "refused", "final", "grandchild", "first"])
+    def test_a_publication_not_after_its_trigger_is_refused(self, edit):
+        trace = partial_preliminary_simulation().run()
+        table = [list(row) for row in zip(*[iter(trace.rows.tolist())] * STRIDE)]
+        row = next(at for at, values in enumerate(table) if values[0] == PUBLISH)
+        trigger = table[row - 1]
+        if edit == "dropped":
+            del table[row - 1]
+            row -= 1
+        elif edit == "refused":
+            trigger[0] = REFUSE
+        elif edit == "final":
+            trigger[3] = FINAL
+        elif edit == "grandchild":
+            trigger[2] = trace.simulation.tree.order().index(JurisdictionId.from_text("CH/K/M1"))
+        else:
+            table.insert(0, table.pop(row))
+            row = 0
+        broken = dataclasses.replace(
+            trace, rows=memoryview(array("q", [value for values in table for value in values]))
+        )
+        message = "a preliminary publication not right after a root child's preliminary delivery"
+        with pytest.raises(ValueError, match=f"^row {row}: {message}$"):
+            detection_report(broken)
+        assert detection_report(trace).final_matches_ground_truth
+
+
 class TestRendering:
     """Trace and summary text match the field-by-field reference formatters."""
 
@@ -1116,34 +1158,33 @@ class TestRendering:
         assert summary.to_text(max_items) == oracles.summary_text(summary, max_items)
 
     def test_shared_and_equal_entry_tuples_render_alike(self):
-        # A publication names its entries by delivery row: one row listed
-        # by several publications, and a distinct row with equal values.
+        # A publication lists the latest delivery from each root child
+        # before it: one delivery listed by several publications, and
+        # distinct deliveries with equal values, each final equal to a
+        # preliminary of its child.
         prelim, final = 0, 1
         rows = [
             DELIVER, 1, 1, prelim, 1, 1, 2, 3, 4, 0,
-            PUBLISH, 1, 0, prelim, 1, 1, 2, 3, 4, 0,
+            PUBLISH, 1, 0, prelim, 0, 1, 2, 3, 4, 0,
             DELIVER, 2, 2, prelim, 2, 5, 0, 0, 1, 0,
-            PUBLISH, 2, 0, prelim, 2, 6, 2, 3, 5, 1,
+            PUBLISH, 2, 0, prelim, 0, 6, 2, 3, 5, 0,
             DELIVER, 3, 1, prelim, 2, 9, 8, 7, 6, 0,
-            PUBLISH, 3, 0, prelim, 2, 14, 8, 7, 7, 3,
+            PUBLISH, 3, 0, prelim, 0, 14, 8, 7, 7, 0,
             DELIVER, 4, 1, final, 1, 1, 2, 3, 4, 0,
-            PUBLISH, 4, 0, final, 2, 6, 2, 3, 5, 5,
+            DELIVER, 4, 2, final, 2, 5, 0, 0, 1, 0,
+            PUBLISH, 4, 0, final, 0, 6, 2, 3, 5, 0,
             REFUSE, 4, 2, prelim, 3, 0, 1, 0, 0, REASONS.index("stale_sequence"),
         ]
-        entries = [0, 0, 2, 4, 2, 6, 2]
         sim = two_leaf_sim(channels={A: preset("email"), B: preset("email")}, seed=5)
-        trace = EventTrace(
-            sim, memoryview(array("q", rows)).toreadonly(),
-            memoryview(array("q", entries)).toreadonly(),
-        )
+        trace = EventTrace(sim, memoryview(array("q", rows)).toreadonly())
         text = trace.to_text()
         detect = oracles.DetectRecord(4, CH, "stale_sequence", B, 3)
         assert text == oracles.trace_text(trace, (*records(trace), detect))
         assert text.splitlines()[-2:] == [
             "detect t=4 node=CH reason=stale_sequence child=CH/B seq=3",
-            "end records=10",
+            "end records=11",
         ]
-        assert text.splitlines()[4:9:2] == [
+        assert [line for line in text.splitlines() if line.startswith("publish")][1:] == [
             "publish t=2 node=CH kind=preliminary yes=6 no=2 blank=3 invalid=5 "
             "children=CH/A:1:1:2:3:4,CH/B:2:5:0:0:1",
             "publish t=3 node=CH kind=preliminary yes=14 no=8 blank=7 invalid=7 "

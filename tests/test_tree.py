@@ -204,6 +204,19 @@ class TestJurisdictionTree:
         )
         assert tree.eligible_voters[root] == 10
 
+    def test_tables_are_read_only_copies(self):
+        # A run reads these tables, so an edit after construction would
+        # skip the checks above and reach the run and its trace.
+        a, b = JurisdictionId.of("CH", "A"), JurisdictionId.of("CH", "B")
+        weights, voters = {a: 2, b: 2}, {a: 100, b: 100}
+        tree = tree_from_paths([a.path, b.path], weights, voters)
+        with pytest.raises(TypeError):
+            tree.eligible_voters[a] = 10
+        with pytest.raises(TypeError):
+            tree.canton_half_votes[b] = 7
+        weights[b], voters[a] = 7, 10
+        assert (tree.canton_half_votes[b], tree.eligible_voters[a]) == (2, 100)
+
 
 class TestTreeFromPaths:
     def test_creates_intermediate_nodes(self):
