@@ -324,9 +324,7 @@ def _truth_from_results(name: str, nodes: _Nodes) -> dict[JurisdictionId, VoteCo
 
 def _channel_spec(value: Any, where: str) -> ChannelSpec:
     if isinstance(value, str):
-        if value not in PRESETS:
-            raise ConfigError(f"field '{where}': unknown channel preset {value!r}")
-        return preset(value)
+        return preset(_preset_name(value, where))
     optional = {"base_latency": partial(_int, minimum=0)}
     return _build(preset, value, where, {"preset": _preset_name}, optional)
 

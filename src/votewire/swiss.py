@@ -118,16 +118,15 @@ def channel_assignments() -> dict[str, str]:
 def swiss_tree() -> JurisdictionTree:
     """Two-level federation tree; the root's electorate is the cantonal sum."""
     cantons = load_cantons()
-    root = federal_id()
-    # One id per canton, so every entry is keyed by the tree's own node.
+    # One id per canton, so the tree takes each as its node; the paths in
+    # table order keep the conventional cantonal order among the children.
     kids = [canton_id(info.code) for info in cantons]
     eligible: dict[JurisdictionId, int] = {
         kid: info.eligible_voters for kid, info in zip(kids, cantons)
     }
-    eligible[root] = sum(info.eligible_voters for info in cantons)
+    eligible[federal_id()] = sum(info.eligible_voters for info in cantons)
     return JurisdictionTree(
-        root,
-        {root: kids},
+        [kid.path for kid in kids],
         {kid: info.half_votes for kid, info in zip(kids, cantons)},
         eligible,
     )

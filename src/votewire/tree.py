@@ -1,7 +1,9 @@
 """Jurisdiction identifiers and the aggregation hierarchy.
 
-Cantonal vote weights are kept in half-vote units (a full canton holds 2,
-a half canton 1) so majority comparisons stay exact integer arithmetic.
+A tree is built from node paths alone: every id is its path from the
+root, so each node's parent is stated once. Cantonal vote weights are kept
+in half-vote units (a full canton holds 2, a half canton 1) so majority
+comparisons stay exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -79,37 +81,57 @@ class JurisdictionId(tuple):
 class JurisdictionTree:
     """The aggregation hierarchy: stations up to the federal root.
 
+    Every prefix of every listed path is a node, and there must be exactly
+    one root. Each node lists its children in the order the paths first
+    name them. A node that a weight or voter key names is that key object;
+    any other is built here, once. So every key is the tree's own node
+    when both tables name a node with one object.
+
     ``canton_half_votes`` maps canton-level nodes to their weight in
     half-vote units; ``eligible_voters`` is optional per node and feeds the
     plausibility checks on incoming reports. Both are read-only views of
-    copies taken at construction, so what ``_validate`` checked is what
+    copies taken at construction, so what the constructor checked is what
     every later run reads.
     """
 
     def __init__(
         self,
-        root: JurisdictionId,
-        children: Mapping[JurisdictionId, Sequence[JurisdictionId]],
+        paths: Iterable[Sequence[str]],
         canton_half_votes: Mapping[JurisdictionId, int] | None = None,
         eligible_voters: Mapping[JurisdictionId, int] | None = None,
     ) -> None:
-        self.root = root
-        self._children: dict[JurisdictionId, tuple[JurisdictionId, ...]] = {
-            parent: tuple(kids) for parent, kids in children.items()
-        }
         self.canton_half_votes = MappingProxyType(dict(canton_half_votes or {}))
         self.eligible_voters = MappingProxyType(dict(eligible_voters or {}))
-        self._validate()
-
-    def _validate(self) -> None:
-        # The tree's one walk: depth first, root first, children in listed
-        # order. Every order the tree hands out is read from what it records.
-        # ``ups`` holds, for each node on ``stack``, its parent's index.
+        tables = (self.canton_half_votes, self.eligible_voters)
+        named = {node.path: node for table in tables for node in table}
+        ids: dict[tuple[str, ...], JurisdictionId] = {}
+        # Each parent's children as first named; the roots are under None.
+        children: dict[JurisdictionId | None, list[JurisdictionId]] = {}
+        for p in paths:
+            p = tuple(p)
+            if not p:
+                raise ValueError("jurisdiction path must be nonempty")
+            # The longest prefix already a node: every shorter one is too.
+            known = len(p)
+            while known and p[:known] not in ids:
+                known -= 1
+            parent = ids[p[:known]] if known else None
+            for end in range(known + 1, len(p) + 1):
+                prefix = p[:end]
+                node = ids[prefix] = named.get(prefix) or JurisdictionId(prefix)
+                children.setdefault(parent, []).append(node)
+                parent = node
+        roots = children.pop(None, [])
+        if len(roots) != 1:
+            raise ValueError(f"expected exactly one root, found {sorted(str(r) for r in roots)}")
+        self._children = {parent: tuple(kids) for parent, kids in children.items()}
+        # The tree's one walk: depth first, root first. Every order the tree
+        # hands out is read from what it records. ``ups`` holds, for each
+        # node on ``stack``, its parent's index.
         order: list[JurisdictionId] = []
         leaves: list[JurisdictionId] = []
         parents: list[int] = []
-        seen = {self.root}
-        stack, ups = [self.root], [0]
+        stack, ups = roots, [0]
         while stack:
             node = stack.pop()
             parents.append(ups.pop())
@@ -117,49 +139,43 @@ class JurisdictionTree:
             kids = self._children.get(node, ())
             if not kids:
                 leaves.append(node)
-            for child in kids:
-                if child in seen:
-                    raise ValueError(f"{child} has more than one parent (or is the root)")
-                if child.path[:-1] != node.path:
-                    raise ValueError(f"{child} is not a path-child of {node}")
-                seen.add(child)
             stack.extend(reversed(kids))
             ups.extend([len(order) - 1] * len(kids))
-        for parent in self._children:
-            if parent not in seen:
-                raise ValueError(f"{parent} is not reachable from the root {self.root}")
+        self._order = tuple(order)
+        self._parents = tuple(parents)
+        self._leaves = tuple(leaves)
+        self._nodes = set(order)
         for node, half in self.canton_half_votes.items():
-            if node not in seen:
+            if node not in self._nodes:
                 raise ValueError(f"weighted canton {node} is not in the tree")
             if half not in (1, 2):
                 raise ValueError(f"canton weight must be 0.5 or 1.0 vote, got {half} half-votes")
         for node, voters in self.eligible_voters.items():
-            if node not in seen:
+            if node not in self._nodes:
                 raise ValueError(f"eligible-voter entry {node} is not in the tree")
             if voters < 0:
                 raise ValueError(f"eligible voters for {node} must be >= 0")
         # A parent can never have fewer eligible voters than its children combined.
+        voters = self.eligible_voters
         for parent, kids in self._children.items():
-            if parent not in self.eligible_voters:
-                continue
-            child_values = [self.eligible_voters[k] for k in kids if k in self.eligible_voters]
-            if len(child_values) == len(kids) and kids:
-                if self.eligible_voters[parent] < sum(child_values):
+            if parent in voters and all(kid in voters for kid in kids):
+                below = sum(voters[kid] for kid in kids)
+                if voters[parent] < below:
                     raise ValueError(
-                        f"eligible voters of {parent} ({self.eligible_voters[parent]}) "
-                        f"is less than the sum over its children ({sum(child_values)})"
+                        f"eligible voters of {parent} ({voters[parent]}) "
+                        f"is less than the sum over its children ({below})"
                     )
-        self._order = tuple(order)
-        self._parents = tuple(parents)
-        self._leaves = tuple(leaves)
-        self._nodes = seen
+
+    @property
+    def root(self) -> JurisdictionId:
+        return self._order[0]
 
     def __contains__(self, node: JurisdictionId) -> bool:
         return node in self._nodes
 
     def order(self) -> tuple[JurisdictionId, ...]:
         """Every node depth first: root first, each subtree contiguous,
-        children in listed order."""
+        children in the order the paths first name them."""
         return self._order
 
     def parents(self) -> tuple[int, ...]:
@@ -189,31 +205,6 @@ def tree_from_paths(
     canton_half_votes: Mapping[JurisdictionId, int] | None = None,
     eligible_voters: Mapping[JurisdictionId, int] | None = None,
 ) -> JurisdictionTree:
-    """Build a tree from full paths; intermediate nodes are created implicitly.
-
-    Each node is built once: a node that a weight or voter key names is
-    that key, any other is built here. So a parent is the very object
-    listed among its own parent's children, and every weight and voter
-    key is the tree's own node when both tables name a node with one
-    object.
-    """
-    named = {
-        node.path: node for table in (canton_half_votes, eligible_voters) for node in table or ()
-    }
-    ids: dict[tuple[str, ...], JurisdictionId] = {}
-    for p in paths:
-        p = tuple(p)
-        # Longest prefix first: once one is known, so are all shorter ones.
-        for i in range(len(p), 0, -1):
-            prefix = p[:i]
-            if prefix in ids:
-                break
-            ids[prefix] = named.get(prefix) or JurisdictionId(prefix)
-    roots = [j for prefix, j in ids.items() if len(prefix) == 1]
-    if len(roots) != 1:
-        raise ValueError(f"expected exactly one root, found {sorted(str(r) for r in roots)}")
-    children: dict[JurisdictionId, list[JurisdictionId]] = {}
-    for prefix in sorted(ids):
-        if len(prefix) > 1:
-            children.setdefault(ids[prefix[:-1]], []).append(ids[prefix])
-    return JurisdictionTree(roots[0], children, canton_half_votes, eligible_voters)
+    """The tree of ``paths`` with every node's children in sorted order,
+    whatever order the paths come in."""
+    return JurisdictionTree(sorted(map(tuple, paths)), canton_half_votes, eligible_voters)

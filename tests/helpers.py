@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import votewire
 from votewire.counts import VoteCount
-from votewire.tree import JurisdictionId, JurisdictionTree
+from votewire.tree import JurisdictionId, JurisdictionTree, tree_from_paths
 
 
 def canton_id(code: str) -> JurisdictionId:
@@ -23,11 +23,8 @@ def make_canton_tree(
     eligible: dict[str, int] | None = None,
 ) -> JurisdictionTree:
     """Flat two-level tree: a federal root with one weighted child per code."""
-    root = JurisdictionId.of("CH")
-    kids = [canton_id(code) for code in weights]
     return JurisdictionTree(
-        root,
-        {root: kids},
+        [("CH", code) for code in weights],
         {canton_id(code): w for code, w in weights.items()},
         {canton_id(code): n for code, n in (eligible or {}).items()},
     )
@@ -76,6 +73,25 @@ def uneven_tree_paths(draw, max_depth: int | None = None) -> list[tuple[str, ...
 
     grow(("CH",))
     return paths
+
+
+@st.composite
+def shuffled_tree_paths(draw, max_depth: int | None = None) -> list[tuple[str, ...]]:
+    """The leaf paths of ``uneven_tree_paths`` depth first, each node's
+    children in a drawn order, so a tree built from them lists that order.
+
+    Draws follow the tree, never a set's hash order, so a failure replays
+    in another process.
+    """
+    shape = tree_from_paths(draw(uneven_tree_paths(max_depth)))
+
+    def emit(node: JurisdictionId) -> list[tuple[str, ...]]:
+        kids = shape.children(node)
+        if not kids:
+            return [node.path]
+        return [path for kid in draw(st.permutations(kids)) for path in emit(kid)]
+
+    return emit(shape.root)
 
 
 def fresh_interpreter(code: str) -> str:

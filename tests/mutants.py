@@ -37,6 +37,10 @@ REFERENCE = f"{TEST_ENGINE}::TestAgainstTheReference"
 INVARIANTS = f"{TEST_ENGINE}::TestTraceInvariants::test_aggregation_invariants"
 REPLAYED = f"{TEST_ENGINE}::TestTraceInvariants::test_feasibility_check_replays_every_preliminary_verdict"
 PARENTS = "tests/test_tree.py::TestTreeOrder::test_parents_name_each_nodes_parent"
+BUILT = (
+    "tests/test_tree.py::TestBuiltFromPaths"
+    "::test_any_listing_gives_the_sorted_tree_and_its_own_child_order"
+)
 FLIPS = "votewire/flips.py"
 THROUGH_THE_ENGINE = (
     "tests/test_flips.py::TestPlansThroughTheEngine"
@@ -150,6 +154,20 @@ MUTANTS = (
         "            ups.extend([len(order) - 1] * len(kids))\n",
         "            ups.extend([len(order) - 2] * len(kids))\n",
         (PARENTS, INVARIANTS, f"{REFERENCE}::test_random_runs_match_the_reference"),
+    ),
+    Mutant(
+        "each node lists its children in reverse of the order the paths name them",
+        "votewire/tree.py",
+        "                children.setdefault(parent, []).append(node)\n",
+        "                children.setdefault(parent, []).insert(0, node)\n",
+        (BUILT,),
+    ),
+    Mutant(
+        "a node a weight or voter key names is built afresh, not taken from the key",
+        "votewire/tree.py",
+        "named.get(prefix) or JurisdictionId(prefix)",
+        "JurisdictionId(prefix)",
+        (BUILT,),
     ),
     Mutant(
         "freshness is keyed by the receiver, so siblings share sequence numbers",

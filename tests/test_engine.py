@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import oracles
 import votewire
-from helpers import fresh_interpreter, uneven_tree_paths
+from helpers import fresh_interpreter, shuffled_tree_paths
 from oracles import (
     AttackRecord,
     DeliverRecord,
@@ -737,9 +737,7 @@ def random_simulations(draw, max_depth: int | None = None) -> Simulation:
     a run that took a child's slot from sorted ids or from its rank in
     ``order()`` would then differ from the reference.
     """
-    paths = draw(uneven_tree_paths(max_depth))
-    shape = tree_from_paths(paths)
-    children = {node: draw(st.permutations(shape.children(node))) for node in shape.order()}
+    paths = draw(shuffled_tree_paths(max_depth))
     leaves = [JurisdictionId(p) for p in paths]
     edges = sorted({JurisdictionId(p[:i]) for p in paths for i in range(2, len(p) + 1)}, key=str)
     small_counts = st.builds(
@@ -778,7 +776,7 @@ def random_simulations(draw, max_depth: int | None = None) -> Simulation:
     noise = draw(st.none() | st.builds(NoiseModel, st.floats(0.0, 1.0), st.integers(1, 5)))
     return Simulation(
         election_id="prop",
-        tree=JurisdictionTree(shape.root, children, eligible_voters=eligible),
+        tree=JurisdictionTree(paths, eligible_voters=eligible),
         channels=channels,
         ground_truth=truth,
         seed=draw(st.integers(0, 2**16)),

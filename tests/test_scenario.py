@@ -324,10 +324,14 @@ class TestDiagnostics:
                 {"channels": {"CH/A": {"preset": "carrier pigeon"}}},
                 "field 'channels.CH/A.preset': unknown channel preset 'carrier pigeon'",
             ),
+            (
+                {"channels": {"CH/A": "carrier pigeon"}},
+                "field 'channels.CH/A': unknown channel preset 'carrier pigeon'",
+            ),
         ],
         ids=[
             "empty-paths", "wrap-edges", "attacks", "noise-probability", "wrap-all",
-            "bundled-results", "channel-preset",
+            "bundled-results", "channel-preset", "channel-preset-name",
         ],
     )
     def test_shape_errors_keep_their_text(self, overrides, message):

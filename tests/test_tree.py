@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import canton_id, make_canton_tree, uneven_tree_paths
+from helpers import canton_id, make_canton_tree, shuffled_tree_paths, uneven_tree_paths
 from votewire.tree import JurisdictionId, JurisdictionTree, tree_from_paths
 
 
@@ -147,37 +147,18 @@ class TestJurisdictionTree:
         )
         assert tree.cantons() == (canton_id("OW"), canton_id("ZH"))
 
-    def test_rejects_second_parent(self):
-        root = JurisdictionId.of("CH")
-        a = JurisdictionId.of("CH", "A")
-        with pytest.raises(ValueError):
-            JurisdictionTree(root, {root: [a, a]})
-
-    def test_rejects_child_whose_path_disagrees_with_parent(self):
-        root = JurisdictionId.of("CH")
-        stray = JurisdictionId.of("DE", "B")
-        with pytest.raises(ValueError):
-            JurisdictionTree(root, {root: [stray]})
-
-    def test_rejects_unreachable_subtree(self):
-        root = JurisdictionId.of("CH")
-        orphan = JurisdictionId.of("CH", "A", "X")
-        with pytest.raises(ValueError):
-            JurisdictionTree(root, {root: [], orphan: []})
-
     def test_rejects_weight_outside_half_or_full(self):
         with pytest.raises(ValueError):
             make_canton_tree({"ZH": 3})
 
     def test_rejects_weight_for_unknown_node(self):
-        root = JurisdictionId.of("CH")
-        with pytest.raises(ValueError):
-            JurisdictionTree(root, {}, {JurisdictionId.of("CH", "ZH"): 2})
+        with pytest.raises(ValueError) as exc:
+            JurisdictionTree([("CH",)], {JurisdictionId.of("CH", "ZH"): 2})
+        assert str(exc.value) == "weighted canton CH/ZH is not in the tree"
 
     def test_rejects_eligible_voters_for_unknown_node(self):
-        root, a = JurisdictionId.of("CH"), JurisdictionId.of("CH", "A")
         with pytest.raises(ValueError) as exc:
-            JurisdictionTree(root, {root: [a]}, eligible_voters={JurisdictionId.of("CH", "B"): 5})
+            JurisdictionTree([("CH", "A")], eligible_voters={JurisdictionId.of("CH", "B"): 5})
         assert str(exc.value) == "eligible-voter entry CH/B is not in the tree"
 
     def test_rejects_negative_eligible_voters(self):
@@ -185,24 +166,32 @@ class TestJurisdictionTree:
             make_canton_tree({"ZH": 2}, eligible={"ZH": -5})
 
     def test_rejects_parent_with_fewer_eligible_voters_than_children(self):
-        root = JurisdictionId.of("CH")
-        kids = [JurisdictionId.of("CH", "A"), JurisdictionId.of("CH", "B")]
-        with pytest.raises(ValueError):
-            JurisdictionTree(
-                root,
-                {root: kids},
-                eligible_voters={root: 10, kids[0]: 6, kids[1]: 5},
-            )
+        root, a, b = (JurisdictionId.of(*p) for p in [("CH",), ("CH", "A"), ("CH", "B")])
+        with pytest.raises(ValueError) as exc:
+            JurisdictionTree([a.path, b.path], eligible_voters={root: 10, a: 6, b: 5})
+        assert str(exc.value) == (
+            "eligible voters of CH (10) is less than the sum over its children (11)"
+        )
 
     def test_partial_eligible_data_skips_the_parent_check(self):
-        root = JurisdictionId.of("CH")
-        kids = [JurisdictionId.of("CH", "A"), JurisdictionId.of("CH", "B")]
-        tree = JurisdictionTree(
-            root,
-            {root: kids},
-            eligible_voters={root: 10, kids[0]: 9},
-        )
+        root, a = JurisdictionId.of("CH"), JurisdictionId.of("CH", "A")
+        tree = JurisdictionTree([a.path, ("CH", "B")], eligible_voters={root: 10, a: 9})
         assert tree.eligible_voters[root] == 10
+
+    @pytest.mark.parametrize("paths", [[(), ("CH", "A")], [("CH", "A"), []]], ids=["first", "last"])
+    def test_rejects_an_empty_path(self, paths):
+        # An empty path names no node; it is refused, not dropped.
+        for build in (JurisdictionTree, tree_from_paths):
+            with pytest.raises(ValueError, match="^jurisdiction path must be nonempty$"):
+                build(paths)
+
+    def test_root_cannot_be_reassigned(self):
+        # A run and its audit both read the root from the tree, so a root
+        # moved after the run would send the audit to children it never had.
+        tree = tree_from_paths([("CH", "A"), ("CH", "B")])
+        with pytest.raises(AttributeError):
+            tree.root = JurisdictionId.of("CH", "A")
+        assert tree.root is tree.order()[0] == JurisdictionId.of("CH")
 
     def test_tables_are_read_only_copies(self):
         # A run reads these tables, so an edit after construction would
@@ -244,18 +233,48 @@ class TestTreeFromPaths:
             tree_from_paths([("CH", "ZH"), ("DE", "BY")])
 
 
+def first_named_children(paths: list[tuple[str, ...]]) -> dict[tuple[str, ...], list[str]]:
+    """Each internal node's child names, in the order ``paths`` first name them."""
+    named: dict[tuple[str, ...], dict[str, None]] = {}
+    for path in paths:
+        for end in range(1, len(path)):
+            named.setdefault(path[:end], {})[path[end]] = None
+    return {parent: list(kids) for parent, kids in named.items()}
+
+
+class TestBuiltFromPaths:
+    @given(data=st.data(), paths=uneven_tree_paths())
+    def test_any_listing_gives_the_sorted_tree_and_its_own_child_order(self, data, paths):
+        listed = data.draw(st.permutations(paths))
+        # One fresh object per node, none of them built by the tree.
+        ids = {path: JurisdictionId(path) for path in first_named_children(paths)}
+        ids.update((path, JurisdictionId(path)) for path in paths)
+        halves = data.draw(st.lists(st.sampled_from([0, 1, 2]), min_size=len(ids), max_size=len(ids)))
+        weights = {node: half for node, half in zip(ids.values(), halves) if half}
+        # Ten times a node's voters at its parent: no child sum exceeds it.
+        voters = {node: 10 ** (5 - len(path)) for path, node in ids.items()}
+
+        sorted_tree = JurisdictionTree(sorted(paths))
+        shuffled = tree_from_paths(listed)
+        assert shuffled.order() == sorted_tree.order()
+        assert shuffled.parents() == sorted_tree.parents()
+
+        tree = JurisdictionTree(listed, weights, voters)
+        for parent, names in first_named_children(listed).items():
+            assert [kid.name for kid in tree.children(ids[parent])] == names
+        own = {node: node for node in tree.order()}
+        assert all(own[key] is key for table in (weights, voters) for key in table)
+
+
 @st.composite
 def shuffled_trees(draw) -> JurisdictionTree:
     """An uneven tree of 2 to 4 levels with children listed in a drawn order,
     and drawn weights on any nodes, the root included."""
-    shape = tree_from_paths(draw(uneven_tree_paths()))
-    # Draws follow shape.order(), never a set's hash order, so a failure
-    # replays in another process.
-    nodes = shape.order()
-    children = {node: draw(st.permutations(shape.children(node))) for node in nodes}
+    paths = draw(shuffled_tree_paths())
+    nodes = dict.fromkeys(path[:end] for path in paths for end in range(1, len(path) + 1))
     halves = draw(st.lists(st.sampled_from([0, 1, 2]), min_size=len(nodes), max_size=len(nodes)))
-    weights = {node: half for node, half in zip(nodes, halves) if half}
-    return JurisdictionTree(shape.root, children, weights)
+    weights = {JurisdictionId(node): half for node, half in zip(nodes, halves) if half}
+    return JurisdictionTree(paths, weights)
 
 
 def descendants(tree: JurisdictionTree, node: JurisdictionId) -> set[JurisdictionId]:
