@@ -18,7 +18,7 @@ import enum
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence, TypeVar
+from typing import Callable, NamedTuple
 
 from .channels import ChannelSpec
 from .counts import VoteCount, accumulate
@@ -186,56 +186,51 @@ class DetectionSummary:
         lines = [
             "detection summary",
             f"final matches ground truth: {str(self.final_matches_ground_truth).lower()}",
-            f"count divergences: {len(self.divergences) // 2}",
-            *self._divergence_lines(max_items),
-            f"coverage gaps: {len(self.coverage_gaps)}",
-            *_capped(self.coverage_gaps, _gap_lines, max_items),
-            f"detect events: {len(self.detects)}",
-            *_capped(self.detects, _detect_lines, max_items),
+            *_section(
+                "count divergences", len(self.divergences) // 2, self._divergence_lines, max_items
+            ),
+            *_section("coverage gaps", len(self.coverage_gaps), self._gap_lines, max_items),
+            *_section("detect events", len(self.detects), self._detect_lines, max_items),
             # The last line carries the final newline, so the text is joined once.
             f"integrity gap ticks: {self.integrity_gap_ticks}\n",
         ]
         return "\n".join(lines)
 
-    def _divergence_lines(self, max_items: int) -> list[str]:
-        """The lines of at most ``max_items`` divergences (all when 0), each
-        delivery's tail formatted once. Deliveries are numbered as first
-        listed, so the lines shown use exactly those up to their highest index."""
-        column = self.divergences
-        shown = column if max_items <= 0 else column[:2 * max_items]
+    def _divergence_lines(self, count: int) -> list[str]:
+        """The lines of the first ``count`` divergences, each delivery's tail
+        formatted once. Deliveries are numbered as first listed, so the lines
+        use exactly those up to their highest index."""
+        shown = self.divergences[:2 * count]
         ticks, indices = shown[::2].tolist(), shown[1::2].tolist()
         tails = [
             f" child={child._text} reported={r.yes}:{r.no}:{r.blank}:{r.invalid}"
             f" final={f.yes}:{f.no}:{f.blank}:{f.invalid}"
             for child, r, f in self.divergent[:max(indices, default=-1) + 1]
         ]
-        lines = [f"  t={tick}{tails[index]}" for tick, index in zip(ticks, indices)]
-        if len(shown) < len(column):
-            lines.append(f"  ... {(len(column) - len(shown)) // 2} more")
-        return lines
+        return [f"  t={tick}{tails[index]}" for tick, index in zip(ticks, indices)]
+
+    def _gap_lines(self, count: int) -> list[str]:
+        return [
+            f"  t={g.time} missing={','.join(m._text for m in g.missing)}"
+            for g in self.coverage_gaps[:count]
+        ]
+
+    def _detect_lines(self, count: int) -> list[str]:
+        return [
+            f"  t={time} node={node._text} reason={reason} child={child._text} seq={seq}"
+            for time, node, reason, child, seq in self.detects[:count]
+        ]
 
 
-def _gap_lines(gaps: Sequence[CoverageGap]) -> list[str]:
-    return [f"  t={g.time} missing={','.join(m._text for m in g.missing)}" for g in gaps]
-
-
-def _detect_lines(detects: Sequence[DetectEvent]) -> list[str]:
-    return [
-        f"  t={time} node={node._text} reason={reason} child={child._text} seq={seq}"
-        for time, node, reason, child, seq in detects
-    ]
-
-
-_Item = TypeVar("_Item")
-
-
-def _capped(
-    items: Sequence[_Item], lines: Callable[[Sequence[_Item]], list[str]], max_items: int
+def _section(
+    title: str, count: int, lines: Callable[[int], list[str]], max_items: int
 ) -> list[str]:
-    """The lines of at most ``max_items`` items (all when 0), formatting only those."""
-    if max_items <= 0 or len(items) <= max_items:
-        return lines(items)
-    return [*lines(items[:max_items]), f"  ... {len(items) - max_items} more"]
+    """A section's header with its item count, the lines of its first
+    ``max_items`` items (all when ``max_items <= 0``), formatting only
+    those, and how many more there are."""
+    shown = count if max_items <= 0 else min(count, max_items)
+    more = [f"  ... {count - shown} more"] if shown < count else []
+    return [f"{title}: {count}", *lines(shown), *more]
 
 
 def detection_report(trace: EventTrace) -> DetectionSummary:

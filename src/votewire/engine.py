@@ -32,15 +32,14 @@ jitter, applies its edge's attacks, if any, and schedules delivery. The
 the sender's index, not its id; the run owns its state, so takes no lock.
 
 A node is its index in ``tree.order()``, 0 being the root, and each
-per-node field is indexed by it: parent (``tree.parents()``) and slot
-among siblings, eligible-voter ceiling, next sequence number; latency and
-attacks per report kind. One pass over the parents counts each node's
-children: a child's slot is the count of its siblings before it, and the
-final count is the node's child count. Only internal nodes get, per
-report kind, one child table holding at each child's slot the event of
-its latest accepted delivery, and one running total of that table: an
-accept subtracts the superseded event's counts and adds the new ones
-instead of re-summing every child.
+per-node field is indexed by it: parent (``tree.parents()``),
+eligible-voter ceiling, next sequence number; latency, attacks and the
+event of its latest accepted delivery per report kind. A sender has
+exactly one receiver, its parent, so what an edge carries is kept at the
+sender's index. One pass over the parents counts each node's children;
+only internal nodes get, per report kind, one running total of their
+children's latest accepted deliveries: an accept subtracts the superseded
+event's counts and adds the new ones instead of re-summing every child.
 Both kinds of delivery take one path: only a preliminary can be refused,
 and a final also waits for ``finals_pending``, the count of child finals
 still awaited, to reach zero before its total goes up. A delivery's row
@@ -77,7 +76,6 @@ from .traces import (
 )
 from .tree import JurisdictionId, JurisdictionTree
 
-REASON_OVER_ELIGIBLE, REASON_STALE_SEQUENCE = REASONS
 OVER_ELIGIBLE, STALE_SEQUENCE = range(len(REASONS))
 # The kind of a leaf's own emit event; a delivery's is PRELIM or FINAL.
 OWN = 2
@@ -229,28 +227,22 @@ class Simulation:
         fires_left: list[int | None] = [a.first_n for a in attacks]
 
         # order() lists each parent before its children. The root never
-        # sends, so its parent, slot, channel and ceiling are never read.
+        # sends, so its parent, channel and ceiling are never read.
         order, parent = tree.order(), tree.parents()
         size = len(order)
-        # Each node's slot among its siblings, and its child count, which is
-        # also the count of child finals it still awaits: a leaf's is 0.
-        slot, finals_pending = [0] * size, [0] * size
-        for i in range(1, size):
-            up = parent[i]
-            slot[i] = finals_pending[up]
+        # Each node's child count, which is also the count of child finals it
+        # still awaits: a leaf's is 0.
+        finals_pending = [0] * size
+        for up in parent[1:]:
             finals_pending[up] += 1
-        # Per report kind, an internal node's child table (an entry is None
-        # before the first accept, else the accepted delivery's event) and its
-        # [yes, no, blank, invalid] running total; a leaf's are None.
-        tables: tuple[list, list] = ([None] * size, [None] * size)
-        totals: tuple[list, list] = ([None] * size, [None] * size)
-        leaves = []
-        for i, kids in enumerate(finals_pending):
-            if kids:
-                for kind in (PRELIM, FINAL):
-                    tables[kind][i], totals[kind][i] = [None] * kids, [0, 0, 0, 0]
-            else:
-                leaves.append(i)
+        # Per report kind, each sender's latest accepted delivery (None before
+        # the first), and an internal node's [yes, no, blank, invalid] running
+        # total of its children's; a leaf's is None.
+        accepted: tuple[list, list] = ([None] * size, [None] * size)
+        totals = tuple(
+            [[0, 0, 0, 0] if kids else None for kids in finals_pending] for _ in (PRELIM, FINAL)
+        )
+        leaves = [i for i, kids in enumerate(finals_pending) if not kids]
         # Latency up to the parent over the preliminary channel; finals ride
         # the postal one.
         latency = (
@@ -349,9 +341,9 @@ class Simulation:
                                 REFUSE, time, sender, kind, what, yes, no, blank, invalid, refusal
                             ))
                             continue
-                    table, position = tables[kind][i], slot[sender]
-                    old = table[position]
-                    table[position] = event
+                    table = accepted[kind]
+                    old = table[sender]
+                    table[sender] = event
                     extend((DELIVER, time, sender, kind, what, yes, no, blank, invalid, 0))
                     total = totals[kind][i]
                     if old is not None:

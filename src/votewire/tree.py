@@ -30,6 +30,8 @@ class JurisdictionId(tuple):
     _text = _IdFields.text
 
     def __new__(cls, path: Iterable[str]) -> "JurisdictionId":
+        if isinstance(path, str):
+            raise ValueError(f"jurisdiction path {path!r} is a str, not a sequence of segments")
         path = tuple(path)
         if not path:
             raise ValueError("jurisdiction path must be nonempty")
@@ -108,6 +110,8 @@ class JurisdictionTree:
         # Each parent's children as first named; the roots are under None.
         children: dict[JurisdictionId | None, list[JurisdictionId]] = {}
         for p in paths:
+            if isinstance(p, str):
+                raise ValueError(f"jurisdiction path {p!r} is a str, not a sequence of segments")
             p = tuple(p)
             if not p:
                 raise ValueError("jurisdiction path must be nonempty")
@@ -207,4 +211,4 @@ def tree_from_paths(
 ) -> JurisdictionTree:
     """The tree of ``paths`` with every node's children in sorted order,
     whatever order the paths come in."""
-    return JurisdictionTree(sorted(map(tuple, paths)), canton_half_votes, eligible_voters)
+    return JurisdictionTree(sorted(paths, key=tuple), canton_half_votes, eligible_voters)

@@ -142,10 +142,12 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "a node's second child takes its first child's slot",
+        "siblings keep their latest deliveries in one entry, their receiver's",
         ENGINE,
-        "            slot[i] = finals_pending[up]\n",
-        "            slot[i] = max(finals_pending[up] - 1, 0)\n",
+        "                    old = table[sender]\n"
+        "                    table[sender] = event\n",
+        "                    old = table[i]\n"
+        "                    table[i] = event\n",
         (f"{REFERENCE}::test_random_runs_match_the_reference", INVARIANTS),
     ),
     Mutant(
@@ -168,6 +170,17 @@ MUTANTS = (
         "named.get(prefix) or JurisdictionId(prefix)",
         "JurisdictionId(prefix)",
         (BUILT,),
+    ),
+    Mutant(
+        "a tree reads a path given as a str as its characters",
+        "votewire/tree.py",
+        "            if isinstance(p, str):\n",
+        "            if False:\n",
+        tuple(
+            f"tests/test_tree.py::TestJurisdictionTree::test_rejects_a_str_path[{paths}-{build}]"
+            for paths in ("all", "one")
+            for build in ("JurisdictionTree", "tree_from_paths")
+        ),
     ),
     Mutant(
         "freshness is keyed by the receiver, so siblings share sequence numbers",
@@ -376,6 +389,13 @@ MUTANTS = (
             f"{LAZY}::test_a_simulation_loads_neither_flips_nor_tally",
             f"{LAZY}::test_a_bare_import_loads_no_submodule",
         ),
+    ),
+    Mutant(
+        "a summary section that lists all its items still says how many more",
+        "votewire/adversary.py",
+        "if shown < count else",
+        "if shown <= count else",
+        (f"{RENDERING}::test_text_matches_the_reference", AT_SCALE),
     ),
     Mutant(
         "a front-run's default sequence offset is 999",

@@ -39,23 +39,19 @@ from votewire.adversary import (
 )
 from votewire.channels import POSTAL_FINAL, preset, wrapped
 from votewire.counts import MAX_COUNT, VoteCount, accumulate
-from votewire.engine import (
-    DEFAULT_FINAL_EMIT_AT,
-    REASON_OVER_ELIGIBLE,
-    REASON_STALE_SEQUENCE,
-    REASONS,
-    NoiseModel,
-    Simulation,
-)
+from votewire.engine import DEFAULT_FINAL_EMIT_AT, NoiseModel, Simulation
 from votewire.errors import ArithmeticOverflow, CapabilityError, ConfigError
 from votewire.reports import Report, ReportKind, SequenceState
 from votewire.scenario import bundled_scenario_path, load_scenario
-from votewire.traces import ATTACK, DELIVER, EMIT, FINAL, PUBLISH, REFUSE, STRIDE, EventTrace
+from votewire.traces import (
+    ATTACK, DELIVER, EMIT, FINAL, PUBLISH, REASONS, REFUSE, STRIDE, EventTrace,
+)
 from votewire.tree import JurisdictionId, JurisdictionTree, tree_from_paths
 
 CH = JurisdictionId.of("CH")
 A = JurisdictionId.of("CH", "A")
 B = JurisdictionId.of("CH", "B")
+REASON_OVER_ELIGIBLE, REASON_STALE_SEQUENCE = REASONS
 
 
 def frozen_dataclasses() -> list[type]:

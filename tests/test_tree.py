@@ -32,6 +32,12 @@ class TestJurisdictionId:
         with pytest.raises(ValueError):
             JurisdictionId(())
 
+    def test_rejects_a_str_path(self):
+        # A str is a sequence of its characters, so "CH" would read as C/H.
+        with pytest.raises(ValueError, match="^jurisdiction path 'CH' is a str, not a sequence"):
+            JurisdictionId("CH")
+        assert JurisdictionId.from_text("CH") == JurisdictionId.of("CH")
+
     def test_equal_ids_compare_and_hash_equal(self):
         jid = JurisdictionId.of("CH", "ZH")
         twin = JurisdictionId(("CH", "ZH"))
@@ -184,6 +190,16 @@ class TestJurisdictionTree:
         for build in (JurisdictionTree, tree_from_paths):
             with pytest.raises(ValueError, match="^jurisdiction path must be nonempty$"):
                 build(paths)
+
+    @pytest.mark.parametrize("build", [JurisdictionTree, tree_from_paths])
+    @pytest.mark.parametrize(
+        "paths, named", [(["CH", "CZ"], "CH"), ([("CH", "A"), "CH/B"], "CH/B")], ids=["all", "one"]
+    )
+    def test_rejects_a_str_path(self, build, paths, named):
+        # Read as its characters, ["CH", "CZ"] would build C, C/H and C/Z.
+        with pytest.raises(ValueError) as exc:
+            build(paths)
+        assert str(exc.value) == f"jurisdiction path {named!r} is a str, not a sequence of segments"
 
     def test_root_cannot_be_reassigned(self):
         # A run and its audit both read the root from the tree, so a root
