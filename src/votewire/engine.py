@@ -31,15 +31,16 @@ jitter, applies its edge's attacks, if any, and schedules delivery. The
 ``SequenceState`` check ``verify_report`` shares keys freshness here by
 the sender's index, not its id; the run owns its state, so takes no lock.
 
-A node is its index in ``tree.order()``, 0 being the root, and each
-per-node field is indexed by it: parent (``tree.parents()``),
-eligible-voter ceiling, next sequence number; latency, attacks and the
-event of its latest accepted delivery per report kind. A sender has
-exactly one receiver, its parent, so what an edge carries is kept at the
-sender's index. One pass over the parents counts each node's children;
-only internal nodes get, per report kind, one running total of their
-children's latest accepted deliveries: an accept subtracts the superseded
-event's counts and adds the new ones instead of re-summing every child.
+A node is its index in ``tree.order()``, 0 being the root. A Simulation
+resolves each per-node table once, into a column in tree order, so
+``run()`` looks up no id: each per-node field is indexed by the node:
+parent and eligible-voter ceiling (the tree's), next sequence number;
+latency, attacks and the event of its latest accepted delivery per report
+kind. A sender has exactly one receiver, its parent, so what an edge
+carries is kept at the sender's index. One pass over the parents counts
+each node's children; only internal nodes get, per report kind, one
+running total of their children's latest accepted deliveries: an accept
+subtracts the superseded event's counts and adds the new ones.
 Both kinds of delivery take one path: only a preliminary can be refused,
 and a final also waits for ``finals_pending``, the count of child finals
 still awaited, to reach zero before its total goes up. A delivery's row
@@ -81,6 +82,9 @@ OVER_ELIGIBLE, STALE_SEQUENCE = range(len(REASONS))
 OWN = 2
 
 DEFAULT_FINAL_EMIT_AT = 100
+# The per-node tables a Simulation copies, and the tree-order columns it reads them into.
+_TABLES = ("channels", "ground_truth", "prelim_emit", "final_emit")
+_COLUMNS = ("_specs", "_truths", "_prelim_at", "_final_at", "_attacks_on")
 
 
 def _check_nonnegative(value: int, where: str) -> None:
@@ -133,59 +137,65 @@ class Simulation:
 
     def __post_init__(self) -> None:
         # The run and its trace read copies taken here, so a caller's later
-        # edit to what it passed can neither skip these checks nor change a trace.
-        for name in ("channels", "ground_truth", "prelim_emit", "final_emit"):
-            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        # edit to what it passed can neither skip these checks nor change a
+        # trace; each table is read once, from its copy, into a column.
+        tables = {name: dict(getattr(self, name)) for name in _TABLES}
+        for name, table in tables.items():
+            object.__setattr__(self, name, MappingProxyType(table))
         object.__setattr__(self, "attacks", tuple(self.attacks))
         if not self.election_id:
             raise ConfigError("field 'election_id' must be a non-empty string")
         _check_nonnegative(self.seed, "seed")
-        tree = self.tree
-        leaves = tree.leaves()
+        tree, channels, truth = self.tree, tables["channels"], tables["ground_truth"]
+        order, leaves = tree.order(), tree.leaves()
         if leaves == (tree.root,):
             raise ConfigError("field 'tree': simulation needs at least one reporting edge")
-        truth = self.ground_truth
-        missing = [leaf for leaf in leaves if leaf not in truth]
-        if missing:
+        truths = tuple(map(truth.get, leaves))
+        if None in truths:
+            missing = [leaf for leaf, counts in zip(leaves, truths) if counts is None]
             raise ConfigError(f"field 'ground_truth': missing leaves {sorted(map(str, missing))}")
         if len(truth) != len(leaves):
-            leaf_set = set(leaves)
-            extra = sorted(str(node) for node in truth if node not in leaf_set)
+            extra = sorted(map(str, truth.keys() - set(leaves)))
             raise ConfigError(f"field 'ground_truth': non-leaf entries {extra}")
         # From here on the keys of ``truth`` are exactly the leaves.
-        for leaf, counts in truth.items():
-            eligible = tree.eligible_voters.get(leaf)
-            if eligible is not None and counts.total() > eligible:
-                raise ConfigError(
-                    f"field 'ground_truth.{leaf}': total {counts.total()} exceeds "
-                    f"{eligible} eligible voters"
-                )
-        channels = self.channels
+        totals = zip(leaves, map(tree._eligible.__getitem__, tree._leaf_at), map(sum, truths))
+        over = {leaf: c for leaf, c, total in totals if c is not None and total > c}
+        if over:  # name the first in the caller's order
+            leaf = next(filter(over.__contains__, truth))
+            raise ConfigError(
+                f"field 'ground_truth.{leaf}': total {truth[leaf].total()} exceeds "
+                f"{over[leaf]} eligible voters"
+            )
         if tree.root in channels:
             raise ConfigError(f"field 'channels.{tree.root}': the root has no upward edge")
-        for node in tree.order()[1:]:
-            if node not in channels:
-                raise ConfigError(
-                    f"field 'channels': no channel for edge {node} and no default_channel"
-                )
+        specs = tuple(map(channels.get, order))
+        if not all(specs[1:]):
+            raise ConfigError(
+                f"field 'channels': no channel for edge {order[specs.index(None, 1)]} "
+                "and no default_channel"
+            )
         # Every edge has a channel and the root none, so any further key
         # names a node outside the tree.
-        if len(channels) >= len(tree.order()):
+        if len(channels) >= len(order):
             stray = next(node for node in channels if node not in tree)
             raise ConfigError(f"field 'channels.{stray}': unknown jurisdiction {str(stray)!r}")
         _check_nonnegative(self.postal_latency, "postal_latency")
-        for name, emits in (("prelim_emit", self.prelim_emit), ("final_emit", self.final_emit)):
-            for node, when in emits.items():
-                if node not in truth:
+        at = dict(zip(leaves, range(len(leaves))))
+        emits = ([0] * len(leaves), [self.final_emit_default] * len(leaves))
+        for name, ticks in zip(("prelim_emit", "final_emit"), emits):
+            for node, when in tables[name].items():
+                if (j := at.get(node)) is None:
                     raise ConfigError(
                         f"field 'timing.{name}.{node}': not a leaf; only leaves emit reports"
                     )
                 if when < 0:  # the field's name is formatted for the error alone
                     _check_nonnegative(when, f"timing.{name}.{node}")
+                ticks[j] = when
         _check_nonnegative(self.final_emit_default, "timing.final_emit_default")
         _check_nonnegative(self.jitter_max, "jitter_max")
         # Capability gating happens here, and only here: an attack a channel
         # rules out is a configuration error, so the run applies each unchecked.
+        attacks_on = ([()] * len(order), [()] * len(order))
         for i, attack in enumerate(self.attacks):
             edge = attack.edge_child
             if edge not in tree:
@@ -194,7 +204,10 @@ class Simulation:
                 raise ConfigError(f"field 'attacks[{i}].edge': the root has no upward edge")
             final = attack.report_kind is ReportKind.FINAL
             # Finals ride the signed postal channel; its latency gates nothing.
-            check_attack_permitted(attack.kind, POSTAL_FINAL if final else self.channels[edge])
+            check_attack_permitted(attack.kind, POSTAL_FINAL if final else channels[edge])
+            attacks_on[FINAL if final else PRELIM][tree._index[edge]] += (i,)
+        for name, column in zip(_COLUMNS, (specs, truths, *emits, tuple(map(tuple, attacks_on)))):
+            object.__setattr__(self, name, tuple(column))
 
     def run(self) -> EventTrace:
         rng = random.Random(self.seed)
@@ -220,7 +233,7 @@ class Simulation:
         # randrange(jitter_max + 1)'s draw: the span's bit count, redrawn until below it.
         jitter_bits = (jitter_max + 1).bit_length()
         getrandbits = rng.getrandbits
-        attacks = self.attacks
+        attacks, attacks_on = self.attacks, self._attacks_on
         # One state serves every receiver: a sender has exactly one, its parent.
         # It is keyed by the sender's index, which hashes faster than its id.
         accept = SequenceState(self.election_id).accept_if_fresh
@@ -228,7 +241,7 @@ class Simulation:
 
         # order() lists each parent before its children. The root never
         # sends, so its parent, channel and ceiling are never read.
-        order, parent = tree.order(), tree.parents()
+        order, parent, eligible = tree.order(), tree.parents(), tree._eligible
         size = len(order)
         # Each node's child count, which is also the count of child finals it
         # still awaits: a leaf's is 0.
@@ -242,22 +255,13 @@ class Simulation:
         totals = tuple(
             [[0, 0, 0, 0] if kids else None for kids in finals_pending] for _ in (PRELIM, FINAL)
         )
-        leaves = [i for i, kids in enumerate(finals_pending) if not kids]
         # Latency up to the parent over the preliminary channel; finals ride
         # the postal one.
         latency = (
-            [0 if spec is None else spec.base_latency for spec in map(self.channels.get, order)],
+            [0 if spec is None else spec.base_latency for spec in self._specs],
             [self.postal_latency] * size,
         )
-        eligible = list(map(tree.eligible_voters.get, order))
         next_seq = [1] * size
-        # Per report kind, each edge's indices into Simulation.attacks, in
-        # configuration order.
-        attacks_on: tuple[list[tuple[int, ...]], ...] = ([()] * size, [()] * size)
-        index = dict(zip(order, range(size)))
-        for idx, attack in enumerate(attacks):
-            kind = FINAL if attack.report_kind is ReportKind.FINAL else PRELIM
-            attacks_on[kind][index[attack.edge_child]] += (idx,)
 
         def fire(
             time: int, sender: int, seq: int, counts: tuple[int, int, int, int],
@@ -296,9 +300,7 @@ class Simulation:
         if noise:
             probability, max_shift = noise.probability, noise.max_shift
             shift_bits, draw = max_shift.bit_length(), rng.random
-        leaf_ids = tree.leaves()
-        truths = list(map(self.ground_truth.__getitem__, leaf_ids))
-        for i, leaf, (yes, no, blank, invalid) in zip(leaves, leaf_ids, truths):
+        for i, at, (yes, no, blank, invalid) in zip(tree._leaf_at, self._prelim_at, self._truths):
             if noise and draw() < probability:
                 drawn = getrandbits(shift_bits)
                 while drawn >= max_shift:
@@ -309,10 +311,8 @@ class Simulation:
                 else:
                     moved = min(drawn + 1, no)
                     yes, no = yes + moved, no - moved
-            at = self.prelim_emit.get(leaf, 0)
             schedule(at, (OWN, i, PRELIM, yes, no, blank, invalid))
-        for i, leaf, counts in zip(leaves, leaf_ids, truths):
-            at = self.final_emit.get(leaf, self.final_emit_default)
+        for i, at, counts in zip(tree._leaf_at, self._final_at, self._truths):
             schedule(at, (OWN, i, FINAL, *counts))
 
         while ticks:

@@ -74,7 +74,7 @@ class EventTrace:
         kids = [i for i, up in enumerate(parents) if i and not up]
         latest = (dict.fromkeys(kids), dict.fromkeys(kids))
         # Each node's preliminary channel; the root sends nothing.
-        channels = ("", *(spec.name for spec in map(sim.channels.__getitem__, order[1:])))
+        channels = ("", *(spec.name for spec in sim._specs[1:]))
         postal = POSTAL_FINAL.name
         attacks = tuple((a.kind.value, a.mode, a.describe()) for a in sim.attacks)
         lines = [f"trace election={sim.election_id} seed={sim.seed}"]

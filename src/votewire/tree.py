@@ -87,7 +87,8 @@ class JurisdictionTree:
     one root. Each node lists its children in the order the paths first
     name them. A node that a weight or voter key names is that key object;
     any other is built here, once. So every key is the tree's own node
-    when both tables name a node with one object.
+    when both tables name a node with one object. Paths are read by segment
+    (a ``str`` caches its hash), then walked once into the engine's columns.
 
     ``canton_half_votes`` maps canton-level nodes to their weight in
     half-vote units; ``eligible_voters`` is optional per node and feeds the
@@ -104,78 +105,79 @@ class JurisdictionTree:
     ) -> None:
         self.canton_half_votes = MappingProxyType(dict(canton_half_votes or {}))
         self.eligible_voters = MappingProxyType(dict(eligible_voters or {}))
-        tables = (self.canton_half_votes, self.eligible_voters)
-        named = {node.path: node for table in tables for node in table}
-        ids: dict[tuple[str, ...], JurisdictionId] = {}
-        # Each parent's children as first named; the roots are under None.
-        children: dict[JurisdictionId | None, list[JurisdictionId]] = {}
+        named = {n._text: n for t in (self.canton_half_votes, self.eligible_voters) for n in t}
+        # Each node is a dict of its children's, by segment, in first-named
+        # order; ``firsts`` lists each new node's parent dict, ``top`` first.
+        top, firsts = {}, []
         for p in paths:
             if isinstance(p, str):
                 raise ValueError(f"jurisdiction path {p!r} is a str, not a sequence of segments")
             p = tuple(p)
             if not p:
                 raise ValueError("jurisdiction path must be nonempty")
-            # The longest prefix already a node: every shorter one is too.
-            known = len(p)
-            while known and p[:known] not in ids:
-                known -= 1
-            parent = ids[p[:known]] if known else None
-            for end in range(known + 1, len(p) + 1):
-                prefix = p[:end]
-                node = ids[prefix] = named.get(prefix) or JurisdictionId(prefix)
-                children.setdefault(parent, []).append(node)
-                parent = node
-        roots = children.pop(None, [])
-        if len(roots) != 1:
-            raise ValueError(f"expected exactly one root, found {sorted(str(r) for r in roots)}")
-        self._children = {parent: tuple(kids) for parent, kids in children.items()}
-        # The tree's one walk: depth first, root first. Every order the tree
-        # hands out is read from what it records. ``ups`` holds, for each
-        # node on ``stack``, its parent's index.
-        order: list[JurisdictionId] = []
-        leaves: list[JurisdictionId] = []
-        parents: list[int] = []
-        stack, ups = roots, [0]
+            below = top
+            for segment in p:
+                kids = below.get(segment)
+                if kids is None:  # checked once, here, so the first bad path raises
+                    if not segment or "/" in segment or "\n" in segment:
+                        JurisdictionId(p[: p.index(segment) + 1])
+                    firsts.append(below)
+                    kids = below[segment] = {}
+                below = kids
+        if len(top) != 1:
+            raise ValueError(f"expected exactly one root, found {sorted(top)}")
+        # The one walk, depth first: a node's children are made, or taken from
+        # a table, as it is reached, and every order the tree hands out is kept.
+        order, parents, leaves, self._children, at = [], [], [], {}, {}
+        stack = [(named.get(s) or JurisdictionId((s,)), kids, 0) for s, kids in top.items()]
         while stack:
-            node = stack.pop()
-            parents.append(ups.pop())
+            node, below, up = stack.pop()
+            parents.append(up)
             order.append(node)
-            kids = self._children.get(node, ())
-            if not kids:
-                leaves.append(node)
-            stack.extend(reversed(kids))
-            ups.extend([len(order) - 1] * len(kids))
-        self._order = tuple(order)
-        self._parents = tuple(parents)
-        self._leaves = tuple(leaves)
-        self._nodes = set(order)
+            if below:
+                at[id(below)] = here = len(order) - 1
+                text = node._text + "/"
+                kids = self._children[node] = tuple(
+                    [named.get(text + s) or JurisdictionId((*node.path, s)) for s in below]
+                )
+                stack.extend(zip(reversed(kids), reversed(below.values()), [here] * len(kids)))
+            else:
+                leaves.append(len(order) - 1)
+        self._order, self._parents, self._leaf_at = tuple(order), tuple(parents), tuple(leaves)
+        self._leaves = tuple(map(order.__getitem__, leaves))
+        self._index = dict(zip(order, range(len(order))))
         for node, half in self.canton_half_votes.items():
-            if node not in self._nodes:
+            if node not in self._index:
                 raise ValueError(f"weighted canton {node} is not in the tree")
             if half not in (1, 2):
                 raise ValueError(f"canton weight must be 0.5 or 1.0 vote, got {half} half-votes")
-        for node, voters in self.eligible_voters.items():
-            if node not in self._nodes:
+        voters: list[int | None] = [None] * len(order)
+        for node, given in self.eligible_voters.items():
+            if (i := self._index.get(node)) is None:
                 raise ValueError(f"eligible-voter entry {node} is not in the tree")
-            if voters < 0:
+            if given < 0:
                 raise ValueError(f"eligible voters for {node} must be >= 0")
-        # A parent can never have fewer eligible voters than its children combined.
-        voters = self.eligible_voters
-        for parent, kids in self._children.items():
-            if parent in voters and all(kid in voters for kid in kids):
-                below = sum(voters[kid] for kid in kids)
-                if voters[parent] < below:
-                    raise ValueError(
-                        f"eligible voters of {parent} ({voters[parent]}) "
-                        f"is less than the sum over its children ({below})"
-                    )
+            voters[i] = given
+        self._eligible = tuple(voters)
+        # A parent can never have fewer eligible voters than its children
+        # combined; a sum turns None at a child without an entry.
+        sums: list[int | None] = [0] * len(order)
+        for up, given in zip(parents[1:], voters[1:]):
+            sums[up] = None if given is None or sums[up] is None else sums[up] + given
+        short = [c is not None and s is not None and c < s for c, s in zip(voters, sums)]
+        if any(short):  # name the first parent to gain a child
+            i = next(i for i in map(at.__getitem__, dict.fromkeys(map(id, firsts[1:]))) if short[i])
+            raise ValueError(
+                f"eligible voters of {order[i]} ({voters[i]}) "
+                f"is less than the sum over its children ({sums[i]})"
+            )
 
     @property
     def root(self) -> JurisdictionId:
         return self._order[0]
 
     def __contains__(self, node: JurisdictionId) -> bool:
-        return node in self._nodes
+        return node in self._index
 
     def order(self) -> tuple[JurisdictionId, ...]:
         """Every node depth first: root first, each subtree contiguous,
@@ -195,10 +197,8 @@ class JurisdictionTree:
 
     def cantons(self) -> tuple[JurisdictionId, ...]:
         """Weighted nodes in ``order()``, except that a weighted root comes last."""
-        weighted = [n for n in self._order[1:] if n in self.canton_half_votes]
-        if self.root in self.canton_half_votes:
-            weighted.append(self.root)
-        return tuple(weighted)
+        at = self._index
+        return tuple(sorted(self.canton_half_votes, key=lambda node: at[node] or len(at)))
 
     def total_half_votes(self) -> int:
         return sum(self.canton_half_votes.values())

@@ -150,26 +150,52 @@ MUTANTS = (
         "                    table[i] = event\n",
         (f"{REFERENCE}::test_random_runs_match_the_reference", INVARIANTS),
     ),
+    # The root's children keep index 0: an index of -1 would close a cycle
+    # through the last node, and a run on that tree would never end.
     Mutant(
         "a node's parent index is that of the node listed before its parent",
         "votewire/tree.py",
-        "            ups.extend([len(order) - 1] * len(kids))\n",
-        "            ups.extend([len(order) - 2] * len(kids))\n",
+        "here = len(order) - 1\n",
+        "here = max(len(order) - 2, 0)\n",
         (PARENTS, INVARIANTS, f"{REFERENCE}::test_random_runs_match_the_reference"),
     ),
     Mutant(
         "each node lists its children in reverse of the order the paths name them",
         "votewire/tree.py",
-        "                children.setdefault(parent, []).append(node)\n",
-        "                children.setdefault(parent, []).insert(0, node)\n",
+        " for s in below]\n"
+        "                )\n"
+        "                stack.extend(zip(reversed(kids), reversed(below.values()),",
+        " for s in reversed(below)]\n"
+        "                )\n"
+        "                stack.extend(zip(reversed(kids), below.values(),",
         (BUILT,),
     ),
     Mutant(
         "a node a weight or voter key names is built afresh, not taken from the key",
         "votewire/tree.py",
-        "named.get(prefix) or JurisdictionId(prefix)",
-        "JurisdictionId(prefix)",
+        "named.get(text + s) or JurisdictionId",
+        "JurisdictionId",
         (BUILT,),
+    ),
+    Mutant(
+        "a leaf's preliminary emit tick defaults to that of its final",
+        ENGINE,
+        "emits = ([0] * len(leaves),",
+        "emits = ([self.final_emit_default] * len(leaves),",
+        (
+            f"{TEST_ENGINE}::TestHonestRun::test_emit_times_respect_configuration",
+            f"{REFERENCE}::test_random_runs_match_the_reference",
+        ),
+    ),
+    Mutant(
+        "a delivery's channel is read from the node before its sender",
+        "votewire/traces.py",
+        "channel={postal if kind else channels[node]}",
+        "channel={postal if kind else channels[node - 1]}",
+        (
+            f"{RENDERING}::test_text_matches_the_reference",
+            f"{REFERENCE}::test_bundled_scenarios_match_the_reference[swiss_tamper]",
+        ),
     ),
     Mutant(
         "a tree reads a path given as a str as its characters",

@@ -613,6 +613,27 @@ class TestSimulationValidation:
                 ground_truth={x: VoteCount(1, 0), A: VoteCount(9, 0), B: VoteCount(0, 1)},
             )
 
+    def test_of_two_leaves_over_their_voters_the_first_in_the_truth_is_named(self):
+        # The check reads the tree's voter column, but names a fault in the
+        # caller's order: CH/B is listed first here, CH/A first in the tree.
+        tree = tree_from_paths([A.path, B.path], eligible_voters={A: 1, B: 2})
+        with refused("field 'ground_truth.CH/B': total 7 exceeds 2 eligible voters"):
+            two_leaf_sim(tree=tree, ground_truth={B: VoteCount(7, 0), A: VoteCount(5, 0)})
+        with refused("field 'ground_truth.CH/A': total 5 exceeds 1 eligible voters"):
+            two_leaf_sim(tree=tree, ground_truth={A: VoteCount(5, 0), B: VoteCount(7, 0)})
+
+    def test_of_two_edges_without_a_channel_the_first_in_order_is_named(self):
+        # The tree lists CH/C before CH/A, and so does the refusal.
+        c = JurisdictionId.of("CH", "C")
+        tree = JurisdictionTree([c.path, A.path, B.path])
+        with refused("field 'channels': no channel for edge CH/C and no default_channel"):
+            Simulation(
+                election_id="toy",
+                tree=tree,
+                channels={B: preset("email")},
+                ground_truth={A: VoteCount(1, 0), B: VoteCount(0, 1), c: VoteCount(1, 1)},
+            )
+
     def test_empty_election_id_rejected(self):
         # Used to build, then fail mid-run when the first report was emitted.
         with refused("field 'election_id' must be a non-empty string"):
@@ -783,6 +804,31 @@ def random_simulations(draw, max_depth: int | None = None) -> Simulation:
         attacks=tuple(attacks),
         postal_latency=draw(st.sampled_from([0, POSTAL_FINAL.base_latency])),
     )
+
+
+class TestTableKeyOrder:
+    @settings(max_examples=100)
+    @given(sim=random_simulations(), data=st.data())
+    def test_no_table_s_key_order_reaches_the_trace(self, sim, data):
+        # A Simulation reads each table into a column in tree order, so the
+        # order a caller lists its keys in changes no byte; nor does the
+        # order of the tree's own tables.
+        def shuffled(table):
+            return {key: table[key] for key in data.draw(st.permutations(list(table)))}
+
+        tree = sim.tree
+        names = ("channels", "ground_truth", "prelim_emit", "final_emit")
+        twin = dataclasses.replace(
+            sim,
+            tree=JurisdictionTree(
+                [leaf.path for leaf in tree.leaves()],
+                shuffled(tree.canton_half_votes),
+                shuffled(tree.eligible_voters),
+            ),
+            **{name: shuffled(getattr(sim, name)) for name in names},
+        )
+        assert twin.tree.order() == tree.order()
+        assert twin.run().to_text() == sim.run().to_text()
 
 
 class TestTraceInvariants:

@@ -191,6 +191,32 @@ class TestJurisdictionTree:
             with pytest.raises(ValueError, match="^jurisdiction path must be nonempty$"):
                 build(paths)
 
+    @pytest.mark.parametrize("bad", ["", "x/y"])
+    def test_of_two_bad_paths_the_first_listed_raises(self, bad):
+        # The walk reaches CH/A's subtree before CH/B's, but the paths are
+        # checked in the order they are listed; tree_from_paths lists them
+        # sorted, so CH/A's comes first there.
+        other = "x/y" if bad == "" else ""
+        paths = [("CH", "A"), ("CH", "B", bad), ("CH", "A", other)]
+        messages = {
+            "": "^jurisdiction path segments must be nonempty$",
+            "x/y": "^segment 'x/y' contains forbidden character '/'$",
+        }
+        with pytest.raises(ValueError, match=messages[bad]):
+            JurisdictionTree(paths)
+        with pytest.raises(ValueError, match=messages[other]):
+            tree_from_paths(paths)
+
+    def test_of_two_parents_short_of_voters_the_first_to_gain_a_child_is_named(self):
+        # CH/D gains its first child before CH/B, which the walk reaches first.
+        paths = [("CH", "B"), ("CH", "D", "E"), ("CH", "B", "F")]
+        b, d, e, f = (JurisdictionId(p) for p in (paths[0], paths[1][:2], paths[1], paths[2]))
+        with pytest.raises(ValueError) as exc:
+            JurisdictionTree(paths, eligible_voters={b: 1, d: 1, e: 2, f: 2})
+        assert str(exc.value) == (
+            "eligible voters of CH/D (1) is less than the sum over its children (2)"
+        )
+
     @pytest.mark.parametrize("build", [JurisdictionTree, tree_from_paths])
     @pytest.mark.parametrize(
         "paths, named", [(["CH", "CZ"], "CH"), ([("CH", "A"), "CH/B"], "CH/B")], ids=["all", "one"]
